@@ -1,6 +1,6 @@
 """Benchmark the two Walsh-Hadamard kernels against each other.
 
-Runs both the compiled kernel (when built) and the numpy butterfly on the
+Runs both the compiled kernel (when built) and the numpy kernel on the
 same batch shapes and reports the median wall time per transform, the
 rows*n*log2(n) butterfly throughput, and the speedup. The import-time
 backend switch (KRONJL_PURE=1) is bypassed here: both kernels are called
@@ -82,7 +82,7 @@ def main():
     args = ap.parse_args()
     rng = np.random.default_rng(args.seed)
     if _fwht_cy is None:
-        print("compiled kernel not built; timing the numpy butterfly only")
+        print("compiled kernel not built; timing the numpy kernel only")
     bench_kernels(args.rows, args.repeats, rng)
     bench_operator(args.repeats, rng)
 

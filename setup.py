@@ -1,7 +1,7 @@
 """Build script for the optional compiled transform kernel.
 
 The package works without the extension: kronjl.fwht falls back to a
-vectorized numpy butterfly when kronjl._fwht_cy is missing, so the
+blocked numpy kernel when kronjl._fwht_cy is missing, so the
 extension is marked optional and a failed build only emits a warning.
 """
 

@@ -1,13 +1,22 @@
 """Orthonormal fast Walsh-Hadamard transform.
 
-Two interchangeable backends: a vectorized numpy butterfly, and an optional
-compiled kernel (kronjl._fwht_cy) selected at import when present. Setting
-the environment variable KRONJL_PURE=1 before import forces the numpy path.
-Both compute the same orthonormal transform whose matrix follows the
-recursion H_0 = (1), H_{k+1} = (1/sqrt2) [[H_k, H_k], [H_k, -H_k]]; the
-transform is symmetric and involutive (applying it twice is the identity).
+Two backends: a blocked numpy kernel, and an optional compiled kernel
+(kronjl._fwht_cy) selected at import when present. Setting the environment
+variable KRONJL_PURE=1 before import forces the numpy path. Both compute
+the same orthonormal transform whose matrix follows the recursion
+H_0 = (1), H_{k+1} = (1/sqrt2) [[H_k, H_k], [H_k, -H_k]]; the transform is
+symmetric and involutive (applying it twice is the identity).
+
+The numpy kernel rests on the Sylvester identity
+H_{2^(a+b)} = H_{2^a} (x) H_{2^b}: it splits log2(n) into at most 6-bit
+digits and applies each digit as one matrix product with the +-1
+Sylvester matrix of that digit (order <= 64), so a length-n transform is
+a few BLAS products instead of log2(n) strided passes. The products sum
+integers exactly, so the unnormalized transform of integer-valued input
+is exact while its values stay below 2^53.
 """
 
+import functools
 import math
 import os
 
@@ -36,25 +45,81 @@ def _check_pow2(n):
         raise ShapeError(f"transform length must be a power of two, got {n}")
 
 
-def _fwht2_numpy(block):
-    # block: (rows, n) float64, C-contiguous, modified in place
+_DIGIT_BITS = 6
+
+
+def _digits(n):
+    """Split n = 2^k into the fewest factors of at most 2^6, as even as
+    possible, larger first: 2^13 -> (32, 16, 16)."""
+    k = n.bit_length() - 1
+    count = -(-k // _DIGIT_BITS)
+    return tuple(1 << (k // count + (i < k % count)) for i in range(count))
+
+
+@functools.cache
+def _sylvester(r):
+    """Unnormalized +-1 Sylvester-Hadamard matrix of order r (read-only)."""
+    h = np.ones((1, 1))
+    while h.shape[0] < r:
+        h = np.block([[h, h], [h, -h]])
+    h.flags.writeable = False
+    return h
+
+
+def _wht_middle(src, dst, outer, n, inner, scale):
+    """Transform the middle axis of C-contiguous `src` viewed as
+    (outer, n, inner) into C-contiguous `dst` of the same size, then
+    multiply by `scale`.
+
+    `dst` may be `src` (in place). Each digit of n is one matmul, written
+    through `out=`; the products alternate between `dst` and at most one
+    scratch buffer.
+    """
+    digits = _digits(n)
+    # alternate so that the last product lands in dst; in place with an
+    # odd digit count the first product overlaps its input, and matmul
+    # copies that input before writing
+    spare = np.empty_like(dst) if len(digits) > 1 else None
+    targets = (dst, spare) if len(digits) % 2 else (spare, dst)
+    cur, pre, post = src, outer, n
+    for i, r in enumerate(digits):
+        post //= r
+        tgt = targets[i % 2]
+        h = _sylvester(r)
+        if post * inner == 1:
+            # last digit of a trailing axis: one (pre, r) @ (r, r) product
+            np.matmul(cur.reshape(pre, r), h, out=tgt.reshape(pre, r))
+        else:
+            shape = (pre, r, post * inner)
+            np.matmul(h, cur.reshape(shape), out=tgt.reshape(shape))
+        cur, pre = tgt, pre * r
+    if cur is not dst:  # n == 1: no products
+        np.multiply(cur, scale, out=dst)
+    elif scale != 1.0:
+        dst *= scale
+
+
+def _fwht2_numpy(block, normalize=True):
+    """Transform each row of a C-contiguous float64 (rows, n) block in
+    place; normalize=False skips the 1/sqrt(n) scale."""
     n = block.shape[1]
-    h = 1
-    while h < n:
-        v = block.reshape(-1, n // (2 * h), 2, h)
-        top = v[:, :, 0, :].copy()
-        bot = v[:, :, 1, :]
-        v[:, :, 0, :] = top + bot
-        v[:, :, 1, :] = top - bot
-        h *= 2
-    block *= 1.0 / math.sqrt(n)
+    scale = 1.0 / math.sqrt(n) if normalize else 1.0
+    _wht_middle(block, block, block.shape[0], n, 1, scale)
 
 
-def _fwht2(block):
+def _transformed(a, axis):
+    """`a` (float64) transformed along `axis` into a new array."""
+    n = a.shape[axis]
     if _USE_EXT:
-        _fwht_cy.fwht2(block)
-    else:
-        _fwht2_numpy(block)
+        work = np.array(np.moveaxis(a, axis, -1), order="C")
+        _fwht_cy.fwht2(work.reshape(-1, n))
+        return np.moveaxis(work, -1, axis)
+    axis = range(a.ndim)[axis]
+    src = np.ascontiguousarray(a)
+    out = np.empty_like(src)
+    _wht_middle(src, out, math.prod(a.shape[:axis]), n,
+                math.prod(a.shape[axis + 1:]), 1.0 / math.sqrt(n))
+    return out
 
 
 def fwht(x):
@@ -66,9 +131,7 @@ def fwht(x):
     if x.ndim != 1:
         raise ShapeError(f"expected a 1-D vector, got shape {x.shape}")
     _check_pow2(x.shape[0])
-    out = np.ascontiguousarray(x.reshape(1, -1).copy())
-    _fwht2(out)
-    return out[0]
+    return _transformed(x, 0)
 
 
 def fwht_axis(a, axis):
@@ -77,18 +140,14 @@ def fwht_axis(a, axis):
     Returns a new array; the input is untouched.
     """
     a = np.asarray(a, dtype=np.float64)
-    n = a.shape[axis]
-    _check_pow2(n)
-    moved = np.moveaxis(a, axis, -1)
-    work = np.array(moved, dtype=np.float64, order="C")  # always a fresh copy
-    _fwht2(work.reshape(-1, n))
-    return np.moveaxis(work, -1, axis)
+    _check_pow2(a.shape[axis])
+    return _transformed(a, axis)
 
 
 def hadamard_matrix(n):
     """Materialized orthonormal transform matrix, built by the recursion.
 
-    Independent of the butterfly kernels; used as a cross-check and for
+    Independent of the transform kernels; used as a cross-check and for
     small dense instances.
     """
     _check_pow2(n)

@@ -30,7 +30,7 @@ from .chaos import (
     estimate_chaos_moments,
 )
 from .errors import BudgetError, ConfigError, ShapeError
-from .fwht import fwht, hadamard_matrix
+from .fwht import _fwht2_numpy, fwht, hadamard_matrix
 from .gf2 import enumerate_subspaces, indicator, orthogonal_complement
 from .indexing import EMPTY, KronDims, PartialIndex, delinearize, linearize
 from .rip import rip_constant
@@ -576,22 +576,6 @@ def _all_sign_kron_rows(dims):
     return out
 
 
-def _unnormalized_wht_rows(rows):
-    """In-place-style unnormalized Walsh-Hadamard transform of each row.
-    Integer-valued input stays integer-valued, so downstream dyadic
-    arithmetic is exact."""
-    out = rows.copy()
-    h = 1
-    while h < out.shape[1]:
-        a = out.reshape(out.shape[0], -1, 2, h)
-        s = a[:, :, 0, :] + a[:, :, 1, :]
-        d = a[:, :, 0, :] - a[:, :, 1, :]
-        a[:, :, 0, :] = s
-        a[:, :, 1, :] = d
-        h *= 2
-    return out
-
-
 def adversarial_joint_norm_failure(r_dims, m, eps, trials, seed,
                                    _cell=0):
     """Joint norm-preservation failure over the sign-modulated flat
@@ -615,7 +599,9 @@ def adversarial_joint_norm_failure(r_dims, m, eps, trials, seed,
         raise ConfigError("r_dims: per-axis exponents must be >= 1")
     dims = KronDims(tuple(1 << r for r in r_dims))
     n = dims.total
-    energy = (_unnormalized_wht_rows(_all_sign_kron_rows(dims)) / n) ** 2
+    wht = _all_sign_kron_rows(dims)
+    _fwht2_numpy(wht, normalize=False)  # integer-valued, hence exact
+    energy = (wht / n) ** 2
     rng = rand.substream(
         seed, rand.TAG_SAMPLES, len(r_dims), sum(r_dims), int(_cell)
     )

@@ -234,12 +234,3 @@ def unvec_f(vector, dims):
         raise ShapeError(f"vector length {vector.size} != prod{shape}")
     return np.reshape(vector, shape, order="F")
 
-
-def ravel_f(coords0, dims):
-    """0-based vectorized linearization of per-axis coordinate arrays."""
-    return np.ravel_multi_index(tuple(coords0), tuple(dims), order="F")
-
-
-def unravel_f(flat0, dims):
-    """0-based vectorized delinearization; returns per-axis arrays."""
-    return np.unravel_index(flat0, tuple(dims), order="F")

@@ -24,7 +24,7 @@ import numpy as np
 from . import rand
 from .errors import ShapeError
 from .fwht import fwht, fwht_axis, hadamard_matrix
-from .indexing import KronDims, unvec_f, vec_f
+from .indexing import KronDims
 
 __all__ = [
     "RademacherFactors",
@@ -148,13 +148,6 @@ def kron_materialize(factors):
     return out
 
 
-def _sign_array(op):
-    arr = np.asarray(op.signs.factors[0])
-    for f in op.signs.factors[1:]:
-        arr = np.multiply.outer(arr, f)
-    return arr
-
-
 def apply_dense(op, x):
     """Apply the operator to a length-N vector via per-axis transforms.
 
@@ -163,10 +156,12 @@ def apply_dense(op, x):
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1 or x.size != op.dims.total:
         raise ShapeError(f"expected a vector of length {op.dims.total}")
-    arr = unvec_f(x, op.dims) * _sign_array(op)
-    for axis in range(op.dims.order):
+    # C order over the reversed dims is the linearized order: axis l is
+    # C axis d - l
+    arr = (x * op.signs.full_vector()).reshape(op.dims.dims[::-1])
+    for axis in range(op.dims.order - 1, -1, -1):
         arr = fwht_axis(arr, axis)
-    return op.scale * vec_f(arr)[op.samples.rows - 1]
+    return op.scale * arr.reshape(-1)[op.samples.rows - 1]
 
 
 def hadamard_rows(xs, dims):
@@ -176,15 +171,11 @@ def hadamard_rows(xs, dims):
     xs = np.asarray(xs, dtype=np.float64)
     if xs.ndim != 2 or xs.shape[1] != dims.total:
         raise ShapeError(f"expected shape (count, {dims.total})")
-    shape = dims.dims
-    # row-wise Fortran reshape: C-reshape to reversed dims, then flip axes
-    arr = xs.reshape((xs.shape[0],) + shape[::-1])
-    arr = arr.transpose((0,) + tuple(range(len(shape), 0, -1)))
-    for axis in range(dims.order):
-        arr = fwht_axis(arr, axis + 1)
-    return arr.transpose((0,) + tuple(range(len(shape), 0, -1))).reshape(
-        xs.shape[0], -1
-    )
+    # each row in C order over the reversed dims: axis l is C axis d - l + 1
+    arr = xs.reshape((xs.shape[0],) + dims.dims[::-1])
+    for axis in range(dims.order, 0, -1):
+        arr = fwht_axis(arr, axis)
+    return arr.reshape(xs.shape[0], -1)
 
 
 def apply_dense_mat(op, xs):
@@ -221,7 +212,7 @@ def apply_factored(op, factors):
 
 def materialize(op):
     """Dense (m, N) matrix of the operator, built from the Hadamard
-    recursion rather than the butterfly kernels."""
+    recursion rather than the transform kernels."""
     hs = [hadamard_matrix(n) for n in op.dims]
     h_full = hs[-1]
     for h in hs[-2::-1]:

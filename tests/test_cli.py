@@ -2,9 +2,14 @@
 mapping is exercised: 0 success, 1 config, 2 budget, 3 selftest."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import kronjl
 from kronjl.cli import main
 
 
@@ -192,3 +197,23 @@ def test_timing_flag_fills_wall_ms(capsys):
     assert code == 0
     wall = int(out.splitlines()[1].split(",")[-1])
     assert wall >= 0  # value is real but not asserted further; may be 0 on a fast box
+
+
+def test_jl_sweep_bytes_do_not_depend_on_blas_threads():
+    # the transform runs as BLAS matrix products, so its rounding must not
+    # change with the thread count; a fresh process reads the variable
+    src = str(Path(kronjl.__file__).resolve().parents[1])
+    args = [
+        sys.executable, "-m", "kronjl.cli", "jl-sweep", "--dims", "64x64x4",
+        "--m", "8,32", "--eps", "0.5", "--trials", "256", "--seed", "3",
+    ]
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    outs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path)
+        done = subprocess.run(
+            args, env=env, capture_output=True, timeout=120, check=True
+        )
+        outs.append(done.stdout)
+    assert outs[0].count(b"\n") == 7
+    assert outs[0] == outs[1]

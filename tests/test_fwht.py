@@ -53,6 +53,19 @@ def test_against_scipy_hadamard():
         ref = scipy.linalg.hadamard(n) / np.sqrt(n)
         assert np.max(np.abs(hadamard_matrix(n) - ref)) <= 1e-14
         assert np.max(np.abs(_transform_matrix(n) - ref)) <= 1e-13
+        block = np.eye(n)
+        _fwht2_numpy(block)
+        assert np.max(np.abs(block - ref)) <= 1e-13
+    # three uneven digits (32, 16, 16); a few columns, since the full
+    # float64 matrix would take 512 MiB
+    n, cols = 8192, [0, 1, 777, 4096, 8191]
+    ref = scipy.linalg.hadamard(n, dtype=np.int8)[:, cols] / np.sqrt(n)
+    units = np.zeros((n, len(cols)))
+    units[cols, range(len(cols))] = 1.0
+    assert np.max(np.abs(fwht_axis(units, 0) - ref)) <= 1e-13
+    block = np.ascontiguousarray(units.T)
+    _fwht2_numpy(block)
+    assert np.max(np.abs(block.T - ref)) <= 1e-13
 
 
 def test_norm_preserved():
@@ -83,6 +96,21 @@ def test_fwht_axis_matches_columnwise():
     for i in range(2):
         for j in range(3):
             assert np.allclose(out3[i, j], fwht(b[i, j]))
+    # middle and negative axes of a 4-d array, contiguous or not, at
+    # lengths whose digit split is uneven (one digit, 16x8, 32x16x16)
+    for n in [2, 128, 8192]:
+        c = rng.standard_normal((2, 3, n, 2))
+        views = [
+            (c, 2),
+            (c, -2),
+            (c.transpose(0, 2, 1, 3), 1),
+            (c[:, ::2, :, ::-1], -2),
+        ]
+        for view, axis in views:
+            before = view.copy()
+            got = fwht_axis(view, axis)
+            assert np.allclose(got, np.apply_along_axis(fwht, axis, view))
+            assert np.array_equal(view, before)
 
 
 def test_input_not_mutated():

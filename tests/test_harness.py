@@ -10,6 +10,7 @@ import pytest
 from kronjl import harness
 from kronjl.adversarial import failure_probability_exact
 from kronjl.errors import BudgetError, ConfigError
+from kronjl.fwht import _fwht2_numpy, hadamard_matrix
 from kronjl.indexing import KronDims
 
 
@@ -256,6 +257,15 @@ def test_sign_rows_enumerate_all_kron_patterns():
         for f2 in ([1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0])
     }
     assert {tuple(r) for r in rows} == expected
+
+
+def test_unnormalized_transform_of_sign_rows_is_exact():
+    rows = harness._all_sign_kron_rows(KronDims((2, 4)))
+    n = rows.shape[1]
+    want = np.round(hadamard_matrix(n) * np.sqrt(n)) @ rows.T
+    got = rows.copy()
+    _fwht2_numpy(got, normalize=False)
+    assert np.array_equal(got, want.T)
 
 
 def test_adversarial_failure_matches_binomial_closed_form():
