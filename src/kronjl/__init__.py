@@ -3,7 +3,7 @@
 Subpackages by role:
 
 - indexing: 1-based index algebra for Kronecker-structured arrays
-- fwht: orthonormal Walsh-Hadamard transform (compiled kernel optional)
+- fwht: orthonormal Walsh-Hadamard transform (one blocked numpy kernel)
 - transforms: the subsampled operator, factored/dense application paths
 - rip: exhaustive restricted-isometry constants and submatrix bounds
 - sparsify: fiber-wise top-k splitting of order-d arrays

@@ -25,6 +25,7 @@ from . import rand
 from .errors import BudgetError, ShapeError
 from .indexing import KronDims
 from .rip import rip_constant
+from .transforms import kron_materialize, kron_sign_patterns
 
 __all__ = [
     "SetPartition",
@@ -247,12 +248,9 @@ class MomentProfile:
 
 
 def _sign_rows(rng, trials, dims):
-    """Row-wise Kronecker signs: (trials, N) with axis 1 fastest."""
-    out = np.ones((trials, 1))
-    for n in dims:
-        f = rand.rademacher(rng, (trials, n))
-        out = (f[:, :, None] * out[:, None, :]).reshape(trials, -1)
-    return out
+    """Row-wise Kronecker signs: (trials, N) with axis 1 fastest, drawn
+    by ascending axis."""
+    return kron_materialize([rand.rademacher(rng, (trials, n)) for n in dims])
 
 
 def _exact_mean(coeffs):
@@ -314,22 +312,6 @@ def estimate_chaos_moments(coeffs, mode, p_values, trials, seed,
     )
 
 
-def _all_sign_rows(n):
-    k = np.arange(1 << n)
-    bits = (k[:, None] >> np.arange(n)[None, :]) & 1
-    return bits.astype(np.float64) * 2.0 - 1.0
-
-
-def _pattern_matrix(dims):
-    out = np.ones((1, 1))
-    for n in dims:
-        rows = _all_sign_rows(n)
-        out = (rows[None, :, :, None] * out[:, None, None, :]).reshape(
-            out.shape[0] * rows.shape[0], rows.shape[1] * out.shape[1]
-        )
-    return out
-
-
 def exact_chaos_moments(coeffs, mode, p_values, centered=False,
                         budget=EXACT_PATTERN_BUDGET):
     """Exact L_p norms by enumerating every sign pattern (both sides for
@@ -342,7 +324,7 @@ def exact_chaos_moments(coeffs, mode, p_values, centered=False,
         raise BudgetError(
             f"{cost} sign patterns exceed the enumeration budget {budget}"
         )
-    signs = _pattern_matrix(coeffs.dims)
+    signs = kron_sign_patterns(coeffs.dims)
     m = coeffs.matrix
     if mode == "coupled":
         xs = np.einsum("ai,ij,aj->a", signs, m, signs)

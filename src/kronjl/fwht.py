@@ -1,13 +1,11 @@
 """Orthonormal fast Walsh-Hadamard transform.
 
-Two backends: a blocked numpy kernel, and an optional compiled kernel
-(kronjl._fwht_cy) selected at import when present. Setting the environment
-variable KRONJL_PURE=1 before import forces the numpy path. Both compute
-the same orthonormal transform whose matrix follows the recursion
-H_0 = (1), H_{k+1} = (1/sqrt2) [[H_k, H_k], [H_k, -H_k]]; the transform is
-symmetric and involutive (applying it twice is the identity).
+The transform matrix follows the recursion H_0 = (1),
+H_{k+1} = (1/sqrt2) [[H_k, H_k], [H_k, -H_k]]; the transform is symmetric
+and involutive (applying it twice is the identity).
 
-The numpy kernel rests on the Sylvester identity
+One blocked numpy kernel computes it; there is no backend to choose.
+It rests on the Sylvester identity
 H_{2^(a+b)} = H_{2^a} (x) H_{2^b}: it splits log2(n) into at most 6-bit
 digits and applies each digit as one matrix product with the +-1
 Sylvester matrix of that digit (order <= 64), so a length-n transform is
@@ -18,26 +16,20 @@ is exact while its values stay below 2^53.
 
 import functools
 import math
-import os
 
 import numpy as np
 
 from .errors import ShapeError
 
-try:
-    from . import _fwht_cy
-except ImportError:
-    _fwht_cy = None
-
-_FORCE_PURE = os.environ.get("KRONJL_PURE", "") not in ("", "0")
-_USE_EXT = _fwht_cy is not None and not _FORCE_PURE
-
 __all__ = ["fwht", "fwht_axis", "hadamard_matrix", "active_backend"]
 
 
 def active_backend():
-    """Name of the kernel in use: 'cython' or 'numpy'."""
-    return "cython" if _USE_EXT else "numpy"
+    """Name of the transform kernel: always 'numpy'.
+
+    Kept because run manifests record the kernel that produced them.
+    """
+    return "numpy"
 
 
 def _check_pow2(n):
@@ -110,10 +102,6 @@ def _fwht2_numpy(block, normalize=True):
 def _transformed(a, axis):
     """`a` (float64) transformed along `axis` into a new array."""
     n = a.shape[axis]
-    if _USE_EXT:
-        work = np.array(np.moveaxis(a, axis, -1), order="C")
-        _fwht_cy.fwht2(work.reshape(-1, n))
-        return np.moveaxis(work, -1, axis)
     axis = range(a.ndim)[axis]
     src = np.ascontiguousarray(a)
     out = np.empty_like(src)

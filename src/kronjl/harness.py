@@ -39,6 +39,7 @@ from .transforms import (
     build_operator,
     hadamard_rows,
     kron_materialize,
+    kron_sign_patterns,
     materialize,
 )
 
@@ -245,17 +246,8 @@ def orthonormal_stage_distortion(dims, x, trials, seed):
     x = np.asarray(x, dtype=np.float64)
     rng = rand.substream(seed, rand.TAG_EXPERIMENT, 0, 0, 0)
     signs = [rand.rademacher(rng, (trials, n)) for n in dims]
-    srows = _sign_rows_from_factors(signs, 0, trials)
-    w = hadamard_rows(srows * x[None, :], dims)
+    w = hadamard_rows(kron_materialize(signs) * x[None, :], dims)
     return np.sum(w * w, axis=1) - float(np.dot(x, x))
-
-
-def _sign_rows_from_factors(signs, lo, hi):
-    out = np.ones((hi - lo, 1))
-    for f in signs:
-        block = f[lo:hi]
-        out = (block[:, :, None] * out[:, None, :]).reshape(hi - lo, -1)
-    return out
 
 
 # ---------------------------------------------------------------- jl sweeps
@@ -313,7 +305,7 @@ def _kfjlt_cell_failures(dims, x, m, eps, trials, rng):
     failures = 0
     for lo in range(0, trials, APPLY_CHUNK):
         hi = min(lo + APPLY_CHUNK, trials)
-        srows = _sign_rows_from_factors(signs, lo, hi)
+        srows = kron_materialize([f[lo:hi] for f in signs])
         w = hadamard_rows(srows * x[None, :], dims)
         g = np.take_along_axis(w, rows0[lo:hi], axis=1)
         dist = scale2 * np.sum(g * g, axis=1) - 1.0
@@ -488,7 +480,7 @@ def pointset_preservation(dims, n_points, m, eps, trials, seed,
     chunk = max(1, APPLY_CHUNK // max(1, n_points))
     for lo in range(0, trials, chunk):
         hi = min(lo + chunk, trials)
-        srows = _sign_rows_from_factors(signs, lo, hi)
+        srows = kron_materialize([f[lo:hi] for f in signs])
         z = srows[:, None, :] * pts[None, :, :]
         w = hadamard_rows(z.reshape((hi - lo) * n_points, n), dims)
         w = w.reshape(hi - lo, n_points, n)
@@ -563,19 +555,6 @@ def required_embedding_rows(dims, n_points, eps, target, trials, seed,
     return _scan_interpolate(eval_eta, target, trials, start_m, cap)
 
 
-def _all_sign_kron_rows(dims):
-    """All Kronecker sign vectors over the axes: (2^{sum n_l}, N), axis 1
-    fastest within each row."""
-    out = np.ones((1, 1))
-    for n in dims:
-        k = np.arange(1 << n)
-        rows = ((k[:, None] >> np.arange(n)[None, :]) & 1) * 2.0 - 1.0
-        out = (rows[None, :, :, None] * out[:, None, None, :]).reshape(
-            out.shape[0] * rows.shape[0], rows.shape[1] * out.shape[1]
-        )
-    return out
-
-
 def adversarial_joint_norm_failure(r_dims, m, eps, trials, seed,
                                    _cell=0):
     """Joint norm-preservation failure over the sign-modulated flat
@@ -599,7 +578,7 @@ def adversarial_joint_norm_failure(r_dims, m, eps, trials, seed,
         raise ConfigError("r_dims: per-axis exponents must be >= 1")
     dims = KronDims(tuple(1 << r for r in r_dims))
     n = dims.total
-    wht = _all_sign_kron_rows(dims)
+    wht = kron_sign_patterns(dims)
     _fwht2_numpy(wht, normalize=False)  # integer-valued, hence exact
     energy = (wht / n) ** 2
     rng = rand.substream(

@@ -37,6 +37,7 @@ __all__ = [
     "apply_factored",
     "hadamard_rows",
     "kron_materialize",
+    "kron_sign_patterns",
     "materialize",
     "gaussian_baseline",
 ]
@@ -139,13 +140,36 @@ def build_operator(dims, m, seed):
 
 def kron_materialize(factors):
     """Kronecker product in linearized order: the entry at the position of
-    full index i is the product of factors[l][i_l - 1]."""
+    full index i is the product of factors[l][..., i_l - 1].
+
+    Factor l has shape (..., n_l); the leading axes broadcast, so a batch
+    of per-axis factors gives a batch of products of shape (..., N).
+    """
     factors = [np.asarray(f, dtype=np.float64) for f in factors]
     out = factors[0]
     for f in factors[1:]:
         # later axes vary slower: new index = (i_next - 1) * len(out) + old
-        out = (f[:, None] * out[None, :]).reshape(-1)
+        out = f[..., :, None] * out[..., None, :]
+        out = out.reshape(out.shape[:-2] + (-1,))
     return out
+
+
+def kron_sign_patterns(dims):
+    """Every Kronecker sign vector over the axes, one per row:
+    (2^{sum n_l}, N). The first axis's pattern varies slowest down the
+    rows; within a pattern k of axis l, entry j is +1 where bit j of k
+    is set."""
+    dims = tuple(dims)
+    tables = []
+    for l, n in enumerate(dims):
+        k = np.arange(1 << n)
+        table = ((k[:, None] >> np.arange(n)) & 1) * 2.0 - 1.0
+        # axis l's 2^n patterns on leading axis l, so the product
+        # enumerates every combination
+        shape = [1] * len(dims) + [n]
+        shape[l] = 1 << n
+        tables.append(table.reshape(shape))
+    return kron_materialize(tables).reshape(-1, math.prod(dims))
 
 
 def apply_dense(op, x):

@@ -12,6 +12,7 @@ from kronjl.adversarial import failure_probability_exact
 from kronjl.errors import BudgetError, ConfigError
 from kronjl.fwht import _fwht2_numpy, hadamard_matrix
 from kronjl.indexing import KronDims
+from kronjl.transforms import kron_sign_patterns
 
 
 # ------------------------------------------------------------------ options
@@ -249,7 +250,7 @@ def test_required_rows_budget():
 
 
 def test_sign_rows_enumerate_all_kron_patterns():
-    rows = harness._all_sign_kron_rows(KronDims((2, 2)))
+    rows = kron_sign_patterns(KronDims((2, 2)))
     assert rows.shape == (16, 4)
     expected = {
         tuple(np.kron(f2, f1))
@@ -260,7 +261,7 @@ def test_sign_rows_enumerate_all_kron_patterns():
 
 
 def test_unnormalized_transform_of_sign_rows_is_exact():
-    rows = harness._all_sign_kron_rows(KronDims((2, 4)))
+    rows = kron_sign_patterns(KronDims((2, 4)))
     n = rows.shape[1]
     want = np.round(hadamard_matrix(n) * np.sqrt(n)) @ rows.T
     got = rows.copy()

@@ -61,6 +61,18 @@ def test_kron_materialize_matches_vectorized_outer():
     assert np.allclose(
         kron_materialize(xs), vectorize(KronDims((3, 2, 4)), grid)
     )
+    # a batch of factors gives one product per row; leading axes
+    # broadcast, so an unbatched or length-1 factor is shared by every row
+    batch = [rng.standard_normal((5, n)) for n in (3, 2, 4)]
+    got = kron_materialize(batch)
+    assert got.shape == (5, 24)
+    shared = kron_materialize([xs[0], batch[1], batch[2][:1]])
+    assert shared.shape == (5, 24)
+    for b in range(5):
+        row = kron_materialize([f[b] for f in batch])
+        assert np.array_equal(got[b], row)
+        row = kron_materialize([xs[0], batch[1][b], batch[2][0]])
+        assert np.array_equal(shared[b], row)
 
 
 def test_build_operator_determinism():
