@@ -4,7 +4,9 @@ Reproducibility contract: a run is a pure function of its configuration
 and master seed. Every random draw comes from a named substream, and each
 sweep cell draws its whole trial block up front in a fixed order (sign
 factors by ascending axis, then sample rows), so chunking of the later
-arithmetic can never change the bytes written. The Gaussian baseline
+arithmetic can never change the bytes written. jl-sweep and pointset share
+that trial loop (`_sampled_trials`), and every CSV format is written by one
+writer from its header's column names (`_to_csv`). The Gaussian baseline
 cannot afford whole-cell draws at large trial counts; it consumes its
 stream in fixed-size blocks of GAUSSIAN_CHUNK trials instead, which keeps
 the draw order independent of how the arithmetic is batched.
@@ -250,11 +252,62 @@ def orthonormal_stage_distortion(dims, x, trials, seed):
     return np.sum(w * w, axis=1) - float(np.dot(x, x))
 
 
+# ---------------------------------------------------------- trials and rows
+
+
+def _sampled_trials(dims, pts, m, trials, rng):
+    """Sampled, unscaled coordinates of fresh embeddings of the points.
+
+    Draws every trial up front: per-axis signs by ascending axis, then the
+    sample rows. Then yields, for chunks of trials in order, the m sampled
+    entries of H D_xi p for each row p of `pts`: (chunk, points, m).
+    """
+    n = dims.total
+    points = pts.shape[0]
+    signs = [rand.rademacher(rng, (trials, nl)) for nl in dims]
+    rows0 = rng.integers(0, n, size=(trials, m))
+    chunk = max(1, APPLY_CHUNK // points)
+    for lo in range(0, trials, chunk):
+        hi = min(lo + chunk, trials)
+        srows = kron_materialize([f[lo:hi] for f in signs])
+        z = srows[:, None, :] * pts[None, :, :]
+        w = hadamard_rows(z.reshape(-1, n), dims).reshape(hi - lo, points, n)
+        yield np.take_along_axis(w, rows0[lo:hi, None, :], axis=2)
+
+
+def _csv_cell(value):
+    if isinstance(value, KronDims):
+        return "x".join(str(n) for n in value)
+    if isinstance(value, bool):
+        return str(int(value))
+    return str(value)
+
+
+def _to_csv(header, records):
+    """CSV text: the header, then per record the attribute named by each
+    header column, in header order."""
+    cols = header.split(",")
+    rows = [",".join(_csv_cell(getattr(r, c)) for c in cols) for r in records]
+    return "\n".join([header] + rows) + "\n"
+
+
+class _DimsColumns:
+    """The d and N columns of a record over `dims`."""
+
+    @property
+    def d(self):
+        return self.dims.order
+
+    @property
+    def N(self):
+        return self.dims.total
+
+
 # ---------------------------------------------------------------- jl sweeps
 
 
 @dataclass(frozen=True)
-class SweepRecord:
+class SweepRecord(_DimsColumns):
     family: str
     dims: KronDims
     m: int
@@ -273,42 +326,13 @@ class SweepRecord:
         eta = self.eta_hat
         return math.sqrt(eta * (1.0 - eta) / self.trials)
 
-    def as_row(self):
-        return ",".join(
-            [
-                self.family,
-                str(self.dims.order),
-                "x".join(str(n) for n in self.dims),
-                str(self.dims.total),
-                str(self.m),
-                str(self.eps),
-                str(self.trials),
-                str(self.failures),
-                str(self.eta_hat),
-                str(self.stderr),
-                str(self.seed),
-                str(self.wall_ms),
-            ]
-        )
-
 
 def _kfjlt_cell_failures(dims, x, m, eps, trials, rng):
-    """One sweep cell: fresh (signs, rows) per trial, fixed x.
-
-    Whole-cell draws up front: per-factor signs by ascending axis, then
-    the sample rows. Chunked FWHT afterwards.
-    """
-    n = dims.total
-    signs = [rand.rademacher(rng, (trials, nl)) for nl in dims]
-    rows0 = rng.integers(0, n, size=(trials, m))
-    scale2 = n / m
+    """One sweep cell: fresh (signs, rows) per trial, fixed x."""
+    scale2 = dims.total / m
     failures = 0
-    for lo in range(0, trials, APPLY_CHUNK):
-        hi = min(lo + APPLY_CHUNK, trials)
-        srows = kron_materialize([f[lo:hi] for f in signs])
-        w = hadamard_rows(srows * x[None, :], dims)
-        g = np.take_along_axis(w, rows0[lo:hi], axis=1)
-        dist = scale2 * np.sum(g * g, axis=1) - 1.0
+    for g in _sampled_trials(dims, x[None, :], m, trials, rng):
+        dist = scale2 * np.sum(g * g, axis=2) - 1.0
         failures += int(np.count_nonzero(np.abs(dist) > eps))
     return failures
 
@@ -373,18 +397,16 @@ def jl_failure_sweep(dims, m_values, eps_values, trials, seed,
 
 
 def sweep_to_csv(records):
-    lines = [CSV_HEADER]
-    lines += [r.as_row() for r in records]
-    return "\n".join(lines) + "\n"
+    return _to_csv(CSV_HEADER, records)
 
 
 # ----------------------------------------------------------------- pointset
 
 
 @dataclass(frozen=True)
-class PointsetReport:
+class PointsetReport(_DimsColumns):
     family: str
-    n_points: int
+    points: int
     dims: KronDims
     m: int
     eps: float
@@ -414,39 +436,18 @@ class PointsetReport:
     @property
     def union_bound(self):
         # the documented prediction: p (p - 1) eta_pair
-        return self.n_points * (self.n_points - 1) * self.pair_eta
-
-    def as_row(self):
-        return ",".join(
-            [
-                self.family,
-                str(self.n_points),
-                str(self.dims.order),
-                "x".join(str(n) for n in self.dims),
-                str(self.dims.total),
-                str(self.m),
-                str(self.eps),
-                str(self.trials),
-                str(self.joint_failures),
-                str(self.joint_eta),
-                str(self.joint_stderr),
-                str(self.pair_eta),
-                str(self.union_bound),
-                str(self.skipped_pairs),
-                str(self.seed),
-                str(self.wall_ms),
-            ]
-        )
+        return self.points * (self.points - 1) * self.pair_eta
 
 
 def pointset_preservation(dims, n_points, m, eps, trials, seed,
                           family="kron", timing=False, _cell=(0, 0)):
     """Pairwise-distance preservation over a fixed point set.
 
-    Per trial a fresh operator embeds all points at once; squared pair
-    distances come from the embedded Gram matrix. A pair at distance zero
-    cannot be distorted and is skipped (counted in skipped_pairs). The
-    joint failure event is any surviving pair leaving (1 +- eps).
+    Per trial a fresh operator embeds all points at once (the trial loop
+    of jl-sweep); squared pair distances come from the embedded Gram
+    matrix. A pair at distance zero cannot be distorted and is skipped
+    (counted in skipped_pairs). The joint failure event is any surviving
+    pair leaving (1 +- eps).
     """
     dims = dims if isinstance(dims, KronDims) else KronDims(tuple(dims))
     if n_points < 2:
@@ -455,7 +456,6 @@ def pointset_preservation(dims, n_points, m, eps, trials, seed,
         raise ConfigError(f"family: unknown {family!r}")
     fam_idx = FAMILIES.index(family)
     pts = _family_vectors(family, dims, seed, count=n_points)
-    n = dims.total
 
     iu = np.triu_indices(n_points, k=1)
     gram0 = pts @ pts.T
@@ -470,21 +470,12 @@ def pointset_preservation(dims, n_points, m, eps, trials, seed,
     rng = rand.substream(
         seed, rand.TAG_EXPERIMENT, fam_idx, int(_cell[0]), int(_cell[1])
     )
-    signs = [rand.rademacher(rng, (trials, nl)) for nl in dims]
-    rows0 = rng.integers(0, n, size=(trials, m))
-    scale2 = n / m
+    scale2 = dims.total / m
 
     t0 = time.perf_counter()
     joint = 0
     pair_fail = 0
-    chunk = max(1, APPLY_CHUNK // max(1, n_points))
-    for lo in range(0, trials, chunk):
-        hi = min(lo + chunk, trials)
-        srows = kron_materialize([f[lo:hi] for f in signs])
-        z = srows[:, None, :] * pts[None, :, :]
-        w = hadamard_rows(z.reshape((hi - lo) * n_points, n), dims)
-        w = w.reshape(hi - lo, n_points, n)
-        g = np.take_along_axis(w, rows0[lo:hi][:, None, :], axis=2)
+    for g in _sampled_trials(dims, pts, m, trials, rng):
         yg = np.matmul(g, np.transpose(g, (0, 2, 1))) * scale2
         ysq = np.diagonal(yg, axis1=1, axis2=2)
         dist = ysq[:, :, None] + ysq[:, None, :] - 2.0 * yg
@@ -494,7 +485,7 @@ def pointset_preservation(dims, n_points, m, eps, trials, seed,
         joint += int(np.count_nonzero(np.any(bad, axis=1)))
     wall = int(round((time.perf_counter() - t0) * 1000))
     return PointsetReport(
-        family=family, n_points=n_points, dims=dims, m=m, eps=eps,
+        family=family, points=n_points, dims=dims, m=m, eps=eps,
         trials=trials, joint_failures=joint, pair_failures=pair_fail,
         valid_pairs=int(valid.size), skipped_pairs=skipped, seed=seed,
         wall_ms=wall if timing else 0,
@@ -502,9 +493,7 @@ def pointset_preservation(dims, n_points, m, eps, trials, seed,
 
 
 def pointset_to_csv(reports):
-    lines = [POINTSET_HEADER]
-    lines += [r.as_row() for r in reports]
-    return "\n".join(lines) + "\n"
+    return _to_csv(POINTSET_HEADER, reports)
 
 
 def _scan_interpolate(eval_eta, target, trials, start_m, cap):
@@ -676,16 +665,6 @@ class LowerBoundRecord:
     seed: int
     wall_ms: int
 
-    def as_row(self):
-        return ",".join(
-            [
-                str(self.s), str(self.d), str(self.bits), str(self.r),
-                str(self.m), str(self.exact), str(self.bound),
-                str(self.empirical), str(self.stderr), str(self.trials),
-                str(int(self.flagged)), str(self.seed), str(self.wall_ms),
-            ]
-        )
-
 
 def lower_bound_sweep(bits, r, d_values, m_values, trials, seed, nu=0.1,
                       timing=False):
@@ -720,9 +699,7 @@ def lower_bound_sweep(bits, r, d_values, m_values, trials, seed, nu=0.1,
 
 
 def lower_bound_to_csv(records):
-    lines = [LOWER_BOUND_HEADER]
-    lines += [r.as_row() for r in records]
-    return "\n".join(lines) + "\n"
+    return _to_csv(LOWER_BOUND_HEADER, records)
 
 
 # ------------------------------------------------------------------ reports

@@ -8,7 +8,7 @@ full index (i_1, ..., i_d) to
     sum_l (i_l - 1) * n_1 * ... * n_{l-1}  + 1,
 
 so the earliest axis varies fastest. On numpy arrays that is exactly
-Fortran raveling, which `vec_f`/`unvec_f` expose for internal use.
+Fortran raveling, which `vec_f` exposes for internal use.
 """
 
 import math
@@ -27,7 +27,6 @@ __all__ = [
     "restrict",
     "vectorize",
     "vec_f",
-    "unvec_f",
 ]
 
 
@@ -128,11 +127,15 @@ class PartialIndex:
 EMPTY = PartialIndex(())
 
 
-def _check_axes(dims, axes):
-    d = dims.order
-    bad = [a for a in axes if not 1 <= a <= d]
+def _check_axes(ndim, axes):
+    """The 1-based axes, sorted; each must be distinct and in 1..ndim."""
+    axes = tuple(sorted(int(a) for a in axes))
+    if len(set(axes)) != len(axes):
+        raise AxisConflictError(f"duplicate axes in {axes}")
+    bad = [a for a in axes if not 1 <= a <= ndim]
     if bad:
-        raise AxisConflictError(f"axes {bad} outside 1..{d}")
+        raise AxisConflictError(f"axes {bad} outside 1..{ndim}")
+    return axes
 
 
 def _check_coords(dims, idx):
@@ -149,7 +152,7 @@ def linearize(dims, idx):
     The earliest axis in sorted order varies fastest. The empty index maps
     to 1.
     """
-    _check_axes(dims, idx.axes)
+    _check_axes(dims.order, idx.axes)
     _check_coords(dims, idx)
     flat = 0
     stride = 1
@@ -161,10 +164,7 @@ def linearize(dims, idx):
 
 def delinearize(dims, axes, flat):
     """Inverse of linearize for the given sorted 1-based axis subset."""
-    axes = tuple(sorted(int(a) for a in axes))
-    if len(set(axes)) != len(axes):
-        raise AxisConflictError(f"duplicate axes in {axes}")
-    _check_axes(dims, axes)
+    axes = _check_axes(dims.order, axes)
     total = dims.size_of(axes)
     if not 1 <= flat <= total:
         raise IndexRangeError(f"flat index {flat} outside 1..{total}")
@@ -224,13 +224,3 @@ def vectorize(dims, array):
 def vec_f(array):
     """Fortran ravel: first axis fastest, matching the linearization."""
     return np.reshape(array, -1, order="F")
-
-
-def unvec_f(vector, dims):
-    """Inverse of vec_f onto the given dims."""
-    vector = np.asarray(vector)
-    shape = tuple(dims) if not isinstance(dims, KronDims) else dims.dims
-    if vector.size != math.prod(shape):
-        raise ShapeError(f"vector length {vector.size} != prod{shape}")
-    return np.reshape(vector, shape, order="F")
-

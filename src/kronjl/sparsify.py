@@ -23,7 +23,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import AxisConflictError, ShapeError
+from .errors import ShapeError
+from .indexing import _check_axes
 
 __all__ = [
     "SparsifySplit",
@@ -43,15 +44,6 @@ def _check_input(x, s):
     if s < 1:
         raise ShapeError(f"sparsity level must be >= 1, got {s}")
     return x
-
-
-def _check_axes(ndim, axes):
-    axes = tuple(sorted(int(a) for a in axes))
-    if len(set(axes)) != len(axes):
-        raise AxisConflictError(f"duplicate axes in {axes}")
-    if any(not 1 <= a <= ndim for a in axes):
-        raise AxisConflictError(f"axes {axes} outside 1..{ndim}")
-    return axes
 
 
 @lru_cache(maxsize=1024)

@@ -43,16 +43,24 @@ __all__ = [
 ]
 
 
+def _frozen(a, dtype):
+    """A read-only copy of `a`, so a frozen operator owns its arrays."""
+    out = np.array(a, dtype=dtype)
+    out.setflags(write=False)
+    return out
+
+
 @dataclass(frozen=True)
 class RademacherFactors:
     """Per-axis sign vectors; the effective sign of entry i is the product
-    over axes of factors[l][i_l - 1]."""
+    over axes of factors[l][i_l - 1]. Each factor is a read-only copy of
+    the caller's array."""
 
     factors: tuple
     seed: object = None
 
     def __post_init__(self):
-        fac = tuple(np.asarray(f, dtype=np.float64) for f in self.factors)
+        fac = tuple(_frozen(f, np.float64) for f in self.factors)
         for f in fac:
             if f.ndim != 1:
                 raise ShapeError("each sign factor must be a 1-D vector")
@@ -67,14 +75,15 @@ class RademacherFactors:
 
 @dataclass(frozen=True)
 class SampleSet:
-    """Multiset of m sampled rows, 1-based positions in [N]."""
+    """Multiset of m sampled rows, 1-based positions in [N], kept as a
+    read-only copy of the caller's array."""
 
     rows: np.ndarray
     total: int
     seed: object = None
 
     def __post_init__(self):
-        rows = np.asarray(self.rows, dtype=np.int64)
+        rows = _frozen(self.rows, np.int64)
         if rows.ndim != 1 or rows.size == 0:
             raise ShapeError("rows must be a non-empty 1-D integer array")
         if rows.min() < 1 or rows.max() > self.total:

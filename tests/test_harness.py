@@ -79,6 +79,32 @@ def test_csv_header_exact_bytes():
     )
 
 
+def test_csv_data_rows_exact_bytes():
+    # one literal data row per format: the bytes the CSV readers depend on
+    sweep = harness.jl_failure_sweep(
+        (4, 2), (3,), (0.5,), trials=200, seed=11, families=("kron",)
+    )
+    assert harness.sweep_to_csv(sweep).splitlines()[1] == (
+        "kron,2,4x2,8,3,0.5,200,108,0.54,0.035242020373412196,11,0"
+    )
+    pointset = harness.pointset_preservation(
+        (4, 2), 4, m=8, eps=0.5, trials=300, seed=9
+    )
+    assert harness.pointset_to_csv([pointset]).splitlines()[1] == (
+        "kron,4,2,4x2,8,8,0.5,300,214,0.7133333333333334,"
+        "0.02610803764417444,0.205,2.46,0,9,0"
+    )
+    bound = harness.lower_bound_sweep(
+        bits=4, r=2, d_values=(2,), m_values=(4, 2048), trials=400, seed=8,
+    )
+    assert harness.lower_bound_to_csv(bound).splitlines()[1:] == [
+        "4,2,4,2,4,0.7724761962890625,0.6065306597126334,0.8125,"
+        "0.019515618744994995,400,1,8,0",
+        "4,2,4,2,2048,3.9552511611106926e-58,6.616261056709485e-112,0.0,"
+        "0.0,400,0,8,0",
+    ]
+
+
 def test_sweep_rerun_byte_identical():
     args = dict(
         dims=(4, 4), m_values=(4, 8), eps_values=(0.5,), trials=400, seed=21

@@ -83,6 +83,26 @@ def test_build_operator_determinism():
         assert np.array_equal(fa, fb)
 
 
+def test_operator_owns_read_only_arrays():
+    op = build_operator((8,), 4, seed=1)
+    with pytest.raises(ValueError):
+        op.signs.full_vector()[0] = 0.0  # one axis: the factor itself
+    with pytest.raises(ValueError):
+        op.samples.rows[0] = 1
+    signs = np.array([1.0, -1.0, 1.0, 1.0])
+    rows = np.array([1, 3])
+    op = KfjltOperator(
+        dims=KronDims((4,)),
+        signs=RademacherFactors((signs,)),
+        samples=SampleSet(rows, total=4),
+    )
+    before = apply_dense(op, np.arange(4.0))
+    signs[0] = -1.0
+    rows[0] = 2
+    assert op.signs.factors[0][0] == 1.0 and op.samples.rows[0] == 1
+    assert np.array_equal(apply_dense(op, np.arange(4.0)), before)
+
+
 def test_seeds_give_distinct_samples():
     seen = set()
     for seed in range(100):
