@@ -22,15 +22,19 @@ def cli():
     """Kronecker fast Johnson-Lindenstrauss experiments and reports."""
 
 
-def _collect(config_path, **flags):
+def _options(config_path, flags, *required):
+    """This command's options: the YAML config at `config_path` (if any)
+    merged with `flags`, which win. A config key must be one of the
+    command's flags, and every `required` field must be set."""
     config = harness.load_config(config_path) if config_path else {}
-    return harness.merge_options(config, flags)
-
-
-def _require(merged, *fields):
-    for field in fields:
+    for key in config:
+        if key not in flags:
+            raise ConfigError(f"{key!r} is not an option of this command")
+    merged = harness.merge_options(config, flags)
+    for field in required:
         if field not in merged:
             raise ConfigError(f"missing required option {field!r}")
+    return merged
 
 
 def _emit(text, out):
@@ -40,11 +44,11 @@ def _emit(text, out):
         click.echo(text, nl=False)
 
 
-def _single_family(merged):
-    fams = merged.get("family", ("kron",))
-    if len(fams) != 1:
-        raise ConfigError("family: this command takes a single family")
-    return fams[0]
+def _single(merged, field, default=None):
+    values = merged.get(field, (default,))
+    if len(values) != 1:
+        raise ConfigError(f"{field}: this command takes a single value")
+    return values[0]
 
 
 _CONFIG = click.option("--config", default=None, help="YAML option file; flags win.")
@@ -71,13 +75,9 @@ _TIMING = click.option(
 @click.option("--family", default=None, help="kron|dense|onehot, comma-separated.")
 @click.option("--baseline", default=None, help="kfjlt|gaussian.")
 @_TIMING
-def jl_sweep(config, dims, m, eps, trials, seed, out, family, baseline, timing):
+def jl_sweep(config, **flags):
     """Estimate the squared-norm distortion failure rate per (m, eps)."""
-    merged = _collect(
-        config, dims=dims, m=m, eps=eps, trials=trials, seed=seed, out=out,
-        family=family, baseline=baseline, timing=timing,
-    )
-    _require(merged, "dims", "m")
+    merged = _options(config, flags, "dims", "m")
     records = harness.jl_failure_sweep(
         merged["dims"],
         merged["m"],
@@ -102,14 +102,10 @@ def jl_sweep(config, dims, m, eps, trials, seed, out, family, baseline, timing):
 @_OUT
 @click.option("--family", default=None, help="Point family: kron|dense|onehot.")
 @_TIMING
-def pointset(config, dims, points, m, eps, trials, seed, out, family, timing):
+def pointset(config, **flags):
     """Joint pairwise-distance preservation over a fixed point set."""
-    merged = _collect(
-        config, dims=dims, points=points, m=m, eps=eps, trials=trials,
-        seed=seed, out=out, family=family, timing=timing,
-    )
-    _require(merged, "dims", "points", "m")
-    fam = _single_family(merged)
+    merged = _options(config, flags, "dims", "points", "m")
+    fam = _single(merged, "family", "kron")
     reports = []
     for m_idx, m_val in enumerate(merged["m"]):
         for e_idx, eps_val in enumerate(merged.get("eps", (0.5,))):
@@ -135,13 +131,9 @@ def pointset(config, dims, points, m, eps, trials, seed, out, family, timing):
 @_SEED
 @_OUT
 @_TIMING
-def lower_bound(config, bits, r, d, m, nu, trials, seed, out, timing):
+def lower_bound(config, **flags):
     """Adversarial subspace-indicator sweep: exact, bound, empirical."""
-    merged = _collect(
-        config, bits=bits, r=r, d=d, m=m, nu=nu, trials=trials, seed=seed,
-        out=out, timing=timing,
-    )
-    _require(merged, "bits", "r", "d", "m")
+    merged = _options(config, flags, "bits", "r", "d", "m")
     records = harness.lower_bound_sweep(
         merged["bits"], merged["r"], merged["d"], merged["m"],
         merged.get("trials", 10_000), merged.get("seed", 0),
@@ -160,23 +152,17 @@ def lower_bound(config, bits, r, d, m, nu, trials, seed, out, timing):
 @_TRIALS
 @_SEED
 @_OUT
-def report(config, kind, dims, m, s, d, trials, seed, out):
+def report(config, **flags):
     """Write one JSON report document."""
-    merged = _collect(
-        config, kind=kind, dims=dims, m=m, s=s, d=d, trials=trials,
-        seed=seed, out=out,
-    )
-    _require(merged, "kind")
-    m_values = merged.get("m")
-    d_values = merged.get("d")
+    merged = _options(config, flags, "kind")
     doc = harness.run_report(
         merged["kind"],
         merged.get("seed", 0),
         dims=merged.get("dims"),
-        m=m_values[0] if m_values else None,
+        m=_single(merged, "m"),
         s=merged.get("s"),
         trials=merged.get("trials", 2000),
-        d=d_values[0] if d_values else None,
+        d=_single(merged, "d"),
     )
     _emit(harness.report_to_json(doc), merged.get("out"))
 

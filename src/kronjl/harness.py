@@ -109,36 +109,32 @@ def load_config(path):
     return data
 
 
-def _parse_int_list(field, value):
-    if isinstance(value, int):
-        return (value,)
+def _parse_numbers(field, value, kind, allow_zero=False):
+    """A tuple of `kind` values from a YAML number or list or a
+    comma-separated string; each must be positive (or zero, if allowed)."""
     if isinstance(value, (list, tuple)):
         items = list(value)
+    elif isinstance(value, kind):
+        items = [value]
     else:
         items = str(value).split(",")
     try:
-        out = tuple(int(v) for v in items)
+        out = tuple(kind(v) for v in items)
     except (TypeError, ValueError):
-        raise ConfigError(f"{field}: expected comma-separated integers")
-    if not out or any(v <= 0 for v in out):
-        raise ConfigError(f"{field}: values must be positive")
+        noun = "integers" if kind is int else "numbers"
+        raise ConfigError(f"{field}: expected comma-separated {noun}")
+    if not out or any(v < 0 or v == 0 and not allow_zero for v in out):
+        sign = "non-negative" if allow_zero else "positive"
+        raise ConfigError(f"{field}: values must be {sign}")
     return out
 
 
-def _parse_float_list(field, value):
-    if isinstance(value, (int, float)):
-        return (float(value),)
-    if isinstance(value, (list, tuple)):
-        items = list(value)
-    else:
-        items = str(value).split(",")
-    try:
-        out = tuple(float(v) for v in items)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{field}: expected comma-separated numbers")
-    if not out or any(v <= 0 for v in out):
-        raise ConfigError(f"{field}: values must be positive")
-    return out
+def _parse_one(field, value, kind, allow_zero=False):
+    """One `kind` value, checked as by _parse_numbers."""
+    out = _parse_numbers(field, value, kind, allow_zero)
+    if len(out) != 1:
+        raise ConfigError(f"{field}: expected one value, got {len(out)}")
+    return out[0]
 
 
 def _parse_dims(field, value):
@@ -175,21 +171,21 @@ def _parse_families(field, value):
 
 _FIELD_PARSERS = {
     "dims": _parse_dims,
-    "m": _parse_int_list,
-    "eps": _parse_float_list,
-    "trials": lambda f, v: _parse_int_list(f, v)[0],
-    "seed": lambda f, v: int(v),
+    "m": lambda f, v: _parse_numbers(f, v, int),
+    "eps": lambda f, v: _parse_numbers(f, v, float),
+    "trials": lambda f, v: _parse_one(f, v, int),
+    "seed": lambda f, v: _parse_one(f, v, int, allow_zero=True),
     "out": lambda f, v: str(v),
     "family": _parse_families,
     "baseline": lambda f, v: str(v),
     "timing": lambda f, v: bool(v),
-    "points": lambda f, v: int(v),
-    "bits": lambda f, v: int(v),
-    "r": lambda f, v: int(v),
-    "d": _parse_int_list,
-    "nu": lambda f, v: float(v),
+    "points": lambda f, v: _parse_one(f, v, int),
+    "bits": lambda f, v: _parse_one(f, v, int),
+    "r": lambda f, v: _parse_one(f, v, int),
+    "d": lambda f, v: _parse_numbers(f, v, int),
+    "nu": lambda f, v: _parse_one(f, v, float),
     "kind": lambda f, v: str(v),
-    "s": lambda f, v: int(v),
+    "s": lambda f, v: _parse_one(f, v, int),
 }
 
 
@@ -248,7 +244,7 @@ def orthonormal_stage_distortion(dims, x, trials, seed):
     x = np.asarray(x, dtype=np.float64)
     rng = rand.substream(seed, rand.TAG_EXPERIMENT, 0, 0, 0)
     signs = [rand.rademacher(rng, (trials, n)) for n in dims]
-    w = hadamard_rows(kron_materialize(signs) * x[None, :], dims)
+    w = hadamard_rows(kron_materialize(signs) * x[None, :])
     return np.sum(w * w, axis=1) - float(np.dot(x, x))
 
 
@@ -271,7 +267,7 @@ def _sampled_trials(dims, pts, m, trials, rng):
         hi = min(lo + chunk, trials)
         srows = kron_materialize([f[lo:hi] for f in signs])
         z = srows[:, None, :] * pts[None, :, :]
-        w = hadamard_rows(z.reshape(-1, n), dims).reshape(hi - lo, points, n)
+        w = hadamard_rows(z.reshape(-1, n)).reshape(hi - lo, points, n)
         yield np.take_along_axis(w, rows0[lo:hi, None, :], axis=2)
 
 

@@ -5,12 +5,16 @@ An operator over axis sizes (n_1, ..., n_d) with target dimension m is
     A = sqrt(N/m) * P * H * D,
 
 where D flips signs by a Kronecker product of independent per-axis
-Rademacher vectors, H is the Kronecker product of orthonormal
-Walsh-Hadamard factors, and P gathers m rows drawn uniformly with
-replacement (duplicates kept; m may exceed N). Vectors live in the
-linearized order of kronjl.indexing: the first axis varies fastest, so a
-rank-one array with factors (x_1, ..., x_d) vectorizes to the Kronecker
-product with x_1 innermost.
+Rademacher vectors, H is the orthonormal length-N Walsh-Hadamard transform,
+and P gathers m rows drawn uniformly with replacement (duplicates kept; m
+may exceed N). Vectors live in the linearized order of kronjl.indexing:
+the first axis varies fastest, so a rank-one array with factors
+(x_1, ..., x_d) vectorizes to the Kronecker product with x_1 innermost.
+
+The Kronecker structure lies only in D: for power-of-two axes,
+H_{n_d} (x) ... (x) H_{n_1} = H_N, so the batched paths run one length-N
+transform per row (hadamard_rows), while apply_dense, their reference,
+composes the per-axis transforms.
 
 Randomness: signs for axis l come from substream(seed, TAG_SIGNS, l); the
 row sample from substream(seed, TAG_SAMPLES).
@@ -57,7 +61,6 @@ class RademacherFactors:
     the caller's array."""
 
     factors: tuple
-    seed: object = None
 
     def __post_init__(self):
         fac = tuple(_frozen(f, np.float64) for f in self.factors)
@@ -80,7 +83,6 @@ class SampleSet:
 
     rows: np.ndarray
     total: int
-    seed: object = None
 
     def __post_init__(self):
         rows = _frozen(self.rows, np.int64)
@@ -100,7 +102,6 @@ class KfjltOperator:
     dims: KronDims
     signs: RademacherFactors
     samples: SampleSet
-    seed: object = None
 
     def __post_init__(self):
         if len(self.signs.factors) != self.dims.order:
@@ -141,9 +142,8 @@ def build_operator(dims, m, seed):
     )
     return KfjltOperator(
         dims=dims,
-        signs=RademacherFactors(factors, seed=seed),
-        samples=SampleSet(rows, dims.total, seed=seed),
-        seed=seed,
+        signs=RademacherFactors(factors),
+        samples=SampleSet(rows, dims.total),
     )
 
 
@@ -184,7 +184,10 @@ def kron_sign_patterns(dims):
 def apply_dense(op, x):
     """Apply the operator to a length-N vector via per-axis transforms.
 
-    Cost O(N log N + m).
+    Cost O(N log N + m). It composes one transform per axis rather than
+    the single length-N transform of hadamard_rows, so that the two
+    derivations of H check each other (apply_dense_mat is tested against
+    this function).
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1 or x.size != op.dims.total:
@@ -197,18 +200,18 @@ def apply_dense(op, x):
     return op.scale * arr.reshape(-1)[op.samples.rows - 1]
 
 
-def hadamard_rows(xs, dims):
-    """Row-wise orthonormal Kronecker-Hadamard transform of a (count, N)
-    matrix, N linearized with the earliest axis fastest."""
-    dims = dims if isinstance(dims, KronDims) else KronDims(tuple(dims))
+def hadamard_rows(xs):
+    """Row-wise orthonormal length-N Walsh-Hadamard transform of a
+    (count, N) matrix.
+
+    With the earliest axis fastest, the Kronecker product of the per-axis
+    Sylvester factors is the length-N Sylvester matrix, so one transform
+    of each whole row serves every shape of the same N.
+    """
     xs = np.asarray(xs, dtype=np.float64)
-    if xs.ndim != 2 or xs.shape[1] != dims.total:
-        raise ShapeError(f"expected shape (count, {dims.total})")
-    # each row in C order over the reversed dims: axis l is C axis d - l + 1
-    arr = xs.reshape((xs.shape[0],) + dims.dims[::-1])
-    for axis in range(dims.order, 0, -1):
-        arr = fwht_axis(arr, axis)
-    return arr.reshape(xs.shape[0], -1)
+    if xs.ndim != 2:
+        raise ShapeError(f"expected a (count, N) matrix, got shape {xs.shape}")
+    return fwht_axis(xs, 1)
 
 
 def apply_dense_mat(op, xs):
@@ -216,7 +219,7 @@ def apply_dense_mat(op, xs):
     xs = np.asarray(xs, dtype=np.float64)
     if xs.ndim != 2 or xs.shape[1] != op.dims.total:
         raise ShapeError(f"expected shape (count, {op.dims.total})")
-    flat = hadamard_rows(xs * op.signs.full_vector()[None, :], op.dims)
+    flat = hadamard_rows(xs * op.signs.full_vector()[None, :])
     return op.scale * flat[:, op.samples.rows - 1]
 
 
@@ -245,7 +248,13 @@ def apply_factored(op, factors):
 
 def materialize(op):
     """Dense (m, N) matrix of the operator, built from the Hadamard
-    recursion rather than the transform kernels."""
+    recursion rather than the transform kernels.
+
+    It stays the Kronecker product of per-axis matrices: each factor is
+    exact on power-of-4 axes, whereas hadamard_matrix(N) rounds its
+    entries, which moves oracle outputs such as a RIP constant in the last
+    bits.
+    """
     hs = [hadamard_matrix(n) for n in op.dims]
     h_full = hs[-1]
     for h in hs[-2::-1]:
@@ -259,7 +268,6 @@ class GaussianOperator:
     """Dense i.i.d. N(0, 1/m) comparison operator with the same interface."""
 
     matrix: np.ndarray
-    seed: object = None
 
     @property
     def m(self):
@@ -273,4 +281,4 @@ def gaussian_baseline(m, n_total, seed):
     if m < 1 or n_total < 1:
         raise ShapeError("m and N must be >= 1")
     g = rand.substream(seed, rand.TAG_GAUSSIAN).standard_normal((m, n_total))
-    return GaussianOperator(matrix=g / math.sqrt(m), seed=seed)
+    return GaussianOperator(matrix=g / math.sqrt(m))

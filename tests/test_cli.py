@@ -1,6 +1,7 @@
 """CLI tests driven through the real entry point so the exit-code
 mapping is exercised: 0 success, 1 config, 2 budget, 3 selftest."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -90,10 +91,12 @@ def test_missing_required_exits_one(capsys):
 
 def test_unknown_config_key_exits_one(tmp_path, capsys):
     cfg = tmp_path / "cfg.yaml"
-    cfg.write_text("dims: '4'\nm: '4'\nwarp: 9\n")
-    code, _, err = run_cli(["jl-sweep", "--config", str(cfg)], capsys)
-    assert code == 1
-    assert "warp" in err
+    # `points` is an option of pointset but not of jl-sweep
+    for key in ("warp", "points"):
+        cfg.write_text(f"dims: '4'\nm: '4'\n{key}: 9\n")
+        code, _, err = run_cli(["jl-sweep", "--config", str(cfg)], capsys)
+        assert code == 1
+        assert key in err
 
 
 def test_budget_error_exits_two(capsys):
@@ -112,6 +115,15 @@ def test_report_rip_stdout_json(capsys):
     doc = json.loads(out)
     assert doc["schema"] == "kronjl.report.v1"
     assert doc["kind"] == "rip"
+
+
+def test_report_takes_one_m(capsys):
+    code, _, err = run_cli(
+        ["report", "--kind", "rip", "--dims", "16", "--m", "8,16", "--s", "2"],
+        capsys,
+    )
+    assert code == 1
+    assert "m" in err
 
 
 def test_report_partition_to_file(tmp_path, capsys):
@@ -217,3 +229,26 @@ def test_jl_sweep_bytes_do_not_depend_on_blas_threads():
         outs.append(done.stdout)
     assert outs[0].count(b"\n") == 7
     assert outs[0] == outs[1]
+
+
+# sha256 of the stdout of each README command. Output is a pure function of
+# the arguments and seed, so a changed digest is a changed result.
+README_DIGESTS = {
+    "jl-sweep --dims 16x16 --m 8,16,32 --eps 0.5 --trials 2000 --seed 1":
+        "a598d0cf5e7a135ee1a41608dcbb3b4f779e21872e922dec933c33237e8c81e0",
+    "pointset --dims 4x4 --points 8 --m 16 --eps 0.5 --trials 2000 --seed 1":
+        "167f81ad20a88ddead063f0f84804976778429c4d7c8247b2257533c5474aec2",
+    "lower-bound --bits 4 --r 2 --d 1,2 --m 4,8,16,32 --trials 10000 --seed 1":
+        "608e325b5e9084217918a0421c4a11eeadfb8db6e4ad6c0c0a0b4fc5d2934b11",
+    "report --kind rip --dims 16 --m 8 --s 2 --seed 3":
+        "a3c88d15e33e149175f2b74e3ad6f304b741127f936e994270d7006f45d236ac",
+    "selftest":
+        "c27a4f41302efa094f85d3d184fd3b7342b354558f2280d752be56a0a707cb5b",
+}
+
+
+def test_readme_command_bytes(capsys):
+    for command, digest in README_DIGESTS.items():
+        code, out, _ = run_cli(command.split(), capsys)
+        assert code == 0, command
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, command

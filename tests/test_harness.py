@@ -33,8 +33,11 @@ def test_merge_unknown_key_named():
 
 def test_merge_parses_lists_and_dims():
     merged = harness.merge_options(
-        {}, {"dims": "4x8", "m": "8,16", "eps": "0.25,0.5", "family": "kron"}
+        {}, {"dims": "4x8", "m": "8,16", "eps": "0.25,0.5", "family": "kron",
+             "seed": "0", "nu": "0.2"}
     )
+    assert merged["seed"] == 0
+    assert merged["nu"] == 0.2
     assert merged["dims"] == KronDims((4, 8))
     assert merged["m"] == (8, 16)
     assert merged["eps"] == (0.25, 0.5)
@@ -52,6 +55,12 @@ def test_merge_rejects_bad_values():
         harness.merge_options({}, {"family": "kron,spiral"})
     with pytest.raises(ConfigError, match="baseline"):
         harness.merge_options({}, {"baseline": "lasers"})
+    with pytest.raises(ConfigError, match="seed"):
+        harness.merge_options({}, {"seed": "abc"})
+    with pytest.raises(ConfigError, match="nu"):
+        harness.merge_options({}, {"nu": "abc"})
+    with pytest.raises(ConfigError, match="trials"):
+        harness.merge_options({}, {"trials": "10,20"})
 
 
 def test_load_config(tmp_path):

@@ -162,12 +162,14 @@ def test_factored_equals_dense_on_rank_one():
 
 
 def test_apply_dense_mat_matches_rowwise():
+    # the batch runs one length-N transform, apply_dense one per axis
     rng = np.random.default_rng(31)
-    op = build_operator((4, 4, 2), 9, seed=5)
-    xs = rng.standard_normal((6, 32))
-    batch = apply_dense_mat(op, xs)
-    for i in range(6):
-        assert np.allclose(batch[i], apply_dense(op, xs[i]), atol=1e-12)
+    for dims in [(4,), (2, 8), (4, 2, 8), (16, 16), (2, 2, 2, 2), (4, 4, 2)]:
+        op = build_operator(dims, 9, seed=5)
+        xs = rng.standard_normal((6, op.dims.total))
+        batch = apply_dense_mat(op, xs)
+        for i in range(6):
+            assert np.allclose(batch[i], apply_dense(op, xs[i]), atol=1e-12)
 
 
 def test_duplicate_rows_counted_twice():
