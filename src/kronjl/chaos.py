@@ -23,7 +23,7 @@ import numpy as np
 
 from . import rand
 from .errors import BudgetError, ShapeError
-from .indexing import KronDims
+from .indexing import KronDims, _group_positions
 from .rip import rip_constant
 from .transforms import kron_materialize, kron_sign_patterns
 
@@ -101,15 +101,8 @@ def enumerate_partitions(ground, kappa=None):
 def _matricize(arr, blocks):
     """Group the 1-based axes of `arr` by blocks (sorted within each block,
     earliest axis fastest) into one super-axis per block."""
-    shape = arr.shape
-    axes_seen = []
-    sizes = []
-    for b in blocks:
-        axes0 = sorted(a - 1 for a in b)
-        axes_seen += axes0
-        sizes.append(math.prod(shape[a] for a in axes0))
-    perm = tuple(axes_seen)
-    return np.transpose(arr, perm).reshape(tuple(sizes), order="F")
+    groups = tuple(tuple(sorted(a - 1 for a in b)) for b in blocks)
+    return arr.reshape(-1)[_group_positions(arr.shape, groups)]
 
 
 def _check_partition_for(arr, partition):
@@ -209,7 +202,7 @@ class ChaosCoefficients:
     def from_gram(cls, dims, matrix, weights=None):
         """Wrap an (N, N) matrix indexed by linearized positions; optional
         entrywise weights w_i w_j (vector of length N)."""
-        dims = dims if isinstance(dims, KronDims) else KronDims(tuple(dims))
+        dims = KronDims(dims)
         matrix = np.asarray(matrix, dtype=np.float64)
         n = dims.total
         if matrix.shape != (n, n):

@@ -1,8 +1,8 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 configuration error (bad flags, bad config
-file, missing required options), 2 budget error (a guarded enumeration
-or scan would exceed its cap), 3 selftest failure.
+Exit codes: 0 success, 1 configuration error (bad flags or config file,
+missing required options, a shape the library rejects), 2 budget error
+(a guarded enumeration or scan would exceed its cap), 3 selftest failure.
 """
 
 import sys
@@ -10,7 +10,7 @@ import sys
 import click
 
 from . import harness
-from .errors import BudgetError, ConfigError
+from .errors import BudgetError, ConfigError, ShapeError
 
 
 class _SelftestFailure(Exception):
@@ -191,7 +191,7 @@ def main(argv=None):
     except click.ClickException as exc:
         exc.show()
         sys.exit(1)
-    except ConfigError as exc:
+    except (ConfigError, ShapeError) as exc:
         click.echo(f"config error: {exc}", err=True)
         sys.exit(1)
     except BudgetError as exc:

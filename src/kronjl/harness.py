@@ -137,6 +137,12 @@ def _parse_one(field, value, kind, allow_zero=False):
     return out[0]
 
 
+def _parse_bool(field, value):
+    if not isinstance(value, bool):
+        raise ConfigError(f"{field}: expected true or false, got {value!r}")
+    return value
+
+
 def _parse_dims(field, value):
     if isinstance(value, KronDims):
         return value
@@ -178,7 +184,7 @@ _FIELD_PARSERS = {
     "out": lambda f, v: str(v),
     "family": _parse_families,
     "baseline": lambda f, v: str(v),
-    "timing": lambda f, v: bool(v),
+    "timing": _parse_bool,
     "points": lambda f, v: _parse_one(f, v, int),
     "bits": lambda f, v: _parse_one(f, v, int),
     "r": lambda f, v: _parse_one(f, v, int),
@@ -240,7 +246,7 @@ def orthonormal_stage_distortion(dims, x, trials, seed):
     The stage is orthonormal, so every value is zero up to rounding; this
     is the exact-isometry configuration reachable without subsampling.
     """
-    dims = dims if isinstance(dims, KronDims) else KronDims(tuple(dims))
+    dims = KronDims(dims)
     x = np.asarray(x, dtype=np.float64)
     rng = rand.substream(seed, rand.TAG_EXPERIMENT, 0, 0, 0)
     signs = [rand.rademacher(rng, (trials, n)) for n in dims]
@@ -352,7 +358,7 @@ def jl_failure_sweep(dims, m_values, eps_values, trials, seed,
                      families=FAMILIES, baseline="kfjlt", timing=False):
     """Estimate P(|‖Ax‖^2 - 1| > eps) per (family, m, eps) cell over
     fresh operator draws; one record per cell, sorted by (family, m, eps)."""
-    dims = dims if isinstance(dims, KronDims) else KronDims(tuple(dims))
+    dims = KronDims(dims)
     if baseline not in BASELINES:
         raise ConfigError(f"baseline: unknown {baseline!r}")
     for fam in families:
@@ -445,7 +451,7 @@ def pointset_preservation(dims, n_points, m, eps, trials, seed,
     (counted in skipped_pairs). The joint failure event is any surviving
     pair leaving (1 +- eps).
     """
-    dims = dims if isinstance(dims, KronDims) else KronDims(tuple(dims))
+    dims = KronDims(dims)
     if n_points < 2:
         raise ConfigError("points: need at least 2")
     if family not in FAMILIES:

@@ -8,11 +8,13 @@ full index (i_1, ..., i_d) to
     sum_l (i_l - 1) * n_1 * ... * n_{l-1}  + 1,
 
 so the earliest axis varies fastest. On numpy arrays that is exactly
-Fortran raveling, which `vec_f` exposes for internal use.
+Fortran raveling, which `vec_f` exposes for internal use. Fibers, slices
+and matricizations group axes by the same rule, through `_group_positions`.
 """
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -219,6 +221,18 @@ def vectorize(dims, array):
     if array.shape != dims.dims:
         raise ShapeError(f"array shape {array.shape} != dims {dims.dims}")
     return vec_f(array)
+
+
+@lru_cache(maxsize=256)
+def _group_positions(shape, groups):
+    """Read-only C-order flat positions of an array of `shape` whose
+    0-based axes are regrouped by `groups` (covering each axis once): each
+    group is one super-axis, linearized with its first listed axis fastest."""
+    sizes = tuple(math.prod(shape[a] for a in g) for g in groups)
+    flat = np.arange(math.prod(shape)).reshape(shape).transpose(sum(groups, ()))
+    pos = np.ascontiguousarray(flat.reshape(sizes, order="F"))
+    pos.setflags(write=False)
+    return pos
 
 
 def vec_f(array):

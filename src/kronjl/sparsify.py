@@ -14,17 +14,22 @@ Two max-sum comparisons connect parts to the original array:
 - for disjoint S, T: per T-slice, the S-summed energy of x^(S) is at most
   the (S u T)-fiber energy of x divided by s^|T|.
 Both are checked exhaustively by check_max_sum_inequalities.
+
+Fibers and slices are gathers of the flat array at the positions that
+`indexing._group_positions` gives for the axis groups (S, rest) or
+(S, T, rest). A split keeps its parts and, per entry, the position of its
+part's subset in priority order (`choice`).
 """
 
 import itertools
-import math
 from dataclasses import dataclass
 from functools import lru_cache
+from types import MappingProxyType
 
 import numpy as np
 
 from .errors import ShapeError
-from .indexing import _check_axes
+from .indexing import _check_axes, _group_positions
 
 __all__ = [
     "SparsifySplit",
@@ -46,36 +51,28 @@ def _check_input(x, s):
     return x
 
 
-@lru_cache(maxsize=1024)
-def _plan(shape, axes0):
-    rest = tuple(a for a in range(len(shape)) if a not in axes0)
-    perm = axes0 + rest
-    p_sel = math.prod(shape[a] for a in axes0) if axes0 else 1
-    inv = tuple(int(i) for i in np.argsort(perm))
-    tshape = tuple(shape[a] for a in perm)
-    return perm, inv, tshape, p_sel
+@lru_cache(maxsize=256)
+def _positions(shape, *groups):
+    """Grouped positions for `groups` of 0-based axes, then the rest."""
+    used = set().union(*groups)
+    rest = tuple(a for a in range(len(shape)) if a not in used)
+    return _group_positions(shape, groups + (rest,))
 
 
-def _fiber_matrix(x, axes0):
-    """View of x as (selected axes, remaining axes), both linearized with
-    their earliest axis fastest."""
-    perm, _, _, p_sel = _plan(x.shape, axes0)
-    return np.transpose(x, perm).reshape((p_sel, -1), order="F")
+def _grouped(x, *groups):
+    return x.reshape(-1)[_positions(x.shape, *groups)]
 
 
 def _k_mask(x, axes0, s):
-    mat = _fiber_matrix(x, axes0)
-    p_sel = mat.shape[0]
-    k = min(s ** len(axes0), p_sel)
-    if k >= p_sel:
+    pos = _positions(x.shape, axes0)
+    k = s ** len(axes0)
+    if k >= pos.shape[0]:
         return np.ones(x.shape, dtype=bool)
     # stable sort on -|v|: ties resolve to the smallest linearized index
-    order = np.argsort(-np.abs(mat), axis=0, kind="stable")
-    ranks = np.empty_like(order)
-    np.put_along_axis(ranks, order, np.arange(p_sel)[:, None], axis=0)
-    mask2 = ranks < k
-    perm, inv, tshape, _ = _plan(x.shape, axes0)
-    return mask2.reshape(tshape, order="F").transpose(inv)
+    order = np.argsort(-np.abs(x.reshape(-1)[pos]), axis=0, kind="stable")
+    mask = np.zeros(x.size, dtype=bool)
+    mask[np.take_along_axis(pos, order[:k], axis=0)] = True
+    return mask.reshape(x.shape)
 
 
 def select_K(x, axes, s):
@@ -91,9 +88,9 @@ def select_K(x, axes, s):
 class SparsifySplit:
     shape: tuple
     s: int
-    subsets: tuple  # frozensets of 1-based axes, assignment priority order
+    subsets: tuple  # frozensets of 1-based axes, in priority order
     parts: dict  # frozenset -> array, same shape as the input
-    assignment: dict  # 1-based full index tuple -> frozenset
+    choice: np.ndarray  # read-only, input's shape: position in subsets
 
     def reconstruct(self):
         out = np.zeros(self.shape)
@@ -102,13 +99,16 @@ class SparsifySplit:
         return out
 
 
+@lru_cache(maxsize=None)
 def _priority_subsets(d):
-    subsets = []
-    for size in range(d, -1, -1):
-        for combo in itertools.combinations(range(1, d + 1), size):
-            subsets.append(frozenset(combo))
-    # combinations already yields lexicographically increasing tuples
-    return tuple(subsets)
+    """Axis subsets of 1..d, largest first and then lexicographically
+    smallest (combinations yields them in that order), each mapped to its
+    sorted 0-based axes."""
+    return MappingProxyType({
+        frozenset(a + 1 for a in combo): combo
+        for size in range(d, -1, -1)
+        for combo in itertools.combinations(range(d), size)
+    })
 
 
 def split(x, s):
@@ -118,23 +118,16 @@ def split(x, s):
     it, ties to the lexicographically smallest subset.
     """
     x = _check_input(x, s)
-    d = x.ndim
-    subsets = _priority_subsets(d)
-    masks = np.stack(
-        [_k_mask(x, tuple(sorted(a - 1 for a in sub)), s) for sub in subsets]
-    )
+    subsets = _priority_subsets(x.ndim)
+    masks = np.stack([_k_mask(x, axes0, s) for axes0 in subsets.values()])
     choice = np.argmax(masks, axis=0)  # first True in priority order
-    parts = {}
-    for pos, sub in enumerate(subsets):
-        sel = choice == pos
-        parts[sub] = np.where(sel, x, 0.0)
-    assignment = {
-        tuple(int(c) + 1 for c in idx): subsets[choice[tuple(idx)]]
-        for idx in np.ndindex(x.shape)
+    choice.setflags(write=False)
+    parts = {
+        sub: np.where(choice == pos, x, 0.0) for pos, sub in enumerate(subsets)
     }
     return SparsifySplit(
-        shape=x.shape, s=int(s), subsets=subsets, parts=parts,
-        assignment=assignment,
+        shape=x.shape, s=int(s), subsets=tuple(subsets), parts=parts,
+        choice=choice,
     )
 
 
@@ -148,11 +141,11 @@ class FiberReport:
 
 def check_fiber_sparsity(sp):
     """Every part must keep at most s^|S| entries per fiber over S."""
+    axes = _priority_subsets(len(sp.shape))
     ok = True
     worst = (-1, 0, frozenset())
     for sub, part in sp.parts.items():
-        axes0 = tuple(sorted(a - 1 for a in sub))
-        counts = np.count_nonzero(_fiber_matrix(part, axes0), axis=0)
+        counts = np.count_nonzero(_grouped(part, axes[sub]), axis=0)
         bound = sp.s ** len(sub)
         top = int(counts.max()) if counts.size else 0
         if top - bound > worst[0] - worst[1]:
@@ -171,23 +164,12 @@ class MaxSumReport:
     violations: tuple  # (kind, S, T, slice position, lhs, rhs)
 
 
-def _three_block(x, s_axes0, t_axes0):
-    shape = x.shape
-    rest = tuple(
-        a for a in range(len(shape)) if a not in s_axes0 and a not in t_axes0
-    )
-    perm = s_axes0 + t_axes0 + rest
-    ps = math.prod(shape[a] for a in s_axes0) if s_axes0 else 1
-    pt = math.prod(shape[a] for a in t_axes0)
-    return np.transpose(x, perm).reshape((ps, pt, -1), order="F")
-
-
 def check_max_sum_inequalities(x, sp, rel_tol=1e-12):
     """Exhaustively verify both max-sum inequalities for a split of x."""
     x = np.asarray(x, dtype=np.float64)
     if x.shape != sp.shape:
         raise ShapeError("split does not belong to this array")
-    d = x.ndim
+    axes = _priority_subsets(x.ndim)
     x2 = x * x
     checked = 0
     violations = []
@@ -197,27 +179,22 @@ def check_max_sum_inequalities(x, sp, rel_tol=1e-12):
         for t_sub in sp.subsets:
             if not t_sub:
                 continue
-            t_axes0 = tuple(sorted(a - 1 for a in t_sub))
             bound = float(sp.s ** len(t_sub))
+            sides = []
             if len(s_sub) < len(t_sub):
-                lhs = _fiber_matrix(part2, t_axes0).max(axis=0)
-                rhs = _fiber_matrix(x2, t_axes0).sum(axis=0) / bound
-                checked += lhs.size
-                for k in np.flatnonzero(lhs > rhs * (1.0 + rel_tol)):
-                    violations.append(
-                        ("peak", s_sub, t_sub, int(k) + 1,
-                         float(lhs[k]), float(rhs[k]))
-                    )
+                lhs = _grouped(part2, axes[t_sub]).max(axis=0)
+                rhs = _grouped(x2, axes[t_sub]).sum(axis=0)
+                sides.append(("peak", lhs, rhs / bound))
             if s_sub and not (s_sub & t_sub):
-                s_axes0 = tuple(sorted(a - 1 for a in s_sub))
-                lhs = _three_block(part2, s_axes0, t_axes0).sum(axis=0).max(axis=0)
-                rhs = (
-                    _three_block(x2, s_axes0, t_axes0).sum(axis=(0, 1)) / bound
-                )
+                st = (axes[s_sub], axes[t_sub])
+                lhs = _grouped(part2, *st).sum(axis=0).max(axis=0)
+                rhs = _grouped(x2, *st).sum(axis=(0, 1))
+                sides.append(("energy", lhs, rhs / bound))
+            for kind, lhs, rhs in sides:
                 checked += lhs.size
-                for k in np.flatnonzero(lhs > rhs * (1.0 + rel_tol)):
+                for k in (lhs > rhs * (1.0 + rel_tol)).nonzero()[0]:
                     violations.append(
-                        ("energy", s_sub, t_sub, int(k) + 1,
+                        (kind, s_sub, t_sub, int(k) + 1,
                          float(lhs[k]), float(rhs[k]))
                     )
     return MaxSumReport(

@@ -127,7 +127,7 @@ class KfjltOperator:
 def build_operator(dims, m, seed):
     """Draw a fresh operator: independent per-axis signs, then the row
     sample, from documented substreams of `seed`."""
-    dims = dims if isinstance(dims, KronDims) else KronDims(tuple(dims))
+    dims = KronDims(dims)
     for n in dims:
         if n & (n - 1):
             raise ShapeError(f"axis sizes must be powers of two, got {dims.dims}")

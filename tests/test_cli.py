@@ -211,6 +211,29 @@ def test_timing_flag_fills_wall_ms(capsys):
     assert wall >= 0  # value is real but not asserted further; may be 0 on a fast box
 
 
+def test_shape_error_exits_one(capsys):
+    code, _, err = run_cli(
+        ["report", "--kind", "rip", "--dims", "16", "--m", "8", "--s", "17"],
+        capsys,
+    )
+    assert code == 1
+    assert err.splitlines() == ["config error: need 1 <= s <= 16, got 17"]
+
+
+def test_timing_config_takes_only_a_boolean(tmp_path, capsys):
+    cfg = tmp_path / "cfg.yaml"
+    args = ["jl-sweep", "--config", str(cfg), "--dims", "4x4", "--m", "4",
+            "--trials", "3000"]
+    cfg.write_text("timing: 'no'\n")
+    code, _, err = run_cli(args, capsys)
+    assert code == 1
+    assert "timing" in err
+    cfg.write_text("timing: false\n")
+    code, out, _ = run_cli(args, capsys)
+    assert code == 0
+    assert {row.split(",")[-1] for row in out.splitlines()[1:]} == {"0"}
+
+
 def test_jl_sweep_bytes_do_not_depend_on_blas_threads():
     # the transform runs as BLAS matrix products, so its rounding must not
     # change with the thread count; a fresh process reads the variable

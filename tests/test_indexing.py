@@ -16,6 +16,7 @@ from kronjl.indexing import (
     combine,
     delinearize,
     linearize,
+    _group_positions,
     restrict,
     vec_f,
     vectorize,
@@ -195,6 +196,9 @@ def test_krondims_validation():
     assert KronDims.parse("4x8x2").dims == (4, 8, 2)
     assert KronDims.parse("4,8,2").dims == (4, 8, 2)
     assert KronDims((4, 8, 2)).total == 64
+    # any iterable of ints, another KronDims included, gives the same dims
+    assert KronDims(KronDims((4, 8, 2))) == KronDims((4, 8, 2))
+    assert KronDims([4, 8, 2]).dims == (4, 8, 2)
 
 
 def test_partial_index_validation():
@@ -209,3 +213,18 @@ def test_partial_index_validation():
 def test_vec_f_is_first_axis_fastest():
     a = np.arange(6).reshape(2, 3)
     assert list(vec_f(a)) == [0, 3, 1, 4, 2, 5]
+
+
+def test_group_positions_linearize_each_group():
+    # entry (j_1, ..., j_k) is the C-order position of the element whose
+    # coordinates on group g linearize to j_g, as `linearize` orders them
+    shape = (2, 3, 1, 2)
+    dims = KronDims(shape)
+    for groups in [((0, 1, 2, 3),), ((1, 3), (0, 2)), ((), (2,), (0, 1, 3))]:
+        pos = _group_positions(shape, groups)
+        assert pos.shape == tuple(math.prod(shape[a] for a in g) for g in groups)
+        assert not pos.flags.writeable
+        for coords in itertools.product(*[range(n) for n in shape]):
+            idx = [PartialIndex.of({a + 1: coords[a] + 1 for a in g}) for g in groups]
+            at = tuple(linearize(dims, i) - 1 for i in idx)
+            assert pos[at] == np.ravel_multi_index(coords, shape)

@@ -56,6 +56,14 @@ def _brute_assignment(x, s):
     return out
 
 
+def _assignment(sp):
+    """The split's choice as a 1-based full index -> subset dict."""
+    return {
+        tuple(c + 1 for c in idx): sp.subsets[sp.choice[idx]]
+        for idx in np.ndindex(sp.shape)
+    }
+
+
 def test_select_matches_brute_force():
     rng = np.random.default_rng(0)
     for shape in [(4, 4), (2, 4, 2), (3, 5)]:
@@ -84,21 +92,26 @@ def test_split_frozen_example():
     assert np.array_equal(sp.parts[frozenset({1})], [[3, 0], [0, 0]])
     assert np.array_equal(sp.parts[frozenset({2})], [[0, 0], [0, 0]])
     assert np.array_equal(sp.parts[frozenset()], [[0, 1], [2, 0]])
-    assert sp.assignment[(1, 1)] == frozenset({1})  # lex tie-break {1} < {2}
-    assert sp.assignment[(2, 2)] == frozenset({1, 2})
+    assert _assignment(sp)[(1, 1)] == frozenset({1})  # lex tie-break {1} < {2}
+    assert _assignment(sp)[(2, 2)] == frozenset({1, 2})
 
 
 def test_split_all_ties():
     sp = split(np.ones((2, 2)), 1)
-    assert sp.assignment[(1, 1)] == frozenset({1, 2})
-    assert sp.assignment[(2, 1)] == frozenset({2})
-    assert sp.assignment[(1, 2)] == frozenset({1})
-    assert sp.assignment[(2, 2)] == frozenset()
+    assignment = _assignment(sp)
+    assert assignment[(1, 1)] == frozenset({1, 2})
+    assert assignment[(2, 1)] == frozenset({2})
+    assert assignment[(1, 2)] == frozenset({1})
+    assert assignment[(2, 2)] == frozenset()
+    assert sp.choice.shape == (2, 2)
+    with pytest.raises(ValueError):
+        sp.choice[0, 0] = 3
 
 
 def test_split_partitions_and_reconstructs():
     rng = np.random.default_rng(1)
-    for shape, s in [((4, 4), 2), ((2, 4, 2), 2), ((4, 4), 3), ((8,), 2)]:
+    for shape, s in [((4, 4), 2), ((2, 4, 2), 2), ((4, 4), 3), ((8,), 2),
+                     ((2, 2, 2, 2), 2), ((3, 1, 2), 1)]:
         x = rng.standard_normal(shape)
         sp = split(x, s)
         # exact reconstruction, bit for bit
@@ -116,13 +129,14 @@ def test_split_partitions_and_reconstructs():
 
 def test_assignment_matches_brute_force():
     rng = np.random.default_rng(2)
-    for shape, s in [((4, 4), 2), ((2, 4, 2), 2), ((3, 3), 1)]:
+    for shape, s in [((4, 4), 2), ((2, 4, 2), 2), ((3, 3), 1),
+                     ((2, 2, 2, 2), 2), ((3, 1, 2), 1)]:
         x = rng.standard_normal(shape)
         sp = split(x, s)
-        assert sp.assignment == _brute_assignment(x, s)
+        assert _assignment(sp) == _brute_assignment(x, s)
         x_int = rng.integers(-1, 2, size=shape).astype(float)
         sp2 = split(x_int, s)
-        assert sp2.assignment == _brute_assignment(x_int, s)
+        assert _assignment(sp2) == _brute_assignment(x_int, s)
 
 
 def test_fiber_sparsity_bound():
@@ -141,14 +155,15 @@ def test_fiber_sparsity_rejects_bad_split():
     bad_parts[frozenset({1})] = x.copy()
     bad = SparsifySplit(
         shape=sp.shape, s=sp.s, subsets=sp.subsets, parts=bad_parts,
-        assignment=sp.assignment,
+        choice=sp.choice,
     )
     assert not check_fiber_sparsity(bad).ok
 
 
 def test_max_sum_inequalities_random():
     rng = np.random.default_rng(4)
-    for shape, s in [((4, 4), 2), ((2, 4, 2), 2), ((4, 4), 3), ((2, 4, 2), 3)]:
+    for shape, s in [((4, 4), 2), ((2, 4, 2), 2), ((4, 4), 3), ((2, 4, 2), 3),
+                     ((2, 2, 2, 2), 2), ((3, 1, 2), 1)]:
         for _ in range(25):
             x = rng.standard_normal(shape)
             sp = split(x, s)
