@@ -11,7 +11,10 @@ of the subsampled operator with measurement matrix Phi.
 Partition norms generalize Frobenius (one block) and the spectral norm of
 a matricization (two blocks); for three or more blocks the supremum is
 approximated from below by multi-start alternating maximization and the
-returned value is a certified lower bound of the true norm.
+returned value is a certified lower bound of the true norm (SUP_TOL,
+SUP_MAX_ITER and SUP_SEED fix the search). Exact moments (at most
+EXACT_PATTERN_BUDGET sign patterns) and Monte Carlo moments (with
+BOOTSTRAP_RESAMPLES bootstrap resamples) share all but the signs.
 """
 
 import itertools
@@ -43,6 +46,11 @@ __all__ = [
 
 PARTITION_GROUND_LIMIT = 12
 EXACT_PATTERN_BUDGET = 1 << 24
+SUP_TOL = 1e-10
+SUP_MAX_ITER = 10_000
+SUP_SEED = 0
+BOOTSTRAP_RESAMPLES = 200
+_BOOTSTRAP_BLOCK = 50  # resamples per draw; fixes the TAG_BOOTSTRAP stream
 
 
 @dataclass(frozen=True)
@@ -105,15 +113,7 @@ def _matricize(arr, blocks):
     return arr.reshape(-1)[_group_positions(arr.shape, groups)]
 
 
-def _check_partition_for(arr, partition):
-    if partition.ground != frozenset(range(1, arr.ndim + 1)):
-        raise ShapeError(
-            f"partition ground {sorted(partition.ground)} != axes 1..{arr.ndim}"
-        )
-
-
-def partition_norm(arr, partition, restarts=32, tol=1e-10, max_iter=10_000,
-                   seed=0):
+def partition_norm(arr, partition, restarts=32):
     """Norm of an array against a partition of its axes.
 
     One block: Euclidean (Frobenius) norm. Two blocks: spectral norm of
@@ -122,7 +122,10 @@ def partition_norm(arr, partition, restarts=32, tol=1e-10, max_iter=10_000,
     bound that is exact in the matrix cases.
     """
     arr = np.asarray(arr, dtype=np.float64)
-    _check_partition_for(arr, partition)
+    if partition.ground != frozenset(range(1, arr.ndim + 1)):
+        raise ShapeError(
+            f"partition ground {sorted(partition.ground)} != axes 1..{arr.ndim}"
+        )
     if partition.kappa == 0:
         return float(abs(arr))
     if partition.kappa == 1:
@@ -130,7 +133,7 @@ def partition_norm(arr, partition, restarts=32, tol=1e-10, max_iter=10_000,
     mat = _matricize(arr, partition.blocks)
     if partition.kappa == 2:
         return float(np.linalg.norm(mat, 2))
-    return _alternating_sup(mat, restarts, tol, max_iter, seed)
+    return _alternating_sup(mat, restarts, SUP_TOL, SUP_MAX_ITER, SUP_SEED)
 
 
 def _alternating_sup(t, restarts, tol, max_iter, seed):
@@ -169,7 +172,7 @@ def _alternating_sup(t, restarts, tol, max_iter, seed):
     return best
 
 
-def moment_bound_profile(arr, p, **solver_kwargs):
+def moment_bound_profile(arr, p):
     """Sum over block counts kappa of p^{kappa/2} times the total partition
     norm over all partitions of the axes into kappa blocks."""
     arr = np.asarray(arr, dtype=np.float64)
@@ -177,9 +180,7 @@ def moment_bound_profile(arr, p, **solver_kwargs):
         raise ShapeError("p must be positive")
     total = 0.0
     for partition in enumerate_partitions(range(1, arr.ndim + 1)):
-        total += p ** (partition.kappa / 2.0) * partition_norm(
-            arr, partition, **solver_kwargs
-        )
+        total += p ** (partition.kappa / 2.0) * partition_norm(arr, partition)
     return total
 
 
@@ -240,18 +241,53 @@ class MomentProfile:
     centered: bool
 
 
-def _sign_rows(rng, trials, dims):
-    """Row-wise Kronecker signs: (trials, N) with axis 1 fastest, drawn
-    by ascending axis."""
+def _sign_rows(seed, copy, trials, dims):
+    """Row-wise Kronecker signs from substream(seed, TAG_EXPERIMENT, copy):
+    (trials, N) with axis 1 fastest, drawn by ascending axis."""
+    rng = rand.substream(seed, rand.TAG_EXPERIMENT, copy)
     return kron_materialize([rand.rademacher(rng, (trials, n)) for n in dims])
 
 
-def _exact_mean(coeffs):
-    return float(np.trace(coeffs.matrix))
+def _check_moment_args(mode, p_values):
+    if mode not in ("coupled", "decoupled"):
+        raise ShapeError(f"mode must be coupled|decoupled, got {mode!r}")
+    p_values = tuple(float(p) for p in p_values)
+    if not all(p >= 1 for p in p_values):
+        raise ShapeError("moment orders must be >= 1")
+    return p_values
+
+
+def _lp_norms(absx, p_values):
+    """L_p means of |X| samples along the last axis, one column per p."""
+    out = np.empty(absx.shape[:-1] + (len(p_values),))
+    for j, p in enumerate(p_values):
+        out[..., j] = np.mean(absx**p, axis=-1) ** (1.0 / p)
+    return out
+
+
+def _profile(coeffs, mode, p_values, centered, xs, seed, boot_rng):
+    """Shared tail of both moment routines: the exact mean, optional
+    centering at it, the L_p norms of |X| and, given a generator,
+    bootstrap standard errors (exact enumeration reports zeros)."""
+    mean = float(np.trace(coeffs.matrix)) if mode == "coupled" else 0.0
+    absx = np.abs(xs - mean if centered else xs)
+    n = absx.size
+    stderrs = np.zeros(len(p_values))
+    if boot_rng is not None:
+        draws = (boot_rng.integers(0, n, size=(_BOOTSTRAP_BLOCK, n))
+                 for _ in range(BOOTSTRAP_RESAMPLES // _BOOTSTRAP_BLOCK))
+        boot = np.concatenate([_lp_norms(absx[i], p_values) for i in draws])
+        stderrs = boot.std(axis=0, ddof=1)
+    return MomentProfile(
+        mode=mode, p_values=p_values,
+        estimates=tuple(float(v) for v in _lp_norms(absx, p_values)),
+        stderrs=tuple(float(s) for s in stderrs), trials=n, seed=seed,
+        mean=mean, centered=centered,
+    )
 
 
 def estimate_chaos_moments(coeffs, mode, p_values, trials, seed,
-                           centered=False, bootstrap=200):
+                           centered=False):
     """Monte Carlo L_p norms of the chaos, with bootstrap standard errors.
 
     Sign draws: substream(seed, TAG_EXPERIMENT, 1) for xi and (seed,
@@ -259,83 +295,37 @@ def estimate_chaos_moments(coeffs, mode, p_values, trials, seed,
     substream(seed, TAG_BOOTSTRAP). `centered` subtracts the exact mean
     (only meaningful for the coupled form; the decoupled mean is zero).
     """
-    if mode not in ("coupled", "decoupled"):
-        raise ShapeError(f"mode must be coupled|decoupled, got {mode!r}")
-    p_values = tuple(float(p) for p in p_values)
-    if any(p < 1 for p in p_values):
-        raise ShapeError("moment orders must be >= 1")
+    p_values = _check_moment_args(mode, p_values)
     if trials < 2:
         raise ShapeError("need at least 2 trials")
-    m = coeffs.matrix
-    left = _sign_rows(
-        rand.substream(seed, rand.TAG_EXPERIMENT, 1), trials, coeffs.dims
-    )
+    left = _sign_rows(seed, 1, trials, coeffs.dims)
     if mode == "coupled":
         right = left
     else:
-        right = _sign_rows(
-            rand.substream(seed, rand.TAG_EXPERIMENT, 2), trials, coeffs.dims
-        )
-    xs = np.einsum("ti,ij,tj->t", left, m, right)
-    mean = _exact_mean(coeffs) if mode == "coupled" else 0.0
-    if centered:
-        xs = xs - mean
-    absx = np.abs(xs)
-
-    estimates = tuple(
-        float(np.mean(absx**p) ** (1.0 / p)) for p in p_values
-    )
+        right = _sign_rows(seed, 2, trials, coeffs.dims)
+    xs = np.einsum("ti,ij,tj->t", left, coeffs.matrix, right)
     boot_rng = rand.substream(seed, rand.TAG_BOOTSTRAP)
-    boot_vals = np.empty((bootstrap, len(p_values)))
-    chunk = 50
-    row = 0
-    while row < bootstrap:
-        take = min(chunk, bootstrap - row)
-        idx = boot_rng.integers(0, trials, size=(take, trials))
-        sample = absx[idx]
-        for j, p in enumerate(p_values):
-            boot_vals[row : row + take, j] = np.mean(sample**p, axis=1) ** (
-                1.0 / p
-            )
-        row += take
-    stderrs = tuple(float(s) for s in boot_vals.std(axis=0, ddof=1))
-    return MomentProfile(
-        mode=mode, p_values=p_values, estimates=estimates, stderrs=stderrs,
-        trials=trials, seed=seed, mean=mean, centered=centered,
-    )
+    return _profile(coeffs, mode, p_values, centered, xs, seed, boot_rng)
 
 
-def exact_chaos_moments(coeffs, mode, p_values, centered=False,
-                        budget=EXACT_PATTERN_BUDGET):
+def exact_chaos_moments(coeffs, mode, p_values, centered=False):
     """Exact L_p norms by enumerating every sign pattern (both sides for
     the decoupled form). Intended as a desk-scale oracle."""
-    if mode not in ("coupled", "decoupled"):
-        raise ShapeError(f"mode must be coupled|decoupled, got {mode!r}")
+    p_values = _check_moment_args(mode, p_values)
     patterns = 1 << sum(coeffs.dims.dims)
     cost = patterns * patterns if mode == "decoupled" else patterns
-    if cost > budget:
+    if cost > EXACT_PATTERN_BUDGET:
         raise BudgetError(
-            f"{cost} sign patterns exceed the enumeration budget {budget}"
+            f"{cost} sign patterns exceed the enumeration budget "
+            f"{EXACT_PATTERN_BUDGET}"
         )
     signs = kron_sign_patterns(coeffs.dims)
     m = coeffs.matrix
     if mode == "coupled":
         xs = np.einsum("ai,ij,aj->a", signs, m, signs)
-        mean = _exact_mean(coeffs)
     else:
         xs = (signs @ m @ signs.T).ravel()
-        mean = 0.0
-    if centered:
-        xs = xs - mean
-    absx = np.abs(xs)
-    estimates = tuple(
-        float(np.mean(absx ** float(p)) ** (1.0 / p)) for p in p_values
-    )
-    return MomentProfile(
-        mode=mode, p_values=tuple(float(p) for p in p_values),
-        estimates=estimates, stderrs=tuple(0.0 for _ in p_values),
-        trials=int(cost), seed=None, mean=mean, centered=centered,
-    )
+    return _profile(coeffs, mode, p_values, centered, xs, None, None)
 
 
 def moment_to_tail(gammas, exponents, p0, t):

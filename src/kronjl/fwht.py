@@ -136,7 +136,9 @@ def hadamard_matrix(n):
     """Materialized orthonormal transform matrix, built by the recursion.
 
     Independent of the transform kernels; used as a cross-check and for
-    small dense instances.
+    small dense instances. Every level divides by sqrt(2) and rounds, so
+    entries are not exact even where 1/sqrt(n) is: hadamard_matrix(4)[0, 0]
+    is 0.49999999999999994.
     """
     _check_pow2(n)
     h = np.ones((1, 1))

@@ -87,7 +87,12 @@ BASELINES = ("kfjlt", "gaussian")
 # fixed block sizes; GAUSSIAN_CHUNK is part of the reproducibility contract
 GAUSSIAN_CHUNK = 64
 APPLY_CHUNK = 512
+ROW_SCAN_START = 2
 ROW_SCAN_CAP = 4096
+SCALING_EPS = 0.75
+SCALING_TARGET = 0.1
+SCALING_GRIDS = (("d1", ((1,), (2,), (3,))),
+                 ("d2", ((1, 1), (1, 2), (2, 2))))
 
 
 # ------------------------------------------------------------- configuration
@@ -498,15 +503,15 @@ def pointset_to_csv(reports):
     return _to_csv(POINTSET_HEADER, reports)
 
 
-def _scan_interpolate(eval_eta, target, trials, start_m, cap):
-    """Ascending power-of-two scan of m with log-log interpolation at the
-    target crossing. eval_eta(m, m_idx) returns the measured failure."""
+def _scan_interpolate(eval_eta, target, trials, cap):
+    """Doubling scan of m from ROW_SCAN_START with log-log interpolation at
+    the target crossing. eval_eta(m, m_idx) returns the measured failure."""
     if not 0.0 < target < 1.0:
         raise ConfigError("target: must be in (0, 1)")
     floor = 0.5 / trials
     scan = []
     prev = None
-    m = start_m
+    m = ROW_SCAN_START
     m_idx = 0
     while m <= cap:
         eta_raw = eval_eta(m, m_idx)
@@ -530,7 +535,7 @@ def _scan_interpolate(eval_eta, target, trials, start_m, cap):
 
 
 def required_embedding_rows(dims, n_points, eps, target, trials, seed,
-                            family="kron", start_m=2, cap=ROW_SCAN_CAP):
+                            family="kron", cap=ROW_SCAN_CAP):
     """Smallest embedding row count whose joint pointset failure is at or
     below `target`, located by an ascending power-of-two scan with log-log
     interpolation at the crossing. Returns (m_star, scan) where scan is
@@ -543,7 +548,7 @@ def required_embedding_rows(dims, n_points, eps, target, trials, seed,
         )
         return rep.joint_eta
 
-    return _scan_interpolate(eval_eta, target, trials, start_m, cap)
+    return _scan_interpolate(eval_eta, target, trials, cap)
 
 
 def adversarial_joint_norm_failure(r_dims, m, eps, trials, seed,
@@ -588,8 +593,7 @@ def adversarial_joint_norm_failure(r_dims, m, eps, trials, seed,
     return failures / trials
 
 
-def required_rows_adversarial(r_dims, eps, target, trials, seed,
-                              start_m=2, cap=ROW_SCAN_CAP):
+def required_rows_adversarial(r_dims, eps, target, trials, seed):
     """Smallest row count taming the adversarial family's joint failure."""
 
     def eval_eta(m, m_idx):
@@ -597,7 +601,7 @@ def required_rows_adversarial(r_dims, eps, target, trials, seed,
             r_dims, m, eps, trials, seed, _cell=m_idx
         )
 
-    return _scan_interpolate(eval_eta, target, trials, start_m, cap)
+    return _scan_interpolate(eval_eta, target, trials, ROW_SCAN_CAP)
 
 
 @dataclass(frozen=True)
@@ -616,26 +620,24 @@ def _nominal_points(r_dims):
     return 1 << sum(1 << r for r in r_dims)
 
 
-def scaling_exponent_report(seed, eps=0.75, target=0.1, trials=3000,
-                            grid_d1=((1,), (2,), (3,)),
-                            grid_d2=((1, 1), (1, 2), (2, 2))):
+def scaling_exponent_report(seed, trials=3000):
     """Fit log m* against log log p on the adversarial families and
     report the d=2 vs d=1 slope ratio (qualitative scaling check).
 
-    p is the family's nominal point count 2^{sum 2^{r_l}}; the default
-    grids realize p in {4, 16, 256} for one axis and {16, 64, 256} for
-    two axes, the point counts the construction can hit exactly. The
-    coarse default distortion keeps each cell dominated by the
-    sampling-miss event rather than by binomial concentration noise,
-    which is what the growth exponent is about.
+    p is the family's nominal point count 2^{sum 2^{r_l}}; SCALING_GRIDS
+    realize p in {4, 16, 256} for one axis and {16, 64, 256} for two
+    axes, the point counts the construction can hit exactly. The coarse
+    distortion SCALING_EPS keeps each cell dominated by the sampling-miss
+    event rather than by binomial concentration noise, which is what the
+    growth exponent is about.
     """
     slopes = {}
     cells = {}
-    for key, grid in (("d1", grid_d1), ("d2", grid_d2)):
+    for key, grid in SCALING_GRIDS:
         rows = []
         for r_dims in grid:
             m_star, _ = required_rows_adversarial(
-                r_dims, eps, target, trials, seed
+                r_dims, SCALING_EPS, SCALING_TARGET, trials, seed
             )
             rows.append((tuple(r_dims), _nominal_points(r_dims), m_star))
         cells[key] = tuple(rows)

@@ -250,10 +250,11 @@ def materialize(op):
     """Dense (m, N) matrix of the operator, built from the Hadamard
     recursion rather than the transform kernels.
 
-    It stays the Kronecker product of per-axis matrices: each factor is
-    exact on power-of-4 axes, whereas hadamard_matrix(N) rounds its
-    entries, which moves oracle outputs such as a RIP constant in the last
-    bits.
+    It stays the Kronecker product of per-axis matrices. That is an
+    independent derivation of the operator, and the recorded oracle
+    digests come from its bits: hadamard_matrix(N) rounds differently
+    (neither is exact), which moves outputs such as a RIP constant in the
+    last bits.
     """
     hs = [hadamard_matrix(n) for n in op.dims]
     h_full = hs[-1]

@@ -324,6 +324,11 @@ def test_moment_validation():
         estimate_chaos_moments(co, "coupled", [2.0], trials=1, seed=0)
     with pytest.raises(ShapeError):
         exact_chaos_moments(co, "sideways", [2.0])
+    for p in (0.0, 0.5):
+        with pytest.raises(ShapeError):
+            exact_chaos_moments(co, "coupled", [2.0, p])
+        with pytest.raises(ShapeError):
+            estimate_chaos_moments(co, "decoupled", [p], trials=10, seed=0)
 
 
 # ------------------------------------------------------------ moment profile

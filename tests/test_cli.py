@@ -275,3 +275,20 @@ def test_readme_command_bytes(capsys):
         code, out, _ = run_cli(command.split(), capsys)
         assert code == 0, command
         assert hashlib.sha256(out.encode()).hexdigest() == digest, command
+
+
+# sha256 of the stdout of two chaos reports, which run the Monte Carlo
+# moment estimator and its bootstrap end to end.
+CHAOS_REPORT_DIGESTS = {
+    "report --kind chaos --dims 16 --m 8 --seed 3":
+        "266ced0a4ff972331c0d74c60e1b68ff1398d75a40e7ddbf7bafc9a39549d892",
+    "report --kind chaos --dims 4x4 --m 8 --seed 1":
+        "413b81d6d353bca2c7ff1dc44ca35a71dac9598d92374c9120e40a575a439697",
+}
+
+
+def test_chaos_report_bytes(capsys):
+    for command, digest in CHAOS_REPORT_DIGESTS.items():
+        code, out, _ = run_cli(command.split(), capsys)
+        assert code == 0, command
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, command

@@ -1,5 +1,6 @@
 """Fiber top-k selection, split partition properties, max-sum checks."""
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -180,6 +181,28 @@ def test_max_sum_with_ties_and_zeros():
         assert check_max_sum_inequalities(x, sp).ok
     z = np.zeros((2, 4, 2))
     assert check_max_sum_inequalities(z, split(z, 2)).ok
+
+
+def test_max_sum_violations_are_reported():
+    # inflating every one-axis part breaks both inequalities where those
+    # parts hold entries; the report must name each violated slice
+    x = np.random.default_rng(7).standard_normal((4, 4))
+    sp = split(x, 1)
+    parts = {
+        sub: 10.0 * part if len(sub) == 1 else part
+        for sub, part in sp.parts.items()
+    }
+    rep = check_max_sum_inequalities(x, dataclasses.replace(sp, parts=parts))
+    assert not rep.ok
+    assert rep.checked == 13
+    assert [v[:4] for v in rep.violations] == [
+        ("peak", frozenset({1}), frozenset({1, 2}), 1),
+        ("energy", frozenset({1}), frozenset({2}), 1),
+        ("peak", frozenset({2}), frozenset({1, 2}), 1),
+        ("energy", frozenset({2}), frozenset({1}), 1),
+    ]
+    for _, _, _, _, lhs, rhs in rep.violations:
+        assert lhs > rhs
 
 
 def test_permutation_equivariance():
