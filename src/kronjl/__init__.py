@@ -2,7 +2,7 @@
 
 Subpackages by role:
 
-- indexing: 1-based index algebra for Kronecker-structured arrays
+- indexing: axis sizes and the index layout of Kronecker-structured arrays
 - fwht: orthonormal Walsh-Hadamard transform (one blocked numpy kernel)
 - transforms: the subsampled operator, factored/dense application paths
 - rip: exhaustive restricted-isometry constants and submatrix bounds
@@ -13,21 +13,12 @@ Subpackages by role:
 """
 
 from .fwht import active_backend, fwht, fwht_axis, hadamard_matrix
-from .indexing import (
-    KronDims,
-    PartialIndex,
-    combine,
-    delinearize,
-    linearize,
-    restrict,
-    vectorize,
-)
+from .indexing import KronDims
 from .transforms import (
     KfjltOperator,
     apply_dense,
     apply_factored,
     build_operator,
-    gaussian_baseline,
     hadamard_rows,
     kron_materialize,
     materialize,

@@ -12,6 +12,7 @@ stream in fixed-size blocks of GAUSSIAN_CHUNK trials instead, which keeps
 the draw order independent of how the arithmetic is batched.
 """
 
+import itertools
 import json
 import math
 import time
@@ -34,7 +35,7 @@ from .chaos import (
 from .errors import BudgetError, ConfigError, ShapeError
 from .fwht import _fwht2_numpy, fwht, hadamard_matrix
 from .gf2 import enumerate_subspaces, indicator, orthogonal_complement
-from .indexing import EMPTY, KronDims, PartialIndex, delinearize, linearize
+from .indexing import KronDims, _group_positions
 from .rip import rip_constant
 from .sparsify import check_fiber_sparsity, split
 from .transforms import (
@@ -116,18 +117,17 @@ def load_config(path):
 
 def _parse_numbers(field, value, kind, allow_zero=False):
     """A tuple of `kind` values from a YAML number or list or a
-    comma-separated string; each must be positive (or zero, if allowed)."""
-    if isinstance(value, (list, tuple)):
-        items = list(value)
-    elif isinstance(value, kind):
-        items = [value]
-    else:
-        items = str(value).split(",")
+    comma-separated string; each must be finite and positive (or zero, if
+    allowed). Every item is read from its text, a list item as a scalar
+    is, so a boolean is no number and 4.7 is no integer."""
+    items = value if isinstance(value, (list, tuple)) else str(value).split(",")
     try:
-        out = tuple(kind(v) for v in items)
-    except (TypeError, ValueError):
+        out = tuple(kind(str(v)) for v in items)
+    except ValueError:
         noun = "integers" if kind is int else "numbers"
         raise ConfigError(f"{field}: expected comma-separated {noun}")
+    if not all(math.isfinite(v) for v in out):
+        raise ConfigError(f"{field}: values must be finite")
     if not out or any(v < 0 or v == 0 and not allow_zero for v in out):
         sign = "non-negative" if allow_zero else "positive"
         raise ConfigError(f"{field}: values must be {sign}")
@@ -535,16 +535,15 @@ def _scan_interpolate(eval_eta, target, trials, cap):
 
 
 def required_embedding_rows(dims, n_points, eps, target, trials, seed,
-                            family="kron", cap=ROW_SCAN_CAP):
-    """Smallest embedding row count whose joint pointset failure is at or
-    below `target`, located by an ascending power-of-two scan with log-log
-    interpolation at the crossing. Returns (m_star, scan) where scan is
-    the list of (m, joint_eta) pairs examined."""
+                            cap=ROW_SCAN_CAP):
+    """Smallest embedding row count whose joint failure on a kron pointset
+    is at or below `target`, located by an ascending power-of-two scan
+    with log-log interpolation at the crossing. Returns (m_star, scan)
+    where scan is the list of (m, joint_eta) pairs examined."""
 
     def eval_eta(m, m_idx):
         rep = pointset_preservation(
-            dims, n_points, m, eps, trials, seed, family=family,
-            _cell=(m_idx, 0),
+            dims, n_points, m, eps, trials, seed, _cell=(m_idx, 0),
         )
         return rep.joint_eta
 
@@ -719,9 +718,9 @@ def run_report(kind, seed, dims=None, m=None, s=None, trials=2000,
     kind, used to pin degenerate cases.
     """
     if kind == "rip":
-        dims = _parse_dims("dims", dims)
-        if m is None or s is None:
+        if dims is None or m is None or s is None:
             raise ConfigError("rip report needs dims, m, s")
+        dims = _parse_dims("dims", dims)
         op = build_operator(dims, m=m, seed=seed)
         rep = rip_constant(materialize(op), s)
         return {
@@ -736,9 +735,9 @@ def run_report(kind, seed, dims=None, m=None, s=None, trials=2000,
             "witness_support": list(rep.witness_support),
         }
     if kind == "chaos":
-        dims = _parse_dims("dims", dims)
-        if m is None:
+        if dims is None or m is None:
             raise ConfigError("chaos report needs dims, m")
+        dims = _parse_dims("dims", dims)
         if phi is None:
             phi = materialize(build_operator(dims, m=m, seed=seed))
         x = _family_vectors("kron", dims, seed)[0]
@@ -789,16 +788,23 @@ def write_text(path, text):
 
 
 def _selftest_indexing():
-    dims = KronDims((4, 8, 2))
-    for flat in range(1, dims.total + 1):
-        idx = delinearize(dims, (1, 2, 3), flat)
-        if linearize(dims, idx) != flat:
-            return False, f"bijection broke at {flat}"
-    if linearize(dims, EMPTY) != 1:
-        return False, "empty index"
-    part = PartialIndex.of({2: 5})
-    if delinearize(dims, (2,), linearize(dims, part)) != part:
-        return False, "partial round trip"
+    # every element lands where an independent F-order ravel of its
+    # coordinates on each group puts it
+    shape = (4, 8, 2)
+    coords = np.indices(shape).reshape(len(shape), -1)  # C-order element k
+    axes = range(len(shape))
+    for r in range(len(shape) + 1):
+        for group in itertools.combinations(axes, r):
+            groups = (group, tuple(a for a in axes if a not in group))
+            lengths = [[shape[a] for a in g] for g in groups]
+            want = np.empty([math.prod(n) for n in lengths], dtype=np.intp)
+            at = tuple(
+                np.ravel_multi_index(coords[list(g)], n, order="F") if g else 0
+                for g, n in zip(groups, lengths)
+            )
+            want[at] = np.arange(coords.shape[1])
+            if not np.array_equal(_group_positions(shape, groups), want):
+                return False, f"layout broke for axes {group}"
     return True, "dims 4x8x2 exhaustive"
 
 

@@ -13,7 +13,7 @@ import numpy as np
 TAG_SIGNS = 0
 TAG_SAMPLES = 1
 TAG_EXPERIMENT = 2
-TAG_GAUSSIAN = 3
+# 3 is retired; the values are kept so that no stream moves
 TAG_SUBSPACE = 4
 TAG_BOOTSTRAP = 5
 TAG_VECTOR = 6

@@ -34,7 +34,6 @@ __all__ = [
     "RademacherFactors",
     "SampleSet",
     "KfjltOperator",
-    "GaussianOperator",
     "build_operator",
     "apply_dense",
     "apply_dense_mat",
@@ -43,7 +42,6 @@ __all__ = [
     "kron_materialize",
     "kron_sign_patterns",
     "materialize",
-    "gaussian_baseline",
 ]
 
 
@@ -119,9 +117,6 @@ class KfjltOperator:
     @property
     def scale(self):
         return math.sqrt(self.dims.total / self.samples.m)
-
-    def apply(self, x):
-        return apply_dense(self, x)
 
 
 def build_operator(dims, m, seed):
@@ -262,24 +257,3 @@ def materialize(op):
         h_full = np.kron(h_full, h)  # earlier axes innermost (fastest)
     signs = op.signs.full_vector()
     return op.scale * h_full[op.samples.rows - 1] * signs[None, :]
-
-
-@dataclass(frozen=True)
-class GaussianOperator:
-    """Dense i.i.d. N(0, 1/m) comparison operator with the same interface."""
-
-    matrix: np.ndarray
-
-    @property
-    def m(self):
-        return self.matrix.shape[0]
-
-    def apply(self, x):
-        return self.matrix @ np.asarray(x, dtype=np.float64)
-
-
-def gaussian_baseline(m, n_total, seed):
-    if m < 1 or n_total < 1:
-        raise ShapeError("m and N must be >= 1")
-    g = rand.substream(seed, rand.TAG_GAUSSIAN).standard_normal((m, n_total))
-    return GaussianOperator(matrix=g / math.sqrt(m))

@@ -2,6 +2,7 @@
 routes, exact sign enumeration as the moment oracle, and the comparison
 inequalities (decoupling, merge monotonicity, expectation control)."""
 
+import itertools
 import math
 
 import numpy as np
@@ -20,7 +21,7 @@ from kronjl.chaos import (
     partition_norm,
 )
 from kronjl.errors import BudgetError, ShapeError
-from kronjl.indexing import KronDims, PartialIndex, linearize
+from kronjl.indexing import KronDims
 from kronjl.rand import TAG_EXPERIMENT, substream
 from kronjl.transforms import build_operator, materialize
 
@@ -166,17 +167,15 @@ def test_coefficients_shape_validation():
 
 
 def test_from_gram_entry_layout():
-    # array[i1, i2, j1, j2] must equal gram at the linearized positions
+    # array[i1, i2, j1, j2] must equal gram at the linearized (F-order)
+    # positions
     dims = KronDims((2, 2))
     gram = np.arange(16.0).reshape(4, 4)
     co = ChaosCoefficients.from_gram(dims, gram)
-    for i1 in range(1, 3):
-        for i2 in range(1, 3):
-            for j1 in range(1, 3):
-                for j2 in range(1, 3):
-                    row = linearize(dims, PartialIndex.full((i1, i2))) - 1
-                    col = linearize(dims, PartialIndex.full((j1, j2))) - 1
-                    assert co.array[i1 - 1, i2 - 1, j1 - 1, j2 - 1] == gram[row, col]
+    for i1, i2, j1, j2 in itertools.product(range(2), repeat=4):
+        row = np.ravel_multi_index((i1, i2), dims.dims, order="F")
+        col = np.ravel_multi_index((j1, j2), dims.dims, order="F")
+        assert co.array[i1, i2, j1, j2] == gram[row, col]
     assert np.array_equal(co.matrix, gram)
 
 

@@ -3,14 +3,17 @@ mapping is exercised: 0 success, 1 config, 2 budget, 3 selftest."""
 
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import kronjl
+from kronjl import harness
 from kronjl.cli import main
 
 
@@ -27,6 +30,21 @@ def test_selftest_exit_zero(capsys):
     assert code == 0
     assert "all 5 checks passed" in out
     assert "FAIL" not in out
+
+
+def test_selftest_fails_on_a_wrong_layout(monkeypatch, capsys):
+    # each group's first listed axis slowest instead of fastest
+    def c_order_positions(shape, groups):
+        sizes = [math.prod(shape[a] for a in g) for g in groups]
+        flat = np.arange(math.prod(shape)).reshape(shape)
+        return flat.transpose(sum(groups, ())).reshape(sizes)
+
+    monkeypatch.setattr(harness, "_group_positions", c_order_positions)
+    failed = [name for name, ok, _ in harness.selftest() if not ok]
+    assert failed == ["index-bijection"]
+    code, out, _ = run_cli(["selftest"], capsys)
+    assert code == 3
+    assert "index-bijection: FAIL (layout broke for axes ())" in out
 
 
 def test_help_exits_zero(capsys):
@@ -115,6 +133,16 @@ def test_report_rip_stdout_json(capsys):
     doc = json.loads(out)
     assert doc["schema"] == "kronjl.report.v1"
     assert doc["kind"] == "rip"
+
+
+def test_report_without_dims_names_what_it_needs(capsys):
+    for args, need in (
+        (["--kind", "rip", "--m", "8", "--s", "2"], "rip report needs dims, m, s"),
+        (["--kind", "chaos", "--m", "8"], "chaos report needs dims, m"),
+    ):
+        code, _, err = run_cli(["report", *args], capsys)
+        assert code == 1
+        assert err.splitlines() == [f"config error: {need}"]
 
 
 def test_report_takes_one_m(capsys):

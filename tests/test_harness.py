@@ -42,6 +42,10 @@ def test_merge_parses_lists_and_dims():
     assert merged["m"] == (8, 16)
     assert merged["eps"] == (0.25, 0.5)
     assert merged["family"] == ("kron",)
+    # YAML lists: an integer is a number too
+    merged = harness.merge_options({}, {"m": [8, 16], "eps": [1, 0.5]})
+    assert merged["m"] == (8, 16)
+    assert merged["eps"] == (1.0, 0.5)
 
 
 def test_merge_rejects_bad_values():
@@ -61,6 +65,24 @@ def test_merge_rejects_bad_values():
         harness.merge_options({}, {"nu": "abc"})
     with pytest.raises(ConfigError, match="trials"):
         harness.merge_options({}, {"trials": "10,20"})
+    # a YAML boolean is no number, as a scalar or as a list item
+    with pytest.raises(ConfigError, match="^trials:"):
+        harness.merge_options({"trials": True}, {})
+    with pytest.raises(ConfigError, match="^m:"):
+        harness.merge_options({"m": [8, True]}, {})
+    with pytest.raises(ConfigError, match="^eps:"):
+        harness.merge_options({"eps": [0.5, False]}, {})
+    # non-finite values, from a flag or from YAML
+    for bad in ("nan", "inf", "0.5,inf", float("nan"), [0.5, float("inf")]):
+        with pytest.raises(ConfigError, match="^eps:"):
+            harness.merge_options({}, {"eps": bad})
+    with pytest.raises(ConfigError, match="^nu:"):
+        harness.merge_options({}, {"nu": "nan"})
+    # a list item is checked as a scalar is, not truncated
+    with pytest.raises(ConfigError, match="^m:"):
+        harness.merge_options({"m": 4.7}, {})
+    with pytest.raises(ConfigError, match="^m:"):
+        harness.merge_options({"m": [4.7, 8]}, {})
 
 
 def test_load_config(tmp_path):

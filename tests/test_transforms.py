@@ -8,7 +8,7 @@ import pytest
 
 from kronjl.errors import ShapeError
 from kronjl.fwht import hadamard_matrix
-from kronjl.indexing import KronDims, PartialIndex, linearize
+from kronjl.indexing import KronDims
 from kronjl.transforms import (
     KfjltOperator,
     RademacherFactors,
@@ -17,32 +17,35 @@ from kronjl.transforms import (
     apply_dense_mat,
     apply_factored,
     build_operator,
-    gaussian_baseline,
     kron_materialize,
     materialize,
 )
 
 
 def _brute_matrix(op):
-    # independent oracle: entry-by-entry construction through the index
-    # algebra, H_full[L(i)-1, L(j)-1] = prod_l H_l[i_l-1, j_l-1]
+    # independent oracle: entry-by-entry construction at the F-order
+    # positions of the 0-based coordinates,
+    # H_full[L(i), L(j)] = prod_l H_l[i_l, j_l]
     dims = op.dims
     n = dims.total
     hs = [hadamard_matrix(nl) for nl in dims]
     h_full = np.zeros((n, n))
-    ranges = [range(1, nl + 1) for nl in dims]
+    ranges = [range(nl) for nl in dims]
+
+    def position(coords):
+        return np.ravel_multi_index(coords, dims.dims, order="F")
+
     for i_coords in itertools.product(*ranges):
-        li = linearize(dims, PartialIndex.full(i_coords))
+        li = position(i_coords)
         for j_coords in itertools.product(*ranges):
-            lj = linearize(dims, PartialIndex.full(j_coords))
-            h_full[li - 1, lj - 1] = math.prod(
-                h[ic - 1, jc - 1] for h, ic, jc in zip(hs, i_coords, j_coords)
+            lj = position(j_coords)
+            h_full[li, lj] = math.prod(
+                h[ic, jc] for h, ic, jc in zip(hs, i_coords, j_coords)
             )
     signs = np.zeros(n)
     for j_coords in itertools.product(*ranges):
-        lj = linearize(dims, PartialIndex.full(j_coords))
-        signs[lj - 1] = math.prod(
-            f[c - 1] for f, c in zip(op.signs.factors, j_coords)
+        signs[position(j_coords)] = math.prod(
+            f[c] for f, c in zip(op.signs.factors, j_coords)
         )
     return op.scale * h_full[op.samples.rows - 1] * signs[None, :]
 
@@ -56,11 +59,7 @@ def test_kron_materialize_matches_vectorized_outer():
     rng = np.random.default_rng(5)
     xs = [rng.standard_normal(n) for n in (3, 2, 4)]
     grid = np.multiply.outer(np.multiply.outer(xs[0], xs[1]), xs[2])
-    from kronjl.indexing import vectorize
-
-    assert np.allclose(
-        kron_materialize(xs), vectorize(KronDims((3, 2, 4)), grid)
-    )
+    assert np.allclose(kron_materialize(xs), grid.reshape(-1, order="F"))
     # a batch of factors gives one product per row; leading axes
     # broadcast, so an unbatched or length-1 factor is shared by every row
     batch = [rng.standard_normal((5, n)) for n in (3, 2, 4)]
@@ -202,20 +201,6 @@ def test_operator_validation():
         apply_dense(build_operator((4,), 2, seed=0), np.ones(5))
     with pytest.raises(ShapeError):
         apply_factored(build_operator((4, 2), 2, seed=0), [np.ones(4)])
-
-
-def test_gaussian_baseline():
-    g1 = gaussian_baseline(8, 32, seed=4)
-    g2 = gaussian_baseline(8, 32, seed=4)
-    assert np.array_equal(g1.matrix, g2.matrix)
-    assert g1.matrix.shape == (8, 32)
-    # row norms concentrate around N/m scaling: E||Ax||^2 = ||x||^2
-    rng = np.random.default_rng(0)
-    xs = rng.standard_normal((200, 32))
-    xs /= np.linalg.norm(xs, axis=1, keepdims=True)
-    vals = [np.linalg.norm(gaussian_baseline(8, 32, seed=s).apply(x)) ** 2
-            for s, x in enumerate(xs)]
-    assert abs(np.mean(vals) - 1.0) < 0.15
 
 
 def test_unit_norm_preserved_in_expectation():
