@@ -85,7 +85,7 @@ def jl_sweep(config, **flags):
         merged.get("trials", 10_000),
         merged.get("seed", 0),
         families=merged.get("family", harness.FAMILIES),
-        baseline=merged.get("baseline", "kfjlt"),
+        baseline=_single(merged, "baseline", "kfjlt"),
         timing=merged.get("timing", False),
     )
     _emit(harness.sweep_to_csv(records), merged.get("out"))
@@ -155,8 +155,15 @@ def lower_bound(config, **flags):
 def report(config, **flags):
     """Write one JSON report document."""
     merged = _options(config, flags, "kind")
+    kind = merged["kind"]
+    needs, also = harness._REPORT_OPTIONS.get(kind, (None, ()))
+    # run_report names an unknown kind or a missing option first
+    if needs is not None and set(needs) <= set(merged):
+        for key in merged:
+            if key not in ("kind", "out", *needs, *also):
+                raise ConfigError(f"{key}: not an option of a {kind} report")
     doc = harness.run_report(
-        merged["kind"],
+        kind,
         merged.get("seed", 0),
         dims=merged.get("dims"),
         m=_single(merged, "m"),

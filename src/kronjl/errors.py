@@ -1,20 +1,13 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package. The command line maps each
+to an exit code: ShapeError and ConfigError to 1, BudgetError to 2."""
 
 
 class KronjlError(Exception):
     """Base class for all package-specific errors."""
 
 
-class IndexRangeError(KronjlError, ValueError):
-    """A coordinate or flat index lies outside its declared range."""
-
-
-class AxisConflictError(KronjlError, ValueError):
-    """Axis sets overlap where they must be disjoint, or miss a required axis."""
-
-
 class ShapeError(KronjlError, ValueError):
-    """An array shape, vector length, or axis size violates a contract."""
+    """A shape, length, axis size, axis set or word range breaks a contract."""
 
 
 class BudgetError(KronjlError, RuntimeError):

@@ -11,12 +11,13 @@ Walsh-Hadamard transform maps it to the indicator of the orthogonal
 complement (checked exhaustively in the tests).
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IndexRangeError, ShapeError
+from .errors import ShapeError
 
 __all__ = [
     "Gf2Subspace",
@@ -42,7 +43,7 @@ def rref(rows, n):
     """
     rows = [int(r) for r in rows]
     if any(not 0 <= r < (1 << n) for r in rows):
-        raise IndexRangeError(f"rows must be {n}-bit words")
+        raise ShapeError(f"rows must be {n}-bit words")
     out = []
     for bit in range(n - 1, -1, -1):
         mask = 1 << bit
@@ -114,8 +115,6 @@ def random_subspace(n, r, rng):
 def enumerate_subspaces(n, r=None):
     """Yield every subspace of F_2^n (of dimension r when given), each
     exactly once via its canonical echelon basis."""
-    import itertools
-
     if r is not None:
         dims = [r]
     else:

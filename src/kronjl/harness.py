@@ -32,13 +32,14 @@ from .chaos import (
     check_partition_counting,
     estimate_chaos_moments,
 )
-from .errors import BudgetError, ConfigError, ShapeError
+from .errors import BudgetError, ConfigError
 from .fwht import _fwht2_numpy, fwht, hadamard_matrix
 from .gf2 import enumerate_subspaces, indicator, orthogonal_complement
 from .indexing import KronDims, _group_positions
 from .rip import rip_constant
 from .sparsify import check_fiber_sparsity, split
 from .transforms import (
+    apply_dense,
     build_operator,
     hadamard_rows,
     kron_materialize,
@@ -67,7 +68,6 @@ __all__ = [
     "scaling_exponent_report",
     "run_report",
     "report_to_json",
-    "orthonormal_stage_distortion",
     "selftest",
     "write_text",
 ]
@@ -149,35 +149,29 @@ def _parse_bool(field, value):
 
 
 def _parse_dims(field, value):
+    """Power-of-two axis lengths from a YAML list or a '4x8x2' / '4,8,2'
+    string; each item is read as _parse_numbers reads an integer."""
     if isinstance(value, KronDims):
         return value
-    try:
-        if isinstance(value, (list, tuple)):
-            dims = KronDims(tuple(int(v) for v in value))
-        else:
-            dims = KronDims.parse(str(value))
-    except (ShapeError, ValueError) as exc:
-        raise ConfigError(f"{field}: {exc}") from exc
+    if not isinstance(value, (list, tuple)):
+        value = str(value).replace("x", ",")
+    dims = KronDims(_parse_numbers(field, value, int))
     for n in dims:
         if n & (n - 1):
             raise ConfigError(f"{field}: axis lengths must be powers of two")
     return dims
 
 
-def _parse_families(field, value):
-    if isinstance(value, str):
-        items = [v.strip() for v in value.split(",") if v.strip()]
-    else:
-        items = list(value)
-    if not items:
-        raise ConfigError(f"{field}: at least one family required")
-    for fam in items:
-        if fam not in FAMILIES:
-            raise ConfigError(
-                f"{field}: unknown family {fam!r}, expected one of "
-                + "|".join(FAMILIES)
-            )
-    return tuple(items)
+def _parse_choices(field, value, allowed):
+    """A tuple of names from a YAML string or list or a comma-separated
+    string; each must be one of `allowed`."""
+    items = value if isinstance(value, (list, tuple)) else str(value).split(",")
+    names = tuple(str(v).strip() for v in items)
+    if not names or any(name not in allowed for name in names):
+        raise ConfigError(
+            f"{field}: expected {'|'.join(allowed)}, got {value!r}"
+        )
+    return names
 
 
 _FIELD_PARSERS = {
@@ -187,8 +181,8 @@ _FIELD_PARSERS = {
     "trials": lambda f, v: _parse_one(f, v, int),
     "seed": lambda f, v: _parse_one(f, v, int, allow_zero=True),
     "out": lambda f, v: str(v),
-    "family": _parse_families,
-    "baseline": lambda f, v: str(v),
+    "family": lambda f, v: _parse_choices(f, v, FAMILIES),
+    "baseline": lambda f, v: _parse_choices(f, v, BASELINES),
     "timing": _parse_bool,
     "points": lambda f, v: _parse_one(f, v, int),
     "bits": lambda f, v: _parse_one(f, v, int),
@@ -211,11 +205,6 @@ def merge_options(config, flags):
             if key not in _FIELD_PARSERS:
                 raise ConfigError(f"unknown option {key!r}")
             merged[key] = _FIELD_PARSERS[key](key, value)
-    if "baseline" in merged and merged["baseline"] not in BASELINES:
-        raise ConfigError(
-            f"baseline: expected {'|'.join(BASELINES)}, got "
-            f"{merged['baseline']!r}"
-        )
     return merged
 
 
@@ -243,20 +232,6 @@ def _family_vectors(family, dims, seed, count=1):
             out[i] = 0.0
             out[i, int(rng.integers(0, n))] = 1.0
     return out
-
-
-def orthonormal_stage_distortion(dims, x, trials, seed):
-    """Squared-norm distortions of the pre-sampling stage H D_xi alone.
-
-    The stage is orthonormal, so every value is zero up to rounding; this
-    is the exact-isometry configuration reachable without subsampling.
-    """
-    dims = KronDims(dims)
-    x = np.asarray(x, dtype=np.float64)
-    rng = rand.substream(seed, rand.TAG_EXPERIMENT, 0, 0, 0)
-    signs = [rand.rademacher(rng, (trials, n)) for n in dims]
-    w = hadamard_rows(kron_materialize(signs) * x[None, :])
-    return np.sum(w * w, axis=1) - float(np.dot(x, x))
 
 
 # ---------------------------------------------------------- trials and rows
@@ -708,6 +683,14 @@ def lower_bound_to_csv(records):
 # ------------------------------------------------------------------ reports
 
 
+# per report kind: the options it needs, then the ones it may also read
+_REPORT_OPTIONS = {
+    "rip": (("dims", "m", "s"), ("seed",)),
+    "chaos": (("dims", "m"), ("trials", "seed")),
+    "partition": (("d",), ()),
+}
+
+
 def run_report(kind, seed, dims=None, m=None, s=None, trials=2000,
                d=None, phi=None):
     """Build one JSON-ready report document.
@@ -717,9 +700,13 @@ def run_report(kind, seed, dims=None, m=None, s=None, trials=2000,
     inequality). `phi` overrides the measurement matrix for the chaos
     kind, used to pin degenerate cases.
     """
+    if kind not in _REPORT_OPTIONS:
+        raise ConfigError(f"kind: unknown report kind {kind!r}")
+    needs = _REPORT_OPTIONS[kind][0]
+    given = {"dims": dims, "m": m, "s": s, "d": d}
+    if any(given[name] is None for name in needs):
+        raise ConfigError(f"{kind} report needs {', '.join(needs)}")
     if kind == "rip":
-        if dims is None or m is None or s is None:
-            raise ConfigError("rip report needs dims, m, s")
         dims = _parse_dims("dims", dims)
         op = build_operator(dims, m=m, seed=seed)
         rep = rip_constant(materialize(op), s)
@@ -735,8 +722,6 @@ def run_report(kind, seed, dims=None, m=None, s=None, trials=2000,
             "witness_support": list(rep.witness_support),
         }
     if kind == "chaos":
-        if dims is None or m is None:
-            raise ConfigError("chaos report needs dims, m")
         dims = _parse_dims("dims", dims)
         if phi is None:
             phi = materialize(build_operator(dims, m=m, seed=seed))
@@ -757,19 +742,15 @@ def run_report(kind, seed, dims=None, m=None, s=None, trials=2000,
             "stderrs": list(profile.stderrs),
             "mean": profile.mean,
         }
-    if kind == "partition":
-        if d is None:
-            raise ConfigError("partition report needs d")
-        rep = check_partition_counting(d)
-        return {
-            "schema": REPORT_SCHEMA,
-            "kind": "partition",
-            "d": d,
-            "checked": rep.checked,
-            "violations": len(rep.violations),
-            "ok": rep.ok,
-        }
-    raise ConfigError(f"kind: unknown report kind {kind!r}")
+    rep = check_partition_counting(d)
+    return {
+        "schema": REPORT_SCHEMA,
+        "kind": "partition",
+        "d": d,
+        "checked": rep.checked,
+        "violations": len(rep.violations),
+        "ok": rep.ok,
+    }
 
 
 def report_to_json(doc):
@@ -839,8 +820,6 @@ def _selftest_roundtrip():
     op = build_operator(dims, m=6, seed=9)
     phi = materialize(op)
     rng = rand.substream(9, rand.TAG_EXPERIMENT)
-    from .transforms import apply_dense
-
     for _ in range(25):
         x = rng.standard_normal(dims.total)
         if np.max(np.abs(apply_dense(op, x) - phi @ x)) > 1e-10:

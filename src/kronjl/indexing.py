@@ -16,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import AxisConflictError, ShapeError
+from .errors import ShapeError
 
 __all__ = ["KronDims"]
 
@@ -34,15 +34,6 @@ class KronDims:
         if any(n < 1 for n in dims):
             raise ShapeError(f"axis sizes must be >= 1, got {dims}")
         object.__setattr__(self, "dims", dims)
-
-    @classmethod
-    def parse(cls, text):
-        """Parse '4x8x2' or '4,8,2' into KronDims."""
-        parts = text.replace("x", ",").split(",")
-        try:
-            return cls(tuple(int(p) for p in parts))
-        except ValueError as exc:
-            raise ShapeError(f"cannot parse dims from {text!r}") from exc
 
     @property
     def order(self):
@@ -63,10 +54,10 @@ def _check_axes(ndim, axes):
     """The 1-based axes, sorted; each must be distinct and in 1..ndim."""
     axes = tuple(sorted(int(a) for a in axes))
     if len(set(axes)) != len(axes):
-        raise AxisConflictError(f"duplicate axes in {axes}")
+        raise ShapeError(f"duplicate axes in {axes}")
     bad = [a for a in axes if not 1 <= a <= ndim]
     if bad:
-        raise AxisConflictError(f"axes {bad} outside 1..{ndim}")
+        raise ShapeError(f"axes {bad} outside 1..{ndim}")
     return axes
 
 

@@ -1,9 +1,15 @@
 """Deterministic sub-stream derivation on top of numpy's Philox generator.
 
 Every source of randomness in the package is a counter-based Philox stream
-keyed by SeedSequence(seed, spawn_key=path). The path tags below are the
-documented stream layout; two call sites never share a path, so draws are
-reproducible bit-for-bit regardless of evaluation order or chunking.
+keyed by SeedSequence(seed, spawn_key=path); the path tags below are the
+documented stream layout. Paths are distinct within one library call, so
+its draws are reproducible bit-for-bit regardless of evaluation order or
+chunking. Separate calls under one seed may share a path:
+(seed, TAG_EXPERIMENT, family, m_idx, eps_idx) by a jl-sweep cell and the
+pointset cell of the same family, m and eps; (seed, TAG_EXPERIMENT) by
+check_submatrix_bound and the adversarial sign witnesses; (seed,
+TAG_SAMPLES) by build_operator and failure_probability_empirical, which
+every cell of a lower-bound sweep calls with the same seed.
 """
 
 import numpy as np

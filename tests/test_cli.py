@@ -2,18 +2,20 @@
 mapping is exercised: 0 success, 1 config, 2 budget, 3 selftest."""
 
 import hashlib
+import itertools
 import json
 import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import kronjl
-from kronjl import harness
+from kronjl import errors, harness
 from kronjl.cli import main
 
 
@@ -145,6 +147,58 @@ def test_report_without_dims_names_what_it_needs(capsys):
         assert err.splitlines() == [f"config error: {need}"]
 
 
+def test_report_rejects_options_its_kind_does_not_read(capsys):
+    for args, extra in (
+        (["--kind", "partition", "--d", "2", "--dims", "4x4", "--s", "3"],
+         "dims: not an option of a partition report"),
+        (["--kind", "rip", "--dims", "16", "--m", "8", "--s", "2", "--d", "3"],
+         "d: not an option of a rip report"),
+        (["--kind", "rip", "--dims", "16", "--m", "8", "--s", "2",
+          "--trials", "7"], "trials: not an option of a rip report"),
+        (["--kind", "chaos", "--dims", "4", "--m", "4", "--s", "2"],
+         "s: not an option of a chaos report"),
+        # a missing option is named before an extra one
+        (["--kind", "rip", "--m", "8", "--s", "2", "--trials", "7"],
+         "rip report needs dims, m, s"),
+    ):
+        code, out, err = run_cli(["report", *args], capsys)
+        assert code == 1
+        assert out == ""
+        assert err.splitlines() == [f"config error: {extra}"]
+    # each kind takes every option it reads
+    code, out, _ = run_cli(
+        ["report", "--kind", "chaos", "--dims", "4", "--m", "4",
+         "--trials", "50", "--seed", "2"],
+        capsys,
+    )
+    assert code == 0
+    assert json.loads(out)["trials"] == 50
+
+
+def _concrete_errors(cls=errors.KronjlError):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _concrete_errors(sub)
+
+
+def test_every_library_error_maps_to_an_exit_code(monkeypatch, capsys):
+    seen = []
+    for cls in _concrete_errors():
+        def fail(*args, cls=cls, **kwargs):
+            raise cls("boom")
+
+        monkeypatch.setattr(harness, "run_report", fail)
+        code, out, err = run_cli(
+            ["report", "--kind", "partition", "--d", "2"], capsys
+        )
+        kind = "budget" if issubclass(cls, errors.BudgetError) else "config"
+        assert code == (2 if kind == "budget" else 1), cls.__name__
+        assert out == ""
+        assert err.splitlines() == [f"{kind} error: boom"], cls.__name__
+        seen.append(cls.__name__)
+    assert sorted(seen) == ["BudgetError", "ConfigError", "ShapeError"]
+
+
 def test_report_takes_one_m(capsys):
     code, _, err = run_cli(
         ["report", "--kind", "rip", "--dims", "16", "--m", "8,16", "--s", "2"],
@@ -228,15 +282,24 @@ def test_gaussian_baseline_via_cli(capsys):
     assert len(out.splitlines()) == 2
 
 
-def test_timing_flag_fills_wall_ms(capsys):
-    code, out, _ = run_cli(
-        ["jl-sweep", "--dims", "4,4", "--m", "64", "--trials", "2000",
-         "--seed", "6", "--family", "dense", "--timing"],
-        capsys,
-    )
-    assert code == 0
-    wall = int(out.splitlines()[1].split(",")[-1])
-    assert wall >= 0  # value is real but not asserted further; may be 0 on a fast box
+def test_timing_flag_fills_wall_ms(monkeypatch, capsys):
+    # a clock that moves 0.5 s per reading: each cell reads it twice
+    clock = itertools.count(step=0.5)
+    monkeypatch.setattr(time, "perf_counter", lambda: next(clock))
+    for args in (
+        ["jl-sweep", "--dims", "4,4", "--m", "4,8", "--trials", "20",
+         "--seed", "6", "--family", "dense,kron"],
+        ["pointset", "--dims", "4", "--points", "3", "--m", "4",
+         "--eps", "0.25,0.5", "--trials", "20"],
+        ["lower-bound", "--bits", "3", "--r", "1", "--d", "1,2",
+         "--m", "4", "--trials", "20"],
+    ):
+        for flag, wall in (["--timing"], "500"), ([], "0"):
+            code, out, _ = run_cli(args + flag, capsys)
+            assert code == 0
+            rows = out.splitlines()[1:]
+            assert len(rows) >= 2
+            assert [r.split(",")[-1] for r in rows] == [wall] * len(rows)
 
 
 def test_shape_error_exits_one(capsys):

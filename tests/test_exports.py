@@ -1,9 +1,15 @@
-"""Every name a kronjl module exports through __all__ exists."""
+"""Every name a kronjl module exports through __all__ exists, and no
+module or test imports a name it never reads."""
 
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import kronjl
+
+TESTS = Path(__file__).resolve().parent
+SRC = Path(kronjl.__file__).resolve().parent
 
 
 def test_every_exported_name_exists():
@@ -14,3 +20,48 @@ def test_every_exported_name_exists():
             assert hasattr(module, name), f"kronjl.{info.name}.{name}"
             checked += 1
     assert checked > 0
+
+
+def _imported_names(tree):
+    """(name, line) for each name an import statement binds."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                yield name, node.lineno
+
+
+def _read_names(tree):
+    names = {n.id for n in ast.walk(tree)
+             if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    for node in ast.walk(tree):
+        # a name listed in __all__ is read by whoever imports it
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            names |= {ast.literal_eval(e) for e in node.value.elts}
+    return names
+
+
+def test_no_unused_imports():
+    paths = sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py"))
+    unused = []
+    for path in paths:
+        if path == SRC / "__init__.py":
+            continue  # the package's imports are its re-exports
+        tree = ast.parse(path.read_text(), filename=str(path))
+        read = _read_names(tree)
+        unused += [f"{path.parent.name}/{path.name}:{line}: {name}"
+                   for name, line in _imported_names(tree) if name not in read]
+    assert len(paths) > 20
+    assert unused == []
+
+
+def test_library_imports_at_module_level():
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        top = {id(n) for n in tree.body}
+        local = [n.lineno for n in ast.walk(tree)
+                 if isinstance(n, (ast.Import, ast.ImportFrom))
+                 and id(n) not in top]
+        assert local == [], f"{path.name}: imports inside a function at {local}"

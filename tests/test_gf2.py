@@ -1,7 +1,5 @@
 """F_2 subspace algebra: canonical bases, complements, indicator duality."""
 
-import math
-
 import numpy as np
 import pytest
 

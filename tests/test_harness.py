@@ -46,6 +46,17 @@ def test_merge_parses_lists_and_dims():
     merged = harness.merge_options({}, {"m": [8, 16], "eps": [1, 0.5]})
     assert merged["m"] == (8, 16)
     assert merged["eps"] == (1.0, 0.5)
+    # dims from either text form, a YAML list or a YAML number
+    for dims in ("4x8x2", "4,8,2", " 4, 8,2", [4, 8, 2], ["4", 8, 2]):
+        merged = harness.merge_options({"dims": dims}, {})
+        assert merged["dims"] == KronDims((4, 8, 2))
+    assert harness.merge_options({"dims": 16}, {})["dims"] == KronDims((16,))
+    # names: one reader for families and baselines alike
+    merged = harness.merge_options(
+        {"family": ["onehot", "kron"]}, {"baseline": "gaussian"}
+    )
+    assert merged["family"] == ("onehot", "kron")
+    assert merged["baseline"] == ("gaussian",)
 
 
 def test_merge_rejects_bad_values():
@@ -83,6 +94,19 @@ def test_merge_rejects_bad_values():
         harness.merge_options({"m": 4.7}, {})
     with pytest.raises(ConfigError, match="^m:"):
         harness.merge_options({"m": [4.7, 8]}, {})
+    # a dims item is read as any other integer is
+    for bad in ([4.5, 2], [True, 2], [4, None], "4x2.5", "4xx2", []):
+        with pytest.raises(ConfigError, match="^dims:"):
+            harness.merge_options({"dims": bad}, {})
+    with pytest.raises(ConfigError, match="^dims: values must be positive"):
+        harness.merge_options({}, {"dims": "0x4"})
+    with pytest.raises(ConfigError, match="^dims: axis lengths must be"):
+        harness.merge_options({}, {"dims": [4, 6]})
+    # names from YAML are checked as names from a flag are
+    for field, bad in (("family", ["kron", 3]), ("family", []),
+                       ("baseline", ["kfjlt", "lasers"]), ("baseline", True)):
+        with pytest.raises(ConfigError, match=f"^{field}:"):
+            harness.merge_options({field: bad}, {})
 
 
 def test_load_config(tmp_path):
@@ -194,16 +218,6 @@ def test_sweep_validation():
         harness.jl_failure_sweep((4,), (4,), (-0.5,), 100, 0)
     with pytest.raises(ConfigError):
         harness.jl_failure_sweep((4,), (4,), (0.5,), 0, 0)
-
-
-def test_orthonormal_stage_is_exact_isometry():
-    # the pre-sampling configuration: distortion 0 for every sign draw,
-    # hence zero failures at any positive eps
-    rng = np.random.default_rng(3)
-    x = rng.standard_normal(16)
-    x /= np.linalg.norm(x)
-    dist = harness.orthonormal_stage_distortion((4, 2, 2), x, trials=64, seed=9)
-    assert np.max(np.abs(dist)) <= 1e-12
 
 
 def test_gaussian_baseline_comparable_on_dense_family():

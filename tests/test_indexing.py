@@ -74,8 +74,6 @@ def test_krondims_validation():
         KronDims(())
     with pytest.raises(ShapeError):
         KronDims((2, 0))
-    assert KronDims.parse("4x8x2").dims == (4, 8, 2)
-    assert KronDims.parse("4,8,2").dims == (4, 8, 2)
     assert KronDims((4, 8, 2)).total == 64
     # any iterable of ints, another KronDims included, gives the same dims
     assert KronDims(KronDims((4, 8, 2))) == KronDims((4, 8, 2))

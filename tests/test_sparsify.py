@@ -6,7 +6,7 @@ import itertools
 import numpy as np
 import pytest
 
-from kronjl.errors import AxisConflictError, ShapeError
+from kronjl.errors import ShapeError
 from kronjl.sparsify import (
     SparsifySplit,
     check_fiber_sparsity,
@@ -218,9 +218,9 @@ def test_permutation_equivariance():
 def test_validation():
     with pytest.raises(ShapeError):
         split(np.ones((2, 2)), 0)
-    with pytest.raises(AxisConflictError):
+    with pytest.raises(ShapeError):
         select_K(np.ones((2, 2)), (3,), 1)
-    with pytest.raises(AxisConflictError):
+    with pytest.raises(ShapeError):
         select_K(np.ones((2, 2)), (1, 1), 1)
     with pytest.raises(ShapeError):
         check_max_sum_inequalities(np.ones((2, 3)), split(np.ones((2, 2)), 1))
