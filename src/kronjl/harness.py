@@ -648,7 +648,12 @@ def lower_bound_sweep(bits, r, d_values, m_values, trials, seed, nu=0.1,
                       timing=False):
     """Adversarial sweep: closed form, analytic lower bound, and the
     empirical frequency per (d, m); flags cells where the empirical
-    failure exceeds nu while m sits below the claimed threshold."""
+    failure exceeds nu while m sits below the claimed threshold.
+
+    Every (d, m) cell reuses the same streams: its subspaces come from
+    (seed, TAG_SUBSPACE, axis) and its rows from (seed, TAG_SAMPLES). So
+    the cells are correlated estimates, and a run of flagged cells is not
+    independent evidence."""
     if not 0.0 < nu < 1.0:
         raise ConfigError("nu: must be in (0, 1)")
     if r < 1 or r > bits:

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from kronjl import rip
 from kronjl.errors import BudgetError, ShapeError
 from kronjl.rip import check_submatrix_bound, rip_constant
 from kronjl.transforms import build_operator, materialize
@@ -20,6 +21,26 @@ def _brute_delta(phi, s):
         dev = np.linalg.norm(block.T @ block - np.eye(s), 2)
         best = max(best, dev)
     return best
+
+
+def _all_pairs_worst(phi, s):
+    # reference: every ordered pair in row-major order, chunked SVDs, the
+    # first pair attaining the largest norm
+    n = phi.shape[1]
+    supports = np.array(list(itertools.combinations(range(n), s)))
+    k = supports.shape[0]
+    hollow = phi.T @ phi - np.eye(n)
+    left = np.repeat(np.arange(k), k)
+    right = np.tile(np.arange(k), k)
+    worst, pair = -1.0, (0, 0)
+    for lo in range(0, left.size, 65536):
+        li, ri = left[lo : lo + 65536], right[lo : lo + 65536]
+        blocks = hollow[supports[li][:, :, None], supports[ri][:, None, :]]
+        norms = np.linalg.svd(blocks, compute_uv=False)[:, 0]
+        j = int(np.argmax(norms))
+        if norms[j] > worst:
+            worst, pair = float(norms[j]), (int(li[j]), int(ri[j]))
+    return worst, tuple(tuple(int(c) + 1 for c in supports[p]) for p in pair)
 
 
 def test_identity_matrix_has_zero_delta():
@@ -134,3 +155,70 @@ def test_sampled_fallback_when_over_budget():
     assert not rep.exhaustive
     assert rep.pairs_checked == 100
     assert rep.ok
+
+
+def _assert_pruned_equals_all_pairs(monkeypatch, phi, s):
+    # small chunks make the first chunk miss the worst pair, so the stop
+    # rule and the tie rule decide the answer
+    expected = _all_pairs_worst(phi, s)
+    for chunk in (3, 64, rip._PAIR_CHUNK):
+        monkeypatch.setattr(rip, "_PAIR_CHUNK", chunk)
+        rep = check_submatrix_bound(phi, s, delta=1.0)
+        assert (rep.worst_norm, rep.worst_pair) == expected, chunk
+        assert rep.exhaustive
+        assert rep.pairs_checked == math.comb(phi.shape[1], s) ** 2
+
+
+def test_pruned_bound_equals_all_pairs_on_hadamard_instances(monkeypatch):
+    # subsampled Hadamard blocks take few distinct values: many exact ties
+    for m in (4, 8, 12):
+        phi = materialize(build_operator((16,), m, seed=m))
+        for s in (1, 2, 3):
+            _assert_pruned_equals_all_pairs(monkeypatch, phi, s)
+
+
+def test_pruned_bound_equals_all_pairs_on_gaussian_instances(monkeypatch):
+    rng = np.random.default_rng(12)
+    for rows, cols, s in ((6, 10, 1), (8, 12, 2), (8, 12, 3), (12, 20, 2)):
+        phi = rng.standard_normal((rows, cols)) / math.sqrt(rows)
+        _assert_pruned_equals_all_pairs(monkeypatch, phi, s)
+
+
+def test_pruning_decomposes_few_blocks(monkeypatch):
+    decomposed = []
+    real_svd = np.linalg.svd
+
+    def counting_svd(a, *args, **kwargs):
+        decomposed.append(a.shape[0])
+        return real_svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    phi = materialize(build_operator((16,), 8, seed=0))
+    rep = check_submatrix_bound(phi, 3, delta=1.0)
+    assert rep.exhaustive and rep.pairs_checked == 313_600
+    assert 0 < sum(decomposed) < 31_360
+
+
+def test_support_array_matches_combinations():
+    for n, s in ((1, 1), (5, 2), (8, 3), (9, 9), (12, 5)):
+        expected = np.array(list(itertools.combinations(range(n), s)))
+        got = rip._support_array(n, s, budget=10_000)
+        assert got.dtype == np.intp
+        assert np.array_equal(got, expected)
+
+
+def test_oracles_reject_bad_input():
+    nan = np.full((4, 6), np.nan)
+    inf = np.eye(6)
+    inf[2, 3] = np.inf
+    # finite, but the Gram entries (1e400) or their squares (1e320) overflow
+    huge = [scale * np.eye(6) for scale in (1e200, 1e80)]
+    for phi, s in ((np.ones(6), 1), (np.ones((2, 3, 4)), 1), (nan, 1),
+                   (inf, 2), (huge[0], 2), (huge[1], 2), (np.eye(6), 0),
+                   (np.eye(6), 7)):
+        with pytest.raises(ShapeError):
+            rip_constant(phi, s)
+        with pytest.raises(ShapeError):
+            check_submatrix_bound(phi, s, delta=1.0)
+    with pytest.raises(ShapeError):
+        check_submatrix_bound(np.eye(6), 2, delta=np.nan)
