@@ -245,7 +245,7 @@ def _sign_rows(seed, copy, trials, dims):
     """Row-wise Kronecker signs from substream(seed, TAG_EXPERIMENT, copy):
     (trials, N) with axis 1 fastest, drawn by ascending axis."""
     rng = rand.substream(seed, rand.TAG_EXPERIMENT, copy)
-    return kron_materialize([rand.rademacher(rng, (trials, n)) for n in dims])
+    return kron_materialize(rand.rademacher_factors(rng, trials, dims))
 
 
 def _check_moment_args(mode, p_values):

@@ -9,9 +9,8 @@ It rests on the Sylvester identity
 H_{2^(a+b)} = H_{2^a} (x) H_{2^b}: it splits log2(n) into at most 6-bit
 digits and applies each digit as one matrix product with the +-1
 Sylvester matrix of that digit (order <= 64), so a length-n transform is
-a few BLAS products instead of log2(n) strided passes. The products sum
-integers exactly, so the unnormalized transform of integer-valued input
-is exact while its values stay below 2^53.
+a few BLAS products instead of log2(n) strided passes, then one
+1/sqrt(n) scale. Every call writes a new array; none works in place.
 """
 
 import functools
@@ -58,22 +57,22 @@ def _sylvester(r):
     return h
 
 
-def _wht_middle(src, dst, outer, n, inner, scale):
-    """Transform the middle axis of C-contiguous `src` viewed as
-    (outer, n, inner) into C-contiguous `dst` of the same size, then
-    multiply by `scale`.
-
-    `dst` may be `src` (in place). Each digit of n is one matmul, written
-    through `out=`; the products alternate between `dst` and at most one
-    scratch buffer.
-    """
+def _transformed(a, axis):
+    """`a` (float64) transformed along `axis` into a new C-contiguous array:
+    viewed as (outer, n, inner), each digit of n is one matmul through
+    `out=`, alternating between the output and at most one scratch buffer
+    so that the last lands in the output; then one 1/sqrt(n) scale."""
+    n = a.shape[axis]
+    axis = range(a.ndim)[axis]
+    cur = np.ascontiguousarray(a)
+    if n == 1:
+        return cur.copy()
+    out = np.empty_like(cur)
     digits = _digits(n)
-    # alternate so that the last product lands in dst; in place with an
-    # odd digit count the first product overlaps its input, and matmul
-    # copies that input before writing
-    spare = np.empty_like(dst) if len(digits) > 1 else None
-    targets = (dst, spare) if len(digits) % 2 else (spare, dst)
-    cur, pre, post = src, outer, n
+    spare = np.empty_like(out) if len(digits) > 1 else None
+    targets = (out, spare) if len(digits) % 2 else (spare, out)
+    pre, post = math.prod(a.shape[:axis]), n
+    inner = math.prod(a.shape[axis + 1:])
     for i, r in enumerate(digits):
         post //= r
         tgt = targets[i % 2]
@@ -85,28 +84,7 @@ def _wht_middle(src, dst, outer, n, inner, scale):
             shape = (pre, r, post * inner)
             np.matmul(h, cur.reshape(shape), out=tgt.reshape(shape))
         cur, pre = tgt, pre * r
-    if cur is not dst:  # n == 1: no products
-        np.multiply(cur, scale, out=dst)
-    elif scale != 1.0:
-        dst *= scale
-
-
-def _fwht2_numpy(block, normalize=True):
-    """Transform each row of a C-contiguous float64 (rows, n) block in
-    place; normalize=False skips the 1/sqrt(n) scale."""
-    n = block.shape[1]
-    scale = 1.0 / math.sqrt(n) if normalize else 1.0
-    _wht_middle(block, block, block.shape[0], n, 1, scale)
-
-
-def _transformed(a, axis):
-    """`a` (float64) transformed along `axis` into a new array."""
-    n = a.shape[axis]
-    axis = range(a.ndim)[axis]
-    src = np.ascontiguousarray(a)
-    out = np.empty_like(src)
-    _wht_middle(src, out, math.prod(a.shape[:axis]), n,
-                math.prod(a.shape[axis + 1:]), 1.0 / math.sqrt(n))
+    out *= 1.0 / math.sqrt(n)
     return out
 
 

@@ -33,7 +33,7 @@ from .chaos import (
     estimate_chaos_moments,
 )
 from .errors import BudgetError, ConfigError
-from .fwht import _fwht2_numpy, fwht, hadamard_matrix
+from .fwht import fwht, hadamard_matrix
 from .gf2 import enumerate_subspaces, indicator, orthogonal_complement
 from .indexing import KronDims, _group_positions
 from .rip import rip_constant
@@ -42,6 +42,7 @@ from .transforms import (
     apply_dense,
     build_operator,
     hadamard_rows,
+    kron_combinations,
     kron_materialize,
     kron_sign_patterns,
     materialize,
@@ -246,7 +247,7 @@ def _sampled_trials(dims, pts, m, trials, rng):
     """
     n = dims.total
     points = pts.shape[0]
-    signs = [rand.rademacher(rng, (trials, nl)) for nl in dims]
+    signs = rand.rademacher_factors(rng, trials, dims)
     rows0 = rng.integers(0, n, size=(trials, m))
     chunk = max(1, APPLY_CHUNK // points)
     for lo in range(0, trials, chunk):
@@ -525,6 +526,17 @@ def required_embedding_rows(dims, n_points, eps, target, trials, seed,
     return _scan_interpolate(eval_eta, target, trials, cap)
 
 
+def _family_energies(dims):
+    """Exact (H x)^2 for each unit member x of the flat Kronecker sign
+    family, one per row in kron_sign_patterns order: (2^{sum n_l}, N)."""
+    tables = []
+    for n in dims:
+        sylvester = np.rint(hadamard_matrix(n) * math.sqrt(n))
+        w = kron_sign_patterns((n,)) @ sylvester  # integer-valued, exact
+        tables.append((w / n) ** 2)
+    return kron_combinations(tables)
+
+
 def adversarial_joint_norm_failure(r_dims, m, eps, trials, seed,
                                    _cell=0):
     """Joint norm-preservation failure over the sign-modulated flat
@@ -538,19 +550,20 @@ def adversarial_joint_norm_failure(r_dims, m, eps, trials, seed,
     distribution of the family's norm profile is invariant to the sign
     draw, so only the sample rows are random here.
 
-    Energies are dyadic rationals (integer transform value squared over
-    N^2) and are computed exactly, because some members sit exactly on
-    the |distortion| = eps boundary and the strict inequality must not
-    depend on rounding.
+    Energies are exact, because some members sit exactly on the
+    |distortion| = eps boundary and the strict inequality must not depend
+    on rounding. A member's energy is the product over axes of
+    (W_l / n_l)^2, W_l being its axis pattern times the +-1 Sylvester
+    matrix: an integer of size at most n_l, summed exactly. So each factor
+    is dyadic with at most 2 log2 n_l significant bits and the product has
+    at most 2 log2 N <= 53 bits for any family small enough to enumerate.
     """
     r_dims = tuple(int(r) for r in r_dims)
     if any(r < 1 for r in r_dims):
         raise ConfigError("r_dims: per-axis exponents must be >= 1")
     dims = KronDims(tuple(1 << r for r in r_dims))
     n = dims.total
-    wht = kron_sign_patterns(dims)
-    _fwht2_numpy(wht, normalize=False)  # integer-valued, hence exact
-    energy = (wht / n) ** 2
+    energy = _family_energies(dims)
     rng = rand.substream(
         seed, rand.TAG_SAMPLES, len(r_dims), sum(r_dims), int(_cell)
     )
@@ -828,7 +841,7 @@ def _selftest_roundtrip():
     for _ in range(25):
         x = rng.standard_normal(dims.total)
         if np.max(np.abs(apply_dense(op, x) - phi @ x)) > 1e-10:
-            return False, "factored/dense mismatch"
+            return False, "dense/materialized mismatch"
     return True, "25 dense/materialized agreements"
 
 

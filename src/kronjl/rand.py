@@ -6,10 +6,9 @@ documented stream layout. Paths are distinct within one library call, so
 its draws are reproducible bit-for-bit regardless of evaluation order or
 chunking. Separate calls under one seed may share a path:
 (seed, TAG_EXPERIMENT, family, m_idx, eps_idx) by a jl-sweep cell and the
-pointset cell of the same family, m and eps; (seed, TAG_EXPERIMENT) by
-check_submatrix_bound and the adversarial sign witnesses; (seed,
-TAG_SAMPLES) by build_operator and failure_probability_empirical, which
-every cell of a lower-bound sweep calls with the same seed.
+pointset cell of the same family, m and eps; (seed, TAG_SAMPLES) by
+build_operator and failure_probability_empirical, which every cell of a
+lower-bound sweep calls with the same seed.
 """
 
 import numpy as np
@@ -38,3 +37,9 @@ def substream(seed, *path):
 def rademacher(rng, shape):
     """Draw +-1 entries, each sign independent and equiprobable."""
     return rng.integers(0, 2, size=shape).astype(np.float64) * 2.0 - 1.0
+
+
+def rademacher_factors(rng, count, dims):
+    """Per-axis factors of `count` Kronecker sign vectors over `dims`,
+    drawn by ascending axis: one (count, n_l) array per axis."""
+    return [rademacher(rng, (count, n)) for n in dims]

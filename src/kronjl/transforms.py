@@ -39,6 +39,7 @@ __all__ = [
     "apply_dense_mat",
     "apply_factored",
     "hadamard_rows",
+    "kron_combinations",
     "kron_materialize",
     "kron_sign_patterns",
     "materialize",
@@ -158,22 +159,27 @@ def kron_materialize(factors):
     return out
 
 
+def kron_combinations(tables):
+    """kron_materialize of every combination of one row per (rows_l, n_l)
+    table: (prod rows_l, N), the first table's row varying slowest."""
+    d = len(tables)
+    # table l's rows on leading axis l, so the product broadcasts over
+    # every combination
+    shaped = [t.reshape((1,) * l + (-1,) + (1,) * (d - 1 - l) + t.shape[1:])
+              for l, t in enumerate(tables)]
+    n = math.prod(t.shape[1] for t in tables)
+    return kron_materialize(shaped).reshape(-1, n)
+
+
 def kron_sign_patterns(dims):
     """Every Kronecker sign vector over the axes, one per row:
     (2^{sum n_l}, N). The first axis's pattern varies slowest down the
     rows; within a pattern k of axis l, entry j is +1 where bit j of k
     is set."""
-    dims = tuple(dims)
-    tables = []
-    for l, n in enumerate(dims):
-        k = np.arange(1 << n)
-        table = ((k[:, None] >> np.arange(n)) & 1) * 2.0 - 1.0
-        # axis l's 2^n patterns on leading axis l, so the product
-        # enumerates every combination
-        shape = [1] * len(dims) + [n]
-        shape[l] = 1 << n
-        tables.append(table.reshape(shape))
-    return kron_materialize(tables).reshape(-1, math.prod(dims))
+    return kron_combinations([
+        ((np.arange(1 << n)[:, None] >> np.arange(n)) & 1) * 2.0 - 1.0
+        for n in dims
+    ])
 
 
 def apply_dense(op, x):

@@ -1,15 +1,24 @@
 """Adversarial lower-bound experiment: closed forms and Monte Carlo."""
 
 import math
+import tracemalloc
 
+import numpy as np
 import pytest
 
+from kronjl import rand
 from kronjl.adversarial import (
+    MAX_AXIS_LENGTH,
+    ZERO_TOL,
+    _sampled_entries,
     embedding_dim_threshold,
     failure_probability_empirical,
     failure_probability_exact,
 )
-from kronjl.errors import ShapeError
+from kronjl.errors import BudgetError, ShapeError
+from kronjl.fwht import fwht
+from kronjl.gf2 import indicator, random_subspace
+from kronjl.transforms import kron_materialize
 
 
 def test_exact_frozen_values():
@@ -52,8 +61,6 @@ def test_empirical_matches_closed_form():
     exact = failure_probability_exact(s=4, d=2, m=16).prob
     sigma = math.sqrt(exact * (1 - exact) / 4000)
     assert abs(out.estimate - exact) <= 3 * sigma
-    assert out.sign_witnesses == 8
-    assert out.zero_witnesses > 0
 
 
 def test_empirical_full_rank_subspace():
@@ -88,3 +95,55 @@ def test_empirical_validation():
         failure_probability_empirical((), 1, 4, 100, seed=0)
     with pytest.raises(ShapeError):
         failure_probability_empirical((2,), 1, 4, 0, seed=0)
+
+
+def test_empirical_rejects_long_axis_before_allocating():
+    bits = MAX_AXIS_LENGTH.bit_length()  # one bit past the limit
+    with pytest.raises(BudgetError, match=f"bits={bits}.*{1 << bits}"):
+        failure_probability_empirical((2, bits), 1, 4, 10, seed=0)
+    with pytest.raises(ShapeError, match="2\\^63"):
+        failure_probability_empirical((21, 21, 21), 1, 4, 10, seed=0)
+
+
+# d = 3, odd r, r = bits and uneven axes
+SHAPES = [((3, 3, 3), 3), ((2, 3, 4), 1), ((5,), 5), ((4, 5), 3), ((6, 6), 2)]
+
+
+def _length_n_reference(bit_dims, r, m, trials, seed):
+    """Per-axis transforms, the length-N transform they form and the
+    sampled rows, drawn from the estimate's streams."""
+    y_factors = [
+        fwht(indicator(random_subspace(n, r, rand.substream(
+            seed, rand.TAG_SUBSPACE, j))))
+        for j, n in enumerate(bit_dims, start=1)
+    ]
+    y = kron_materialize(y_factors)
+    rows0 = rand.substream(seed, rand.TAG_SAMPLES).integers(
+        0, y.size, size=(trials, m))
+    return y_factors, y, rows0
+
+
+@pytest.mark.parametrize("bit_dims,r", SHAPES)
+def test_sampled_entries_match_length_n_gather(bit_dims, r):
+    y_factors, y, rows0 = _length_n_reference(bit_dims, r, 7, 300, seed=2)
+    assert np.array_equal(_sampled_entries(y_factors, rows0), y[rows0])
+
+
+@pytest.mark.parametrize("bit_dims,r", SHAPES)
+def test_empirical_failures_match_length_n_gather(bit_dims, r):
+    # 3000 trials of 7 rows span two gather blocks
+    _, y, rows0 = _length_n_reference(bit_dims, r, 7, 3000, seed=3)
+    want = int(np.all(np.abs(y[rows0]) <= ZERO_TOL, axis=1).sum())
+    out = failure_probability_empirical(bit_dims, r, 7, 3000, seed=3)
+    assert out.failures == want
+
+
+def test_empirical_memory_stays_per_axis():
+    # N = 2^24; a length-N transform alone would be 128 MiB
+    tracemalloc.start()
+    try:
+        failure_probability_empirical((12, 12), 2, 4, 10, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20

@@ -257,6 +257,17 @@ def test_lower_bound_command(capsys):
     assert len(lines) == 5
 
 
+def test_lower_bound_axis_over_budget_exits_two(capsys):
+    code, out, err = run_cli(
+        ["lower-bound", "--bits", "30", "--r", "1", "--d", "1", "--m", "4",
+         "--trials", "10"],
+        capsys,
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("budget error: bits=30: ")
+    assert "2^30 = 1073741824" in err and "Traceback" not in err
+
+
 def test_lower_bound_bad_r(capsys):
     code, _, err = run_cli(
         ["lower-bound", "--bits", "3", "--r", "9", "--d", "1", "--m", "4",

@@ -6,11 +6,12 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from kronjl import harness
 from kronjl.adversarial import failure_probability_exact
 from kronjl.errors import BudgetError, ConfigError
-from kronjl.fwht import _fwht2_numpy, hadamard_matrix
+from kronjl.fwht import hadamard_matrix
 from kronjl.indexing import KronDims
 from kronjl.transforms import kron_sign_patterns
 
@@ -335,9 +336,21 @@ def test_unnormalized_transform_of_sign_rows_is_exact():
     rows = kron_sign_patterns(KronDims((2, 4)))
     n = rows.shape[1]
     want = np.round(hadamard_matrix(n) * np.sqrt(n)) @ rows.T
-    got = rows.copy()
-    _fwht2_numpy(got, normalize=False)
+    got = rows @ scipy.linalg.hadamard(n)
     assert np.array_equal(got, want.T)
+
+
+@pytest.mark.parametrize("r_dims", [
+    (1,), (2,), (3,), (1, 1), (1, 2), (2, 2),  # criterion 06's grids
+    (1, 3), (1, 1, 1), (2, 1, 1),
+])
+def test_family_energies_match_length_n_transform(r_dims):
+    # reference: the exact unnormalized length-N transform of every
+    # member, squared over N^2
+    dims = KronDims(tuple(1 << r for r in r_dims))
+    n = dims.total
+    wht = kron_sign_patterns(dims) @ scipy.linalg.hadamard(n)
+    assert np.array_equal(harness._family_energies(dims), (wht / n) ** 2)
 
 
 def test_adversarial_failure_matches_binomial_closed_form():
