@@ -29,6 +29,7 @@ from . import rand
 from .errors import BudgetError, ShapeError
 from .fwht import fwht
 from .gf2 import indicator, random_subspace
+from .transforms import sampled_entries
 
 __all__ = [
     "ExactFailure",
@@ -40,7 +41,7 @@ __all__ = [
 
 ZERO_TOL = 1e-12
 # longest axis (2^bits entries) an empirical estimate may build: its
-# indicator, transform and member list then stay near 1 GiB
+# indicator, transform and member list then stay near 420 MiB
 MAX_AXIS_LENGTH = 1 << 24
 _GATHER_BLOCK = 1 << 14
 
@@ -86,18 +87,6 @@ def embedding_dim_threshold(nu, p, d):
     return 0.5 * math.log(1.0 / nu) * (math.log(p) / (d * math.log(2.0))) ** d
 
 
-def _sampled_entries(factors, rows0):
-    """kron_materialize(factors)[rows0], bit for bit, without forming it:
-    with power-of-two lengths, a position's F-order coordinates are its
-    bit fields, and the entries multiply in kron_materialize's order."""
-    out, shift = None, 0
-    for f in factors:
-        entry = f[(rows0 >> shift) & (f.size - 1)]
-        out = entry if out is None else entry * out
-        shift += f.size.bit_length() - 1
-    return out
-
-
 def failure_probability_empirical(bit_dims, r, m, trials, seed):
     """Monte Carlo estimate of the miss probability.
 
@@ -105,7 +94,9 @@ def failure_probability_empirical(bit_dims, r, m, trials, seed):
     per-trial row samples from substream(seed, TAG_SAMPLES); a trial fails
     when every sampled entry of the transformed input is zero (|entry| <=
     1e-12). Entries are gathered per axis, O(m d) per trial; an axis longer
-    than MAX_AXIS_LENGTH raises BudgetError before any allocation.
+    than MAX_AXIS_LENGTH raises BudgetError before any allocation. Rows are
+    drawn one gather block at a time, which reads the stream exactly as
+    one (trials, m) draw would, so memory does not grow with `trials`.
     """
     bit_dims = tuple(int(n) for n in bit_dims)
     if not bit_dims or any(n < 1 for n in bit_dims):
@@ -128,11 +119,13 @@ def failure_probability_empirical(bit_dims, r, m, trials, seed):
     y_factors = [fwht(indicator(v)) for v in spaces]
 
     rng = rand.substream(seed, rand.TAG_SAMPLES)
-    rows0 = rng.integers(0, 1 << sum(bit_dims), size=(trials, m))
     failures = 0
     step = max(1, _GATHER_BLOCK // max(m, 1))  # cache-sized gathers
     for lo in range(0, trials, step):
-        gathered = _sampled_entries(y_factors, rows0[lo : lo + step])
+        rows0 = rng.integers(
+            0, 1 << sum(bit_dims), size=(min(step, trials - lo), m)
+        )
+        gathered = sampled_entries(y_factors, rows0)
         missed = np.all(np.abs(gathered) <= ZERO_TOL, axis=1)
         failures += int(np.count_nonzero(missed))
     est = failures / trials

@@ -79,10 +79,11 @@ class Gf2Subspace:
         return len(self.basis)
 
     def members(self):
-        """All 2^dim member words."""
-        span = [0]
-        for b in self.basis:
-            span += [w ^ b for w in span]
+        """All 2^dim member words as an int64 array: the span doubles
+        with each basis row b, the new half being the old one XOR b."""
+        span = np.zeros(1 << self.dim, dtype=np.int64)
+        for k, b in enumerate(self.basis):
+            np.bitwise_xor(span[: 1 << k], b, out=span[1 << k : 2 << k])
         return span
 
     def contains(self, word):
@@ -161,5 +162,5 @@ def indicator(v):
     """Normalized indicator vector of V, length 2^n with entries
     1/sqrt(|V|) on member positions (word w sits at position w+1)."""
     out = np.zeros(1 << v.n)
-    out[np.array(v.members(), dtype=np.int64)] = 1.0 / math.sqrt(2**v.dim)
+    out[v.members()] = 1.0 / math.sqrt(2**v.dim)
     return out

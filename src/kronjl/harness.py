@@ -10,6 +10,13 @@ writer from its header's column names (`_to_csv`). The Gaussian baseline
 cannot afford whole-cell draws at large trial counts; it consumes its
 stream in fixed-size blocks of GAUSSIAN_CHUNK trials instead, which keeps
 the draw order independent of how the arithmetic is batched.
+
+Test points are kept as factors (`_family_factors`). The rank-one families
+(kron, onehot) run from their per-axis factors: each axis is transformed on
+its own and the sampled entries are products of per-axis entries, so their
+cells allocate nothing of length N, and a pointset's base Gram matrix is
+the product of per-axis Gram matrices. Only dense points run the length-N
+transform.
 """
 
 import itertools
@@ -46,6 +53,7 @@ from .transforms import (
     kron_materialize,
     kron_sign_patterns,
     materialize,
+    sampled_entries,
 )
 
 __all__ = [
@@ -212,27 +220,32 @@ def merge_options(config, flags):
 # ------------------------------------------------------------- test vectors
 
 
-def _family_vectors(family, dims, seed, count=1):
-    """Unit test vectors of the named family, drawn from the vector
-    substream keyed by the family's canonical position."""
+def _family_factors(family, dims, seed, count=1):
+    """`count` unit test points of the named family, drawn from the vector
+    substream keyed by the family's canonical position, as factors whose
+    kron_materialize is the (count, N) matrix of points.
+
+    The rank-one families give one (count, n_l) factor per axis: kron
+    normalizes a Gaussian factor per axis, and a one-hot vector is the
+    product of one-hot factors at the F-order coordinates of its index.
+    dense gives one (count, N) factor.
+    """
     fam_idx = FAMILIES.index(family)
     rng = rand.substream(seed, rand.TAG_VECTOR, fam_idx)
-    n = dims.total
-    out = np.empty((count, n))
+    lengths = (dims.total,) if family == "dense" else dims.dims
+    factors = [np.zeros((count, n)) for n in lengths]
     for i in range(count):
-        if family == "kron":
-            factors = []
-            for nl in dims:
-                f = rng.standard_normal(nl)
-                factors.append(f / np.linalg.norm(f))
-            out[i] = kron_materialize(factors)
-        elif family == "dense":
-            v = rng.standard_normal(n)
-            out[i] = v / np.linalg.norm(v)
+        if family == "onehot":
+            at = np.unravel_index(
+                int(rng.integers(0, dims.total)), dims.dims, order="F"
+            )
+            for f, c in zip(factors, at):
+                f[i, c] = 1.0
         else:
-            out[i] = 0.0
-            out[i, int(rng.integers(0, n))] = 1.0
-    return out
+            for f in factors:
+                v = rng.standard_normal(f.shape[1])
+                f[i] = v / np.linalg.norm(v)
+    return factors
 
 
 # ---------------------------------------------------------- trials and rows
@@ -241,21 +254,32 @@ def _family_vectors(family, dims, seed, count=1):
 def _sampled_trials(dims, pts, m, trials, rng):
     """Sampled, unscaled coordinates of fresh embeddings of the points.
 
-    Draws every trial up front: per-axis signs by ascending axis, then the
-    sample rows. Then yields, for chunks of trials in order, the m sampled
-    entries of H D_xi p for each row p of `pts`: (chunk, points, m).
+    `pts` holds the points' factors (_family_factors). Draws every trial
+    up front: per-axis signs by ascending axis, then the sample rows. Then
+    yields, for chunks of trials in order, the m sampled entries of
+    H D_xi p for each point p: (chunk, points, m).
+
+    A rank-one point never becomes a length-N vector: H D_xi (x_1 (x) ...
+    (x) x_d) is the Kronecker product of the H_l (xi_l * x_l), so each
+    axis is transformed on its own and the entries are gathered at the
+    bit fields of the rows (sampled_entries). Dense points, one length-N
+    factor, meet the Kronecker product of the signs and run the length-N
+    transform.
     """
-    n = dims.total
-    points = pts.shape[0]
+    points = pts[0].shape[0]
     signs = rand.rademacher_factors(rng, trials, dims)
-    rows0 = rng.integers(0, n, size=(trials, m))
+    rows0 = rng.integers(0, dims.total, size=(trials, m))
     chunk = max(1, APPLY_CHUNK // points)
     for lo in range(0, trials, chunk):
         hi = min(lo + chunk, trials)
-        srows = kron_materialize([f[lo:hi] for f in signs])
-        z = srows[:, None, :] * pts[None, :, :]
-        w = hadamard_rows(z.reshape(-1, n)).reshape(hi - lo, points, n)
-        yield np.take_along_axis(w, rows0[lo:hi, None, :], axis=2)
+        xi = [f[lo:hi] for f in signs]
+        if len(pts) == 1:  # one length-N factor: dense, or a single axis
+            xi = [kron_materialize(xi)]
+        ys = []
+        for s, f in zip(xi, pts):
+            z = s[:, None, :] * f[None, :, :]
+            ys.append(hadamard_rows(z.reshape(-1, z.shape[2])).reshape(z.shape))
+        yield sampled_entries(ys, rows0[lo:hi, None, :])
 
 
 def _csv_cell(value):
@@ -311,10 +335,10 @@ class SweepRecord(_DimsColumns):
 
 
 def _kfjlt_cell_failures(dims, x, m, eps, trials, rng):
-    """One sweep cell: fresh (signs, rows) per trial, fixed x."""
+    """One sweep cell: fresh (signs, rows) per trial, fixed x (factors)."""
     scale2 = dims.total / m
     failures = 0
-    for g in _sampled_trials(dims, x[None, :], m, trials, rng):
+    for g in _sampled_trials(dims, x, m, trials, rng):
         dist = scale2 * np.sum(g * g, axis=2) - 1.0
         failures += int(np.count_nonzero(np.abs(dist) > eps))
     return failures
@@ -354,7 +378,7 @@ def jl_failure_sweep(dims, m_values, eps_values, trials, seed,
     records = []
     for family in families:
         fam_idx = FAMILIES.index(family)
-        x = _family_vectors(family, dims, seed)[0]
+        x = _family_factors(family, dims, seed)
         for m_idx, m in enumerate(m_values):
             for e_idx, eps in enumerate(eps_values):
                 rng = rand.substream(
@@ -366,7 +390,9 @@ def jl_failure_sweep(dims, m_values, eps_values, trials, seed,
                         dims, x, m, eps, trials, rng
                     )
                 else:
-                    failures = _gaussian_cell_failures(x, m, eps, trials, rng)
+                    failures = _gaussian_cell_failures(
+                        kron_materialize(x)[0], m, eps, trials, rng
+                    )
                 wall = int(round((time.perf_counter() - t0) * 1000))
                 records.append(
                     SweepRecord(
@@ -438,10 +464,11 @@ def pointset_preservation(dims, n_points, m, eps, trials, seed,
     if family not in FAMILIES:
         raise ConfigError(f"family: unknown {family!r}")
     fam_idx = FAMILIES.index(family)
-    pts = _family_vectors(family, dims, seed, count=n_points)
+    pts = _family_factors(family, dims, seed, count=n_points)
 
     iu = np.triu_indices(n_points, k=1)
-    gram0 = pts @ pts.T
+    # the Gram matrix of Kronecker products is the product of the factors'
+    gram0 = math.prod(f @ f.T for f in pts)
     sq = np.diag(gram0)
     d0 = sq[:, None] + sq[None, :] - 2.0 * gram0
     pair_d0 = d0[iu]
@@ -674,7 +701,9 @@ def lower_bound_sweep(bits, r, d_values, m_values, trials, seed, nu=0.1,
     s = 1 << r
     records = []
     for d in d_values:
-        threshold = embedding_dim_threshold(nu, 2.0 ** (d * s), d)
+        # the family's 2^{d s} points as an exact integer; a float
+        # overflows at s >= 1024
+        threshold = embedding_dim_threshold(nu, 1 << (d * s), d)
         for m in m_values:
             exact = failure_probability_exact(s, d, m)
             t0 = time.perf_counter()
@@ -743,7 +772,7 @@ def run_report(kind, seed, dims=None, m=None, s=None, trials=2000,
         dims = _parse_dims("dims", dims)
         if phi is None:
             phi = materialize(build_operator(dims, m=m, seed=seed))
-        x = _family_vectors("kron", dims, seed)[0]
+        x = kron_materialize(_family_factors("kron", dims, seed))[0]
         co = ChaosCoefficients.distortion(dims, phi, x)
         profile = estimate_chaos_moments(
             co, "coupled", (2.0, 4.0), trials=trials, seed=seed

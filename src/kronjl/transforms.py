@@ -12,9 +12,14 @@ the first axis varies fastest, so a rank-one array with factors
 (x_1, ..., x_d) vectorizes to the Kronecker product with x_1 innermost.
 
 The Kronecker structure lies only in D: for power-of-two axes,
-H_{n_d} (x) ... (x) H_{n_1} = H_N, so the batched paths run one length-N
-transform per row (hadamard_rows), while apply_dense, their reference,
-composes the per-axis transforms.
+H_{n_d} (x) ... (x) H_{n_1} = H_N, so the batched dense path runs one
+length-N transform per row (hadamard_rows), while apply_dense, its
+reference, composes the per-axis transforms. A rank-one input never needs
+the length-N transform: H D (x_1 (x) ... (x) x_d) is the Kronecker product
+of the H_l (xi_l * x_l), and a sampled entry is a product of one entry per
+axis, found at the bit fields of its row (sampled_entries). apply_factored
+and the harness's kron and onehot trials take that path; only dense
+inputs run the length-N transform.
 
 Randomness: signs for axis l come from substream(seed, TAG_SIGNS, l); the
 row sample from substream(seed, TAG_SAMPLES).
@@ -43,6 +48,7 @@ __all__ = [
     "kron_materialize",
     "kron_sign_patterns",
     "materialize",
+    "sampled_entries",
 ]
 
 
@@ -159,6 +165,28 @@ def kron_materialize(factors):
     return out
 
 
+def sampled_entries(factors, rows0):
+    """kron_materialize(factors) at the 0-based positions rows0, bit for
+    bit, without forming it.
+
+    Factor l has shape (..., n_l), n_l a power of two, and rows0 shape
+    (..., m). A 1-D factor serves every row; otherwise factor and rows
+    have as many axes, and the leading ones broadcast as in
+    np.take_along_axis. A position's F-order coordinate on axis l is a bit
+    field of it, and the entries multiply in kron_materialize's order.
+    """
+    rows0 = np.asarray(rows0)
+    out, shift = None, 0
+    for f in factors:
+        f = np.asarray(f, dtype=np.float64)
+        n = f.shape[-1]
+        at = (rows0 >> shift) & (n - 1)
+        entry = f[at] if f.ndim == 1 else np.take_along_axis(f, at, axis=-1)
+        out = entry if out is None else entry * out
+        shift += n.bit_length() - 1
+    return out
+
+
 def kron_combinations(tables):
     """kron_materialize of every combination of one row per (rows_l, n_l)
     table: (prod rows_l, N), the first table's row varying slowest."""
@@ -239,12 +267,7 @@ def apply_factored(op, factors):
         if f.shape != (n,):
             raise ShapeError(f"factor shape {f.shape} != ({n},)")
         transformed.append(fwht(f * s))
-    flat0 = op.samples.rows - 1
-    coords0 = np.unravel_index(flat0, op.dims.dims, order="F")
-    out = np.full(op.m, op.scale)
-    for y, c in zip(transformed, coords0):
-        out *= y[c]
-    return out
+    return op.scale * sampled_entries(transformed, op.samples.rows - 1)
 
 
 def materialize(op):

@@ -10,7 +10,6 @@ from kronjl import rand
 from kronjl.adversarial import (
     MAX_AXIS_LENGTH,
     ZERO_TOL,
-    _sampled_entries,
     embedding_dim_threshold,
     failure_probability_empirical,
     failure_probability_exact,
@@ -18,7 +17,7 @@ from kronjl.adversarial import (
 from kronjl.errors import BudgetError, ShapeError
 from kronjl.fwht import fwht
 from kronjl.gf2 import indicator, random_subspace
-from kronjl.transforms import kron_materialize
+from kronjl.transforms import kron_materialize, sampled_entries
 
 
 def test_exact_frozen_values():
@@ -126,7 +125,18 @@ def _length_n_reference(bit_dims, r, m, trials, seed):
 @pytest.mark.parametrize("bit_dims,r", SHAPES)
 def test_sampled_entries_match_length_n_gather(bit_dims, r):
     y_factors, y, rows0 = _length_n_reference(bit_dims, r, 7, 300, seed=2)
-    assert np.array_equal(_sampled_entries(y_factors, rows0), y[rows0])
+    assert np.array_equal(sampled_entries(y_factors, rows0), y[rows0])
+    # batched: a (5, 3, n_l) stack of factors per axis against (5, 1, 7)
+    # rows, broadcast as np.take_along_axis broadcasts
+    rng = np.random.default_rng(4)
+    stacks = [rng.standard_normal((5, 3, f.size)) for f in y_factors]
+    rows = rows0[:5, None, :]
+    got = sampled_entries(stacks, rows)
+    assert got.shape == (5, 3, 7)
+    for i in range(5):
+        for j in range(3):
+            y_ij = kron_materialize([f[i, j] for f in stacks])
+            assert np.array_equal(got[i, j], y_ij[rows0[i]])
 
 
 @pytest.mark.parametrize("bit_dims,r", SHAPES)
@@ -138,11 +148,33 @@ def test_empirical_failures_match_length_n_gather(bit_dims, r):
     assert out.failures == want
 
 
+@pytest.mark.parametrize("k", [4, 20, 33, 62])
+def test_block_draws_reproduce_one_draw(k):
+    # the estimate draws its rows one gather block at a time; that reads
+    # the stream as one (trials, m) draw does, whatever the block sizes
+    whole = rand.substream(6, rand.TAG_SAMPLES).integers(
+        0, 2**k, size=(101, 7))
+    rng = rand.substream(6, rand.TAG_SAMPLES)
+    blocks = [rng.integers(0, 2**k, size=(b, 7)) for b in (1, 33, 3, 57, 7)]
+    assert np.array_equal(np.concatenate(blocks), whole)
+
+
 def test_empirical_memory_stays_per_axis():
     # N = 2^24; a length-N transform alone would be 128 MiB
     tracemalloc.start()
     try:
         failure_probability_empirical((12, 12), 2, 4, 10, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+
+
+def test_empirical_memory_does_not_grow_with_trials():
+    # 300,000 trials of 32 rows would be 73 MiB of rows drawn at once
+    tracemalloc.start()
+    try:
+        failure_probability_empirical((4, 4), 2, 32, 300_000, seed=1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

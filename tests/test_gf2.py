@@ -63,6 +63,18 @@ def test_members_closed_under_xor():
         assert v.contains(w) == (w in mem)
 
 
+def test_members_match_list_span():
+    # the XOR doubling of the span, built as a list of ints
+    for n in range(1, 5):
+        for v in enumerate_subspaces(n):
+            span = [0]
+            for b in v.basis:
+                span += [w ^ b for w in span]
+            got = v.members()
+            assert got.dtype == np.int64
+            assert got.tolist() == span
+
+
 def test_complement_dimension_and_orthogonality():
     for n in range(1, 6):
         for v in enumerate_subspaces(n):
@@ -94,7 +106,7 @@ def test_indicator_duality_exhaustive_small():
 
 def test_zero_and_full_subspaces():
     z = Gf2Subspace(3, ())
-    assert z.dim == 0 and z.members() == [0]
+    assert z.dim == 0 and z.members().tolist() == [0]
     assert np.array_equal(indicator(z), np.eye(8)[0] * 1.0)
     full = orthogonal_complement(z)
     assert full.dim == 3

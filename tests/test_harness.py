@@ -3,6 +3,7 @@ pointset union bound, lower-bound sweep consistency, JSON reports."""
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,7 +14,8 @@ from kronjl.adversarial import failure_probability_exact
 from kronjl.errors import BudgetError, ConfigError
 from kronjl.fwht import hadamard_matrix
 from kronjl.indexing import KronDims
-from kronjl.transforms import kron_sign_patterns
+from kronjl import rand
+from kronjl.transforms import hadamard_rows, kron_materialize, kron_sign_patterns
 
 
 # ------------------------------------------------------------------ options
@@ -200,12 +202,62 @@ def test_sweep_onehot_never_fails():
 def test_sweep_chunking_does_not_change_counts(monkeypatch):
     args = dict(
         dims=(2, 4), m_values=(4,), eps_values=(0.5,), trials=333, seed=13,
-        families=("kron",),
+        families=("kron", "onehot"),
     )
+    ps_args = dict(dims=(4, 2), n_points=5, m=8, eps=0.5, trials=301, seed=3)
     base = harness.jl_failure_sweep(**args)
+    base_ps = harness.pointset_preservation(**ps_args)
     monkeypatch.setattr(harness, "APPLY_CHUNK", 7)
     small = harness.jl_failure_sweep(**args)
     assert [r.failures for r in base] == [r.failures for r in small]
+    assert harness.pointset_preservation(**ps_args) == base_ps
+
+
+def _length_n_trials(dims, pts, m, trials, rng):
+    """Reference for _sampled_trials: the same draws, each point
+    materialized and run through the length-N transform, then gathered."""
+    signs = rand.rademacher_factors(rng, trials, dims)
+    rows0 = rng.integers(0, dims.total, size=(trials, m))
+    z = kron_materialize(signs)[:, None, :] * kron_materialize(pts)[None]
+    w = hadamard_rows(z.reshape(-1, dims.total)).reshape(z.shape)
+    return np.take_along_axis(w, rows0[:, None, :], axis=2)
+
+
+@pytest.mark.parametrize("family", ["kron", "onehot"])
+@pytest.mark.parametrize("dims", [(16,), (4, 8), (4, 8, 2), (2, 2, 4)])
+@pytest.mark.parametrize("points", [1, 5])
+def test_factored_trials_match_length_n_transform(family, dims, points):
+    dims = KronDims(dims)
+    pts = harness._family_factors(family, dims, seed=8, count=points)
+    assert [f.shape for f in pts] == [(points, n) for n in dims]
+    args = (dims, pts, 6, 37)
+    got = np.concatenate(list(
+        harness._sampled_trials(*args, rand.substream(8, rand.TAG_EXPERIMENT))
+    ))
+    want = _length_n_trials(*args, rand.substream(8, rand.TAG_EXPERIMENT))
+    assert got.shape == (37, points, 6)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_rank_one_families_allocate_nothing_of_length_n():
+    # N = 2^30: one length-N float64 vector alone would be 8 GiB
+    dims = (1024, 1024, 1024)
+    tracemalloc.start()
+    try:
+        recs = harness.jl_failure_sweep(
+            dims, (8,), (0.5,), trials=3, seed=1, families=("kron", "onehot")
+        )
+        rep = harness.pointset_preservation(
+            dims, 3, m=8, eps=0.5, trials=3, seed=1
+        )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
+    assert [r.family for r in recs] == ["kron", "onehot"]
+    # a one-hot input spreads perfectly at any N
+    assert recs[1].failures == 0
+    assert rep.valid_pairs == 3
 
 
 def test_sweep_validation():
@@ -255,7 +307,8 @@ def test_pointset_identical_points_skipped():
     seed = next(
         s
         for s in range(100)
-        if np.array_equal(*harness._family_vectors("onehot", dims, s, count=2))
+        if np.array_equal(*kron_materialize(
+            harness._family_factors("onehot", dims, s, count=2)))
     )
     rep = harness.pointset_preservation(
         dims, 2, m=4, eps=0.5, trials=50, seed=seed, family="onehot"
@@ -439,6 +492,16 @@ def test_lower_bound_flagging():
     low, high = recs
     assert low.flagged
     assert not high.flagged
+
+
+def test_lower_bound_subspace_of_1024_words():
+    # s = 2^10: the family's 2^{d s} point count overflows a float, and
+    # the threshold must come from the exact count
+    (rec,) = harness.lower_bound_sweep(
+        bits=10, r=10, d_values=(1,), m_values=(4,), trials=20, seed=0
+    )
+    assert rec.s == 1024
+    assert rec.flagged
 
 
 def test_lower_bound_empty_grid():
