@@ -15,6 +15,12 @@ returned value is a certified lower bound of the true norm (SUP_TOL,
 SUP_MAX_ITER and SUP_SEED fix the search). Exact moments (at most
 EXACT_PATTERN_BUDGET sign patterns) and Monte Carlo moments (with
 BOOTSTRAP_RESAMPLES bootstrap resamples) share all but the signs.
+
+Set partitions come from one recursion that yields rows of block labels
+(blocks numbered by their minima). enumerate_partitions maps them to
+SetPartitions one at a time; the partition-counting check stacks them
+into a label table per ground size and checks each (S, T) cell in one
+array pass, with no SetPartition unless a row violates the inequality.
 """
 
 import itertools
@@ -80,6 +86,45 @@ class SetPartition:
         return len(self.blocks)
 
 
+def _label_rows(g):
+    """Set partitions of range(g) as lists of block labels, blocks
+    numbered by their minima. The recursion adds each element, last
+    first, to every block of each partition of the later elements and
+    then as a new front block; that fixes the order of the rows."""
+
+    def rec(k):
+        if k == g:
+            yield []
+            return
+        for part in rec(k + 1):
+            for i in range(len(part)):
+                yield part[:i] + [part[i] + [k]] + part[i + 1 :]
+            yield [[k]] + part
+
+    for part in rec(0):
+        row = [0] * g
+        for label, block in enumerate(sorted(part, key=min)):
+            for e in block:
+                row[e] = label
+        yield row
+
+
+def _label_table(g):
+    """(B(g), g) int64 array of block labels, one row per set partition
+    of range(g), in the order enumerate_partitions yields them."""
+    if g == 0:
+        return np.zeros((1, 0), dtype=np.int64)  # the empty partition
+    # rows stream into the array: no list of B(g) row lists is held
+    return np.fromiter(_label_rows(g), dtype=np.dtype((np.int64, g)))
+
+
+def _partition_from_labels(items, row):
+    blocks = [[] for _ in range(max(row, default=-1) + 1)]
+    for e, label in zip(items, row):
+        blocks[label].append(e)
+    return SetPartition(tuple(blocks))
+
+
 def enumerate_partitions(ground, kappa=None):
     """All set partitions of `ground`, optionally only those with a given
     block count. The empty ground has exactly one partition (no blocks)."""
@@ -89,21 +134,9 @@ def enumerate_partitions(ground, kappa=None):
             f"partition enumeration over {len(items)} elements exceeds "
             f"the limit {PARTITION_GROUND_LIMIT}"
         )
-
-    def rec(seq):
-        if not seq:
-            yield []
-            return
-        first, rest = seq[0], seq[1:]
-        for part in rec(rest):
-            for i in range(len(part)):
-                yield part[:i] + [part[i] | {first}] + part[i + 1 :]
-            yield [{first}] + part
-
-    for blocks in rec(items):
-        p = SetPartition(tuple(blocks))
-        if kappa is None or p.kappa == kappa:
-            yield p
+    for row in _label_rows(len(items)):
+        if kappa is None or max(row, default=-1) + 1 == kappa:
+            yield _partition_from_labels(items, row)
 
 
 def _matricize(arr, blocks):
@@ -172,16 +205,26 @@ def _alternating_sup(t, restarts, tol, max_iter, seed):
     return best
 
 
-def moment_bound_profile(arr, p):
-    """Sum over block counts kappa of p^{kappa/2} times the total partition
-    norm over all partitions of the axes into kappa blocks."""
+def moment_bound_profile(arr, p_values):
+    """For each p, the sum over block counts kappa of p^{kappa/2} times
+    the total partition norm over all partitions of the axes into kappa
+    blocks. Each partition norm is computed once for all p; returns one
+    float per p."""
     arr = np.asarray(arr, dtype=np.float64)
-    if p <= 0:
+    p_values = tuple(float(p) for p in p_values)
+    if any(p <= 0 for p in p_values):
         raise ShapeError("p must be positive")
-    total = 0.0
-    for partition in enumerate_partitions(range(1, arr.ndim + 1)):
-        total += p ** (partition.kappa / 2.0) * partition_norm(arr, partition)
-    return total
+    terms = [
+        (partition.kappa, partition_norm(arr, partition))
+        for partition in enumerate_partitions(range(1, arr.ndim + 1))
+    ]
+    totals = []
+    for p in p_values:
+        total = 0.0
+        for kappa, norm in terms:
+            total += p ** (kappa / 2.0) * norm
+        totals.append(total)
+    return tuple(totals)
 
 
 @dataclass(frozen=True)
@@ -362,12 +405,16 @@ def check_partition_counting(d):
     analysis: for subsets S, T of [d] and any partition of
     [2d] \\ (S u (T+d)) into kappa blocks, with I the union of blocks
     inside [d], I' the union inside [2d] \\ [d], and J the rest,
-    |J|/4 + (|I| + |I'|)/2 >= kappa/2."""
+    |J|/4 + (|I| + |I'|)/2 >= kappa/2.
+
+    Each (S, T) cell is one array pass over the label table of its
+    ground (built once per call for sizes 0..2d): block sizes and
+    left-side counts per partition come from one bincount each, and only
+    a violating partition becomes a SetPartition."""
     if not 1 <= d <= 4:
         raise BudgetError(f"supported for 1 <= d <= 4, got {d}")
     axes = range(1, d + 1)
-    left = set(range(1, d + 1))
-    right = set(range(d + 1, 2 * d + 1))
+    tables = [_label_table(g) for g in range(2 * d + 1)]
     checked = 0
     violations = []
     for s_size in range(d + 1):
@@ -375,23 +422,36 @@ def check_partition_counting(d):
             for t_size in range(d + 1):
                 for t_sub in itertools.combinations(axes, t_size):
                     removed = set(s_sub) | {a + d for a in t_sub}
-                    ground = (left | right) - removed
-                    for part in enumerate_partitions(ground):
-                        i_left = sum(
-                            len(b) for b in part.blocks if b <= left
-                        )
-                        i_right = sum(
-                            len(b) for b in part.blocks if b <= right
-                        )
-                        j_mixed = len(ground) - i_left - i_right
-                        lhs = j_mixed / 4.0 + (i_left + i_right) / 2.0
-                        checked += 1
-                        if lhs < part.kappa / 2.0 - 1e-12:
-                            violations.append((s_sub, t_sub, part))
+                    ground = [e for e in range(1, 2 * d + 1)
+                              if e not in removed]
+                    table = tables[len(ground)]
+                    kappa, lhs = _counting_sides(table, ground, d)
+                    checked += len(table)
+                    for r in np.flatnonzero(lhs < kappa / 2.0 - 1e-12):
+                        part = _partition_from_labels(ground, table[r].tolist())
+                        violations.append((s_sub, t_sub, part))
     return PartitionCountingReport(
         ok=not violations, order=d, checked=checked,
         violations=tuple(violations[:8]),
     )
+
+
+def _counting_sides(table, ground, d):
+    """Block count kappa and left side |J|/4 + (|I| + |I'|)/2 of every
+    row of a label table over `ground`, whose elements up to d lie in
+    the left half."""
+    n, g = table.shape
+    cells = np.arange(n)[:, None] * g + table
+    sizes = np.bincount(cells.ravel(), minlength=n * g).reshape(n, g)
+    on_left = np.array([e <= d for e in ground], dtype=bool)
+    left = np.bincount(
+        cells[:, on_left].ravel(), minlength=n * g
+    ).reshape(n, g)
+    kappa = np.count_nonzero(sizes, axis=1)
+    i_left = np.where(left == sizes, sizes, 0).sum(axis=1)
+    i_right = np.where(left == 0, sizes, 0).sum(axis=1)
+    j_mixed = g - i_left - i_right
+    return kappa, j_mixed / 4.0 + (i_left + i_right) / 2.0
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ from kronjl.adversarial import (
 )
 from kronjl.errors import BudgetError, ShapeError
 from kronjl.fwht import fwht
-from kronjl.gf2 import indicator, random_subspace
+from kronjl.gf2 import indicator, orthogonal_complement, random_subspace
 from kronjl.transforms import kron_materialize, sampled_entries
 
 
@@ -145,6 +145,28 @@ def test_empirical_failures_match_length_n_gather(bit_dims, r):
     _, y, rows0 = _length_n_reference(bit_dims, r, 7, 3000, seed=3)
     want = int(np.all(np.abs(y[rows0]) <= ZERO_TOL, axis=1).sum())
     out = failure_probability_empirical(bit_dims, r, 7, 3000, seed=3)
+    assert out.failures == want
+
+
+@pytest.mark.parametrize("bit_dims,r", [((10,), 1), ((10,), 7), ((10,), 10),
+                                        ((7, 9), 3), ((2, 10, 5), 2)])
+def test_complement_indicator_keeps_transform_misses(bit_dims, r):
+    # the estimate reads each axis transform as the complement's indicator
+    # instead of transforming the subspace indicator; the supports agree
+    # and so does every miss decision
+    seed, m, trials = 8, 5, 4000
+    wht = []
+    for j, n in enumerate(bit_dims, start=1):
+        v = random_subspace(n, r, rand.substream(seed, rand.TAG_SUBSPACE, j))
+        y = fwht(indicator(v))
+        comp = indicator(orthogonal_complement(v))
+        assert np.array_equal(np.abs(y) > ZERO_TOL, comp > 0)
+        wht.append(y)
+    rows0 = rand.substream(seed, rand.TAG_SAMPLES).integers(
+        0, 1 << sum(bit_dims), size=(trials, m))
+    gathered = sampled_entries(wht, rows0)
+    want = int(np.all(np.abs(gathered) <= ZERO_TOL, axis=1).sum())
+    out = failure_probability_empirical(bit_dims, r, m, trials, seed=seed)
     assert out.failures == want
 
 

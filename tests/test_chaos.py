@@ -4,12 +4,15 @@ inequalities (decoupling, merge monotonicity, expectation control)."""
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from kronjl import chaos
 from kronjl.chaos import (
     ChaosCoefficients,
+    PARTITION_GROUND_LIMIT,
     SetPartition,
     check_expectation_bound,
     check_partition_counting,
@@ -19,6 +22,8 @@ from kronjl.chaos import (
     moment_bound_profile,
     moment_to_tail,
     partition_norm,
+    _counting_sides,
+    _label_table,
 )
 from kronjl.errors import BudgetError, ShapeError
 from kronjl.indexing import KronDims
@@ -70,6 +75,64 @@ def test_enumerate_partitions_distinct_and_cover():
 def test_enumerate_partitions_budget():
     with pytest.raises(BudgetError):
         list(enumerate_partitions(range(13)))
+
+
+def test_enumerate_partitions_streams_at_the_limit():
+    # B(12) = 4,213,597 partitions, a 386 MiB int64 label table: the
+    # first ones arrive without the rest being built
+    tracemalloc.start()
+    try:
+        parts = enumerate_partitions(range(PARTITION_GROUND_LIMIT))
+        first = list(itertools.islice(parts, 1000))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert first[0].kappa == 1 and len(set(first)) == 1000
+    assert peak < 16 * 2**20
+
+
+def _recursive_partitions(items):
+    """The recursive generator that defined the enumeration order: each
+    element, last first, joins every block of each partition of the
+    later elements and then opens a new front block."""
+
+    def rec(seq):
+        if not seq:
+            yield []
+            return
+        first, rest = seq[0], seq[1:]
+        for part in rec(rest):
+            for i in range(len(part)):
+                yield part[:i] + [part[i] | {first}] + part[i + 1 :]
+            yield [{first}] + part
+
+    return [SetPartition(tuple(blocks)) for blocks in rec(list(items))]
+
+
+def test_label_table_keeps_recursive_order():
+    for g in range(9):
+        table = _label_table(g)
+        assert table.dtype == np.int64
+        assert table.shape[1] == g
+        got = [
+            SetPartition(tuple(
+                frozenset(np.flatnonzero(row == b).tolist())
+                for b in range(row.max(initial=-1) + 1)
+            ))
+            for row in table
+        ]
+        assert got == _recursive_partitions(range(g))
+
+
+def test_enumerate_partitions_keeps_recursive_order():
+    ground = [7, 2, 11, 4, 5]
+    assert list(enumerate_partitions(ground)) == _recursive_partitions(
+        sorted(ground))
+    for kappa in range(6):
+        assert list(enumerate_partitions(ground, kappa)) == [
+            p for p in _recursive_partitions(sorted(ground))
+            if p.kappa == kappa
+        ]
 
 
 # ------------------------------------------------------------ partition norm
@@ -336,13 +399,30 @@ def test_moment_validation():
 def test_profile_frozen_identity():
     # partitions of {1, 2}: one block gives sqrt(p) * frobenius, two
     # blocks give p * spectral; for I_2 that is sqrt(p) * sqrt(2) + p
-    val = moment_bound_profile(np.eye(2), p=4.0)
+    (val,) = moment_bound_profile(np.eye(2), [4.0])
     assert val == pytest.approx(2.0 * math.sqrt(2.0) + 4.0, abs=1e-12)
 
 
 def test_profile_rejects_bad_p():
-    with pytest.raises(ShapeError):
-        moment_bound_profile(np.eye(2), p=0.0)
+    for ps in ([0.0], [2.0, -1.0]):
+        with pytest.raises(ShapeError):
+            moment_bound_profile(np.eye(2), ps)
+
+
+def test_profile_matches_one_p_at_a_time():
+    # the profile computes each partition norm once for all p; each value
+    # must be the one-p sum, in the same order, bit for bit
+    arr = np.random.default_rng(12).standard_normal((2, 3, 2))
+    ps = (1.0, 2.5, 4, 9.0)
+    norms = [(part.kappa, partition_norm(arr, part))
+             for part in enumerate_partitions(range(1, 4))]
+    want = []
+    for p in ps:
+        total = 0.0
+        for kappa, norm in norms:
+            total += p ** (kappa / 2.0) * norm
+        want.append(total)
+    assert moment_bound_profile(arr, ps) == tuple(want)
 
 
 def test_profile_dominates_exact_moments_with_small_constant():
@@ -354,10 +434,8 @@ def test_profile_dominates_exact_moments_with_small_constant():
     co = ChaosCoefficients.from_gram(KronDims((8,)), m)
     ps = [2.0, 4.0, 6.0, 8.0]
     exact = exact_chaos_moments(co, "coupled", ps, centered=True)
-    ratios = []
-    for p, lp in zip(ps, exact.estimates):
-        ratios.append(lp / moment_bound_profile(m, p=p))
-    fitted = max(ratios)
+    profile = moment_bound_profile(m, ps)
+    fitted = max(lp / b for lp, b in zip(exact.estimates, profile))
     print(f"fitted moment-profile constant: {fitted:.4f}")
     assert fitted <= 10.0
 
@@ -399,6 +477,66 @@ def test_partition_counting_exhaustive_small_orders():
         assert report.violations == ()
     # d = 1 count: grounds of sizes 2, 1, 1, 0 have 2 + 1 + 1 + 1 partitions
     assert check_partition_counting(1).checked == 5
+
+
+def test_partition_counting_order_four():
+    # checked is the sum over (S, T) cells of the Bell number of the
+    # ground size 2d - |S| - |T|
+    for d, checked in zip((1, 2, 3, 4), (5, 52, 877, 21_147)):
+        assert check_partition_counting(d).checked == checked
+    report = check_partition_counting(4)
+    assert report.ok
+    assert report.violations == ()
+
+
+def test_counting_sides_match_partition_loop():
+    # kappa and |J|/4 + (|I| + |I'|)/2 per row of the label table against
+    # a loop over the blocks of each SetPartition, for every (S, T) cell
+    for d in (1, 2, 3):
+        left = set(range(1, d + 1))
+        right = set(range(d + 1, 2 * d + 1))
+        for removed in itertools.product((False, True), repeat=2 * d):
+            ground = [e for e, r in zip(range(1, 2 * d + 1), removed)
+                      if not r]
+            kappa, lhs = _counting_sides(_label_table(len(ground)), ground, d)
+            want_kappa, want_lhs = [], []
+            for part in enumerate_partitions(ground):
+                i_left = sum(len(b) for b in part.blocks if b <= left)
+                i_right = sum(len(b) for b in part.blocks if b <= right)
+                j_mixed = len(ground) - i_left - i_right
+                want_kappa.append(part.kappa)
+                want_lhs.append(j_mixed / 4.0 + (i_left + i_right) / 2.0)
+            assert kappa.tolist() == want_kappa
+            assert lhs.tolist() == want_lhs
+
+
+def test_partition_counting_reports_violations_in_row_order(monkeypatch):
+    # no partition violates the inequality, so set every left side to
+    # -1 < kappa / 2: the report must then list the first eight rows in
+    # the order of the cells and of enumerate_partitions within each
+    sides = chaos._counting_sides
+
+    def violated(*args):
+        kappa, lhs = sides(*args)
+        return kappa, np.full_like(lhs, -1.0)
+
+    monkeypatch.setattr(chaos, "_counting_sides", violated)
+    for d in (1, 2):
+        want = []
+        for s_sub in itertools.chain.from_iterable(
+                itertools.combinations(range(1, d + 1), k)
+                for k in range(d + 1)):
+            for t_sub in itertools.chain.from_iterable(
+                    itertools.combinations(range(1, d + 1), k)
+                    for k in range(d + 1)):
+                removed = set(s_sub) | {a + d for a in t_sub}
+                ground = set(range(1, 2 * d + 1)) - removed
+                want += [(s_sub, t_sub, part)
+                         for part in enumerate_partitions(ground)]
+        report = check_partition_counting(d)
+        assert not report.ok
+        assert report.checked == len(want)
+        assert report.violations == tuple(want[:8])
 
 
 def test_partition_counting_guard():
