@@ -14,12 +14,11 @@ With rows drawn uniformly with replacement, the miss probability is exactly
 (1 - s^{-d})^m, and 1 - t >= e^{-2t} for t <= 1/2 gives the closed lower
 bound exp(-2 m / s^d) whenever s^d >= 2.
 
-The Monte Carlo estimate never forms the length-N transform, a Kronecker
-product of per-axis transforms, and runs no transform at all: each
-per-axis transform is the indicator of the orthogonal complement, and a
-sampled entry multiplies one entry per axis, at the row's coordinate on
-that axis. That costs O(m d) per trial after O(sum_l 2^{n_l}) once, in
-memory capped by MAX_AXIS_LENGTH.
+The Monte Carlo estimate never forms the transform and runs none: each
+per-axis transform is the indicator of the orthogonal complement of V_j,
+so a sampled row hits the support iff its coordinate on every axis is
+orthogonal to every basis word of V_j. That is r parity checks per axis,
+O(m d r) per trial, with no array longer than a block of rows.
 """
 
 import math
@@ -28,10 +27,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rand
-from .errors import BudgetError, ShapeError
+from .errors import ShapeError
 from .fwht import fwht
-from .gf2 import indicator, orthogonal_complement, random_subspace
-from .transforms import sampled_entries
+from .gf2 import random_subspace
 
 __all__ = [
     "ExactFailure",
@@ -41,15 +39,10 @@ __all__ = [
     "embedding_dim_threshold",
 ]
 
-ZERO_TOL = 1e-12
 # Nothing here runs a transform. This module still binds fwht because
 # perfbench/test_perfbench.py checks that the span tracer rebinds it
 # here; the binding goes when that test stops naming it.
 _TRACED_BINDINGS = (fwht,)
-# longest axis (2^bits entries) an empirical estimate may build: its
-# complement's indicator and member list then stay near 230 MiB of
-# resident memory (at r = 1, the largest complement)
-MAX_AXIS_LENGTH = 1 << 24
 _GATHER_BLOCK = 1 << 14
 
 
@@ -85,13 +78,14 @@ def failure_probability_exact(s, d, m):
     return ExactFailure(prob=prob, lower_bound=bound, s=s, d=d, m=m)
 
 
-def embedding_dim_threshold(nu, p, d):
+def embedding_dim_threshold(nu, log2_p, d):
     """Smallest m the lower bound permits at failure budget nu for a
-    sign-modulated family of p inputs: (1/2) log(1/nu) (log p / (d log 2))^d.
+    sign-modulated family of p = 2^log2_p inputs:
+    (1/2) log(1/nu) (log2_p / d)^d.
     """
-    if not 0 < nu < 1 or p < 2 or d < 1:
-        raise ShapeError("need 0 < nu < 1, p >= 2, d >= 1")
-    return 0.5 * math.log(1.0 / nu) * (math.log(p) / (d * math.log(2.0))) ** d
+    if not 0 < nu < 1 or log2_p < 1 or d < 1:
+        raise ShapeError("need 0 < nu < 1, log2_p >= 1, d >= 1")
+    return 0.5 * math.log(1.0 / nu) * (log2_p / d) ** d
 
 
 def failure_probability_empirical(bit_dims, r, m, trials, seed):
@@ -99,10 +93,11 @@ def failure_probability_empirical(bit_dims, r, m, trials, seed):
 
     Draws the subspaces once from substream(seed, TAG_SUBSPACE, axis), then
     per-trial row samples from substream(seed, TAG_SAMPLES); a trial fails
-    when every sampled entry of the transformed input is zero (|entry| <=
-    1e-12). Entries are gathered per axis, O(m d) per trial; an axis longer
-    than MAX_AXIS_LENGTH raises BudgetError before any allocation. Rows are
-    drawn one gather block at a time, which reads the stream exactly as
+    when every sampled entry of the transformed input is zero. A row's
+    entry is nonzero iff its bit field on each axis has even overlap with
+    every basis word of that axis's subspace, so each basis word is one
+    mask over the row index and a miss is an odd popcount under some mask.
+    Rows are drawn one block at a time, which reads the stream exactly as
     one (trials, m) draw would, so memory does not grow with `trials`.
     """
     bit_dims = tuple(int(n) for n in bit_dims)
@@ -112,32 +107,24 @@ def failure_probability_empirical(bit_dims, r, m, trials, seed):
         raise ShapeError(f"subspace dimension {r} exceeds an axis in {bit_dims}")
     if trials < 1:
         raise ShapeError("need trials >= 1")
-    bits = max(bit_dims)
-    if 1 << bits > MAX_AXIS_LENGTH:
-        raise BudgetError(f"bits={bits}: an axis of length 2^{bits} = "
-                          f"{1 << bits} exceeds {MAX_AXIS_LENGTH}")
     if sum(bit_dims) > 62:
         raise ShapeError(f"N = 2^{sum(bit_dims)} overflows int64 row indices")
 
-    spaces = [
-        random_subspace(n, r, rand.substream(seed, rand.TAG_SUBSPACE, j))
-        for j, n in enumerate(bit_dims, start=1)
-    ]
-    # each axis transform is the complement's indicator (gf2 duality):
-    # a nonzero product of one entry per axis is at least 2^(-sum/2) >=
-    # 2^-31 > ZERO_TOL, so the miss test reads the support exactly
-    y_factors = [indicator(orthogonal_complement(v)) for v in spaces]
+    masks, shift = [], 0
+    for j, n in enumerate(bit_dims, start=1):
+        v = random_subspace(n, r, rand.substream(seed, rand.TAG_SUBSPACE, j))
+        masks += [np.int64(b << shift) for b in v.basis]
+        shift += n
 
     rng = rand.substream(seed, rand.TAG_SAMPLES)
     failures = 0
-    step = max(1, _GATHER_BLOCK // max(m, 1))  # cache-sized gathers
+    step = max(1, _GATHER_BLOCK // max(m, 1))  # cache-sized blocks
     for lo in range(0, trials, step):
-        rows0 = rng.integers(
-            0, 1 << sum(bit_dims), size=(min(step, trials - lo), m)
-        )
-        gathered = sampled_entries(y_factors, rows0)
-        missed = np.all(np.abs(gathered) <= ZERO_TOL, axis=1)
-        failures += int(np.count_nonzero(missed))
+        rows0 = rng.integers(0, 1 << shift, size=(min(step, trials - lo), m))
+        off = np.zeros(rows0.shape, dtype=np.uint8)  # row misses the support
+        for mask in masks:
+            off |= np.bitwise_count(rows0 & mask) & 1
+        failures += int(np.count_nonzero(off.all(axis=1)))
     est = failures / trials
     stderr = math.sqrt(est * (1.0 - est) / trials)
     return EmpiricalFailure(

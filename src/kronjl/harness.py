@@ -594,13 +594,14 @@ def adversarial_joint_norm_failure(r_dims, m, eps, trials, seed,
     rng = rand.substream(
         seed, rand.TAG_SAMPLES, len(r_dims), sum(r_dims), int(_cell)
     )
-    rows0 = rng.integers(0, n, size=(trials, m))
     scale2 = n / m
     failures = 0
-    # keep the (points, chunk, m) gather around 2M floats
+    # keep the (points, chunk, m) gather around 2M floats; rows drawn one
+    # chunk at a time read the stream as one (trials, m) draw does
     chunk = max(1, 2_000_000 // (energy.shape[0] * m))
     for lo in range(0, trials, chunk):
-        sums = energy[:, rows0[lo : lo + chunk]].sum(axis=2)
+        rows0 = rng.integers(0, n, size=(min(chunk, trials - lo), m))
+        sums = energy[:, rows0].sum(axis=2)
         dist = scale2 * sums - 1.0
         bad = np.abs(dist) > eps
         failures += int(np.count_nonzero(np.any(bad, axis=0)))
@@ -701,9 +702,9 @@ def lower_bound_sweep(bits, r, d_values, m_values, trials, seed, nu=0.1,
     s = 1 << r
     records = []
     for d in d_values:
-        # the family's 2^{d s} points as an exact integer; a float
-        # overflows at s >= 1024
-        threshold = embedding_dim_threshold(nu, 1 << (d * s), d)
+        # the family has 2^{d s} points, passed in bits: at s = 2^31 the
+        # count itself would be a 2^32-bit integer
+        threshold = embedding_dim_threshold(nu, d * s, d)
         for m in m_values:
             exact = failure_probability_exact(s, d, m)
             t0 = time.perf_counter()

@@ -8,16 +8,18 @@ import pytest
 
 from kronjl import rand
 from kronjl.adversarial import (
-    MAX_AXIS_LENGTH,
-    ZERO_TOL,
     embedding_dim_threshold,
     failure_probability_empirical,
     failure_probability_exact,
 )
-from kronjl.errors import BudgetError, ShapeError
+from kronjl.errors import ShapeError
 from kronjl.fwht import fwht
 from kronjl.gf2 import indicator, orthogonal_complement, random_subspace
 from kronjl.transforms import kron_materialize, sampled_entries
+
+# a transformed entry this small counts as zero; nonzero entries of the
+# references below are at least 2^(-31)
+ZERO_TOL = 1e-12
 
 
 def test_exact_frozen_values():
@@ -46,10 +48,10 @@ def test_exact_validation():
 
 def test_threshold_frozen():
     # with p = 2^{ds} the threshold reduces to (1/2) log(1/nu) s^d
-    val = embedding_dim_threshold(nu=math.exp(-2.0), p=256, d=2)
+    val = embedding_dim_threshold(nu=math.exp(-2.0), log2_p=8, d=2)
     assert abs(val - 16.0) < 1e-12
     with pytest.raises(ShapeError):
-        embedding_dim_threshold(nu=1.5, p=4, d=1)
+        embedding_dim_threshold(nu=1.5, log2_p=2, d=1)
 
 
 def test_empirical_matches_closed_form():
@@ -96,10 +98,7 @@ def test_empirical_validation():
         failure_probability_empirical((2,), 1, 4, 0, seed=0)
 
 
-def test_empirical_rejects_long_axis_before_allocating():
-    bits = MAX_AXIS_LENGTH.bit_length()  # one bit past the limit
-    with pytest.raises(BudgetError, match=f"bits={bits}.*{1 << bits}"):
-        failure_probability_empirical((2, bits), 1, 4, 10, seed=0)
+def test_empirical_rejects_rows_past_int64():
     with pytest.raises(ShapeError, match="2\\^63"):
         failure_probability_empirical((21, 21, 21), 1, 4, 10, seed=0)
 
@@ -170,10 +169,39 @@ def test_complement_indicator_keeps_transform_misses(bit_dims, r):
     assert out.failures == want
 
 
-@pytest.mark.parametrize("k", [4, 20, 33, 62])
+@pytest.mark.parametrize("bit_dims,r", [((40,), 1), ((40,), 3),
+                                        ((20, 25), 1), ((20, 25), 3)])
+def test_empirical_failures_match_complement_membership(bit_dims, r):
+    # axes far past any length a per-axis table could hold: a row misses
+    # the support iff some coordinate leaves its axis's complement
+    seed, m, trials = 9, 3, 6000  # two row blocks
+    comps = [
+        orthogonal_complement(random_subspace(n, r, rand.substream(
+            seed, rand.TAG_SUBSPACE, j)))
+        for j, n in enumerate(bit_dims, start=1)
+    ]
+    rows0 = rand.substream(seed, rand.TAG_SAMPLES).integers(
+        0, 1 << sum(bit_dims), size=(trials, m))
+    want = 0
+    for trial in rows0.tolist():
+        missed = True
+        for row in trial:
+            shift, hit = 0, True
+            for n, comp in zip(bit_dims, comps):
+                hit = hit and comp.contains((row >> shift) & ((1 << n) - 1))
+                shift += n
+            missed = missed and not hit
+        want += missed
+    out = failure_probability_empirical(bit_dims, r, m, trials, seed=seed)
+    assert 0 < out.failures < trials
+    assert out.failures == want
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 20, 33, 62])
 def test_block_draws_reproduce_one_draw(k):
-    # the estimate draws its rows one gather block at a time; that reads
-    # the stream as one (trials, m) draw does, whatever the block sizes
+    # the estimate and the adversarial family (whose N can be 2) draw
+    # their rows one block at a time; that reads the stream as one
+    # (trials, m) draw does, whatever the block sizes
     whole = rand.substream(6, rand.TAG_SAMPLES).integers(
         0, 2**k, size=(101, 7))
     rng = rand.substream(6, rand.TAG_SAMPLES)

@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -257,15 +258,23 @@ def test_lower_bound_command(capsys):
     assert len(lines) == 5
 
 
-def test_lower_bound_axis_over_budget_exits_two(capsys):
-    code, out, err = run_cli(
-        ["lower-bound", "--bits", "30", "--r", "1", "--d", "1", "--m", "4",
-         "--trials", "10"],
-        capsys,
-    )
-    assert code == 2 and out == ""
-    assert err.startswith("budget error: bits=30: ")
-    assert "2^30 = 1073741824" in err and "Traceback" not in err
+@pytest.mark.parametrize("bits,r,d", [(31, 31, 2), (62, 1, 1)])
+def test_lower_bound_long_axes_run_in_small_memory(bits, r, d, capsys):
+    # an axis of 2^bits words and a family of 2^(d 2^r) points: neither
+    # is ever built, so memory follows the row blocks alone
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(
+            ["lower-bound", "--bits", str(bits), "--r", str(r), "--d", str(d),
+             "--m", "4", "--trials", "1000"],
+            capsys,
+        )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and err == ""
+    assert len(out.splitlines()) == 2
+    assert peak < 8 * 2**20
 
 
 def test_lower_bound_bad_r(capsys):

@@ -434,6 +434,17 @@ def test_adversarial_failure_matches_multinomial_closed_form():
     assert mc + 3 * sigma >= (1 - 0.25) ** 4
 
 
+def test_adversarial_failure_memory_does_not_grow_with_trials():
+    # 300,000 trials of 32 rows would be 73 MiB of rows drawn at once
+    tracemalloc.start()
+    try:
+        harness.adversarial_joint_norm_failure((1,), 32, 0.5, 300_000, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
+
+
 def test_adversarial_failure_determinism_and_validation():
     a = harness.adversarial_joint_norm_failure((2,), 16, 0.5, 500, seed=3)
     b = harness.adversarial_joint_norm_failure((2,), 16, 0.5, 500, seed=3)

@@ -1,5 +1,6 @@
-"""The byte contract of the benchmark's sweep workload: its smoke commands
-(jl-sweep per family, then pointset) print exactly the bytes whose sha256
+"""The byte contract of the benchmark: the sweep workload's smoke commands
+(jl-sweep per family, then pointset) and the oracles workload's
+lower-bound command, full and smoke, print exactly the bytes whose sha256
 perfbench/reference_digests.json records, for seeds 0-3."""
 
 import hashlib
@@ -22,18 +23,30 @@ def _workloads():
     return module
 
 
-SWEEP = _workloads().Sweep
+WORKLOADS = _workloads().WORKLOADS
 REFERENCE = json.loads((PERFBENCH / "reference_digests.json").read_text())
+
+
+def _digest(argv, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert (excinfo.value.code or 0) == 0, argv
+    return hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
 
 
 @pytest.mark.parametrize("seed", range(4))
 def test_sweep_smoke_outputs_match_reference_digests(seed, capsys):
     want = REFERENCE["smoke"]["sweep"][str(seed)]
-    calls = SWEEP.build(seed, smoke=True)["cli"]
+    calls = WORKLOADS["sweep"].build(seed, smoke=True)["cli"]
     assert sorted(label for label, _, _ in calls) == sorted(want)
     for label, argv, _ in calls:
-        with pytest.raises(SystemExit) as excinfo:
-            main(argv)
-        assert (excinfo.value.code or 0) == 0, label
-        out = capsys.readouterr().out
-        assert hashlib.sha256(out.encode()).hexdigest() == want[label], label
+        assert _digest(argv, capsys) == want[label], label
+
+
+@pytest.mark.parametrize("mode", ["full", "smoke"])
+@pytest.mark.parametrize("seed", range(4))
+def test_oracles_lower_bound_matches_reference_digests(mode, seed, capsys):
+    want = REFERENCE[mode]["oracles"][str(seed)]["lower-bound"]
+    calls = WORKLOADS["oracles"].build(seed, smoke=mode == "smoke")["cli"]
+    (argv,) = [argv for label, argv, _ in calls if label == "lower-bound"]
+    assert _digest(argv, capsys) == want
