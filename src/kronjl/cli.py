@@ -2,7 +2,7 @@
 
 Exit codes: 0 success, 1 configuration error (bad flags or config file,
 missing required options, a shape the library rejects), 2 budget error
-(a guarded enumeration or scan would exceed its cap), 3 selftest failure.
+(an enumeration, scan or dense matrix over its cap), 3 selftest failure.
 """
 
 import sys
@@ -155,23 +155,9 @@ def lower_bound(config, **flags):
 def report(config, **flags):
     """Write one JSON report document."""
     merged = _options(config, flags, "kind")
-    kind = merged["kind"]
-    needs, also = harness._REPORT_OPTIONS.get(kind, (None, ()))
-    # run_report names an unknown kind or a missing option first
-    if needs is not None and set(needs) <= set(merged):
-        for key in merged:
-            if key not in ("kind", "out", *needs, *also):
-                raise ConfigError(f"{key}: not an option of a {kind} report")
-    doc = harness.run_report(
-        kind,
-        merged.get("seed", 0),
-        dims=merged.get("dims"),
-        m=_single(merged, "m"),
-        s=merged.get("s"),
-        trials=merged.get("trials", 2000),
-        d=_single(merged, "d"),
-    )
-    _emit(harness.report_to_json(doc), merged.get("out"))
+    out = merged.pop("out", None)
+    merged.update({f: _single(merged, f) for f in ("m", "d") if f in merged})
+    _emit(harness.report_to_json(harness.run_report(**merged)), out)
 
 
 @cli.command("selftest")

@@ -11,7 +11,7 @@ class ShapeError(KronjlError, ValueError):
 
 
 class BudgetError(KronjlError, RuntimeError):
-    """A combinatorial enumeration would exceed its configured budget."""
+    """An enumeration or a dense matrix would exceed its configured budget."""
 
 
 class ConfigError(KronjlError, ValueError):

@@ -731,74 +731,76 @@ def lower_bound_to_csv(records):
 # ------------------------------------------------------------------ reports
 
 
-# per report kind: the options it needs, then the ones it may also read
-_REPORT_OPTIONS = {
-    "rip": (("dims", "m", "s"), ("seed",)),
-    "chaos": (("dims", "m"), ("trials", "seed")),
-    "partition": (("d",), ()),
-}
+def _rip_report(dims, m, s, seed=0):
+    """Isometry constant of one operator, with its witness."""
+    dims = _parse_dims("dims", dims)
+    rep = rip_constant(materialize(build_operator(dims, m=m, seed=seed)), s)
+    return {
+        "dims": list(dims),
+        "n": dims.total,
+        "m": m,
+        "s": s,
+        "seed": seed,
+        "delta": rep.delta,
+        "witness_support": list(rep.witness_support),
+    }
 
 
-def run_report(kind, seed, dims=None, m=None, s=None, trials=2000,
-               d=None, phi=None):
-    """Build one JSON-ready report document.
+def _chaos_report(dims, m, trials=2000, seed=0):
+    """Distortion moment estimates at a Kronecker unit vector."""
+    dims = _parse_dims("dims", dims)
+    phi = materialize(build_operator(dims, m=m, seed=seed))
+    x = kron_materialize(_family_factors("kron", dims, seed))[0]
+    co = ChaosCoefficients.distortion(dims, phi, x)
+    profile = estimate_chaos_moments(
+        co, "coupled", (2.0, 4.0), trials=trials, seed=seed
+    )
+    return {
+        "dims": list(dims),
+        "m": m,
+        "seed": seed,
+        "trials": trials,
+        "p_values": list(profile.p_values),
+        "estimates": list(profile.estimates),
+        "stderrs": list(profile.stderrs),
+        "mean": profile.mean,
+    }
 
-    kinds: rip (isometry constant with witness), chaos (distortion moment
-    estimates at a Kronecker unit vector), partition (exhaustive counting
-    inequality). `phi` overrides the measurement matrix for the chaos
-    kind, used to pin degenerate cases.
-    """
-    if kind not in _REPORT_OPTIONS:
-        raise ConfigError(f"kind: unknown report kind {kind!r}")
-    needs = _REPORT_OPTIONS[kind][0]
-    given = {"dims": dims, "m": m, "s": s, "d": d}
-    if any(given[name] is None for name in needs):
-        raise ConfigError(f"{kind} report needs {', '.join(needs)}")
-    if kind == "rip":
-        dims = _parse_dims("dims", dims)
-        op = build_operator(dims, m=m, seed=seed)
-        rep = rip_constant(materialize(op), s)
-        return {
-            "schema": REPORT_SCHEMA,
-            "kind": "rip",
-            "dims": list(dims),
-            "n": dims.total,
-            "m": m,
-            "s": s,
-            "seed": seed,
-            "delta": rep.delta,
-            "witness_support": list(rep.witness_support),
-        }
-    if kind == "chaos":
-        dims = _parse_dims("dims", dims)
-        if phi is None:
-            phi = materialize(build_operator(dims, m=m, seed=seed))
-        x = kron_materialize(_family_factors("kron", dims, seed))[0]
-        co = ChaosCoefficients.distortion(dims, phi, x)
-        profile = estimate_chaos_moments(
-            co, "coupled", (2.0, 4.0), trials=trials, seed=seed
-        )
-        return {
-            "schema": REPORT_SCHEMA,
-            "kind": "chaos",
-            "dims": list(dims),
-            "m": m,
-            "seed": seed,
-            "trials": trials,
-            "p_values": list(profile.p_values),
-            "estimates": list(profile.estimates),
-            "stderrs": list(profile.stderrs),
-            "mean": profile.mean,
-        }
+
+def _partition_report(d):
+    """The partition-counting inequality, checked exhaustively."""
     rep = check_partition_counting(d)
     return {
-        "schema": REPORT_SCHEMA,
-        "kind": "partition",
         "d": d,
         "checked": rep.checked,
         "violations": len(rep.violations),
         "ok": rep.ok,
     }
+
+
+# per report kind: its builder, the options it needs and the ones it may
+# also read, which the builder's defaults fill in
+_REPORTS = {
+    "rip": (_rip_report, ("dims", "m", "s"), ("seed",)),
+    "chaos": (_chaos_report, ("dims", "m"), ("trials", "seed")),
+    "partition": (_partition_report, ("d",), ()),
+}
+
+
+def run_report(kind, **options):
+    """Build one JSON-ready report document of the named kind from its
+    options (see _REPORTS). Checks, in order: the kind is known, every
+    option the kind needs is given, and every given option is one the
+    kind reads; each failure is a ConfigError naming it."""
+    if kind not in _REPORTS:
+        raise ConfigError(f"kind: unknown report kind {kind!r}")
+    build, needs, also = _REPORTS[kind]
+    if any(options.get(name) is None for name in needs):
+        raise ConfigError(f"{kind} report needs {', '.join(needs)}")
+    for key in options:
+        if key not in needs + also:
+            raise ConfigError(f"{key}: not an option of a {kind} report")
+    return {"schema": REPORT_SCHEMA, "kind": kind, **build(**options)}
 
 
 def report_to_json(doc):

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rand
-from .errors import ShapeError
+from .errors import BudgetError, ShapeError
 from .fwht import fwht, fwht_axis, hadamard_matrix
 from .indexing import KronDims
 
@@ -50,6 +50,9 @@ __all__ = [
     "materialize",
     "sampled_entries",
 ]
+
+
+MATERIALIZE_MAX_COLUMNS = 1 << 12  # an N x N float64 is 128 MiB at 2^12
 
 
 def _frozen(a, dtype):
@@ -278,8 +281,11 @@ def materialize(op):
     independent derivation of the operator, and the recorded oracle
     digests come from its bits: hadamard_matrix(N) rounds differently
     (neither is exact), which moves outputs such as a RIP constant in the
-    last bits.
+    last bits. Wider than MATERIALIZE_MAX_COLUMNS it allocates nothing.
     """
+    size = op.dims.total
+    if size > MATERIALIZE_MAX_COLUMNS:
+        raise BudgetError(f"materialize: N = {size} needs {8 * size**2} bytes (N x N)")
     hs = [hadamard_matrix(n) for n in op.dims]
     h_full = hs[-1]
     for h in hs[-2::-1]:

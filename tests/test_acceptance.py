@@ -289,9 +289,7 @@ def test_criterion_10_reproducibility():
         )
 
     def partition_json():
-        return harness.report_to_json(
-            harness.run_report("partition", seed=0, d=2)
-        )
+        return harness.report_to_json(harness.run_report("partition", d=2))
 
     writers = [
         ("jl_csv", jl_csv), ("point_csv", point_csv), ("lb_csv", lb_csv),

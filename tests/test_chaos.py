@@ -146,6 +146,15 @@ def test_identity_matrix_norms_frozen():
     assert partition_norm(eye, P({1}, {2})) == pytest.approx(1.0, abs=1e-14)
 
 
+def test_zero_block_norm_of_a_scalar():
+    assert partition_norm(np.array(-2.5), P()) == 2.5
+
+
+def test_alternating_sup_of_a_zero_array():
+    # the first update has zero norm: every restart ends at 0
+    assert partition_norm(np.zeros((2, 3, 2)), P({1}, {2}, {3})) == 0.0
+
+
 def test_single_block_matches_frobenius():
     rng = substream(11, TAG_EXPERIMENT)
     for shape in [(4,), (3, 5), (2, 3, 4)]:

@@ -126,6 +126,47 @@ def test_budget_error_exits_two(capsys):
     assert "budget" in err
 
 
+@pytest.mark.parametrize("args", [
+    ["--kind", "rip", "--dims", "16384", "--m", "8", "--s", "1"],
+    ["--kind", "chaos", "--dims", "128x128", "--m", "8"],
+])
+def test_dense_reports_refuse_a_wide_operator(args, capsys):
+    # N = 2^14: one N x N float64 would be 2 GiB, and none is allocated
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(["report", *args], capsys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == [
+        "budget error: materialize: N = 16384 needs 2147483648 bytes (N x N)"
+    ]
+    assert peak < 8 * 2**20
+
+
+def test_malformed_config_exits_one(tmp_path, capsys):
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text("dims: [4, 4\nm: 8\n")
+    code, out, err = run_cli(["jl-sweep", "--config", str(cfg)], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"config error: malformed config {cfg}")
+
+
+def test_out_into_a_missing_directory_exits_one(tmp_path, capsys):
+    out_path = tmp_path / "missing" / "partition.json"
+    code, out, err = run_cli(
+        ["report", "--kind", "partition", "--d", "2", "--out", str(out_path)],
+        capsys,
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"config error: cannot write {out_path}")
+    assert not out_path.parent.exists()
+
+
 def test_report_rip_stdout_json(capsys):
     code, out, _ = run_cli(
         ["report", "--kind", "rip", "--dims", "16", "--m", "8", "--s", "2",

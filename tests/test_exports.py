@@ -1,5 +1,6 @@
-"""Every name a kronjl module exports through __all__ exists, and no
-module or test imports a name it never reads."""
+"""Every name a kronjl module exports through __all__ exists, no module
+or test imports a name it never reads, and the command line uses only the
+harness's public names."""
 
 import ast
 import importlib
@@ -65,3 +66,11 @@ def test_library_imports_at_module_level():
                  if isinstance(n, (ast.Import, ast.ImportFrom))
                  and id(n) not in top]
         assert local == [], f"{path.name}: imports inside a function at {local}"
+
+
+def test_cli_reads_no_private_harness_name():
+    tree = ast.parse((SRC / "cli.py").read_text())
+    private = [f"{n.lineno}: harness.{n.attr}" for n in ast.walk(tree)
+               if isinstance(n, ast.Attribute) and n.attr.startswith("_")
+               and isinstance(n.value, ast.Name) and n.value.id == "harness"]
+    assert private == []

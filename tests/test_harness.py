@@ -4,6 +4,7 @@ pointset union bound, lower-bound sweep consistency, JSON reports."""
 import json
 import math
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -371,6 +372,19 @@ def test_required_rows_budget():
         )
 
 
+def test_row_scan_stops_at_its_first_row_count():
+    calls = []
+
+    def eval_eta(m, m_idx):
+        calls.append((m, m_idx))
+        return 0.05
+
+    m_star, scan = harness._scan_interpolate(eval_eta, 0.1, 100, cap=64)
+    assert m_star == float(harness.ROW_SCAN_START)
+    assert scan == [(harness.ROW_SCAN_START, 0.05)]
+    assert calls == [(harness.ROW_SCAN_START, 0)]
+
+
 # ------------------------------------------------- adversarial norm scaling
 
 
@@ -551,17 +565,16 @@ def test_rip_report_document():
     assert harness.report_to_json(doc) == harness.report_to_json(again)
 
 
-def test_chaos_report_zero_coefficients():
+def test_chaos_report_zero_coefficients(monkeypatch):
     # orthonormal columns give a vanishing hollow Gram: zero moments
-    doc = harness.run_report(
-        "chaos", seed=1, dims="4,4", m=16, trials=200, phi=np.eye(16)
-    )
+    monkeypatch.setattr(harness, "materialize", lambda op: np.eye(16))
+    doc = harness.run_report("chaos", seed=1, dims="4,4", m=16, trials=200)
     assert doc["estimates"] == [0.0, 0.0]
     assert doc["mean"] == 0.0
 
 
 def test_partition_report():
-    doc = harness.run_report("partition", seed=0, d=2)
+    doc = harness.run_report("partition", d=2)
     assert doc["violations"] == 0
     assert doc["ok"] is True
     text = harness.report_to_json(doc)
@@ -574,8 +587,11 @@ def test_report_validation():
         harness.run_report("sideways", seed=0)
     with pytest.raises(ConfigError):
         harness.run_report("rip", seed=0, dims="16")
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="partition report needs d"):
         harness.run_report("partition", seed=0)
+    # a partition report draws nothing, so it reads no seed
+    with pytest.raises(ConfigError, match="seed: not an option"):
+        harness.run_report("partition", d=2, seed=0)
 
 
 # ----------------------------------------------------------------- selftest
@@ -586,3 +602,20 @@ def test_selftest_all_green():
     assert len(results) == 5
     for name, ok, detail in results:
         assert ok, f"{name}: {detail}"
+
+
+@pytest.mark.parametrize("check,name,broken,detail", [
+    ("fwht-identities", "hadamard_matrix", lambda n: np.ones((n, n)),
+     "orthonormality at 2"),
+    ("subspace-duality", "orthogonal_complement", lambda v: v,
+     "duality n=2"),
+    ("operator-roundtrip", "materialize", lambda op: np.zeros((6, 16)),
+     "dense/materialized mismatch"),
+    ("fiber-split", "check_fiber_sparsity",
+     lambda sp: SimpleNamespace(ok=False), "fiber bound"),
+])
+def test_selftest_names_each_broken_check(monkeypatch, check, name, broken,
+                                          detail):
+    monkeypatch.setattr(harness, name, broken)
+    failed = [(c, d) for c, ok, d in harness.selftest() if not ok]
+    assert failed == [(check, detail)]
