@@ -1,10 +1,15 @@
-"""Command-line front end.
+"""Command-line front end, built from `harness.COMMANDS`: each command
+but selftest takes `--config`, `--out` and its builder's parameters, and
+forwards the merged config and flags to `harness.run_command`. This
+module holds one help string per option and no defaults.
 
 Exit codes: 0 success, 1 configuration error (bad flags or config file,
 missing required options, a shape the library rejects), 2 budget error
-(an enumeration, scan or dense matrix over its cap), 3 selftest failure.
+(an enumeration, scan or materialized matrix over its cap), 3 selftest
+failure.
 """
 
+import inspect
 import sys
 
 import click
@@ -22,142 +27,52 @@ def cli():
     """Kronecker fast Johnson-Lindenstrauss experiments and reports."""
 
 
-def _options(config_path, flags, *required):
-    """This command's options: the YAML config at `config_path` (if any)
-    merged with `flags`, which win. A config key must be one of the
-    command's flags, and every `required` field must be set."""
-    config = harness.load_config(config_path) if config_path else {}
-    for key in config:
-        if key not in flags:
-            raise ConfigError(f"{key!r} is not an option of this command")
-    merged = harness.merge_options(config, flags)
-    for field in required:
-        if field not in merged:
-            raise ConfigError(f"missing required option {field!r}")
-    return merged
+_HELP = {
+    "config": "YAML option file; flags win.",
+    "out": "Output path (stdout if omitted).",
+    "kind": f"Report kind: {'|'.join(harness.REPORT_KINDS)}.",
+    "dims": "Axis lengths, e.g. 4,8,2 or 16x16.",
+    "points": "Number of points (>= 2).",
+    "bits": "Bits per axis of the sign domain.",
+    "r": "Subspace dimension (1 <= r <= bits).",
+    "d": "Axis counts, e.g. 1,2.",
+    "m": "Embedding row counts, e.g. 8,16,32.",
+    "s": "Sparsity level.",
+    "eps": "Distortion levels, e.g. 0.25,0.5.",
+    "nu": "Target failure level for flagging.",
+    "trials": "Monte Carlo trials per cell.",
+    "seed": "Master seed.",
+    "family": f"Test-point families: {'|'.join(harness.FAMILIES)}.",
+    "baseline": f"Operator: {'|'.join(harness.BASELINES)}.",
+    "timing": "Record wall-clock ms per cell (breaks byte-identity of reruns).",
+}
 
 
-def _emit(text, out):
-    if out:
-        harness.write_text(out, text)
-    else:
-        click.echo(text, nl=False)
+def _command(name, build):
+    """The click command that runs `build` through harness.run_command."""
 
+    def run(config, **flags):
+        loaded = harness.load_config(config) if config else {}
+        options = harness.merge_options(loaded, flags)
+        out = options.pop("out", None)
+        text = harness.run_command(name, **options)
+        if out:
+            harness.write_text(out, text)
+        else:
+            click.echo(text, nl=False)
 
-def _single(merged, field, default=None):
-    values = merged.get(field, (default,))
-    if len(values) != 1:
-        raise ConfigError(f"{field}: this command takes a single value")
-    return values[0]
-
-
-_CONFIG = click.option("--config", default=None, help="YAML option file; flags win.")
-_DIMS = click.option("--dims", default=None, help="Axis lengths, e.g. 4,8,2 or 16x16.")
-_M = click.option("--m", default=None, help="Embedding row counts, e.g. 8,16,32.")
-_EPS = click.option("--eps", default=None, help="Distortion levels, e.g. 0.25,0.5.")
-_TRIALS = click.option("--trials", default=None, help="Monte Carlo trials per cell.")
-_SEED = click.option("--seed", default=None, help="Master seed.")
-_OUT = click.option("--out", default=None, help="Output path (stdout if omitted).")
-_TIMING = click.option(
-    "--timing", is_flag=True, default=None,
-    help="Record wall-clock ms per cell (breaks byte-identity of reruns).",
-)
-
-
-@cli.command("jl-sweep")
-@_CONFIG
-@_DIMS
-@_M
-@_EPS
-@_TRIALS
-@_SEED
-@_OUT
-@click.option("--family", default=None, help="kron|dense|onehot, comma-separated.")
-@click.option("--baseline", default=None, help="kfjlt|gaussian.")
-@_TIMING
-def jl_sweep(config, **flags):
-    """Estimate the squared-norm distortion failure rate per (m, eps)."""
-    merged = _options(config, flags, "dims", "m")
-    records = harness.jl_failure_sweep(
-        merged["dims"],
-        merged["m"],
-        merged.get("eps", (0.5,)),
-        merged.get("trials", 10_000),
-        merged.get("seed", 0),
-        families=merged.get("family", harness.FAMILIES),
-        baseline=_single(merged, "baseline", "kfjlt"),
-        timing=merged.get("timing", False),
+    params = inspect.signature(build).parameters.values()
+    return click.Command(
+        name, callback=run, help=inspect.getdoc(build),
+        params=[click.Option(["--config"], help=_HELP["config"])]
+        + [click.Option([f"--{p.name}"], is_flag=isinstance(p.default, bool),
+                        default=None, help=_HELP[p.name]) for p in params]
+        + [click.Option(["--out"], help=_HELP["out"])],
     )
-    _emit(harness.sweep_to_csv(records), merged.get("out"))
 
 
-@cli.command("pointset")
-@_CONFIG
-@_DIMS
-@click.option("--points", default=None, help="Number of points (>= 2).")
-@_M
-@_EPS
-@_TRIALS
-@_SEED
-@_OUT
-@click.option("--family", default=None, help="Point family: kron|dense|onehot.")
-@_TIMING
-def pointset(config, **flags):
-    """Joint pairwise-distance preservation over a fixed point set."""
-    merged = _options(config, flags, "dims", "points", "m")
-    fam = _single(merged, "family", "kron")
-    reports = []
-    for m_idx, m_val in enumerate(merged["m"]):
-        for e_idx, eps_val in enumerate(merged.get("eps", (0.5,))):
-            reports.append(
-                harness.pointset_preservation(
-                    merged["dims"], merged["points"], m_val, eps_val,
-                    merged.get("trials", 10_000), merged.get("seed", 0),
-                    family=fam, timing=merged.get("timing", False),
-                    _cell=(m_idx, e_idx),
-                )
-            )
-    _emit(harness.pointset_to_csv(reports), merged.get("out"))
-
-
-@cli.command("lower-bound")
-@_CONFIG
-@click.option("--bits", default=None, help="Bits per axis of the sign domain.")
-@click.option("--r", default=None, help="Subspace dimension (1 <= r <= bits).")
-@click.option("--d", default=None, help="Axis counts, e.g. 1,2.")
-@_M
-@click.option("--nu", default=None, help="Target failure level for flagging.")
-@_TRIALS
-@_SEED
-@_OUT
-@_TIMING
-def lower_bound(config, **flags):
-    """Adversarial subspace-indicator sweep: exact, bound, empirical."""
-    merged = _options(config, flags, "bits", "r", "d", "m")
-    records = harness.lower_bound_sweep(
-        merged["bits"], merged["r"], merged["d"], merged["m"],
-        merged.get("trials", 10_000), merged.get("seed", 0),
-        nu=merged.get("nu", 0.1), timing=merged.get("timing", False),
-    )
-    _emit(harness.lower_bound_to_csv(records), merged.get("out"))
-
-
-@cli.command("report")
-@_CONFIG
-@click.option("--kind", default=None, help="rip|chaos|partition.")
-@_DIMS
-@_M
-@click.option("--s", default=None, help="Sparsity level (rip).")
-@click.option("--d", default=None, help="Axis count (partition).")
-@_TRIALS
-@_SEED
-@_OUT
-def report(config, **flags):
-    """Write one JSON report document."""
-    merged = _options(config, flags, "kind")
-    out = merged.pop("out", None)
-    merged.update({f: _single(merged, f) for f in ("m", "d") if f in merged})
-    _emit(harness.report_to_json(harness.run_report(**merged)), out)
+for _name, _build in harness.COMMANDS.items():
+    cli.add_command(_command(_name, _build))
 
 
 @cli.command("selftest")

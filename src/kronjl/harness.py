@@ -19,6 +19,7 @@ the product of per-axis Gram matrices. Only dense points run the length-N
 transform.
 """
 
+import inspect
 import itertools
 import json
 import math
@@ -59,6 +60,9 @@ from .transforms import (
 __all__ = [
     "CSV_HEADER",
     "FAMILIES",
+    "BASELINES",
+    "REPORT_KINDS",
+    "COMMANDS",
     "SweepRecord",
     "PointsetReport",
     "LowerBoundRecord",
@@ -77,6 +81,7 @@ __all__ = [
     "scaling_exponent_report",
     "run_report",
     "report_to_json",
+    "run_command",
     "selftest",
     "write_text",
 ]
@@ -151,6 +156,14 @@ def _parse_one(field, value, kind, allow_zero=False):
     return out[0]
 
 
+def _distinct(field, values):
+    """`values`, each of which must appear once: a repeated cell would
+    draw the same stream and write its row twice."""
+    if len(set(values)) != len(values):
+        raise ConfigError(f"{field}: values must be distinct")
+    return values
+
+
 def _parse_bool(field, value):
     if not isinstance(value, bool):
         raise ConfigError(f"{field}: expected true or false, got {value!r}")
@@ -180,13 +193,13 @@ def _parse_choices(field, value, allowed):
         raise ConfigError(
             f"{field}: expected {'|'.join(allowed)}, got {value!r}"
         )
-    return names
+    return _distinct(field, names)
 
 
 _FIELD_PARSERS = {
     "dims": _parse_dims,
-    "m": lambda f, v: _parse_numbers(f, v, int),
-    "eps": lambda f, v: _parse_numbers(f, v, float),
+    "m": lambda f, v: _distinct(f, _parse_numbers(f, v, int)),
+    "eps": lambda f, v: _distinct(f, _parse_numbers(f, v, float)),
     "trials": lambda f, v: _parse_one(f, v, int),
     "seed": lambda f, v: _parse_one(f, v, int, allow_zero=True),
     "out": lambda f, v: str(v),
@@ -196,7 +209,7 @@ _FIELD_PARSERS = {
     "points": lambda f, v: _parse_one(f, v, int),
     "bits": lambda f, v: _parse_one(f, v, int),
     "r": lambda f, v: _parse_one(f, v, int),
-    "d": lambda f, v: _parse_numbers(f, v, int),
+    "d": lambda f, v: _distinct(f, _parse_numbers(f, v, int)),
     "nu": lambda f, v: _parse_one(f, v, float),
     "kind": lambda f, v: str(v),
     "s": lambda f, v: _parse_one(f, v, int),
@@ -205,7 +218,8 @@ _FIELD_PARSERS = {
 
 def merge_options(config, flags):
     """Combine a config mapping with flag overrides; flags win. Unknown
-    keys and malformed values raise ConfigError naming the field."""
+    keys, malformed values and a value repeated in a list option raise
+    ConfigError naming the field."""
     merged = {}
     for source in (config, flags):
         for key, value in source.items():
@@ -359,6 +373,16 @@ def _gaussian_cell_failures(x, m, eps, trials, rng):
     return failures
 
 
+def _check_cells(m_values, eps_values, trials):
+    """The sweep checks shared by jl-sweep and pointset cells."""
+    if trials <= 0:
+        raise ConfigError("trials: must be positive")
+    if any(m <= 0 for m in m_values):
+        raise ConfigError("m: must be positive")
+    if any(e <= 0 for e in eps_values):
+        raise ConfigError("eps: must be positive")
+
+
 def jl_failure_sweep(dims, m_values, eps_values, trials, seed,
                      families=FAMILIES, baseline="kfjlt", timing=False):
     """Estimate P(|‖Ax‖^2 - 1| > eps) per (family, m, eps) cell over
@@ -369,12 +393,7 @@ def jl_failure_sweep(dims, m_values, eps_values, trials, seed,
     for fam in families:
         if fam not in FAMILIES:
             raise ConfigError(f"family: unknown {fam!r}")
-    if trials <= 0:
-        raise ConfigError("trials: must be positive")
-    if any(m <= 0 for m in m_values):
-        raise ConfigError("m: must be positive")
-    if any(e <= 0 for e in eps_values):
-        raise ConfigError("eps: must be positive")
+    _check_cells(m_values, eps_values, trials)
     records = []
     for family in families:
         fam_idx = FAMILIES.index(family)
@@ -463,6 +482,7 @@ def pointset_preservation(dims, n_points, m, eps, trials, seed,
         raise ConfigError("points: need at least 2")
     if family not in FAMILIES:
         raise ConfigError(f"family: unknown {family!r}")
+    _check_cells((m,), (eps,), trials)
     fam_idx = FAMILIES.index(family)
     pts = _family_factors(family, dims, seed, count=n_points)
 
@@ -778,29 +798,41 @@ def _partition_report(d):
     }
 
 
-# per report kind: its builder, the options it needs and the ones it may
-# also read, which the builder's defaults fill in
+# per report kind, its builder; the builder's parameters are the options
+# the kind reads, required where they have no default
 _REPORTS = {
-    "rip": (_rip_report, ("dims", "m", "s"), ("seed",)),
-    "chaos": (_chaos_report, ("dims", "m"), ("trials", "seed")),
-    "partition": (_partition_report, ("d",), ()),
+    "rip": _rip_report,
+    "chaos": _chaos_report,
+    "partition": _partition_report,
 }
+REPORT_KINDS = tuple(_REPORTS)
+
+
+def _checked_call(build, what, options):
+    """build(**options) over the options not None, once every parameter
+    of `build` without a default is given and every option is a parameter
+    of `build`; else a ConfigError naming the first failure and `what`."""
+    options = {k: v for k, v in options.items() if v is not None}
+    params = inspect.signature(build).parameters
+    needs = [name for name, p in params.items() if p.default is p.empty]
+    if any(name not in options for name in needs):
+        raise ConfigError(f"{what} needs {', '.join(needs)}")
+    for key in options:
+        if key not in params:
+            raise ConfigError(f"{key}: not an option of a {what}")
+    return build(**options)
 
 
 def run_report(kind, **options):
     """Build one JSON-ready report document of the named kind from its
-    options (see _REPORTS). Checks, in order: the kind is known, every
-    option the kind needs is given, and every given option is one the
-    kind reads; each failure is a ConfigError naming it."""
+    options, the parameters of its builder in _REPORTS; an option set to
+    None is not given. Checks, in order: the kind is known, every option
+    the kind needs is given, and every given option is one the kind reads;
+    each failure is a ConfigError naming it."""
     if kind not in _REPORTS:
         raise ConfigError(f"kind: unknown report kind {kind!r}")
-    build, needs, also = _REPORTS[kind]
-    if any(options.get(name) is None for name in needs):
-        raise ConfigError(f"{kind} report needs {', '.join(needs)}")
-    for key in options:
-        if key not in needs + also:
-            raise ConfigError(f"{key}: not an option of a {kind} report")
-    return {"schema": REPORT_SCHEMA, "kind": kind, **build(**options)}
+    doc = _checked_call(_REPORTS[kind], f"{kind} report", options)
+    return {"schema": REPORT_SCHEMA, "kind": kind, **doc}
 
 
 def report_to_json(doc):
@@ -813,6 +845,74 @@ def write_text(path, text):
             fh.write(text)
     except OSError as exc:
         raise ConfigError(f"cannot write {path}: {exc}") from exc
+
+
+# ----------------------------------------------------------------- commands
+
+
+def _single(field, values):
+    """The value of a list option that this command takes singly."""
+    if values is None:
+        return None
+    if len(values) != 1:
+        raise ConfigError(f"{field}: this command takes a single value")
+    return values[0]
+
+
+def _jl_sweep_command(dims, m, eps=(0.5,), trials=10_000, seed=0,
+                      family=FAMILIES, baseline=("kfjlt",), timing=False):
+    """Estimate the squared-norm distortion failure rate per (m, eps)."""
+    return sweep_to_csv(jl_failure_sweep(
+        dims, m, eps, trials, seed, families=family,
+        baseline=_single("baseline", baseline), timing=timing,
+    ))
+
+
+def _pointset_command(dims, points, m, eps=(0.5,), trials=10_000, seed=0,
+                      family=("kron",), timing=False):
+    """Joint pairwise-distance preservation over a fixed point set."""
+    family = _single("family", family)
+    return pointset_to_csv([
+        pointset_preservation(
+            dims, points, m_val, eps_val, trials, seed, family=family,
+            timing=timing, _cell=(m_idx, e_idx),
+        )
+        for m_idx, m_val in enumerate(m)
+        for e_idx, eps_val in enumerate(eps)
+    ])
+
+
+def _lower_bound_command(bits, r, d, m, nu=0.1, trials=10_000, seed=0,
+                         timing=False):
+    """Adversarial subspace-indicator sweep: exact, bound, empirical."""
+    return lower_bound_to_csv(lower_bound_sweep(
+        bits, r, d, m, trials, seed, nu=nu, timing=timing,
+    ))
+
+
+def _report_command(kind, dims=None, m=None, s=None, d=None, trials=None,
+                    seed=None):
+    """Write one JSON report document."""
+    return report_to_json(run_report(
+        kind, dims=dims, m=_single("m", m), s=s, d=_single("d", d),
+        trials=trials, seed=seed,
+    ))
+
+
+# per command, the builder of its output text; a builder's parameters are
+# the command's options, required where they have no default
+COMMANDS = {
+    "jl-sweep": _jl_sweep_command,
+    "pointset": _pointset_command,
+    "lower-bound": _lower_bound_command,
+    "report": _report_command,
+}
+
+
+def run_command(name, **options):
+    """The output text of the named command, from options as
+    merge_options gives them; checked as run_report checks a report's."""
+    return _checked_call(COMMANDS[name], f"{name} command", options)
 
 
 # ----------------------------------------------------------------- selftest

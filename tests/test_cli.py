@@ -2,10 +2,12 @@
 mapping is exercised: 0 success, 1 config, 2 budget, 3 selftest."""
 
 import hashlib
+import inspect
 import itertools
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -110,14 +112,81 @@ def test_missing_required_exits_one(capsys):
     assert "dims" in err
 
 
-def test_unknown_config_key_exits_one(tmp_path, capsys):
+@pytest.mark.parametrize("command,config,other", [
+    pytest.param(command, config, other, id=command)
+    for command, config, other in (
+        ("jl-sweep", "dims: '4'\nm: '4'\ntrials: 10\n", "points"),
+        ("pointset", "dims: '4'\npoints: 2\nm: '4'\ntrials: 10\n", "nu"),
+        ("lower-bound", "bits: 2\nr: 1\nd: 1\nm: 2\ntrials: 10\n", "points"),
+        ("report", "kind: partition\nd: 2\n", "eps"),
+    )
+])
+def test_unknown_config_key_exits_one(command, config, other, tmp_path,
+                                      capsys):
     cfg = tmp_path / "cfg.yaml"
-    # `points` is an option of pointset but not of jl-sweep
-    for key in ("warp", "points"):
-        cfg.write_text(f"dims: '4'\nm: '4'\n{key}: 9\n")
-        code, _, err = run_cli(["jl-sweep", "--config", str(cfg)], capsys)
+    cfg.write_text(config)
+    assert run_cli([command, "--config", str(cfg)], capsys)[0] == 0
+    # `warp` is no option at all; `other` is another command's option
+    for key, message in (
+        ("warp", "unknown option 'warp'"),
+        (other, f"{other}: not an option of a {command} command"),
+    ):
+        cfg.write_text(f"{config}{key}: 9\n")
+        code, out, err = run_cli([command, "--config", str(cfg)], capsys)
         assert code == 1
-        assert key in err
+        assert out == ""
+        assert err.splitlines() == [f"config error: {message}"]
+
+
+_SWEEP = ["jl-sweep", "--dims", "4", "--trials", "10"]
+_LOWER = ["lower-bound", "--bits", "2", "--r", "1", "--trials", "10"]
+
+
+@pytest.mark.parametrize("args,field", [
+    pytest.param(args, field, id=f"{args[0]}-{field}")
+    for args, field in (
+        (_SWEEP + ["--m", "4", "--family", "kron,kron"], "family"),
+        (_SWEEP + ["--m", "4", "--baseline", "kfjlt,kfjlt"], "baseline"),
+        (_SWEEP + ["--m", "4,4"], "m"),
+        (_SWEEP + ["--m", "4", "--eps", "0.5,0.50"], "eps"),
+        (_LOWER + ["--d", "1,1", "--m", "4"], "d"),
+        (_LOWER + ["--d", "1", "--m", "4,4"], "m"),
+        # a repeated axis length is a shape, not a repeated cell
+        (_SWEEP + ["--m", "4", "--dims", "4x4"], None),
+    )
+])
+def test_repeated_list_value_exits_one(args, field, capsys):
+    # a repeated cell would draw the same stream and write its row twice
+    code, out, err = run_cli(args, capsys)
+    if field is None:
+        assert code == 0
+        assert len(out.splitlines()) == 4
+    else:
+        assert code == 1
+        assert out == ""
+        assert err.splitlines() == [
+            f"config error: {field}: values must be distinct"
+        ]
+
+
+def _help_options(command, capsys):
+    code, out, _ = run_cli([command, "--help"], capsys)
+    assert code == 0
+    return out, re.findall(r"^  (--[a-z-]+)", out, re.MULTILINE)
+
+
+@pytest.mark.parametrize("name", list(harness.COMMANDS))
+def test_command_flags_are_its_builder_parameters(name, capsys):
+    _, flags = _help_options(name, capsys)
+    params = inspect.signature(harness.COMMANDS[name]).parameters
+    want = ["--config", *(f"--{p}" for p in params), "--out", "--help"]
+    assert flags == want
+
+
+def test_report_help_names_the_report_kinds(capsys):
+    out, _ = _help_options("report", capsys)
+    kinds = re.search(r"Report kind: ([a-z|]+)\.", out).group(1)
+    assert tuple(kinds.split("|")) == harness.REPORT_KINDS
 
 
 def test_budget_error_exits_two(capsys):

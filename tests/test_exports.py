@@ -1,13 +1,16 @@
 """Every name a kronjl module exports through __all__ exists, no module
 or test imports a name it never reads, and the command line uses only the
-harness's public names."""
+harness's public names and holds no default and no family, baseline or
+report-kind name of its own."""
 
 import ast
 import importlib
 import pkgutil
+import re
 from pathlib import Path
 
 import kronjl
+from kronjl import harness
 
 TESTS = Path(__file__).resolve().parent
 SRC = Path(kronjl.__file__).resolve().parent
@@ -74,3 +77,18 @@ def test_cli_reads_no_private_harness_name():
                if isinstance(n, ast.Attribute) and n.attr.startswith("_")
                and isinstance(n.value, ast.Name) and n.value.id == "harness"]
     assert private == []
+
+
+def test_cli_names_no_choice_and_no_default():
+    # choices come from the harness's tuples and defaults from its
+    # builders' signatures, so none may be written out in cli.py
+    tree = ast.parse((SRC / "cli.py").read_text())
+    names = set(harness.FAMILIES + harness.BASELINES + harness.REPORT_KINDS)
+    named = [f"{n.lineno}: {n.value!r}" for n in ast.walk(tree)
+             if isinstance(n, ast.Constant) and isinstance(n.value, str)
+             and names & set(re.findall(r"[a-z]+", n.value))]
+    assert named == []
+    defaults = [n.lineno for n in ast.walk(tree)
+                if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+                and n.func.attr == "get" and len(n.args) + len(n.keywords) > 1]
+    assert defaults == []

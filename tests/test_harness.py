@@ -344,6 +344,11 @@ def test_pointset_validation():
         harness.pointset_preservation((4,), 1, 4, 0.5, 10, 0)
     with pytest.raises(ConfigError):
         harness.pointset_preservation((4,), 3, 4, 0.5, 10, 0, family="blob")
+    # checked as a jl-sweep cell is
+    for field, cell in (("m", (0, 0.5, 10)), ("eps", (4, -1.0, 10)),
+                        ("trials", (4, 0.5, 0))):
+        with pytest.raises(ConfigError, match=f"^{field}: must be positive"):
+            harness.pointset_preservation((4,), 3, *cell, 0)
 
 
 def test_required_rows_scan_brackets_target():
