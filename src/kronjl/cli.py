@@ -48,6 +48,13 @@ _HELP = {
 }
 
 
+# per command, a block of lines shown after its options
+_EPILOG = {
+    "report": "\b\nOptions each kind reads, [optional]:\n"
+    + "\n".join(f"  {line}" for line in harness.REPORT_USAGE),
+}
+
+
 def _command(name, build):
     """The click command that runs `build` through harness.run_command."""
 
@@ -63,7 +70,7 @@ def _command(name, build):
 
     params = inspect.signature(build).parameters.values()
     return click.Command(
-        name, callback=run, help=inspect.getdoc(build),
+        name, callback=run, help=inspect.getdoc(build), epilog=_EPILOG.get(name),
         params=[click.Option(["--config"], help=_HELP["config"])]
         + [click.Option([f"--{p.name}"], is_flag=isinstance(p.default, bool),
                         default=None, help=_HELP[p.name]) for p in params]

@@ -15,8 +15,9 @@ Test points are kept as factors (`_family_factors`). The rank-one families
 (kron, onehot) run from their per-axis factors: each axis is transformed on
 its own and the sampled entries are products of per-axis entries, so their
 cells allocate nothing of length N, and a pointset's base Gram matrix is
-the product of per-axis Gram matrices. Only dense points run the length-N
-transform.
+the product of per-axis Gram matrices. Only dense points run length-N
+work, and for the m sampled entries of their transform only
+(hadamard_rows).
 """
 
 import inspect
@@ -41,7 +42,7 @@ from .chaos import (
     estimate_chaos_moments,
 )
 from .errors import BudgetError, ConfigError
-from .fwht import fwht, hadamard_matrix
+from .fwht import fwht, fwht_axis, hadamard_matrix
 from .gf2 import enumerate_subspaces, indicator, orthogonal_complement
 from .indexing import KronDims, _group_positions
 from .rip import rip_constant
@@ -62,6 +63,7 @@ __all__ = [
     "FAMILIES",
     "BASELINES",
     "REPORT_KINDS",
+    "REPORT_USAGE",
     "COMMANDS",
     "SweepRecord",
     "PointsetReport",
@@ -193,13 +195,13 @@ def _parse_choices(field, value, allowed):
         raise ConfigError(
             f"{field}: expected {'|'.join(allowed)}, got {value!r}"
         )
-    return _distinct(field, names)
+    return names
 
 
 _FIELD_PARSERS = {
     "dims": _parse_dims,
-    "m": lambda f, v: _distinct(f, _parse_numbers(f, v, int)),
-    "eps": lambda f, v: _distinct(f, _parse_numbers(f, v, float)),
+    "m": lambda f, v: _parse_numbers(f, v, int),
+    "eps": lambda f, v: _parse_numbers(f, v, float),
     "trials": lambda f, v: _parse_one(f, v, int),
     "seed": lambda f, v: _parse_one(f, v, int, allow_zero=True),
     "out": lambda f, v: str(v),
@@ -209,7 +211,7 @@ _FIELD_PARSERS = {
     "points": lambda f, v: _parse_one(f, v, int),
     "bits": lambda f, v: _parse_one(f, v, int),
     "r": lambda f, v: _parse_one(f, v, int),
-    "d": lambda f, v: _distinct(f, _parse_numbers(f, v, int)),
+    "d": lambda f, v: _parse_numbers(f, v, int),
     "nu": lambda f, v: _parse_one(f, v, float),
     "kind": lambda f, v: str(v),
     "s": lambda f, v: _parse_one(f, v, int),
@@ -218,8 +220,9 @@ _FIELD_PARSERS = {
 
 def merge_options(config, flags):
     """Combine a config mapping with flag overrides; flags win. Unknown
-    keys, malformed values and a value repeated in a list option raise
-    ConfigError naming the field."""
+    keys and malformed values raise ConfigError naming the field; a value
+    repeated in a list option is refused by the sweep or command that
+    reads it."""
     merged = {}
     for source in (config, flags):
         for key, value in source.items():
@@ -277,8 +280,10 @@ def _sampled_trials(dims, pts, m, trials, rng):
     (x) x_d) is the Kronecker product of the H_l (xi_l * x_l), so each
     axis is transformed on its own and the entries are gathered at the
     bit fields of the rows (sampled_entries). Dense points, one length-N
-    factor, meet the Kronecker product of the signs and run the length-N
-    transform.
+    factor, meet the Kronecker product of the signs and go through
+    hadamard_rows at their trial's rows: the high bits are transformed in
+    full, and where m is small against N the last Sylvester block only at
+    the m sampled rows.
     """
     points = pts[0].shape[0]
     signs = rand.rademacher_factors(rng, trials, dims)
@@ -288,12 +293,14 @@ def _sampled_trials(dims, pts, m, trials, rng):
         hi = min(lo + chunk, trials)
         xi = [f[lo:hi] for f in signs]
         if len(pts) == 1:  # one length-N factor: dense, or a single axis
-            xi = [kron_materialize(xi)]
-        ys = []
-        for s, f in zip(xi, pts):
-            z = s[:, None, :] * f[None, :, :]
-            ys.append(hadamard_rows(z.reshape(-1, z.shape[2])).reshape(z.shape))
-        yield sampled_entries(ys, rows0[lo:hi, None, :])
+            z = kron_materialize(xi)[:, None, :] * pts[0][None, :, :]
+            rows = np.repeat(rows0[lo:hi], points, axis=0)
+            ys = hadamard_rows(z.reshape(-1, dims.total), rows)
+            yield ys.reshape(z.shape[:2] + (m,))
+        else:
+            ys = [fwht_axis(s[:, None, :] * f[None, :, :], 2)
+                  for s, f in zip(xi, pts)]
+            yield sampled_entries(ys, rows0[lo:hi, None, :])
 
 
 def _csv_cell(value):
@@ -381,6 +388,8 @@ def _check_cells(m_values, eps_values, trials):
         raise ConfigError("m: must be positive")
     if any(e <= 0 for e in eps_values):
         raise ConfigError("eps: must be positive")
+    _distinct("m", m_values)
+    _distinct("eps", eps_values)
 
 
 def jl_failure_sweep(dims, m_values, eps_values, trials, seed,
@@ -393,6 +402,7 @@ def jl_failure_sweep(dims, m_values, eps_values, trials, seed,
     for fam in families:
         if fam not in FAMILIES:
             raise ConfigError(f"family: unknown {fam!r}")
+    _distinct("family", families)
     _check_cells(m_values, eps_values, trials)
     records = []
     for family in families:
@@ -719,6 +729,8 @@ def lower_bound_sweep(bits, r, d_values, m_values, trials, seed, nu=0.1,
         raise ConfigError("nu: must be in (0, 1)")
     if r < 1 or r > bits:
         raise ConfigError("r: need 1 <= r <= bits")
+    _distinct("d", d_values)
+    _distinct("m", m_values)
     s = 1 << r
     records = []
     for d in d_values:
@@ -808,6 +820,19 @@ _REPORTS = {
 REPORT_KINDS = tuple(_REPORTS)
 
 
+def _usage(build):
+    """`build`'s parameters as help text: the required ones, then the
+    others in brackets, e.g. 'dims, m, s [seed]'."""
+    params = inspect.signature(build).parameters.values()
+    need = ", ".join(p.name for p in params if p.default is p.empty)
+    rest = ", ".join(p.name for p in params if p.default is not p.empty)
+    return f"{need} [{rest}]" if rest else need
+
+
+# per report kind, one help line naming the options it reads
+REPORT_USAGE = tuple(f"{kind}: {_usage(build)}" for kind, build in _REPORTS.items())
+
+
 def _checked_call(build, what, options):
     """build(**options) over the options not None, once every parameter
     of `build` without a default is given and every option is a parameter
@@ -851,10 +876,11 @@ def write_text(path, text):
 
 
 def _single(field, values):
-    """The value of a list option that this command takes singly."""
+    """The value of a list option that this command takes singly; a
+    repeated value is named as such."""
     if values is None:
         return None
-    if len(values) != 1:
+    if len(_distinct(field, values)) != 1:
         raise ConfigError(f"{field}: this command takes a single value")
     return values[0]
 
@@ -872,6 +898,7 @@ def _pointset_command(dims, points, m, eps=(0.5,), trials=10_000, seed=0,
                       family=("kron",), timing=False):
     """Joint pairwise-distance preservation over a fixed point set."""
     family = _single("family", family)
+    _check_cells(m, eps, trials)
     return pointset_to_csv([
         pointset_preservation(
             dims, points, m_val, eps_val, trials, seed, family=family,

@@ -12,14 +12,17 @@ the first axis varies fastest, so a rank-one array with factors
 (x_1, ..., x_d) vectorizes to the Kronecker product with x_1 innermost.
 
 The Kronecker structure lies only in D: for power-of-two axes,
-H_{n_d} (x) ... (x) H_{n_1} = H_N, so the batched dense path runs one
-length-N transform per row (hadamard_rows), while apply_dense, its
-reference, composes the per-axis transforms. A rank-one input never needs
-the length-N transform: H D (x_1 (x) ... (x) x_d) is the Kronecker product
-of the H_l (xi_l * x_l), and a sampled entry is a product of one entry per
-axis, found at the bit fields of its row (sampled_entries). apply_factored
-and the harness's kron and onehot trials take that path; only dense
-inputs run the length-N transform.
+H_{n_d} (x) ... (x) H_{n_1} = H_N, so the batched dense path treats each
+row as one length-N vector (hadamard_rows), while apply_dense, its
+reference, composes the full per-axis transforms. P keeps only m rows, so
+where m is small against N (fwht.last_block) hadamard_rows transforms the
+high bits of a row in full and runs the last 64-wide Sylvester block only
+at the sampled rows. A rank-one input needs no
+length-N work: H D (x_1 (x) ... (x) x_d) is the Kronecker product of the
+H_l (xi_l * x_l), and a sampled entry is a product of one entry per axis,
+found at the bit fields of its row (sampled_entries). apply_factored and
+the harness's kron and onehot trials take that path; only dense inputs
+go through hadamard_rows.
 
 Randomness: signs for axis l come from substream(seed, TAG_SIGNS, l); the
 row sample from substream(seed, TAG_SAMPLES).
@@ -32,7 +35,7 @@ import numpy as np
 
 from . import rand
 from .errors import BudgetError, ShapeError
-from .fwht import fwht, fwht_axis, hadamard_matrix
+from .fwht import fwht, fwht_axis, hadamard_matrix, last_block
 from .indexing import KronDims
 
 __all__ = [
@@ -216,10 +219,10 @@ def kron_sign_patterns(dims):
 def apply_dense(op, x):
     """Apply the operator to a length-N vector via per-axis transforms.
 
-    Cost O(N log N + m). It composes one transform per axis rather than
-    the single length-N transform of hadamard_rows, so that the two
-    derivations of H check each other (apply_dense_mat is tested against
-    this function).
+    Cost O(N log N + m). It composes full transforms, one per axis,
+    rather than the split length-N transform of hadamard_rows, so that
+    the two derivations of H check each other (apply_dense_mat is tested
+    against this function).
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1 or x.size != op.dims.total:
@@ -232,27 +235,50 @@ def apply_dense(op, x):
     return op.scale * arr.reshape(-1)[op.samples.rows - 1]
 
 
-def hadamard_rows(xs):
-    """Row-wise orthonormal length-N Walsh-Hadamard transform of a
-    (count, N) matrix.
+def hadamard_rows(xs, rows0):
+    """Entries rows0[c] of the orthonormal length-N Walsh-Hadamard
+    transform of each row xs[c] of a (count, N) matrix: (count, m).
 
-    With the earliest axis fastest, the Kronecker product of the per-axis
-    Sylvester factors is the length-N Sylvester matrix, so one transform
-    of each whole row serves every shape of the same N.
+    rows0 holds 0-based rows in [0, N), of shape (m,) for every row or
+    (count, m); duplicates are kept. With the earliest axis fastest, the
+    Kronecker product of the per-axis Sylvester factors is the length-N
+    Sylvester matrix, so one transform serves every shape of the same N.
+    It is split as H_N = H_{N/r} (x) H_r, r = fwht.last_block(N, m): the
+    high bits are transformed in full, then only the m length-r rows
+    holding the sampled entries take the last block. That block costs
+    count * m * r^2 multiply-adds where the full transform's last digit
+    costs count * N * r, and r = 64 only where m * r <= N / 4; otherwise
+    r = 1, the full transform and a gather.
     """
     xs = np.asarray(xs, dtype=np.float64)
     if xs.ndim != 2:
         raise ShapeError(f"expected a (count, N) matrix, got shape {xs.shape}")
-    return fwht_axis(xs, 1)
+    count, n = xs.shape
+    rows0 = np.asarray(rows0)
+    if rows0.ndim not in (1, 2) or rows0.shape[:-1] not in ((), (count,)):
+        raise ShapeError(
+            f"rows must have shape (m,) or ({count}, m), got {rows0.shape}"
+        )
+    r = last_block(n, rows0.shape[-1])
+    if np.any((rows0 < 0) | (rows0 >= n)):
+        raise ShapeError(f"rows must lie in 0..{n - 1}")
+    rows0 = np.broadcast_to(rows0, (count, rows0.shape[-1]))
+    # the length-r rows of every xs[c], one after another, at rows0 // r
+    at = rows0 // r + (np.arange(count) * (n // r))[:, None]
+    picked = fwht_axis(xs.reshape(count, n // r, r), 1).reshape(-1, r)[at]
+    low = fwht_axis(picked, 2)
+    del at, picked  # at m >= N each is as large as xs
+    return np.take_along_axis(low, (rows0 % r)[:, :, None], axis=2)[:, :, 0]
 
 
 def apply_dense_mat(op, xs):
-    """Apply one operator to the rows of a (count, N) matrix in a batch."""
+    """Apply one operator to the rows of a (count, N) matrix in a batch:
+    hadamard_rows computes only the m sampled entries of each row."""
     xs = np.asarray(xs, dtype=np.float64)
     if xs.ndim != 2 or xs.shape[1] != op.dims.total:
         raise ShapeError(f"expected shape (count, {op.dims.total})")
-    flat = hadamard_rows(xs * op.signs.full_vector()[None, :])
-    return op.scale * flat[:, op.samples.rows - 1]
+    ys = hadamard_rows(xs * op.signs.full_vector()[None, :], op.samples.rows - 1)
+    return op.scale * ys
 
 
 def apply_factored(op, factors):

@@ -151,6 +151,10 @@ _LOWER = ["lower-bound", "--bits", "2", "--r", "1", "--trials", "10"]
         (_SWEEP + ["--m", "4", "--eps", "0.5,0.50"], "eps"),
         (_LOWER + ["--d", "1,1", "--m", "4"], "d"),
         (_LOWER + ["--d", "1", "--m", "4,4"], "m"),
+        (["pointset", "--dims", "4", "--points", "2", "--trials", "10",
+          "--m", "4,8,4"], "m"),
+        (["report", "--kind", "rip", "--dims", "8", "--s", "1",
+          "--m", "4,4"], "m"),
         # a repeated axis length is a shape, not a repeated cell
         (_SWEEP + ["--m", "4", "--dims", "4x4"], None),
     )
@@ -187,6 +191,20 @@ def test_report_help_names_the_report_kinds(capsys):
     out, _ = _help_options("report", capsys)
     kinds = re.search(r"Report kind: ([a-z|]+)\.", out).group(1)
     assert tuple(kinds.split("|")) == harness.REPORT_KINDS
+
+
+def test_report_help_says_which_kind_reads_which_option(capsys):
+    out, _ = _help_options("report", capsys)
+    lines = out.split("Options each kind reads, [optional]:\n")[1].splitlines()
+    assert len(lines) == len(harness.REPORT_KINDS)
+    for kind, line in zip(harness.REPORT_KINDS, lines):
+        name, _, usage = line.strip().partition(": ")
+        need, _, rest = usage.rstrip("]").partition(" [")
+        params = inspect.signature(harness._REPORTS[kind]).parameters.values()
+        assert name == kind
+        assert need.split(", ") == [p.name for p in params if p.default is p.empty]
+        assert (rest.split(", ") if rest else []) == [
+            p.name for p in params if p.default is not p.empty]
 
 
 def test_budget_error_exits_two(capsys):

@@ -5,7 +5,7 @@ import pytest
 import scipy.linalg
 
 from kronjl.errors import ShapeError
-from kronjl.fwht import active_backend, fwht, fwht_axis, hadamard_matrix
+from kronjl.fwht import active_backend, fwht, fwht_axis, hadamard_matrix, last_block
 
 
 def _transform_matrix(n):
@@ -79,6 +79,8 @@ def test_non_power_of_two_rejected():
         fwht_axis(np.ones((2, 5)), axis=1)
     with pytest.raises(ShapeError):
         hadamard_matrix(12)
+    with pytest.raises(ShapeError):
+        last_block(768, 1)
 
 
 def test_fwht_axis_matches_columnwise():
@@ -118,3 +120,12 @@ def test_input_not_mutated():
 
 def test_active_backend_reports():
     assert active_backend() == "numpy"
+
+
+def test_last_block_splits_only_where_m_is_small_against_n():
+    # the m gathered 64-wide rows make at most a quarter of the row
+    assert last_block(1 << 16, 256) == 64
+    assert last_block(1 << 16, 257) == 1
+    assert last_block(256, 1) == 64
+    assert last_block(128, 1) == 1
+    assert last_block(1, 1) == 1

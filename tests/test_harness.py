@@ -13,10 +13,10 @@ import scipy.linalg
 from kronjl import harness
 from kronjl.adversarial import failure_probability_exact
 from kronjl.errors import BudgetError, ConfigError
-from kronjl.fwht import hadamard_matrix
+from kronjl.fwht import fwht_axis, hadamard_matrix
 from kronjl.indexing import KronDims
 from kronjl import rand
-from kronjl.transforms import hadamard_rows, kron_materialize, kron_sign_patterns
+from kronjl.transforms import kron_materialize, kron_sign_patterns
 
 
 # ------------------------------------------------------------------ options
@@ -220,7 +220,7 @@ def _length_n_trials(dims, pts, m, trials, rng):
     signs = rand.rademacher_factors(rng, trials, dims)
     rows0 = rng.integers(0, dims.total, size=(trials, m))
     z = kron_materialize(signs)[:, None, :] * kron_materialize(pts)[None]
-    w = hadamard_rows(z.reshape(-1, dims.total)).reshape(z.shape)
+    w = fwht_axis(z, 2)
     return np.take_along_axis(w, rows0[:, None, :], axis=2)
 
 
@@ -237,6 +237,22 @@ def test_factored_trials_match_length_n_transform(family, dims, points):
     ))
     want = _length_n_trials(*args, rand.substream(8, rand.TAG_EXPERIMENT))
     assert got.shape == (37, points, 6)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("dims", [(16,), (8, 32), (2048,), (64, 4, 8)])
+@pytest.mark.parametrize("points", [1, 5])
+def test_dense_trials_match_length_n_transform(dims, points):
+    # dense points; at N >= 256 * 8, (2048,) and (64, 4, 8), the last
+    # Sylvester block runs at the sampled rows only
+    dims = KronDims(dims)
+    pts = harness._family_factors("dense", dims, seed=3, count=points)
+    args = (dims, pts, 8, 21)
+    got = np.concatenate(list(
+        harness._sampled_trials(*args, rand.substream(3, rand.TAG_EXPERIMENT))
+    ))
+    want = _length_n_trials(*args, rand.substream(3, rand.TAG_EXPERIMENT))
+    assert got.shape == (21, points, 8)
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
@@ -272,6 +288,21 @@ def test_sweep_validation():
         harness.jl_failure_sweep((4,), (4,), (-0.5,), 100, 0)
     with pytest.raises(ConfigError):
         harness.jl_failure_sweep((4,), (4,), (0.5,), 0, 0)
+
+
+@pytest.mark.parametrize("field, call", [
+    ("m", lambda: harness.jl_failure_sweep(
+        (4,), (4, 4), (0.5,), 10, 0, families=("kron",))),
+    ("eps", lambda: harness.jl_failure_sweep((4,), (4,), (0.5, 0.5), 10, 0)),
+    ("family", lambda: harness.jl_failure_sweep(
+        (4,), (4,), (0.5,), 10, 0, families=("kron", "kron"))),
+    ("d", lambda: harness.lower_bound_sweep(3, 1, (1, 1), (4,), 10, 0)),
+    ("m", lambda: harness.lower_bound_sweep(3, 1, (1,), (4, 4), 10, 0)),
+])
+def test_library_sweeps_reject_repeated_cells(field, call):
+    # a repeated value would draw the same stream and write its row twice
+    with pytest.raises(ConfigError, match=f"^{field}: values must be distinct$"):
+        call()
 
 
 def test_gaussian_baseline_comparable_on_dense_family():

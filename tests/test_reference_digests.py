@@ -1,6 +1,8 @@
 """The byte contract of the benchmark: the sweep workload's smoke commands
-(jl-sweep per family, then pointset) and the oracles workload's
-lower-bound command, full and smoke, print exactly the bytes whose sha256
+(jl-sweep per family, then pointset), its full-size jl-sweep/dense
+command (N = 2^16, so hadamard_rows splits off its 64-wide last block)
+and pointset/kron command, and the oracles workload's lower-bound
+command, full and smoke, print exactly the bytes whose sha256
 perfbench/reference_digests.json records, for seeds 0-3."""
 
 import hashlib
@@ -41,6 +43,15 @@ def test_sweep_smoke_outputs_match_reference_digests(seed, capsys):
     assert sorted(label for label, _, _ in calls) == sorted(want)
     for label, argv, _ in calls:
         assert _digest(argv, capsys) == want[label], label
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_full_sweep_dense_and_pointset_match_reference_digests(seed, capsys):
+    want = REFERENCE["full"]["sweep"][str(seed)]
+    calls = WORKLOADS["sweep"].build(seed, smoke=False)["cli"]
+    argvs = {label: argv for label, argv, _ in calls}
+    for label in ("jl-sweep/dense", "pointset/kron"):
+        assert _digest(argvs[label], capsys) == want[label], label
 
 
 @pytest.mark.parametrize("mode", ["full", "smoke"])

@@ -2,12 +2,13 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from kronjl.errors import ShapeError
-from kronjl.fwht import hadamard_matrix
+from kronjl.fwht import fwht_axis, hadamard_matrix
 from kronjl.indexing import KronDims
 from kronjl.transforms import (
     KfjltOperator,
@@ -17,6 +18,7 @@ from kronjl.transforms import (
     apply_dense_mat,
     apply_factored,
     build_operator,
+    hadamard_rows,
     kron_materialize,
     materialize,
 )
@@ -163,12 +165,60 @@ def test_factored_equals_dense_on_rank_one():
 def test_apply_dense_mat_matches_rowwise():
     # the batch runs one length-N transform, apply_dense one per axis
     rng = np.random.default_rng(31)
-    for dims in [(4,), (2, 8), (4, 2, 8), (16, 16), (2, 2, 2, 2), (4, 4, 2)]:
+    # N >= 256 * 9 splits off the last 64-wide block: (64, 64), (8, 32, 16)
+    for dims in [(4,), (2, 8), (4, 2, 8), (16, 16), (2, 2, 2, 2), (4, 4, 2),
+                 (64, 64), (8, 32, 16)]:
         op = build_operator(dims, 9, seed=5)
         xs = rng.standard_normal((6, op.dims.total))
         batch = apply_dense_mat(op, xs)
         for i in range(6):
             assert np.allclose(batch[i], apply_dense(op, xs[i]), atol=1e-12)
+
+
+@pytest.mark.parametrize("k", range(14))
+def test_hadamard_rows_match_full_transform(k):
+    # N = 2^k: the 64-wide last block splits off where 256 * m <= N
+    # (m = 1 from 2^8, m = 7 from 2^11), including splits N/64 x 64 unlike
+    # the kernel's digits (2^13: 32 x 16 x 16); not at m > N
+    n = 1 << k
+    rng = np.random.default_rng(k)
+    xs = rng.standard_normal((5, n))
+    full = fwht_axis(xs, 1)
+    shared = rng.integers(0, n, size=7)
+    per_row = rng.integers(0, n, size=(5, 2 * n + 3))  # m > N, duplicates
+    per_row[:, 1] = per_row[:, 0]
+    for rows0 in (shared, per_row, np.array([n - 1] * 3), np.array([n - 1])):
+        want = np.take_along_axis(full, np.broadcast_to(rows0, (5, rows0.shape[-1])), 1)
+        got = hadamard_rows(xs, rows0)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+
+
+def test_hadamard_rows_many_rows_allocate_as_the_full_transform():
+    # m > N: a 64-wide row gathered per sampled entry would hold
+    # 64 * 4096 * 64 floats (128 MiB); unsplit, the peak is that of the
+    # full transform and the (count, m) result, a few times 2 MiB
+    rng = np.random.default_rng(8)
+    xs = rng.standard_normal((64, 4096))
+    rows0 = rng.integers(0, 4096, size=4096)
+    tracemalloc.start()
+    try:
+        got = hadamard_rows(xs, rows0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.allclose(got, fwht_axis(xs, 1)[:, rows0], atol=1e-12)
+    assert peak <= 4 * xs.nbytes
+
+
+def test_hadamard_rows_validation():
+    xs = np.ones((3, 128))
+    for rows0 in ([0, 128], [-1], np.zeros((3, 2), dtype=int) - 1):
+        with pytest.raises(ShapeError, match="0..127"):
+            hadamard_rows(xs, rows0)
+    for rows0 in (np.zeros((2, 4), dtype=int), np.zeros((1, 3, 4), dtype=int), 0):
+        with pytest.raises(ShapeError, match="shape"):
+            hadamard_rows(xs, rows0)
 
 
 def test_duplicate_rows_counted_twice():
