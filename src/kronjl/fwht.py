@@ -124,6 +124,8 @@ def fwht_axis(a, axis):
     Returns a new array; the input is untouched.
     """
     a = np.asarray(a, dtype=np.float64)
+    if not -a.ndim <= axis < a.ndim:
+        raise ShapeError(f"axis {axis} is out of range for shape {a.shape}")
     _check_pow2(a.shape[axis])
     return _transformed(a, axis)
 

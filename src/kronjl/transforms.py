@@ -17,12 +17,14 @@ row as one length-N vector (hadamard_rows), while apply_dense, its
 reference, composes the full per-axis transforms. P keeps only m rows, so
 where m is small against N (fwht.last_block) hadamard_rows transforms the
 high bits of a row in full and runs the last 64-wide Sylvester block only
-at the sampled rows. A rank-one input needs no
-length-N work: H D (x_1 (x) ... (x) x_d) is the Kronecker product of the
-H_l (xi_l * x_l), and a sampled entry is a product of one entry per axis,
-found at the bit fields of its row (sampled_entries). apply_factored and
-the harness's kron and onehot trials take that path; only dense inputs
-go through hadamard_rows.
+at the sampled rows. It streams a batch through blocks of rows of about
+1 MiB, each dropped before the next, so its temporaries stay in cache and
+do not grow with the batch; the block size changes no byte. A rank-one
+input needs no length-N work: H D (x_1 (x) ... (x) x_d) is the Kronecker
+product of the H_l (xi_l * x_l), and a sampled entry is a product of one
+entry per axis, found at the bit fields of its row (sampled_entries).
+apply_factored and the harness's kron and onehot trials take that path;
+only dense inputs go through hadamard_rows.
 
 Randomness: signs for axis l come from substream(seed, TAG_SIGNS, l); the
 row sample from substream(seed, TAG_SAMPLES).
@@ -56,6 +58,7 @@ __all__ = [
 
 
 MATERIALIZE_MAX_COLUMNS = 1 << 12  # an N x N float64 is 128 MiB at 2^12
+_ROW_BLOCK_BYTES = 1 << 20  # half a 2 MiB per-core L2
 
 
 def _frozen(a, dtype):
@@ -96,9 +99,10 @@ class SampleSet:
     total: int
 
     def __post_init__(self):
-        rows = _frozen(self.rows, np.int64)
-        if rows.ndim != 1 or rows.size == 0:
-            raise ShapeError("rows must be a non-empty 1-D integer array")
+        rows = np.asarray(self.rows)
+        if rows.ndim != 1:
+            raise ShapeError(f"rows must be a 1-D array, got shape {rows.shape}")
+        rows = _frozen(_check_rows(rows), np.int64)
         if rows.min() < 1 or rows.max() > self.total:
             raise ShapeError(f"sampled rows must lie in 1..{self.total}")
         object.__setattr__(self, "rows", rows)
@@ -235,20 +239,37 @@ def apply_dense(op, x):
     return op.scale * arr.reshape(-1)[op.samples.rows - 1]
 
 
+def _check_rows(rows):
+    """ShapeError unless `rows` is a non-empty integer array (bool and
+    float rows would index as 0/1 or truncate); integer rows as int64."""
+    if rows.dtype.kind not in "iu" or rows.shape[-1] == 0:
+        raise ShapeError(
+            f"rows must be a non-empty integer array, got {rows.dtype} "
+            f"of shape {rows.shape}"
+        )
+    return rows.astype(np.int64, copy=False)
+
+
 def hadamard_rows(xs, rows0):
     """Entries rows0[c] of the orthonormal length-N Walsh-Hadamard
     transform of each row xs[c] of a (count, N) matrix: (count, m).
 
-    rows0 holds 0-based rows in [0, N), of shape (m,) for every row or
-    (count, m); duplicates are kept. With the earliest axis fastest, the
-    Kronecker product of the per-axis Sylvester factors is the length-N
-    Sylvester matrix, so one transform serves every shape of the same N.
-    It is split as H_N = H_{N/r} (x) H_r, r = fwht.last_block(N, m): the
-    high bits are transformed in full, then only the m length-r rows
-    holding the sampled entries take the last block. That block costs
-    count * m * r^2 multiply-adds where the full transform's last digit
-    costs count * N * r, and r = 64 only where m * r <= N / 4; otherwise
-    r = 1, the full transform and a gather.
+    rows0 holds 0-based integer rows in [0, N), of shape (m,) for every
+    row or (count, m); duplicates are kept. With the earliest axis
+    fastest, the Kronecker product of the per-axis Sylvester factors is
+    the length-N Sylvester matrix, so one transform serves every shape of
+    the same N. It is split as H_N = H_{N/r} (x) H_r,
+    r = fwht.last_block(N, m): the high bits are transformed in full, then
+    only the m length-r rows holding the sampled entries take the last
+    block. That block costs count * m * r^2 multiply-adds where the full
+    transform's last digit costs count * N * r, and r = 64 only where
+    m * r <= N / 4; otherwise r = 1, the full transform and a gather.
+
+    The rows go through in blocks of about _ROW_BLOCK_BYTES of row or
+    gathered data, each transformed, gathered and read into the
+    (count, m) result before the next starts, so the temporaries stay in
+    cache and do not grow with count. Each row meets the same products
+    whatever the block, so the block size changes no byte.
     """
     xs = np.asarray(xs, dtype=np.float64)
     if xs.ndim != 2:
@@ -259,15 +280,36 @@ def hadamard_rows(xs, rows0):
         raise ShapeError(
             f"rows must have shape (m,) or ({count}, m), got {rows0.shape}"
         )
-    r = last_block(n, rows0.shape[-1])
+    rows0 = _check_rows(rows0)
+    m = rows0.shape[-1]
+    r = last_block(n, m)
     if np.any((rows0 < 0) | (rows0 >= n)):
         raise ShapeError(f"rows must lie in 0..{n - 1}")
-    rows0 = np.broadcast_to(rows0, (count, rows0.shape[-1]))
+    rows0 = np.broadcast_to(rows0, (count, m))
+    out = np.empty((count, m))
+    # numpy sends a one-row matrix product to gemv, whose sums round
+    # unlike gemm's. One row's last product has one row where a split
+    # keeps m = 1 or an unsplit row is one digit (N <= 64), so there
+    # every block, the last included, holds two rows unless the batch
+    # has one.
+    one_row = m == 1 if r > 1 else n <= 64
+    least = 2 if one_row else 1
+    step = max(least, _ROW_BLOCK_BYTES // (8 * max(n, m * r)))
+    starts = range(0, max(count - least + 1, 1), step)
+    for lo, hi in zip(starts, [*starts[1:], count]):
+        out[lo:hi] = _block_rows(xs[lo:hi], rows0[lo:hi], r)
+    return out
+
+
+def _block_rows(xs, rows0, r):
+    """hadamard_rows of one block with last block r; its temporaries die
+    with the call."""
+    count, n = xs.shape
     # the length-r rows of every xs[c], one after another, at rows0 // r
-    at = rows0 // r + (np.arange(count) * (n // r))[:, None]
-    picked = fwht_axis(xs.reshape(count, n // r, r), 1).reshape(-1, r)[at]
+    picked = fwht_axis(xs.reshape(count, n // r, r), 1).reshape(-1, r)[
+        rows0 // r + (np.arange(count) * (n // r))[:, None]
+    ]
     low = fwht_axis(picked, 2)
-    del at, picked  # at m >= N each is as large as xs
     return np.take_along_axis(low, (rows0 % r)[:, :, None], axis=2)[:, :, 0]
 
 

@@ -83,6 +83,15 @@ def test_non_power_of_two_rejected():
         last_block(768, 1)
 
 
+def test_out_of_range_axis_rejected():
+    # a ShapeError, which the CLI maps to an exit code, not an IndexError
+    for axis in (2, -3, 5):
+        with pytest.raises(ShapeError, match=f"axis {axis}"):
+            fwht_axis(np.ones((4, 8)), axis)
+    with pytest.raises(ShapeError, match="axis 0"):
+        fwht_axis(np.float64(1.0), 0)
+
+
 def test_fwht_axis_matches_columnwise():
     rng = np.random.default_rng(11)
     a = rng.standard_normal((8, 3))

@@ -7,8 +7,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from kronjl import transforms
 from kronjl.errors import ShapeError
-from kronjl.fwht import fwht_axis, hadamard_matrix
+from kronjl.fwht import fwht_axis, hadamard_matrix, last_block
 from kronjl.indexing import KronDims
 from kronjl.transforms import (
     KfjltOperator,
@@ -211,6 +212,59 @@ def test_hadamard_rows_many_rows_allocate_as_the_full_transform():
     assert peak <= 4 * xs.nbytes
 
 
+@pytest.mark.parametrize("n, m, count", [
+    (1 << 12, 7, 9),  # split, r = 64
+    (1 << 12, 1, 9),  # split at m = 1: a one-row block would run gemv
+    (256, 8, 9),  # unsplit, two digits
+    (64, 5, 9),  # unsplit, one digit: a one-row block would run gemv
+    (16, 40, 9),  # m > N
+])
+def test_hadamard_rows_block_size_changes_no_byte(monkeypatch, n, m, count):
+    rng = np.random.default_rng(n + m)
+    xs = rng.standard_normal((count, n))
+    shared = rng.integers(0, n, size=m)
+    per_row = rng.integers(0, n, size=(count, m))
+    dims = (n,) if n <= 64 else (64, n // 64)
+    op = build_operator(dims, m, seed=m)
+    row_bytes = 8 * max(n, m * last_block(n, m))
+
+    def outputs(rows_per_block):
+        monkeypatch.setattr(transforms, "_ROW_BLOCK_BYTES", rows_per_block * row_bytes)
+        return [hadamard_rows(xs, shared), hadamard_rows(xs, per_row),
+                apply_dense_mat(op, xs)]
+
+    whole = outputs(count)
+    for rows_per_block in (1, 2, 4):
+        for got, want in zip(outputs(rows_per_block), whole):
+            assert np.array_equal(got, want)
+
+
+def _peak_bytes(f):
+    tracemalloc.start()
+    try:
+        f()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_hadamard_rows_memory_does_not_grow_with_the_batch():
+    # each block's temporaries are freed before the next: the peak is
+    # about one block, not a batch-sized transform (2x the input unblocked)
+    rng = np.random.default_rng(3)
+    xs = rng.standard_normal((64, 1 << 16))
+    rows0 = rng.integers(0, 1 << 16, size=128)
+    assert _peak_bytes(lambda: hadamard_rows(xs, rows0)) <= xs.nbytes / 4
+
+
+def test_apply_dense_mat_peaks_near_its_batch():
+    # the operator benchmark's batch: 32 rows of 2^18; the signed copy of
+    # the batch and one block (3x the batch unblocked)
+    op = build_operator((64, 64, 64), 128, seed=0)
+    xs = np.random.default_rng(4).standard_normal((32, op.dims.total))
+    assert _peak_bytes(lambda: apply_dense_mat(op, xs)) <= 1.25 * xs.nbytes
+
+
 def test_hadamard_rows_validation():
     xs = np.ones((3, 128))
     for rows0 in ([0, 128], [-1], np.zeros((3, 2), dtype=int) - 1):
@@ -219,6 +273,14 @@ def test_hadamard_rows_validation():
     for rows0 in (np.zeros((2, 4), dtype=int), np.zeros((1, 3, 4), dtype=int), 0):
         with pytest.raises(ShapeError, match="shape"):
             hadamard_rows(xs, rows0)
+    # integer rows only: bool rows read as 0 and 1, float rows fail to
+    # index, and no rows at all (m = 0) fail to reshape
+    for rows0 in (np.array([True, False]), [1.0, 2.0], [1.7], np.zeros(0, dtype=int),
+                  np.zeros((3, 0), dtype=int), []):
+        with pytest.raises(ShapeError, match="rows must be a non-empty integer"):
+            hadamard_rows(xs, rows0)
+    got = hadamard_rows(xs, np.array([0, 127], dtype=np.uint64))
+    assert np.array_equal(got, hadamard_rows(xs, [0, 127]))
 
 
 def test_duplicate_rows_counted_twice():
@@ -241,6 +303,12 @@ def test_operator_validation():
         SampleSet(np.array([0]), total=4)
     with pytest.raises(ShapeError):
         SampleSet(np.array([5]), total=4)
+    # float rows used to truncate ([1.7, 2.2] -> [1, 2]) and bools to pass
+    for rows in ([1.7, 2.2], [1.0], np.array([True, True]), []):
+        with pytest.raises(ShapeError, match="rows must be a non-empty integer"):
+            SampleSet(rows, total=4)
+    with pytest.raises(ShapeError, match="rows must be a 1-D"):
+        SampleSet(np.ones((2, 2), dtype=int), total=4)
     with pytest.raises(ShapeError):
         KfjltOperator(
             dims=dims,
