@@ -56,7 +56,9 @@ SUP_TOL = 1e-10
 SUP_MAX_ITER = 10_000
 SUP_SEED = 0
 BOOTSTRAP_RESAMPLES = 200
-_BOOTSTRAP_BLOCK = 50  # resamples per draw; fixes the TAG_BOOTSTRAP stream
+# resamples per draw; this bounds memory only, since consecutive draws read
+# the TAG_BOOTSTRAP stream as one draw does
+_BOOTSTRAP_BLOCK = 50
 
 
 @dataclass(frozen=True)
@@ -125,9 +127,9 @@ def _partition_from_labels(items, row):
     return SetPartition(tuple(blocks))
 
 
-def enumerate_partitions(ground, kappa=None):
-    """All set partitions of `ground`, optionally only those with a given
-    block count. The empty ground has exactly one partition (no blocks)."""
+def enumerate_partitions(ground):
+    """All set partitions of `ground`. The empty ground has exactly one
+    partition (no blocks)."""
     items = sorted(set(int(e) for e in ground))
     if len(items) > PARTITION_GROUND_LIMIT:
         raise BudgetError(
@@ -135,8 +137,7 @@ def enumerate_partitions(ground, kappa=None):
             f"the limit {PARTITION_GROUND_LIMIT}"
         )
     for row in _label_rows(len(items)):
-        if kappa is None or max(row, default=-1) + 1 == kappa:
-            yield _partition_from_labels(items, row)
+        yield _partition_from_labels(items, row)
 
 
 def _matricize(arr, blocks):

@@ -1,7 +1,8 @@
 """Command-line front end, built from `harness.COMMANDS`: each command
 but selftest takes `--config`, `--out` and its builder's parameters, and
-forwards the merged config and flags to `harness.run_command`. This
-module holds one help string per option and no defaults.
+forwards the merged config and flags to `harness.run_command`. Each flag's
+help is its row of `harness.OPTIONS`; this module holds only the help of
+`--config`, and no defaults.
 
 Exit codes: 0 success, 1 configuration error (bad flags or config file,
 missing required options, a shape the library rejects), 2 budget error
@@ -27,32 +28,18 @@ def cli():
     """Kronecker fast Johnson-Lindenstrauss experiments and reports."""
 
 
-_HELP = {
-    "config": "YAML option file; flags win.",
-    "out": "Output path (stdout if omitted).",
-    "kind": f"Report kind: {'|'.join(harness.REPORT_KINDS)}.",
-    "dims": "Axis lengths, e.g. 4,8,2 or 16x16.",
-    "points": "Number of points (>= 2).",
-    "bits": "Bits per axis of the sign domain.",
-    "r": "Subspace dimension (1 <= r <= bits).",
-    "d": "Axis counts, e.g. 1,2.",
-    "m": "Embedding row counts, e.g. 8,16,32.",
-    "s": "Sparsity level.",
-    "eps": "Distortion levels, e.g. 0.25,0.5.",
-    "nu": "Target failure level for flagging.",
-    "trials": "Monte Carlo trials per cell.",
-    "seed": "Master seed.",
-    "family": f"Test-point families: {'|'.join(harness.FAMILIES)}.",
-    "baseline": f"Operator: {'|'.join(harness.BASELINES)}.",
-    "timing": "Record wall-clock ms per cell (breaks byte-identity of reruns).",
-}
-
-
 # per command, a block of lines shown after its options
 _EPILOG = {
     "report": "\b\nOptions each kind reads, [optional]:\n"
     + "\n".join(f"  {line}" for line in harness.REPORT_USAGE),
 }
+
+
+def _option(name, default=None):
+    """The flag of one harness.OPTIONS row; a boolean default makes it a
+    switch, and an unset flag is None, so the builder's default applies."""
+    return click.Option([f"--{name}"], is_flag=isinstance(default, bool),
+                        default=None, help=harness.OPTIONS[name].help)
 
 
 def _command(name, build):
@@ -71,10 +58,8 @@ def _command(name, build):
     params = inspect.signature(build).parameters.values()
     return click.Command(
         name, callback=run, help=inspect.getdoc(build), epilog=_EPILOG.get(name),
-        params=[click.Option(["--config"], help=_HELP["config"])]
-        + [click.Option([f"--{p.name}"], is_flag=isinstance(p.default, bool),
-                        default=None, help=_HELP[p.name]) for p in params]
-        + [click.Option(["--out"], help=_HELP["out"])],
+        params=[click.Option(["--config"], help="YAML option file; flags win.")]
+        + [_option(p.name, p.default) for p in params] + [_option("out")],
     )
 
 

@@ -70,10 +70,6 @@ class Gf2Subspace:
         if canon != tuple(self.basis):
             raise ShapeError("basis is not in reduced echelon form")
 
-    @classmethod
-    def from_rows(cls, n, rows):
-        return cls(n, rref(rows, n))
-
     @property
     def dim(self):
         return len(self.basis)
@@ -113,28 +109,19 @@ def random_subspace(n, r, rng):
             return Gf2Subspace(n, basis)
 
 
-def enumerate_subspaces(n, r=None):
-    """Yield every subspace of F_2^n (of dimension r when given), each
-    exactly once via its canonical echelon basis."""
-    if r is not None:
-        dims = [r]
-    else:
-        dims = range(n + 1)
-    for rr in dims:
-        if not 0 <= rr <= n:
-            raise ShapeError(f"need 0 <= r <= n, got r={rr}, n={n}")
-        if rr == 0:
-            yield Gf2Subspace(n, ())
-            continue
+def enumerate_subspaces(n):
+    """Yield every subspace of F_2^n, by ascending dimension, each exactly
+    once via its canonical echelon basis."""
+    for r in range(n + 1):
         # pivot columns as bit positions, highest first
-        for pivots in itertools.combinations(range(n - 1, -1, -1), rr):
+        for pivots in itertools.combinations(range(n - 1, -1, -1), r):
             # free positions: row i may have 1s in non-pivot bits below
             # its own pivot
             free = [
                 [b for b in range(pivots[i]) if b not in pivots]
-                for i in range(rr)
+                for i in range(r)
             ]
-            slots = [(i, b) for i in range(rr) for b in free[i]]
+            slots = [(i, b) for i in range(r) for b in free[i]]
             for bits in itertools.product((0, 1), repeat=len(slots)):
                 rows = [1 << p for p in pivots]
                 for (i, b), v in zip(slots, bits):

@@ -7,9 +7,13 @@ factors by ascending axis, then sample rows), so chunking of the later
 arithmetic can never change the bytes written. jl-sweep and pointset share
 that trial loop (`_sampled_trials`), and every CSV format is written by one
 writer from its header's column names (`_to_csv`). The Gaussian baseline
-cannot afford whole-cell draws at large trial counts; it consumes its
-stream in fixed-size blocks of GAUSSIAN_CHUNK trials instead, which keeps
-the draw order independent of how the arithmetic is batched.
+cannot afford whole-cell draws at large trial counts; it draws its normals
+whole trials at a time, in blocks of about transforms._ROW_BLOCK_BYTES.
+Consecutive draws read a generator's stream as one draw does, so the
+block size bounds memory and changes no byte.
+
+Each command option is one row of OPTIONS: its reader, which merge_options
+applies to a config or flag value, and its help line on the command line.
 
 Test points are kept as factors (`_family_factors`). The rank-one families
 (kron, onehot) run from their per-axis factors: each axis is transformed on
@@ -25,12 +29,13 @@ import itertools
 import json
 import math
 import time
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
 import yaml
 
-from . import rand
+from . import rand, transforms
 from .adversarial import (
     embedding_dim_threshold,
     failure_probability_empirical,
@@ -65,6 +70,7 @@ __all__ = [
     "REPORT_KINDS",
     "REPORT_USAGE",
     "COMMANDS",
+    "OPTIONS",
     "SweepRecord",
     "PointsetReport",
     "LowerBoundRecord",
@@ -101,8 +107,6 @@ REPORT_SCHEMA = "kronjl.report.v1"
 FAMILIES = ("kron", "dense", "onehot")
 BASELINES = ("kfjlt", "gaussian")
 
-# fixed block sizes; GAUSSIAN_CHUNK is part of the reproducibility contract
-GAUSSIAN_CHUNK = 64
 APPLY_CHUNK = 512
 ROW_SCAN_START = 2
 ROW_SCAN_CAP = 4096
@@ -131,14 +135,19 @@ def load_config(path):
     return data
 
 
+def _items(value):
+    """The items of a YAML list, or of a scalar read as comma-separated
+    text."""
+    return value if isinstance(value, (list, tuple)) else str(value).split(",")
+
+
 def _parse_numbers(field, value, kind, allow_zero=False):
     """A tuple of `kind` values from a YAML number or list or a
     comma-separated string; each must be finite and positive (or zero, if
     allowed). Every item is read from its text, a list item as a scalar
     is, so a boolean is no number and 4.7 is no integer."""
-    items = value if isinstance(value, (list, tuple)) else str(value).split(",")
     try:
-        out = tuple(kind(str(v)) for v in items)
+        out = tuple(kind(str(v)) for v in _items(value))
     except ValueError:
         noun = "integers" if kind is int else "numbers"
         raise ConfigError(f"{field}: expected comma-separated {noun}")
@@ -152,10 +161,15 @@ def _parse_numbers(field, value, kind, allow_zero=False):
 
 def _parse_one(field, value, kind, allow_zero=False):
     """One `kind` value, checked as by _parse_numbers."""
-    out = _parse_numbers(field, value, kind, allow_zero)
-    if len(out) != 1:
-        raise ConfigError(f"{field}: expected one value, got {len(out)}")
-    return out[0]
+    items = _items(value)
+    if len(items) != 1:
+        raise ConfigError(f"{field}: expected one value, got {len(items)}")
+    try:
+        kind(str(items[0]))
+    except ValueError:
+        noun = "an integer" if kind is int else "a number"
+        raise ConfigError(f"{field}: expected {noun}")
+    return _parse_numbers(field, items, kind, allow_zero)[0]
 
 
 def _distinct(field, values):
@@ -189,8 +203,7 @@ def _parse_dims(field, value):
 def _parse_choices(field, value, allowed):
     """A tuple of names from a YAML string or list or a comma-separated
     string; each must be one of `allowed`."""
-    items = value if isinstance(value, (list, tuple)) else str(value).split(",")
-    names = tuple(str(v).strip() for v in items)
+    names = tuple(str(v).strip() for v in _items(value))
     if not names or any(name not in allowed for name in names):
         raise ConfigError(
             f"{field}: expected {'|'.join(allowed)}, got {value!r}"
@@ -198,39 +211,19 @@ def _parse_choices(field, value, allowed):
     return names
 
 
-_FIELD_PARSERS = {
-    "dims": _parse_dims,
-    "m": lambda f, v: _parse_numbers(f, v, int),
-    "eps": lambda f, v: _parse_numbers(f, v, float),
-    "trials": lambda f, v: _parse_one(f, v, int),
-    "seed": lambda f, v: _parse_one(f, v, int, allow_zero=True),
-    "out": lambda f, v: str(v),
-    "family": lambda f, v: _parse_choices(f, v, FAMILIES),
-    "baseline": lambda f, v: _parse_choices(f, v, BASELINES),
-    "timing": _parse_bool,
-    "points": lambda f, v: _parse_one(f, v, int),
-    "bits": lambda f, v: _parse_one(f, v, int),
-    "r": lambda f, v: _parse_one(f, v, int),
-    "d": lambda f, v: _parse_numbers(f, v, int),
-    "nu": lambda f, v: _parse_one(f, v, float),
-    "kind": lambda f, v: str(v),
-    "s": lambda f, v: _parse_one(f, v, int),
-}
-
-
 def merge_options(config, flags):
-    """Combine a config mapping with flag overrides; flags win. Unknown
-    keys and malformed values raise ConfigError naming the field; a value
-    repeated in a list option is refused by the sweep or command that
-    reads it."""
+    """Combine a config mapping with flag overrides; flags win. Each value
+    is read by its OPTIONS row. Unknown keys and malformed values raise
+    ConfigError naming the field; a value repeated in a list option is
+    refused by the sweep or command that reads it."""
     merged = {}
     for source in (config, flags):
         for key, value in source.items():
             if value is None:
                 continue
-            if key not in _FIELD_PARSERS:
+            if key not in OPTIONS:
                 raise ConfigError(f"unknown option {key!r}")
-            merged[key] = _FIELD_PARSERS[key](key, value)
+            merged[key] = OPTIONS[key].read(key, value)
     return merged
 
 
@@ -366,17 +359,16 @@ def _kfjlt_cell_failures(dims, x, m, eps, trials, rng):
 
 
 def _gaussian_cell_failures(x, m, eps, trials, rng):
-    """Gaussian baseline cell; draws in fixed GAUSSIAN_CHUNK blocks."""
+    """Gaussian baseline cell: (m, N) normals per trial, drawn whole
+    trials at a time in blocks of about transforms._ROW_BLOCK_BYTES."""
     n = x.size
+    block = max(1, transforms._ROW_BLOCK_BYTES // (8 * m * n))
     failures = 0
-    done = 0
-    while done < trials:
-        take = min(GAUSSIAN_CHUNK, trials - done)
-        g = rng.standard_normal((take, m, n))
+    for lo in range(0, trials, block):
+        g = rng.standard_normal((min(block, trials - lo), m, n))
         y = g @ x / math.sqrt(m)
         dist = np.sum(y * y, axis=1) - 1.0
         failures += int(np.count_nonzero(np.abs(dist) > eps))
-        done += take
     return failures
 
 
@@ -536,9 +528,10 @@ def pointset_to_csv(reports):
     return _to_csv(POINTSET_HEADER, reports)
 
 
-def _scan_interpolate(eval_eta, target, trials, cap):
-    """Doubling scan of m from ROW_SCAN_START with log-log interpolation at
-    the target crossing. eval_eta(m, m_idx) returns the measured failure."""
+def _scan_interpolate(eval_eta, target, trials):
+    """Doubling scan of m from ROW_SCAN_START up to ROW_SCAN_CAP with
+    log-log interpolation at the target crossing. eval_eta(m, m_idx)
+    returns the measured failure."""
     if not 0.0 < target < 1.0:
         raise ConfigError("target: must be in (0, 1)")
     floor = 0.5 / trials
@@ -546,7 +539,7 @@ def _scan_interpolate(eval_eta, target, trials, cap):
     prev = None
     m = ROW_SCAN_START
     m_idx = 0
-    while m <= cap:
+    while m <= ROW_SCAN_CAP:
         eta_raw = eval_eta(m, m_idx)
         eta = max(eta_raw, floor)
         scan.append((m, eta_raw))
@@ -563,12 +556,11 @@ def _scan_interpolate(eval_eta, target, trials, cap):
         m *= 2
         m_idx += 1
     raise BudgetError(
-        f"no row count <= {cap} reached joint failure {target}"
+        f"no row count <= {ROW_SCAN_CAP} reached joint failure {target}"
     )
 
 
-def required_embedding_rows(dims, n_points, eps, target, trials, seed,
-                            cap=ROW_SCAN_CAP):
+def required_embedding_rows(dims, n_points, eps, target, trials, seed):
     """Smallest embedding row count whose joint failure on a kron pointset
     is at or below `target`, located by an ascending power-of-two scan
     with log-log interpolation at the crossing. Returns (m_star, scan)
@@ -580,7 +572,7 @@ def required_embedding_rows(dims, n_points, eps, target, trials, seed,
         )
         return rep.joint_eta
 
-    return _scan_interpolate(eval_eta, target, trials, cap)
+    return _scan_interpolate(eval_eta, target, trials)
 
 
 def _family_energies(dims):
@@ -646,7 +638,7 @@ def required_rows_adversarial(r_dims, eps, target, trials, seed):
             r_dims, m, eps, trials, seed, _cell=m_idx
         )
 
-    return _scan_interpolate(eval_eta, target, trials, ROW_SCAN_CAP)
+    return _scan_interpolate(eval_eta, target, trials)
 
 
 @dataclass(frozen=True)
@@ -933,6 +925,43 @@ COMMANDS = {
     "pointset": _pointset_command,
     "lower-bound": _lower_bound_command,
     "report": _report_command,
+}
+
+
+_Option = namedtuple("_Option", "read help")
+
+# per command option, its reader (field, value) -> value, which
+# merge_options applies, and its help line on the command line
+OPTIONS = {
+    "out": _Option(lambda f, v: str(v), "Output path (stdout if omitted)."),
+    "kind": _Option(lambda f, v: str(v),
+                    f"Report kind: {'|'.join(REPORT_KINDS)}."),
+    "dims": _Option(_parse_dims, "Axis lengths, e.g. 4,8,2 or 16x16."),
+    "points": _Option(lambda f, v: _parse_one(f, v, int),
+                      "Number of points (>= 2)."),
+    "bits": _Option(lambda f, v: _parse_one(f, v, int),
+                    "Bits per axis of the sign domain."),
+    "r": _Option(lambda f, v: _parse_one(f, v, int),
+                 "Subspace dimension (1 <= r <= bits)."),
+    "d": _Option(lambda f, v: _parse_numbers(f, v, int),
+                 "Axis counts, e.g. 1,2."),
+    "m": _Option(lambda f, v: _parse_numbers(f, v, int),
+                 "Embedding row counts, e.g. 8,16,32."),
+    "s": _Option(lambda f, v: _parse_one(f, v, int), "Sparsity level."),
+    "eps": _Option(lambda f, v: _parse_numbers(f, v, float),
+                   "Distortion levels, e.g. 0.25,0.5."),
+    "nu": _Option(lambda f, v: _parse_one(f, v, float),
+                  "Target failure level for flagging."),
+    "trials": _Option(lambda f, v: _parse_one(f, v, int),
+                      "Monte Carlo trials per cell."),
+    "seed": _Option(lambda f, v: _parse_one(f, v, int, allow_zero=True),
+                    "Master seed."),
+    "family": _Option(lambda f, v: _parse_choices(f, v, FAMILIES),
+                      f"Test-point families: {'|'.join(FAMILIES)}."),
+    "baseline": _Option(lambda f, v: _parse_choices(f, v, BASELINES),
+                        f"Operator: {'|'.join(BASELINES)}."),
+    "timing": _Option(_parse_bool, "Record wall-clock ms per cell "
+                      "(breaks byte-identity of reruns)."),
 }
 
 

@@ -50,17 +50,6 @@ class KronDims:
         return len(self.dims)
 
 
-def _check_axes(ndim, axes):
-    """The 1-based axes, sorted; each must be distinct and in 1..ndim."""
-    axes = tuple(sorted(int(a) for a in axes))
-    if len(set(axes)) != len(axes):
-        raise ShapeError(f"duplicate axes in {axes}")
-    bad = [a for a in axes if not 1 <= a <= ndim]
-    if bad:
-        raise ShapeError(f"axes {bad} outside 1..{ndim}")
-    return axes
-
-
 @lru_cache(maxsize=256)
 def _group_positions(shape, groups):
     """Read-only C-order flat positions of an array of `shape` whose

@@ -100,14 +100,15 @@ def _support_array(n, s, budget):
     return np.fromiter(flat, dtype=np.intp, count=count * s).reshape(count, s)
 
 
-def rip_constant(phi, s, budget=DEFAULT_BUDGET):
-    """Exact restricted isometry constant of order s.
+def rip_constant(phi, s):
+    """Exact restricted isometry constant of order s, over at most
+    DEFAULT_BUDGET supports.
 
     Monotone in s; delta_1 is the largest column-norm deviation
     max_j | ||phi_j||^2 - 1 |.
     """
     gram = _check_phi(phi, s)
-    supports = _support_array(gram.shape[0], s, budget)
+    supports = _support_array(gram.shape[0], s, DEFAULT_BUDGET)
     best = -1.0
     witness = 0
     for lo in range(0, supports.shape[0], _CHUNK):

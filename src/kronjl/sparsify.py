@@ -30,13 +30,12 @@ from types import MappingProxyType
 import numpy as np
 
 from .errors import ShapeError
-from .indexing import _check_axes, _group_positions
+from .indexing import _group_positions
 
 __all__ = [
     "SparsifySplit",
     "MaxSumReport",
     "FiberReport",
-    "select_K",
     "split",
     "check_fiber_sparsity",
     "check_max_sum_inequalities",
@@ -67,6 +66,8 @@ def _grouped(x, *groups):
 
 
 def _k_mask(x, axes0, s):
+    """Where K(S) keeps x, for S given as sorted 0-based axes: the s^|S|
+    largest entries by magnitude of every fiber over S."""
     pos = _positions(x.shape, axes0)
     k = s ** len(axes0)
     if k >= pos.shape[0]:
@@ -76,15 +77,6 @@ def _k_mask(x, axes0, s):
     mask = np.zeros(x.size, dtype=bool)
     mask[np.take_along_axis(pos, order[:k], axis=0)] = True
     return mask.reshape(x.shape)
-
-
-def select_K(x, axes, s):
-    """Indices kept by the per-fiber top-s^|S| selection, as a set of
-    1-based full coordinate tuples."""
-    x = _check_input(x, s)
-    axes0 = tuple(a - 1 for a in _check_axes(x.ndim, axes))
-    mask = _k_mask(x, axes0, s)
-    return {tuple(int(c) + 1 for c in idx) for idx in np.argwhere(mask)}
 
 
 @dataclass(frozen=True)

@@ -142,24 +142,34 @@ _SWEEP = ["jl-sweep", "--dims", "4", "--trials", "10"]
 _LOWER = ["lower-bound", "--bits", "2", "--r", "1", "--trials", "10"]
 
 
-@pytest.mark.parametrize("args,field", [
-    pytest.param(args, field, id=f"{args[0]}-{field}")
-    for args, field in (
-        (_SWEEP + ["--m", "4", "--family", "kron,kron"], "family"),
-        (_SWEEP + ["--m", "4", "--baseline", "kfjlt,kfjlt"], "baseline"),
-        (_SWEEP + ["--m", "4,4"], "m"),
-        (_SWEEP + ["--m", "4", "--eps", "0.5,0.50"], "eps"),
-        (_LOWER + ["--d", "1,1", "--m", "4"], "d"),
-        (_LOWER + ["--d", "1", "--m", "4,4"], "m"),
+_DISTINCT = "values must be distinct"
+
+
+@pytest.mark.parametrize("args,field,message", [
+    pytest.param(args, field, message, id=f"{args[0]}-{field}")
+    for args, field, message in (
+        (_SWEEP + ["--m", "4", "--family", "kron,kron"], "family", _DISTINCT),
+        (_SWEEP + ["--m", "4", "--baseline", "kfjlt,kfjlt"], "baseline",
+         _DISTINCT),
+        (_SWEEP + ["--m", "4,4"], "m", _DISTINCT),
+        (_SWEEP + ["--m", "4", "--eps", "0.5,0.50"], "eps", _DISTINCT),
+        (_LOWER + ["--d", "1,1", "--m", "4"], "d", _DISTINCT),
+        (_LOWER + ["--d", "1", "--m", "4,4"], "m", _DISTINCT),
         (["pointset", "--dims", "4", "--points", "2", "--trials", "10",
-          "--m", "4,8,4"], "m"),
+          "--m", "4,8,4"], "m", _DISTINCT),
         (["report", "--kind", "rip", "--dims", "8", "--s", "1",
-          "--m", "4,4"], "m"),
+          "--m", "4,4"], "m", _DISTINCT),
+        # a single-valued option names the one value it expects
+        (_SWEEP + ["--m", "4", "--seed", "1.5"], "seed", "expected an integer"),
+        (_LOWER + ["--d", "1", "--m", "4", "--nu", "abc"], "nu",
+         "expected a number"),
+        (["jl-sweep", "--dims", "4", "--m", "4", "--trials", "5,6"], "trials",
+         "expected one value, got 2"),
         # a repeated axis length is a shape, not a repeated cell
-        (_SWEEP + ["--m", "4", "--dims", "4x4"], None),
+        (_SWEEP + ["--m", "4", "--dims", "4x4"], None, None),
     )
 ])
-def test_repeated_list_value_exits_one(args, field, capsys):
+def test_repeated_list_value_exits_one(args, field, message, capsys):
     # a repeated cell would draw the same stream and write its row twice
     code, out, err = run_cli(args, capsys)
     if field is None:
@@ -168,9 +178,7 @@ def test_repeated_list_value_exits_one(args, field, capsys):
     else:
         assert code == 1
         assert out == ""
-        assert err.splitlines() == [
-            f"config error: {field}: values must be distinct"
-        ]
+        assert err.splitlines() == [f"config error: {field}: {message}"]
 
 
 def _help_options(command, capsys):
@@ -185,6 +193,17 @@ def test_command_flags_are_its_builder_parameters(name, capsys):
     params = inspect.signature(harness.COMMANDS[name]).parameters
     want = ["--config", *(f"--{p}" for p in params), "--out", "--help"]
     assert flags == want
+
+
+def test_every_option_is_one_row_of_the_option_table():
+    # a command parameter without a row, or a row no command reads, fails
+    params = {"out"}
+    for build in harness.COMMANDS.values():
+        params |= set(inspect.signature(build).parameters)
+    assert set(harness.OPTIONS) == params
+    report = inspect.signature(harness.COMMANDS["report"]).parameters
+    for build in harness._REPORTS.values():
+        assert set(inspect.signature(build).parameters) <= set(report)
 
 
 def test_report_help_names_the_report_kinds(capsys):

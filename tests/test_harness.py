@@ -15,7 +15,7 @@ from kronjl.adversarial import failure_probability_exact
 from kronjl.errors import BudgetError, ConfigError
 from kronjl.fwht import fwht_axis, hadamard_matrix
 from kronjl.indexing import KronDims
-from kronjl import rand
+from kronjl import rand, transforms
 from kronjl.transforms import kron_materialize, kron_sign_patterns
 
 
@@ -329,6 +329,25 @@ def test_gaussian_baseline_deterministic():
     assert [r.failures for r in a] == [r.failures for r in b]
 
 
+def test_normal_block_draws_reproduce_one_draw():
+    # the Gaussian baseline draws its normals a block of whole trials at a
+    # time; that reads the stream as one draw does, whatever the blocks
+    whole = rand.substream(6, rand.TAG_EXPERIMENT).standard_normal((197, 3, 5))
+    rng = rand.substream(6, rand.TAG_EXPERIMENT)
+    blocks = [rng.standard_normal((b, 3, 5)) for b in (1, 64, 64, 64, 4)]
+    assert np.array_equal(np.concatenate(blocks), whole)
+
+
+def test_gaussian_block_size_changes_no_byte(monkeypatch):
+    # 150 trials of (32, 16) normals: one block at the default budget, one
+    # trial per block at a 1-byte budget
+    args = dict(dims=(4, 4), m_values=(4, 32), eps_values=(0.25, 0.5),
+                trials=150, seed=3, baseline="gaussian")
+    want = harness.sweep_to_csv(harness.jl_failure_sweep(**args))
+    monkeypatch.setattr(transforms, "_ROW_BLOCK_BYTES", 1)
+    assert harness.sweep_to_csv(harness.jl_failure_sweep(**args)) == want
+
+
 # ----------------------------------------------------------------- pointset
 
 
@@ -400,7 +419,8 @@ def test_required_rows_scan_brackets_target():
 def test_required_rows_budget():
     with pytest.raises(BudgetError):
         harness.required_embedding_rows(
-            (16,), 4, eps=0.1, target=1e-9, trials=100, seed=1, cap=8
+            # no eps this small is ever met, up to ROW_SCAN_CAP rows
+            (16,), 4, eps=1e-9, target=1e-9, trials=100, seed=1
         )
     with pytest.raises(ConfigError):
         harness.required_embedding_rows(
@@ -415,7 +435,7 @@ def test_row_scan_stops_at_its_first_row_count():
         calls.append((m, m_idx))
         return 0.05
 
-    m_star, scan = harness._scan_interpolate(eval_eta, 0.1, 100, cap=64)
+    m_star, scan = harness._scan_interpolate(eval_eta, 0.1, 100)
     assert m_star == float(harness.ROW_SCAN_START)
     assert scan == [(harness.ROW_SCAN_START, 0.05)]
     assert calls == [(harness.ROW_SCAN_START, 0)]

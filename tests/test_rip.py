@@ -97,7 +97,7 @@ def test_monotone_in_s():
 def test_budget_guard():
     phi = np.eye(30)
     with pytest.raises(BudgetError):
-        rip_constant(phi, 10, budget=1000)
+        rip_constant(phi, 10)  # C(30, 10) = 30,045,015 supports
     with pytest.raises(ShapeError):
         rip_constant(phi, 0)
     with pytest.raises(ShapeError):

@@ -10,8 +10,8 @@ from kronjl.errors import ShapeError
 from kronjl.sparsify import (
     SparsifySplit,
     check_fiber_sparsity,
+    _k_mask,
     check_max_sum_inequalities,
-    select_K,
     split,
 )
 
@@ -65,6 +65,12 @@ def _assignment(sp):
     }
 
 
+def _select(x, axes, s):
+    """The indices K(S) keeps, as 1-based full coordinate tuples."""
+    mask = _k_mask(x, tuple(a - 1 for a in axes), s)
+    return {tuple(int(c) + 1 for c in idx) for idx in np.argwhere(mask)}
+
+
 def test_select_matches_brute_force():
     rng = np.random.default_rng(0)
     for shape in [(4, 4), (2, 4, 2), (3, 5)]:
@@ -75,13 +81,13 @@ def test_select_matches_brute_force():
             for r in range(d + 1):
                 for axes in itertools.combinations(range(1, d + 1), r):
                     for s in (1, 2, 3):
-                        assert select_K(x, axes, s) == _brute_select(x, axes, s)
+                        assert _select(x, axes, s) == _brute_select(x, axes, s)
 
 
 def test_select_keeps_whole_small_fibers():
     x = np.arange(8.0).reshape(2, 4)
     # s^|S| = 9 >= fiber size 2: everything survives
-    assert select_K(x, (1,), 3) == {
+    assert _select(x, (1,), 3) == {
         (i, j) for i in (1, 2) for j in (1, 2, 3, 4)
     }
 
@@ -218,9 +224,5 @@ def test_permutation_equivariance():
 def test_validation():
     with pytest.raises(ShapeError):
         split(np.ones((2, 2)), 0)
-    with pytest.raises(ShapeError):
-        select_K(np.ones((2, 2)), (3,), 1)
-    with pytest.raises(ShapeError):
-        select_K(np.ones((2, 2)), (1, 1), 1)
     with pytest.raises(ShapeError):
         check_max_sum_inequalities(np.ones((2, 3)), split(np.ones((2, 2)), 1))
