@@ -30,6 +30,7 @@ from . import rand
 from .errors import ShapeError
 from .fwht import fwht
 from .gf2 import random_subspace
+from .indexing import _blocks
 
 __all__ = [
     "ExactFailure",
@@ -43,7 +44,6 @@ __all__ = [
 # perfbench/test_perfbench.py checks that the span tracer rebinds it
 # here; the binding goes when that test stops naming it.
 _TRACED_BINDINGS = (fwht,)
-_GATHER_BLOCK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -118,9 +118,9 @@ def failure_probability_empirical(bit_dims, r, m, trials, seed):
 
     rng = rand.substream(seed, rand.TAG_SAMPLES)
     failures = 0
-    step = max(1, _GATHER_BLOCK // max(m, 1))  # cache-sized blocks
-    for lo in range(0, trials, step):
-        rows0 = rng.integers(0, 1 << shift, size=(min(step, trials - lo), m))
+    # a trial holds its rows and one masked copy of them
+    for lo, hi in _blocks(trials, 16 * max(m, 1)):
+        rows0 = rng.integers(0, 1 << shift, size=(hi - lo, m))
         off = np.zeros(rows0.shape, dtype=np.uint8)  # row misses the support
         for mask in masks:
             off |= np.bitwise_count(rows0 & mask) & 1

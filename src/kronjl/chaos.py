@@ -32,7 +32,7 @@ import numpy as np
 
 from . import rand
 from .errors import BudgetError, ShapeError
-from .indexing import KronDims, _group_positions
+from .indexing import KronDims, _blocks, _group_positions
 from .rip import rip_constant
 from .transforms import kron_materialize, kron_sign_patterns
 
@@ -56,9 +56,6 @@ SUP_TOL = 1e-10
 SUP_MAX_ITER = 10_000
 SUP_SEED = 0
 BOOTSTRAP_RESAMPLES = 200
-# resamples per draw; this bounds memory only, since consecutive draws read
-# the TAG_BOOTSTRAP stream as one draw does
-_BOOTSTRAP_BLOCK = 50
 
 
 @dataclass(frozen=True)
@@ -318,8 +315,11 @@ def _profile(coeffs, mode, p_values, centered, xs, seed, boot_rng):
     n = absx.size
     stderrs = np.zeros(len(p_values))
     if boot_rng is not None:
-        draws = (boot_rng.integers(0, n, size=(_BOOTSTRAP_BLOCK, n))
-                 for _ in range(BOOTSTRAP_RESAMPLES // _BOOTSTRAP_BLOCK))
+        # resamples drawn a block at a time read the TAG_BOOTSTRAP stream
+        # as one draw does, so the blocks bound memory only; a resample
+        # holds its indices, their values and the values' powers
+        draws = (boot_rng.integers(0, n, size=(hi - lo, n))
+                 for lo, hi in _blocks(BOOTSTRAP_RESAMPLES, 24 * n))
         boot = np.concatenate([_lp_norms(absx[i], p_values) for i in draws])
         stderrs = boot.std(axis=0, ddof=1)
     return MomentProfile(

@@ -3,14 +3,16 @@
 Reproducibility contract: a run is a pure function of its configuration
 and master seed. Every random draw comes from a named substream, and each
 sweep cell draws its whole trial block up front in a fixed order (sign
-factors by ascending axis, then sample rows), so chunking of the later
-arithmetic can never change the bytes written. jl-sweep and pointset share
-that trial loop (`_sampled_trials`), and every CSV format is written by one
-writer from its header's column names (`_to_csv`). The Gaussian baseline
-cannot afford whole-cell draws at large trial counts; it draws its normals
-whole trials at a time, in blocks of about transforms._ROW_BLOCK_BYTES.
-Consecutive draws read a generator's stream as one draw does, so the
-block size bounds memory and changes no byte.
+factors by ascending axis, then sample rows). The later arithmetic runs
+through blocks of trials of about 1 MiB (indexing._blocks), each holding
+two trials at least, so that no trial's transform is a one-row matrix
+product (gemv, which rounds unlike gemm): the block size changes no byte
+written. jl-sweep and pointset share that trial loop (`_sampled_trials`),
+and every CSV format is written by one writer from its header's column
+names (`_to_csv`). The Gaussian baseline cannot afford whole-cell draws at
+large trial counts; it draws its normals whole trials at a time, in blocks
+of the same budget. Consecutive draws read a generator's stream as one
+draw does, so the block size bounds memory and changes no byte.
 
 Each command option is one row of OPTIONS: its reader, which merge_options
 applies to a config or flag value, and its help line on the command line.
@@ -35,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 import yaml
 
-from . import rand, transforms
+from . import rand
 from .adversarial import (
     embedding_dim_threshold,
     failure_probability_empirical,
@@ -49,7 +51,7 @@ from .chaos import (
 from .errors import BudgetError, ConfigError
 from .fwht import fwht, fwht_axis, hadamard_matrix
 from .gf2 import enumerate_subspaces, indicator, orthogonal_complement
-from .indexing import KronDims, _group_positions
+from .indexing import KronDims, _blocks, _group_positions
 from .rip import rip_constant
 from .sparsify import check_fiber_sparsity, split
 from .transforms import (
@@ -107,7 +109,6 @@ REPORT_SCHEMA = "kronjl.report.v1"
 FAMILIES = ("kron", "dense", "onehot")
 BASELINES = ("kfjlt", "gaussian")
 
-APPLY_CHUNK = 512
 ROW_SCAN_START = 2
 ROW_SCAN_CAP = 4096
 SCALING_EPS = 0.75
@@ -266,8 +267,9 @@ def _sampled_trials(dims, pts, m, trials, rng):
 
     `pts` holds the points' factors (_family_factors). Draws every trial
     up front: per-axis signs by ascending axis, then the sample rows. Then
-    yields, for chunks of trials in order, the m sampled entries of
-    H D_xi p for each point p: (chunk, points, m).
+    yields, for blocks of trials in order (indexing._blocks, two trials at
+    least), the m sampled entries of H D_xi p for each point p:
+    (block, points, m).
 
     A rank-one point never becomes a length-N vector: H D_xi (x_1 (x) ...
     (x) x_d) is the Kronecker product of the H_l (xi_l * x_l), so each
@@ -281,9 +283,10 @@ def _sampled_trials(dims, pts, m, trials, rng):
     points = pts[0].shape[0]
     signs = rand.rademacher_factors(rng, trials, dims)
     rows0 = rng.integers(0, dims.total, size=(trials, m))
-    chunk = max(1, APPLY_CHUNK // points)
-    for lo in range(0, trials, chunk):
-        hi = min(lo + chunk, trials)
+    # a trial's floats: its signed length-N points, or its per-axis
+    # transforms and sampled entries
+    width = dims.total if len(pts) == 1 else sum(dims) + m
+    for lo, hi in _blocks(trials, 8 * points * width, least=2):
         xi = [f[lo:hi] for f in signs]
         if len(pts) == 1:  # one length-N factor: dense, or a single axis
             z = kron_materialize(xi)[:, None, :] * pts[0][None, :, :]
@@ -360,12 +363,11 @@ def _kfjlt_cell_failures(dims, x, m, eps, trials, rng):
 
 def _gaussian_cell_failures(x, m, eps, trials, rng):
     """Gaussian baseline cell: (m, N) normals per trial, drawn whole
-    trials at a time in blocks of about transforms._ROW_BLOCK_BYTES."""
+    trials at a time in blocks of about 1 MiB (indexing._blocks)."""
     n = x.size
-    block = max(1, transforms._ROW_BLOCK_BYTES // (8 * m * n))
     failures = 0
-    for lo in range(0, trials, block):
-        g = rng.standard_normal((min(block, trials - lo), m, n))
+    for lo, hi in _blocks(trials, 8 * m * n):
+        g = rng.standard_normal((hi - lo, m, n))
         y = g @ x / math.sqrt(m)
         dist = np.sum(y * y, axis=1) - 1.0
         failures += int(np.count_nonzero(np.abs(dist) > eps))
@@ -618,11 +620,10 @@ def adversarial_joint_norm_failure(r_dims, m, eps, trials, seed,
     )
     scale2 = n / m
     failures = 0
-    # keep the (points, chunk, m) gather around 2M floats; rows drawn one
-    # chunk at a time read the stream as one (trials, m) draw does
-    chunk = max(1, 2_000_000 // (energy.shape[0] * m))
-    for lo in range(0, trials, chunk):
-        rows0 = rng.integers(0, n, size=(min(chunk, trials - lo), m))
+    # rows drawn a block at a time read the stream as one (trials, m)
+    # draw does; a block's (points, block, m) gather is about 1 MiB
+    for lo, hi in _blocks(trials, 8 * energy.shape[0] * m):
+        rows0 = rng.integers(0, n, size=(hi - lo, m))
         sums = energy[:, rows0].sum(axis=2)
         dist = scale2 * sums - 1.0
         bad = np.abs(dist) > eps

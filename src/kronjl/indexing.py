@@ -8,6 +8,10 @@ A vector over axis sizes (n_1, ..., n_d) sends the 1-based full index
 so the earliest axis varies fastest; on numpy arrays that is Fortran
 raveling. Fibers, slices and matricizations group axes by the same rule,
 through `_group_positions`.
+
+Every blocked loop of the package walks its items through `_blocks`, in
+spans of about `_BLOCK_BYTES` of working data each; that one budget is the
+only block size there is.
 """
 
 import math
@@ -19,6 +23,8 @@ import numpy as np
 from .errors import ShapeError
 
 __all__ = ["KronDims"]
+
+_BLOCK_BYTES = 1 << 20  # half a 2 MiB per-core L2
 
 
 @dataclass(frozen=True)
@@ -60,3 +66,21 @@ def _group_positions(shape, groups):
     pos = np.ascontiguousarray(flat.reshape(sizes, order="F"))
     pos.setflags(write=False)
     return pos
+
+
+def _blocks(count, item_bytes, least=1):
+    """(lo, hi) spans of range(count), in order, of max(least,
+    _BLOCK_BYTES // item_bytes) items each; the last span takes in any
+    remainder smaller than `least`.
+
+    numpy sends a one-row matrix product to gemv, whose sums round unlike
+    gemm's. A caller whose item's last product has a single row passes
+    least=2, so every span, the last included, holds two items unless
+    count is one, and the span sizes change no byte.
+    """
+    step = max(least, _BLOCK_BYTES // item_bytes)
+    lo = 0
+    while lo < count:
+        hi = lo + step if count - lo - step >= least else count
+        yield lo, hi
+        lo = hi

@@ -3,8 +3,10 @@
 Every source of randomness in the package is a counter-based Philox stream
 keyed by SeedSequence(seed, spawn_key=path); the path tags below are the
 documented stream layout. Paths are distinct within one library call, so
-its draws are reproducible bit-for-bit regardless of evaluation order or
-chunking. Separate calls under one seed may share a path:
+its draws are reproducible bit-for-bit regardless of evaluation order.
+Consecutive integers and standard_normal draws read a stream as one draw
+does, so a draw split into blocks (indexing._blocks) gives the same
+numbers at any block size. Separate calls under one seed may share a path:
 (seed, TAG_EXPERIMENT, family, m_idx, eps_idx) by a jl-sweep cell and the
 pointset cell of the same family, m and eps; (seed, TAG_SAMPLES) by
 build_operator and failure_probability_empirical, which every cell of a

@@ -39,6 +39,7 @@ import numpy as np
 
 from . import rand
 from .errors import BudgetError, ShapeError
+from .indexing import _blocks
 
 __all__ = [
     "RipReport",
@@ -48,7 +49,6 @@ __all__ = [
 ]
 
 DEFAULT_BUDGET = 10_000_000
-_CHUNK = 65536
 _PAIR_CHUNK = 512
 _SLACK = 1e-12
 
@@ -111,8 +111,8 @@ def rip_constant(phi, s):
     supports = _support_array(gram.shape[0], s, DEFAULT_BUDGET)
     best = -1.0
     witness = 0
-    for lo in range(0, supports.shape[0], _CHUNK):
-        chunk = supports[lo : lo + _CHUNK]
+    for lo, hi in _blocks(supports.shape[0], 8 * s * s):
+        chunk = supports[lo:hi]
         blocks = gram[chunk[:, :, None], chunk[:, None, :]]
         evs = np.linalg.eigvalsh(blocks)
         dev = np.maximum(evs[:, -1] - 1.0, 1.0 - evs[:, 0])
@@ -191,9 +191,8 @@ def check_submatrix_bound(phi, s, delta, budget=DEFAULT_BUDGET, seed=0):
         right = rng.integers(0, k, size=budget)
         worst = -1.0
         worst_pair = (0, 0)
-        for lo in range(0, budget, _CHUNK):
-            li = left[lo : lo + _CHUNK]
-            ri = right[lo : lo + _CHUNK]
+        for lo, hi in _blocks(budget, 8 * s * s):
+            li, ri = left[lo:hi], right[lo:hi]
             norms = _block_norms(hollow, supports, li, ri)
             j = int(np.argmax(norms))
             if norms[j] > worst:

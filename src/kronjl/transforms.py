@@ -18,13 +18,13 @@ reference, composes the full per-axis transforms. P keeps only m rows, so
 where m is small against N (fwht.last_block) hadamard_rows transforms the
 high bits of a row in full and runs the last 64-wide Sylvester block only
 at the sampled rows. It streams a batch through blocks of rows of about
-1 MiB, each dropped before the next, so its temporaries stay in cache and
-do not grow with the batch; the block size changes no byte. A rank-one
-input needs no length-N work: H D (x_1 (x) ... (x) x_d) is the Kronecker
-product of the H_l (xi_l * x_l), and a sampled entry is a product of one
-entry per axis, found at the bit fields of its row (sampled_entries).
-apply_factored and the harness's kron and onehot trials take that path;
-only dense inputs go through hadamard_rows.
+1 MiB (indexing._blocks), each dropped before the next, so its temporaries
+stay in cache and do not grow with the batch; the block size changes no
+byte. A rank-one input needs no length-N work: H D (x_1 (x) ... (x) x_d)
+is the Kronecker product of the H_l (xi_l * x_l), and a sampled entry is a
+product of one entry per axis, found at the bit fields of its row
+(sampled_entries). apply_factored and the harness's kron and onehot
+trials take that path; only dense inputs go through hadamard_rows.
 
 Randomness: signs for axis l come from substream(seed, TAG_SIGNS, l); the
 row sample from substream(seed, TAG_SAMPLES).
@@ -38,7 +38,7 @@ import numpy as np
 from . import rand
 from .errors import BudgetError, ShapeError
 from .fwht import fwht, fwht_axis, hadamard_matrix, last_block
-from .indexing import KronDims
+from .indexing import KronDims, _blocks
 
 __all__ = [
     "RademacherFactors",
@@ -58,7 +58,6 @@ __all__ = [
 
 
 MATERIALIZE_MAX_COLUMNS = 1 << 12  # an N x N float64 is 128 MiB at 2^12
-_ROW_BLOCK_BYTES = 1 << 20  # half a 2 MiB per-core L2
 
 
 def _frozen(a, dtype):
@@ -265,8 +264,8 @@ def hadamard_rows(xs, rows0):
     transform's last digit costs count * N * r, and r = 64 only where
     m * r <= N / 4; otherwise r = 1, the full transform and a gather.
 
-    The rows go through in blocks of about _ROW_BLOCK_BYTES of row or
-    gathered data, each transformed, gathered and read into the
+    The rows go through in blocks of about 1 MiB of row or gathered data
+    (indexing._blocks), each transformed, gathered and read into the
     (count, m) result before the next starts, so the temporaries stay in
     cache and do not grow with count. Each row meets the same products
     whatever the block, so the block size changes no byte.
@@ -287,16 +286,10 @@ def hadamard_rows(xs, rows0):
         raise ShapeError(f"rows must lie in 0..{n - 1}")
     rows0 = np.broadcast_to(rows0, (count, m))
     out = np.empty((count, m))
-    # numpy sends a one-row matrix product to gemv, whose sums round
-    # unlike gemm's. One row's last product has one row where a split
-    # keeps m = 1 or an unsplit row is one digit (N <= 64), so there
-    # every block, the last included, holds two rows unless the batch
-    # has one.
+    # one row's last product has one row where a split keeps m = 1 or an
+    # unsplit row is one digit (N <= 64)
     one_row = m == 1 if r > 1 else n <= 64
-    least = 2 if one_row else 1
-    step = max(least, _ROW_BLOCK_BYTES // (8 * max(n, m * r)))
-    starts = range(0, max(count - least + 1, 1), step)
-    for lo, hi in zip(starts, [*starts[1:], count]):
+    for lo, hi in _blocks(count, 8 * max(n, m * r), least=2 if one_row else 1):
         out[lo:hi] = _block_rows(xs[lo:hi], rows0[lo:hi], r)
     return out
 

@@ -1,7 +1,8 @@
 """Every name a kronjl module exports through __all__ exists, no module
 or test imports a name it never reads, and the command line uses only the
 harness's public names and holds no default and no family, baseline or
-report-kind name of its own."""
+report-kind name of its own. One byte budget, indexing._BLOCK_BYTES,
+sizes every blocked loop."""
 
 import ast
 import importlib
@@ -92,3 +93,32 @@ def test_cli_names_no_choice_and_no_default():
                 if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
                 and n.func.attr == "get" and len(n.args) + len(n.keywords) > 1]
     assert defaults == []
+
+
+def _module_names(tree):
+    """Names a module binds at its top level."""
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for t in targets:
+                yield from (n.id for n in ast.walk(t) if isinstance(n, ast.Name))
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name
+
+
+def test_one_block_budget():
+    # every blocked loop takes its size from indexing._blocks; the one
+    # other size, rip._PAIR_CHUNK, is the pruning's lead set, not a block
+    allowed = {("indexing", "_BLOCK_BYTES"), ("rip", "_PAIR_CHUNK")}
+    knobs, readers = set(), []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        knobs |= {(path.stem, name) for name in _module_names(tree)
+                  if re.search("CHUNK|BLOCK", name)}
+        if path.stem != "indexing":
+            readers += [f"{path.name}:{n.lineno}" for n in ast.walk(tree)
+                        if "_BLOCK_BYTES" in (getattr(n, "id", None),
+                                              getattr(n, "attr", None),
+                                              getattr(n, "name", None))]
+    assert knobs == allowed
+    assert readers == []

@@ -15,7 +15,7 @@ from kronjl.adversarial import failure_probability_exact
 from kronjl.errors import BudgetError, ConfigError
 from kronjl.fwht import fwht_axis, hadamard_matrix
 from kronjl.indexing import KronDims
-from kronjl import rand, transforms
+from kronjl import indexing, rand
 from kronjl.transforms import kron_materialize, kron_sign_patterns
 
 
@@ -208,10 +208,46 @@ def test_sweep_chunking_does_not_change_counts(monkeypatch):
     ps_args = dict(dims=(4, 2), n_points=5, m=8, eps=0.5, trials=301, seed=3)
     base = harness.jl_failure_sweep(**args)
     base_ps = harness.pointset_preservation(**ps_args)
-    monkeypatch.setattr(harness, "APPLY_CHUNK", 7)
+    monkeypatch.setattr(indexing, "_BLOCK_BYTES", 1)
     small = harness.jl_failure_sweep(**args)
     assert [r.failures for r in base] == [r.failures for r in small]
     assert harness.pointset_preservation(**ps_args) == base_ps
+
+
+@pytest.mark.parametrize("family", ["kron", "onehot", "dense"])
+@pytest.mark.parametrize("points", [1, 5])
+def test_trial_coordinates_do_not_depend_on_the_block_size(
+        monkeypatch, family, points):
+    # 13 trials: one block at the default budget; at a budget of three
+    # trials, blocks of 3, 3, 3 and a last one that takes in the trial
+    # left over; at 1 byte, blocks of two and a last of three. A block of
+    # one trial would send a one-point trial's transform to gemv.
+    dims = KronDims((8, 16))
+    pts = harness._family_factors(family, dims, seed=4, count=points)
+    width = dims.total if family == "dense" else sum(dims) + 8
+
+    def coords(budget):
+        monkeypatch.setattr(indexing, "_BLOCK_BYTES", budget)
+        rng = rand.substream(4, rand.TAG_EXPERIMENT)
+        return np.concatenate(list(harness._sampled_trials(dims, pts, 8, 13, rng)))
+
+    want = coords(indexing._BLOCK_BYTES)
+    assert want.shape == (13, points, 8)
+    for budget in (3 * 8 * points * width, 1):
+        assert np.array_equal(coords(budget), want)
+
+
+def test_dense_cell_memory_does_not_grow_with_trials():
+    # 64 trials at N = 2^16 would be 32 MiB per length-N array formed for
+    # the whole cell at once; blocks of two trials keep it to a few MiB
+    tracemalloc.start()
+    try:
+        harness.jl_failure_sweep((64, 64, 16), (32,), (0.5,), 64, 0,
+                                 families=("dense",))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * 2**20
 
 
 def _length_n_trials(dims, pts, m, trials, rng):
@@ -344,7 +380,7 @@ def test_gaussian_block_size_changes_no_byte(monkeypatch):
     args = dict(dims=(4, 4), m_values=(4, 32), eps_values=(0.25, 0.5),
                 trials=150, seed=3, baseline="gaussian")
     want = harness.sweep_to_csv(harness.jl_failure_sweep(**args))
-    monkeypatch.setattr(transforms, "_ROW_BLOCK_BYTES", 1)
+    monkeypatch.setattr(indexing, "_BLOCK_BYTES", 1)
     assert harness.sweep_to_csv(harness.jl_failure_sweep(**args)) == want
 
 

@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from kronjl import transforms
+from kronjl import indexing
 from kronjl.errors import ShapeError
 from kronjl.fwht import fwht_axis, hadamard_matrix, last_block
 from kronjl.indexing import KronDims
@@ -229,7 +229,7 @@ def test_hadamard_rows_block_size_changes_no_byte(monkeypatch, n, m, count):
     row_bytes = 8 * max(n, m * last_block(n, m))
 
     def outputs(rows_per_block):
-        monkeypatch.setattr(transforms, "_ROW_BLOCK_BYTES", rows_per_block * row_bytes)
+        monkeypatch.setattr(indexing, "_BLOCK_BYTES", rows_per_block * row_bytes)
         return [hadamard_rows(xs, shared), hadamard_rows(xs, per_row),
                 apply_dense_mat(op, xs)]
 
