@@ -7,9 +7,11 @@ factors by ascending axis, then sample rows). The later arithmetic runs
 through blocks of trials of about 1 MiB (indexing._blocks), each holding
 two trials at least, so that no trial's transform is a one-row matrix
 product (gemv, which rounds unlike gemm): the block size changes no byte
-written. jl-sweep and pointset share that trial loop (`_sampled_trials`),
-and every CSV format is written by one writer from its header's column
-names (`_to_csv`). The Gaussian baseline cannot afford whole-cell draws at
+written. jl-sweep and pointset share that trial loop (`_sampled_trials`)
+and one cell loop (`_cells`), which gives each (m, eps) cell its substream
+and its wall time (the lower-bound sweep shares its timer, `_timed`), and
+every CSV format is written by one writer from its header's column names
+(`_to_csv`). The Gaussian baseline cannot afford whole-cell draws at
 large trial counts; it draws its normals whole trials at a time, in blocks
 of the same budget. Consecutive draws read a generator's stream as one
 draw does, so the block size bounds memory and changes no byte.
@@ -49,7 +51,7 @@ from .chaos import (
     estimate_chaos_moments,
 )
 from .errors import BudgetError, ConfigError
-from .fwht import fwht, fwht_axis, hadamard_matrix
+from .fwht import _sylvester, fwht, fwht_axis, hadamard_matrix
 from .gf2 import enumerate_subspaces, indicator, orthogonal_complement
 from .indexing import KronDims, _blocks, _group_positions
 from .rip import rip_constant
@@ -109,8 +111,9 @@ REPORT_SCHEMA = "kronjl.report.v1"
 FAMILIES = ("kron", "dense", "onehot")
 BASELINES = ("kfjlt", "gaussian")
 
-ROW_SCAN_START = 2
-ROW_SCAN_CAP = 4096
+# the row counts a scan reads, doubling from 2 up to 4096
+_SCAN_ROWS = tuple(2 << k for k in range(12))
+ROW_SCAN_START, ROW_SCAN_CAP = _SCAN_ROWS[0], _SCAN_ROWS[-1]
 SCALING_EPS = 0.75
 SCALING_TARGET = 0.1
 SCALING_GRIDS = (("d1", ((1,), (2,), (3,))),
@@ -374,8 +377,12 @@ def _gaussian_cell_failures(x, m, eps, trials, rng):
     return failures
 
 
-def _check_cells(m_values, eps_values, trials):
-    """The sweep checks shared by jl-sweep and pointset cells."""
+def _check_cells(m_values, eps_values, trials, families=()):
+    """The checks of a grid of cells, shared by every sweep and scan."""
+    for fam in families:
+        if fam not in FAMILIES:
+            raise ConfigError(f"family: unknown {fam!r}")
+    _distinct("family", families)
     if trials <= 0:
         raise ConfigError("trials: must be positive")
     if any(m <= 0 for m in m_values):
@@ -386,6 +393,26 @@ def _check_cells(m_values, eps_values, trials):
     _distinct("eps", eps_values)
 
 
+def _timed(timing, run, *args):
+    """run(*args) and its wall time in ms, 0 unless `timing`."""
+    t0 = time.perf_counter()
+    out = run(*args)
+    wall = int(round((time.perf_counter() - t0) * 1000))
+    return out, wall if timing else 0
+
+
+def _cells(seed, family, m_values, eps_values, timing, cell):
+    """Per (m, eps) in order, (m, eps, cell(m, eps, rng), wall_ms) with rng
+    the cell's substream (seed, TAG_EXPERIMENT, family index, m index, eps
+    index). A cell runs when the consumer reaches it, so a scan can stop
+    early."""
+    fam_idx = FAMILIES.index(family)
+    for (m_idx, m), (e_idx, eps) in itertools.product(
+            enumerate(m_values), enumerate(eps_values)):
+        rng = rand.substream(seed, rand.TAG_EXPERIMENT, fam_idx, m_idx, e_idx)
+        yield (m, eps, *_timed(timing, cell, m, eps, rng))
+
+
 def jl_failure_sweep(dims, m_values, eps_values, trials, seed,
                      families=FAMILIES, baseline="kfjlt", timing=False):
     """Estimate P(|‖Ax‖^2 - 1| > eps) per (family, m, eps) cell over
@@ -393,37 +420,24 @@ def jl_failure_sweep(dims, m_values, eps_values, trials, seed,
     dims = KronDims(dims)
     if baseline not in BASELINES:
         raise ConfigError(f"baseline: unknown {baseline!r}")
-    for fam in families:
-        if fam not in FAMILIES:
-            raise ConfigError(f"family: unknown {fam!r}")
-    _distinct("family", families)
-    _check_cells(m_values, eps_values, trials)
+    _check_cells(m_values, eps_values, trials, families)
     records = []
     for family in families:
-        fam_idx = FAMILIES.index(family)
         x = _family_factors(family, dims, seed)
-        for m_idx, m in enumerate(m_values):
-            for e_idx, eps in enumerate(eps_values):
-                rng = rand.substream(
-                    seed, rand.TAG_EXPERIMENT, fam_idx, m_idx, e_idx
-                )
-                t0 = time.perf_counter()
-                if baseline == "kfjlt":
-                    failures = _kfjlt_cell_failures(
-                        dims, x, m, eps, trials, rng
-                    )
-                else:
-                    failures = _gaussian_cell_failures(
-                        kron_materialize(x)[0], m, eps, trials, rng
-                    )
-                wall = int(round((time.perf_counter() - t0) * 1000))
-                records.append(
-                    SweepRecord(
-                        family=family, dims=dims, m=m, eps=eps,
-                        trials=trials, failures=failures, seed=seed,
-                        wall_ms=wall if timing else 0,
-                    )
-                )
+        if baseline == "gaussian":
+            x = kron_materialize(x)[0]
+
+        def cell(m, eps, rng):
+            if baseline == "kfjlt":
+                return _kfjlt_cell_failures(dims, x, m, eps, trials, rng)
+            return _gaussian_cell_failures(x, m, eps, trials, rng)
+
+        records += [
+            SweepRecord(family=family, dims=dims, m=m, eps=eps, trials=trials,
+                        failures=failures, seed=seed, wall_ms=wall)
+            for m, eps, failures, wall in _cells(
+                seed, family, m_values, eps_values, timing, cell)
+        ]
     records.sort(key=lambda r: (r.family, r.m, r.eps))
     return records
 
@@ -471,23 +485,14 @@ class PointsetReport(_DimsColumns):
         return self.points * (self.points - 1) * self.pair_eta
 
 
-def pointset_preservation(dims, n_points, m, eps, trials, seed,
-                          family="kron", timing=False, _cell=(0, 0)):
-    """Pairwise-distance preservation over a fixed point set.
-
-    Per trial a fresh operator embeds all points at once (the trial loop
-    of jl-sweep); squared pair distances come from the embedded Gram
-    matrix. A pair at distance zero cannot be distorted and is skipped
-    (counted in skipped_pairs). The joint failure event is any surviving
-    pair leaving (1 +- eps).
-    """
+def _pointset_cells(dims, n_points, m_values, eps_values, trials, seed,
+                    family, timing):
+    """Checks the arguments and builds the points now; then an iterator of
+    one PointsetReport per (m, eps), each cell run as it is reached."""
     dims = KronDims(dims)
     if n_points < 2:
         raise ConfigError("points: need at least 2")
-    if family not in FAMILIES:
-        raise ConfigError(f"family: unknown {family!r}")
-    _check_cells((m,), (eps,), trials)
-    fam_idx = FAMILIES.index(family)
+    _check_cells(m_values, eps_values, trials, (family,))
     pts = _family_factors(family, dims, seed, count=n_points)
 
     iu = np.triu_indices(n_points, k=1)
@@ -501,48 +506,56 @@ def pointset_preservation(dims, n_points, m, eps, trials, seed,
     valid = np.where(~degenerate)[0]
     base = pair_d0[valid]
 
-    rng = rand.substream(
-        seed, rand.TAG_EXPERIMENT, fam_idx, int(_cell[0]), int(_cell[1])
-    )
-    scale2 = dims.total / m
+    def cell(m, eps, rng):
+        joint = pair_fail = 0
+        for g in _sampled_trials(dims, pts, m, trials, rng):
+            yg = np.matmul(g, np.transpose(g, (0, 2, 1))) * (dims.total / m)
+            ysq = np.diagonal(yg, axis1=1, axis2=2)
+            dist = ysq[:, :, None] + ysq[:, None, :] - 2.0 * yg
+            ratio = dist[:, iu[0], iu[1]][:, valid] / base[None, :]
+            bad = np.abs(ratio - 1.0) > eps
+            pair_fail += int(np.count_nonzero(bad))
+            joint += int(np.count_nonzero(np.any(bad, axis=1)))
+        return joint, pair_fail
 
-    t0 = time.perf_counter()
-    joint = 0
-    pair_fail = 0
-    for g in _sampled_trials(dims, pts, m, trials, rng):
-        yg = np.matmul(g, np.transpose(g, (0, 2, 1))) * scale2
-        ysq = np.diagonal(yg, axis1=1, axis2=2)
-        dist = ysq[:, :, None] + ysq[:, None, :] - 2.0 * yg
-        ratio = dist[:, iu[0], iu[1]][:, valid] / base[None, :]
-        bad = np.abs(ratio - 1.0) > eps
-        pair_fail += int(np.count_nonzero(bad))
-        joint += int(np.count_nonzero(np.any(bad, axis=1)))
-    wall = int(round((time.perf_counter() - t0) * 1000))
-    return PointsetReport(
+    return (PointsetReport(
         family=family, points=n_points, dims=dims, m=m, eps=eps,
         trials=trials, joint_failures=joint, pair_failures=pair_fail,
         valid_pairs=int(valid.size), skipped_pairs=skipped, seed=seed,
-        wall_ms=wall if timing else 0,
-    )
+        wall_ms=wall,
+    ) for m, eps, (joint, pair_fail), wall in _cells(
+        seed, family, m_values, eps_values, timing, cell))
+
+
+def pointset_preservation(dims, n_points, m_values, eps_values, trials, seed,
+                          family="kron", timing=False):
+    """Pairwise-distance preservation over a fixed point set; one report
+    per (m, eps) cell, in order.
+
+    Per trial a fresh operator embeds all points at once (the trial loop
+    of jl-sweep); squared pair distances come from the embedded Gram
+    matrix. A pair at distance zero cannot be distorted and is skipped
+    (counted in skipped_pairs). The joint failure event is any surviving
+    pair leaving (1 +- eps).
+    """
+    return list(_pointset_cells(dims, n_points, m_values, eps_values, trials,
+                                seed, family, timing))
 
 
 def pointset_to_csv(reports):
     return _to_csv(POINTSET_HEADER, reports)
 
 
-def _scan_interpolate(eval_eta, target, trials):
-    """Doubling scan of m from ROW_SCAN_START up to ROW_SCAN_CAP with
-    log-log interpolation at the target crossing. eval_eta(m, m_idx)
-    returns the measured failure."""
+def _scan_interpolate(rates, target, trials):
+    """Doubling scan of m over _SCAN_ROWS with log-log interpolation at the
+    target crossing. `rates` yields the measured failure at each m in turn
+    and is read no further than the first at or below `target`."""
     if not 0.0 < target < 1.0:
         raise ConfigError("target: must be in (0, 1)")
     floor = 0.5 / trials
     scan = []
     prev = None
-    m = ROW_SCAN_START
-    m_idx = 0
-    while m <= ROW_SCAN_CAP:
-        eta_raw = eval_eta(m, m_idx)
+    for m, eta_raw in zip(_SCAN_ROWS, rates):
         eta = max(eta_raw, floor)
         scan.append((m, eta_raw))
         if eta_raw <= target:
@@ -555,8 +568,6 @@ def _scan_interpolate(eval_eta, target, trials):
             log_m = math.log(m_lo) + t * (math.log(m) - math.log(m_lo))
             return float(math.exp(log_m)), scan
         prev = (m, eta)
-        m *= 2
-        m_idx += 1
     raise BudgetError(
         f"no row count <= {ROW_SCAN_CAP} reached joint failure {target}"
     )
@@ -564,32 +575,52 @@ def _scan_interpolate(eval_eta, target, trials):
 
 def required_embedding_rows(dims, n_points, eps, target, trials, seed):
     """Smallest embedding row count whose joint failure on a kron pointset
-    is at or below `target`, located by an ascending power-of-two scan
-    with log-log interpolation at the crossing. Returns (m_star, scan)
-    where scan is the list of (m, joint_eta) pairs examined."""
-
-    def eval_eta(m, m_idx):
-        rep = pointset_preservation(
-            dims, n_points, m, eps, trials, seed, _cell=(m_idx, 0),
-        )
-        return rep.joint_eta
-
-    return _scan_interpolate(eval_eta, target, trials)
+    is at or below `target`, located by a scan of pointset_preservation's
+    cells over _SCAN_ROWS with log-log interpolation at the crossing.
+    Returns (m_star, scan), scan the (m, joint_eta) pairs examined."""
+    reports = _pointset_cells(
+        dims, n_points, _SCAN_ROWS, (eps,), trials, seed, "kron", False
+    )
+    return _scan_interpolate((r.joint_eta for r in reports), target, trials)
 
 
 def _family_energies(dims):
     """Exact (H x)^2 for each unit member x of the flat Kronecker sign
     family, one per row in kron_sign_patterns order: (2^{sum n_l}, N)."""
-    tables = []
-    for n in dims:
-        sylvester = np.rint(hadamard_matrix(n) * math.sqrt(n))
-        w = kron_sign_patterns((n,)) @ sylvester  # integer-valued, exact
-        tables.append((w / n) ** 2)
-    return kron_combinations(tables)
+    # a pattern times the +-1 Sylvester matrix is integer-valued, exact
+    return kron_combinations(
+        [(kron_sign_patterns((n,)) @ _sylvester(n) / n) ** 2 for n in dims])
 
 
-def adversarial_joint_norm_failure(r_dims, m, eps, trials, seed,
-                                   _cell=0):
+def _adversarial_rates(r_dims, m_values, eps, trials, seed):
+    """Checks the arguments and tabulates the family's energies now; then
+    an iterator of the joint failure at each m in turn, cell k reading the
+    rows of (seed, TAG_SAMPLES, axes, sum r_dims, k)."""
+    r_dims = tuple(int(r) for r in r_dims)
+    if any(r < 1 for r in r_dims):
+        raise ConfigError("r_dims: per-axis exponents must be >= 1")
+    _check_cells(m_values, (eps,), trials)
+    energy = _family_energies(KronDims(tuple(1 << r for r in r_dims)))
+    n = energy.shape[1]
+    path = (rand.TAG_SAMPLES, len(r_dims), sum(r_dims))
+
+    def rate(k, m):
+        rng = rand.substream(seed, *path, k)
+        failures = 0
+        # rows drawn a block at a time read the stream as one (trials, m)
+        # draw does; a block's (points, block, m) gather is about 1 MiB
+        for lo, hi in _blocks(trials, 8 * energy.shape[0] * m):
+            rows0 = rng.integers(0, n, size=(hi - lo, m))
+            sums = energy[:, rows0].sum(axis=2)
+            dist = n / m * sums - 1.0
+            bad = np.abs(dist) > eps
+            failures += int(np.count_nonzero(np.any(bad, axis=0)))
+        return failures / trials
+
+    return itertools.starmap(rate, enumerate(m_values))
+
+
+def adversarial_joint_norm_failure(r_dims, m, eps, trials, seed):
     """Joint norm-preservation failure over the sign-modulated flat
     Kronecker family.
 
@@ -609,37 +640,14 @@ def adversarial_joint_norm_failure(r_dims, m, eps, trials, seed,
     is dyadic with at most 2 log2 n_l significant bits and the product has
     at most 2 log2 N <= 53 bits for any family small enough to enumerate.
     """
-    r_dims = tuple(int(r) for r in r_dims)
-    if any(r < 1 for r in r_dims):
-        raise ConfigError("r_dims: per-axis exponents must be >= 1")
-    dims = KronDims(tuple(1 << r for r in r_dims))
-    n = dims.total
-    energy = _family_energies(dims)
-    rng = rand.substream(
-        seed, rand.TAG_SAMPLES, len(r_dims), sum(r_dims), int(_cell)
-    )
-    scale2 = n / m
-    failures = 0
-    # rows drawn a block at a time read the stream as one (trials, m)
-    # draw does; a block's (points, block, m) gather is about 1 MiB
-    for lo, hi in _blocks(trials, 8 * energy.shape[0] * m):
-        rows0 = rng.integers(0, n, size=(hi - lo, m))
-        sums = energy[:, rows0].sum(axis=2)
-        dist = scale2 * sums - 1.0
-        bad = np.abs(dist) > eps
-        failures += int(np.count_nonzero(np.any(bad, axis=0)))
-    return failures / trials
+    return next(_adversarial_rates(r_dims, (m,), eps, trials, seed))
 
 
 def required_rows_adversarial(r_dims, eps, target, trials, seed):
-    """Smallest row count taming the adversarial family's joint failure."""
-
-    def eval_eta(m, m_idx):
-        return adversarial_joint_norm_failure(
-            r_dims, m, eps, trials, seed, _cell=m_idx
-        )
-
-    return _scan_interpolate(eval_eta, target, trials)
+    """Smallest row count taming the adversarial family's joint failure;
+    scan cell k is adversarial_joint_norm_failure's stream at index k."""
+    rates = _adversarial_rates(r_dims, _SCAN_ROWS, eps, trials, seed)
+    return _scan_interpolate(rates, target, trials)
 
 
 @dataclass(frozen=True)
@@ -732,18 +740,15 @@ def lower_bound_sweep(bits, r, d_values, m_values, trials, seed, nu=0.1,
         threshold = embedding_dim_threshold(nu, d * s, d)
         for m in m_values:
             exact = failure_probability_exact(s, d, m)
-            t0 = time.perf_counter()
-            emp = failure_probability_empirical(
-                (bits,) * d, r, m, trials, seed
-            )
-            wall = int(round((time.perf_counter() - t0) * 1000))
+            emp, wall = _timed(timing, failure_probability_empirical,
+                               (bits,) * d, r, m, trials, seed)
             flagged = emp.estimate > nu and m < threshold
             records.append(
                 LowerBoundRecord(
                     s=s, d=d, bits=bits, r=r, m=m, exact=exact.prob,
                     bound=exact.lower_bound, empirical=emp.estimate,
                     stderr=emp.stderr, trials=trials, flagged=flagged,
-                    seed=seed, wall_ms=wall if timing else 0,
+                    seed=seed, wall_ms=wall,
                 )
             )
     return records
@@ -890,16 +895,10 @@ def _jl_sweep_command(dims, m, eps=(0.5,), trials=10_000, seed=0,
 def _pointset_command(dims, points, m, eps=(0.5,), trials=10_000, seed=0,
                       family=("kron",), timing=False):
     """Joint pairwise-distance preservation over a fixed point set."""
-    family = _single("family", family)
-    _check_cells(m, eps, trials)
-    return pointset_to_csv([
-        pointset_preservation(
-            dims, points, m_val, eps_val, trials, seed, family=family,
-            timing=timing, _cell=(m_idx, e_idx),
-        )
-        for m_idx, m_val in enumerate(m)
-        for e_idx, eps_val in enumerate(eps)
-    ])
+    return pointset_to_csv(pointset_preservation(
+        dims, points, m, eps, trials, seed, family=_single("family", family),
+        timing=timing,
+    ))
 
 
 def _lower_bound_command(bits, r, d, m, nu=0.1, trials=10_000, seed=0,

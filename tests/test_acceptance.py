@@ -271,8 +271,9 @@ def test_criterion_10_reproducibility():
         return harness.sweep_to_csv(recs)
 
     def point_csv():
-        rep = harness.pointset_preservation((4, 4), 6, 8, 0.5, 300, seed=20)
-        return harness.pointset_to_csv([rep])
+        reps = harness.pointset_preservation(
+            (4, 4), 6, (8,), (0.5,), 300, seed=20)
+        return harness.pointset_to_csv(reps)
 
     def lb_csv():
         recs = harness.lower_bound_sweep(3, 2, (1, 2), (4, 8), 500, seed=30)

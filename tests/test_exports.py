@@ -1,11 +1,13 @@
 """Every name a kronjl module exports through __all__ exists, no module
 or test imports a name it never reads, and the command line uses only the
 harness's public names and holds no default and no family, baseline or
-report-kind name of its own. One byte budget, indexing._BLOCK_BYTES,
-sizes every blocked loop."""
+report-kind name of its own. No public function takes a private
+parameter. One byte budget, indexing._BLOCK_BYTES, sizes every blocked
+loop, and one function reads the clock."""
 
 import ast
 import importlib
+import inspect
 import pkgutil
 import re
 from pathlib import Path
@@ -25,6 +27,36 @@ def test_every_exported_name_exists():
             assert hasattr(module, name), f"kronjl.{info.name}.{name}"
             checked += 1
     assert checked > 0
+
+
+def _public_callables(module):
+    """(name, callable) for each function, class and public method or
+    classmethod of a class named in the module's __all__."""
+    for name in getattr(module, "__all__", ()):
+        obj = getattr(module, name)
+        if inspect.isfunction(obj):
+            yield name, obj
+        elif inspect.isclass(obj) and obj.__module__ == module.__name__:
+            yield name, obj
+            for attr, member in vars(obj).items():
+                if isinstance(member, (classmethod, staticmethod)):
+                    member = member.__func__
+                if inspect.isfunction(member) and not attr.startswith("_"):
+                    yield f"{name}.{attr}", member
+
+
+def test_no_public_parameter_is_private():
+    # a parameter only callers inside the package may set is not public
+    private, checked = [], 0
+    for info in pkgutil.iter_modules(kronjl.__path__):
+        module = importlib.import_module(f"kronjl.{info.name}")
+        for name, fn in _public_callables(module):
+            params = inspect.signature(fn).parameters
+            private += [f"{info.name}.{name}.{p}" for p in params
+                        if p.startswith("_")]
+            checked += 1
+    assert checked > 50
+    assert private == []
 
 
 def _imported_names(tree):
@@ -122,3 +154,24 @@ def test_one_block_budget():
                                               getattr(n, "name", None))]
     assert knobs == allowed
     assert readers == []
+
+
+def _clock_readers(node, where):
+    """Where each read of perf_counter sits: (module, innermost function)."""
+    for child in ast.iter_child_nodes(node):
+        inner = where
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            inner = (where[0], child.name)
+        if "perf_counter" in (getattr(child, "id", None),
+                              getattr(child, "attr", None)):
+            yield inner
+        yield from _clock_readers(child, inner)
+
+
+def test_one_cell_timer():
+    # every wall_ms comes from one timer, where a span timer can hook in
+    readers = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        readers += _clock_readers(tree, (path.stem, None))
+    assert set(readers) == {("harness", "_timed")}

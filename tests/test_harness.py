@@ -147,9 +147,9 @@ def test_csv_data_rows_exact_bytes():
         "kron,2,4x2,8,3,0.5,200,108,0.54,0.035242020373412196,11,0"
     )
     pointset = harness.pointset_preservation(
-        (4, 2), 4, m=8, eps=0.5, trials=300, seed=9
+        (4, 2), 4, (8,), (0.5,), trials=300, seed=9
     )
-    assert harness.pointset_to_csv([pointset]).splitlines()[1] == (
+    assert harness.pointset_to_csv(pointset).splitlines()[1] == (
         "kron,4,2,4x2,8,8,0.5,300,214,0.7133333333333334,"
         "0.02610803764417444,0.205,2.46,0,9,0"
     )
@@ -205,7 +205,8 @@ def test_sweep_chunking_does_not_change_counts(monkeypatch):
         dims=(2, 4), m_values=(4,), eps_values=(0.5,), trials=333, seed=13,
         families=("kron", "onehot"),
     )
-    ps_args = dict(dims=(4, 2), n_points=5, m=8, eps=0.5, trials=301, seed=3)
+    ps_args = dict(dims=(4, 2), n_points=5, m_values=(8,), eps_values=(0.5,),
+                   trials=301, seed=3)
     base = harness.jl_failure_sweep(**args)
     base_ps = harness.pointset_preservation(**ps_args)
     monkeypatch.setattr(indexing, "_BLOCK_BYTES", 1)
@@ -300,8 +301,8 @@ def test_rank_one_families_allocate_nothing_of_length_n():
         recs = harness.jl_failure_sweep(
             dims, (8,), (0.5,), trials=3, seed=1, families=("kron", "onehot")
         )
-        rep = harness.pointset_preservation(
-            dims, 3, m=8, eps=0.5, trials=3, seed=1
+        [rep] = harness.pointset_preservation(
+            dims, 3, (8,), (0.5,), trials=3, seed=1
         )
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -334,6 +335,10 @@ def test_sweep_validation():
         (4,), (4,), (0.5,), 10, 0, families=("kron", "kron"))),
     ("d", lambda: harness.lower_bound_sweep(3, 1, (1, 1), (4,), 10, 0)),
     ("m", lambda: harness.lower_bound_sweep(3, 1, (1,), (4, 4), 10, 0)),
+    pytest.param("m", lambda: harness.pointset_preservation(
+        (4,), 3, (4, 8, 4), (0.5,), 10, 0), id="pointset-m"),
+    pytest.param("eps", lambda: harness.pointset_preservation(
+        (4,), 3, (4,), (0.5, 0.25, 0.5), 10, 0), id="pointset-eps"),
 ])
 def test_library_sweeps_reject_repeated_cells(field, call):
     # a repeated value would draw the same stream and write its row twice
@@ -397,8 +402,8 @@ def test_pointset_identical_points_skipped():
         if np.array_equal(*kron_materialize(
             harness._family_factors("onehot", dims, s, count=2)))
     )
-    rep = harness.pointset_preservation(
-        dims, 2, m=4, eps=0.5, trials=50, seed=seed, family="onehot"
+    [rep] = harness.pointset_preservation(
+        dims, 2, (4,), (0.5,), trials=50, seed=seed, family="onehot"
     )
     assert rep.skipped_pairs == 1
     assert rep.valid_pairs == 0
@@ -409,8 +414,8 @@ def test_pointset_identical_points_skipped():
 def test_pointset_joint_below_union_bound():
     # per-sample: a joint failure needs at least one failing pair, so the
     # joint rate never exceeds p(p-1) times the pair rate
-    rep = harness.pointset_preservation(
-        (4, 4), 6, m=32, eps=0.6, trials=800, seed=7
+    [rep] = harness.pointset_preservation(
+        (4, 4), 6, (32,), (0.6,), trials=800, seed=7
     )
     assert rep.joint_eta <= rep.union_bound + 1e-12
     assert rep.valid_pairs == 15
@@ -418,21 +423,24 @@ def test_pointset_joint_below_union_bound():
 
 
 def test_pointset_rerun_byte_identical():
-    args = dict(dims=(4, 2), n_points=4, m=8, eps=0.5, trials=300, seed=9)
-    a = harness.pointset_to_csv([harness.pointset_preservation(**args)])
-    b = harness.pointset_to_csv([harness.pointset_preservation(**args)])
+    args = dict(dims=(4, 2), n_points=4, m_values=(8,), eps_values=(0.5,),
+                trials=300, seed=9)
+    a = harness.pointset_to_csv(harness.pointset_preservation(**args))
+    b = harness.pointset_to_csv(harness.pointset_preservation(**args))
     assert a == b
     assert a.startswith(harness.POINTSET_HEADER + "\n")
 
 
 def test_pointset_validation():
     with pytest.raises(ConfigError):
-        harness.pointset_preservation((4,), 1, 4, 0.5, 10, 0)
+        harness.pointset_preservation((4,), 1, (4,), (0.5,), 10, 0)
     with pytest.raises(ConfigError):
-        harness.pointset_preservation((4,), 3, 4, 0.5, 10, 0, family="blob")
+        harness.pointset_preservation(
+            (4,), 3, (4,), (0.5,), 10, 0, family="blob")
     # checked as a jl-sweep cell is
-    for field, cell in (("m", (0, 0.5, 10)), ("eps", (4, -1.0, 10)),
-                        ("trials", (4, 0.5, 0))):
+    for field, cell in (("m", ((0,), (0.5,), 10)),
+                        ("eps", ((4,), (-1.0,), 10)),
+                        ("trials", ((4,), (0.5,), 0))):
         with pytest.raises(ConfigError, match=f"^{field}: must be positive"):
             harness.pointset_preservation((4,), 3, *cell, 0)
 
@@ -462,19 +470,39 @@ def test_required_rows_budget():
         harness.required_embedding_rows(
             (16,), 4, eps=0.5, target=1.5, trials=100, seed=1
         )
+    # checked as a pointset is, before the scan divides by the trials
+    for field, args in (("trials", ((16,), 4, 0.5, 0.25, 0)),
+                        ("eps", ((16,), 4, 0.0, 0.25, 100)),
+                        ("points", ((16,), 1, 0.5, 0.25, 100))):
+        with pytest.raises(ConfigError, match=f"^{field}: "):
+            harness.required_embedding_rows(*args, seed=1)
+    for field, args in (("trials", ((1,), 0.5, 0.2, 0)),
+                        ("eps", ((1,), -0.5, 0.2, 100))):
+        with pytest.raises(ConfigError, match=f"^{field}: must be positive"):
+            harness.required_rows_adversarial(*args, seed=1)
+    with pytest.raises(ConfigError, match="^trials: must be positive"):
+        harness.scaling_exponent_report(seed=1, trials=0)
+
+
+def test_row_scan_cells_are_pointset_cells():
+    # scan cell k reads the stream of the pointset cell at m index k
+    _, scan = harness.required_embedding_rows(
+        (16,), 4, eps=0.5, target=0.25, trials=400, seed=41
+    )
+    assert scan == [(2, 1.0), (4, 0.9675), (8, 0.805), (16, 0.4675),
+                    (32, 0.19)]
+    reps = harness.pointset_preservation(
+        (16,), 4, (2, 4, 8, 16, 32), (0.5,), 400, 41
+    )
+    assert [eta for _, eta in scan] == [r.joint_eta for r in reps]
 
 
 def test_row_scan_stops_at_its_first_row_count():
-    calls = []
-
-    def eval_eta(m, m_idx):
-        calls.append((m, m_idx))
-        return 0.05
-
-    m_star, scan = harness._scan_interpolate(eval_eta, 0.1, 100)
+    rates = iter([0.05, 0.01])
+    m_star, scan = harness._scan_interpolate(rates, 0.1, 100)
     assert m_star == float(harness.ROW_SCAN_START)
     assert scan == [(harness.ROW_SCAN_START, 0.05)]
-    assert calls == [(harness.ROW_SCAN_START, 0)]
+    assert list(rates) == [0.01]
 
 
 # ------------------------------------------------- adversarial norm scaling
@@ -557,6 +585,10 @@ def test_adversarial_failure_determinism_and_validation():
     assert a == b
     with pytest.raises(ConfigError, match="r_dims"):
         harness.adversarial_joint_norm_failure((0,), 8, 0.5, 100, seed=1)
+    for field, cell in (("trials", (4, 0.5, 0)), ("m", (0, 0.5, 10)),
+                        ("eps", (4, -1.0, 10))):
+        with pytest.raises(ConfigError, match=f"^{field}: must be positive"):
+            harness.adversarial_joint_norm_failure((1,), *cell, seed=1)
 
 
 def test_required_rows_adversarial_scan():
