@@ -10,7 +10,9 @@ H_{2^(a+b)} = H_{2^a} (x) H_{2^b}: it splits log2(n) into at most 6-bit
 digits and applies each digit as one matrix product with the +-1
 Sylvester matrix of that digit (order <= 64), so a length-n transform is
 a few BLAS products instead of log2(n) strided passes, then one
-1/sqrt(n) scale. Every call writes a new array; none works in place.
+1/sqrt(n) scale. The public functions write a new array on every call
+and none works in place; transforms.hadamard_rows lends the kernel one
+pair of buffers for all the blocks of a call instead.
 """
 
 import functools
@@ -75,19 +77,25 @@ def _sylvester(r):
     return h
 
 
-def _transformed(a, axis):
-    """`a` (float64) transformed along `axis` into a new C-contiguous array:
-    viewed as (outer, n, inner), each digit of n is one matmul through
-    `out=`, alternating between the output and at most one scratch buffer
-    so that the last lands in the output; then one 1/sqrt(n) scale."""
+def _transformed(a, axis, bufs=None):
+    """`a` (float64) transformed along `axis` into a new C-contiguous array,
+    or into the leading a.size entries of bufs[0] where the caller lends
+    an (output, spare) pair of flat float64 buffers: viewed as
+    (outer, n, inner), each digit of n is one matmul through `out=`,
+    alternating between the output and at most one spare so that the last
+    lands in the output; then one 1/sqrt(n) scale."""
     n = a.shape[axis]
     axis = range(a.ndim)[axis]
     cur = np.ascontiguousarray(a)
-    if n == 1:
-        return cur.copy()
-    out = np.empty_like(cur)
     digits = _digits(n)
-    spare = np.empty_like(out) if len(digits) > 1 else None
+    if bufs is None:
+        out = np.empty_like(cur)
+        spare = np.empty_like(out) if len(digits) > 1 else None
+    else:
+        out, spare = (b[:cur.size].reshape(cur.shape) for b in bufs)
+    if not digits:  # n = 1: the identity
+        np.copyto(out, cur)
+        return out
     targets = (out, spare) if len(digits) % 2 else (spare, out)
     pre, post = math.prod(a.shape[:axis]), n
     inner = math.prod(a.shape[axis + 1:])

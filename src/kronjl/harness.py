@@ -46,6 +46,7 @@ from .adversarial import (
     failure_probability_exact,
 )
 from .chaos import (
+    EXACT_PATTERN_BUDGET,
     ChaosCoefficients,
     check_partition_counting,
     estimate_chaos_moments,
@@ -592,19 +593,36 @@ def _family_energies(dims):
         [(kron_sign_patterns((n,)) @ _sylvester(n) / n) ** 2 for n in dims])
 
 
+def _check_family_block(member_bits, width, what):
+    """BudgetError, naming its bytes, unless a float64 block of the
+    2^member_bits family members by `width` fits in EXACT_PATTERN_BUDGET
+    entries (the family enumerates Kronecker sign patterns). Compared in
+    log2, so that no oversized count is formed."""
+    if member_bits + math.log2(width) > math.log2(EXACT_PATTERN_BUDGET):
+        raise BudgetError(
+            f"adversarial family: 2^{member_bits} members x {width} {what} "
+            f"need {8 * width} x 2^{member_bits} bytes, over the budget of "
+            f"{EXACT_PATTERN_BUDGET} entries"
+        )
+
+
 def _adversarial_rates(r_dims, m_values, eps, trials, seed):
     """Checks the arguments and tabulates the family's energies now; then
     an iterator of the joint failure at each m in turn, cell k reading the
-    rows of (seed, TAG_SAMPLES, axes, sum r_dims, k)."""
+    rows of (seed, TAG_SAMPLES, axes, sum r_dims, k). The table and each
+    cell's gather are checked against the budget before they allocate."""
     r_dims = tuple(int(r) for r in r_dims)
     if any(r < 1 for r in r_dims):
         raise ConfigError("r_dims: per-axis exponents must be >= 1")
     _check_cells(m_values, (eps,), trials)
+    member_bits = sum(1 << r for r in r_dims)
+    _check_family_block(member_bits, 1 << sum(r_dims), "columns")
     energy = _family_energies(KronDims(tuple(1 << r for r in r_dims)))
     n = energy.shape[1]
     path = (rand.TAG_SAMPLES, len(r_dims), sum(r_dims))
 
     def rate(k, m):
+        _check_family_block(member_bits, m, "sampled rows")
         rng = rand.substream(seed, *path, k)
         failures = 0
         # rows drawn a block at a time read the stream as one (trials, m)

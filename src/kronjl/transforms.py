@@ -18,13 +18,15 @@ reference, composes the full per-axis transforms. P keeps only m rows, so
 where m is small against N (fwht.last_block) hadamard_rows transforms the
 high bits of a row in full and runs the last 64-wide Sylvester block only
 at the sampled rows. It streams a batch through blocks of rows of about
-1 MiB (indexing._blocks), each dropped before the next, so its temporaries
-stay in cache and do not grow with the batch; the block size changes no
-byte. A rank-one input needs no length-N work: H D (x_1 (x) ... (x) x_d)
-is the Kronecker product of the H_l (xi_l * x_l), and a sampled entry is a
-product of one entry per axis, found at the bit fields of its row
-(sampled_entries). apply_factored and the harness's kron and onehot
-trials take that path; only dense inputs go through hadamard_rows.
+1 MiB (indexing._blocks), applies D to one block at a time, and gives
+every block of a call the same buffers, allocated once for its largest
+block, so its temporaries stay in cache and do not grow with the batch;
+the block size changes no byte. A rank-one input needs no length-N work:
+H D (x_1 (x) ... (x) x_d) is the Kronecker product of the H_l
+(xi_l * x_l), and a sampled entry is a product of one entry per axis,
+found at the bit fields of its row (sampled_entries). apply_factored and
+the harness's kron and onehot trials take that path; only dense inputs go
+through hadamard_rows.
 
 Randomness: signs for axis l come from substream(seed, TAG_SIGNS, l); the
 row sample from substream(seed, TAG_SAMPLES).
@@ -37,7 +39,7 @@ import numpy as np
 
 from . import rand
 from .errors import BudgetError, ShapeError
-from .fwht import fwht, fwht_axis, hadamard_matrix, last_block
+from .fwht import _transformed, fwht, fwht_axis, hadamard_matrix, last_block
 from .indexing import KronDims, _blocks
 
 __all__ = [
@@ -249,9 +251,11 @@ def _check_rows(rows):
     return rows.astype(np.int64, copy=False)
 
 
-def hadamard_rows(xs, rows0):
+def hadamard_rows(xs, rows0, signs=None):
     """Entries rows0[c] of the orthonormal length-N Walsh-Hadamard
-    transform of each row xs[c] of a (count, N) matrix: (count, m).
+    transform of each row xs[c] of a (count, N) matrix, each row first
+    multiplied by the length-N vector `signs` where one is given:
+    (count, m).
 
     rows0 holds 0-based integer rows in [0, N), of shape (m,) for every
     row or (count, m); duplicates are kept. With the earliest axis
@@ -265,15 +269,22 @@ def hadamard_rows(xs, rows0):
     m * r <= N / 4; otherwise r = 1, the full transform and a gather.
 
     The rows go through in blocks of about 1 MiB of row or gathered data
-    (indexing._blocks), each transformed, gathered and read into the
-    (count, m) result before the next starts, so the temporaries stay in
-    cache and do not grow with count. Each row meets the same products
-    whatever the block, so the block size changes no byte.
+    (indexing._blocks), each signed, transformed, gathered and read into
+    the (count, m) result before the next starts. The call allocates one
+    set of buffers for its largest block (the signed rows, the kernel's
+    output and its spare, which then holds the row index and the gathered
+    rows) and every block reuses them, so the temporaries stay in cache
+    and do not grow with count. Each row meets the same products whatever
+    the block, so the block size changes no byte.
     """
     xs = np.asarray(xs, dtype=np.float64)
     if xs.ndim != 2:
         raise ShapeError(f"expected a (count, N) matrix, got shape {xs.shape}")
     count, n = xs.shape
+    if signs is not None:
+        signs = np.asarray(signs, dtype=np.float64)
+        if signs.shape != (n,):
+            raise ShapeError(f"signs must have shape ({n},), got {signs.shape}")
     rows0 = np.asarray(rows0)
     if rows0.ndim not in (1, 2) or rows0.shape[:-1] not in ((), (count,)):
         raise ShapeError(
@@ -286,33 +297,62 @@ def hadamard_rows(xs, rows0):
         raise ShapeError(f"rows must lie in 0..{n - 1}")
     rows0 = np.broadcast_to(rows0, (count, m))
     out = np.empty((count, m))
+    # a row's floats, and its share of each buffer: the row, or its m row
+    # indices where m > N (r = 1 then); a split's m indices and m gathered
+    # length-64 rows fit in its row, as 256 m <= N
+    item = max(n, m * r)
     # one row's last product has one row where a split keeps m = 1 or an
     # unsplit row is one digit (N <= 64)
     one_row = m == 1 if r > 1 else n <= 64
-    for lo, hi in _blocks(count, 8 * max(n, m * r), least=2 if one_row else 1):
-        out[lo:hi] = _block_rows(xs[lo:hi], rows0[lo:hi], r)
+    blocks = list(_blocks(count, 8 * item, least=2 if one_row else 1))
+    size = item * max((hi - lo for lo, hi in blocks), default=0)
+    # separate allocations: one array holding them all was faulted in
+    # afresh more often (a `sweep` pass: 1,986 minor faults, not 1,474)
+    bufs = [np.empty(size) for _ in range(2 if signs is None else 3)]
+    for lo, hi in blocks:
+        block = xs[lo:hi]
+        if signs is not None:
+            block = np.multiply(block, signs, out=_lent(bufs[2], block.shape))
+        _block_rows(block, rows0[lo:hi], r, bufs[:2], out[lo:hi])
     return out
 
 
-def _block_rows(xs, rows0, r):
-    """hadamard_rows of one block with last block r; its temporaries die
-    with the call."""
+def _lent(buf, shape, dtype=np.float64):
+    """The leading entries of a flat float64 buffer as an array of
+    `shape` and `dtype` (8 bytes an item)."""
+    return buf[:math.prod(shape)].view(dtype).reshape(shape)
+
+
+def _block_rows(xs, rows0, r, bufs, out):
+    """hadamard_rows of one block with last block r, written into `out`.
+    bufs[0] holds the high-bit transform, then the last block of the
+    gathered rows; bufs[1] the transform's spare, then the row index
+    followed by the gathered rows. Neither the gather nor the last block
+    allocates a block-sized array."""
     count, n = xs.shape
+    high = _transformed(xs.reshape(count, n // r, r), 1, bufs).reshape(-1, r)
     # the length-r rows of every xs[c], one after another, at rows0 // r
-    picked = fwht_axis(xs.reshape(count, n // r, r), 1).reshape(-1, r)[
-        rows0 // r + (np.arange(count) * (n // r))[:, None]
-    ]
-    low = fwht_axis(picked, 2)
-    return np.take_along_axis(low, (rows0 % r)[:, :, None], axis=2)[:, :, 0]
+    at = np.floor_divide(rows0, r, out=_lent(bufs[1], rows0.shape, np.int64))
+    at += np.arange(0, count * (n // r), n // r)[:, None]
+    # rows0 is checked; "clip" writes into `out=` without a buffered copy
+    if r == 1:  # no last block: the gathered entries are the result
+        np.take(high[:, 0], at, out=out, mode="clip")
+        return
+    picked = _lent(bufs[1][at.size:], at.shape + (r,))
+    np.take(high, at, axis=0, out=picked, mode="clip")
+    # r = 64 is one digit, so the kernel writes bufs[0] alone
+    low = _transformed(picked, 2, bufs)
+    out[...] = np.take_along_axis(low, (rows0 % r)[:, :, None], axis=2)[:, :, 0]
 
 
 def apply_dense_mat(op, xs):
     """Apply one operator to the rows of a (count, N) matrix in a batch:
-    hadamard_rows computes only the m sampled entries of each row."""
+    hadamard_rows flips the signs and computes only the m sampled entries
+    of each row, block by block."""
     xs = np.asarray(xs, dtype=np.float64)
     if xs.ndim != 2 or xs.shape[1] != op.dims.total:
         raise ShapeError(f"expected shape (count, {op.dims.total})")
-    ys = hadamard_rows(xs * op.signs.full_vector()[None, :], op.samples.rows - 1)
+    ys = hadamard_rows(xs, op.samples.rows - 1, op.signs.full_vector())
     return op.scale * ys
 
 

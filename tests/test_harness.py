@@ -591,6 +591,22 @@ def test_adversarial_failure_determinism_and_validation():
             harness.adversarial_joint_norm_failure((1,), *cell, seed=1)
 
 
+def test_adversarial_family_budget():
+    # (4, 3): 2^24 members x 128 columns would be a 16 GiB energy table
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetError, match="2\\^24 members x 128 columns "
+                           "need 1024 x 2\\^24 bytes"):
+            harness.adversarial_joint_norm_failure((4, 3), 64, 0.5, 10, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    # (4,): the 2^16 x 16 table fits, a cell's gather at m = 512 does not
+    with pytest.raises(BudgetError, match="2\\^16 members x 512 sampled rows"):
+        harness.adversarial_joint_norm_failure((4,), 512, 0.5, 10, seed=1)
+
+
 def test_required_rows_adversarial_scan():
     m_star, scan = harness.required_rows_adversarial(
         (1,), eps=0.5, target=0.2, trials=600, seed=11

@@ -228,15 +228,38 @@ def test_hadamard_rows_block_size_changes_no_byte(monkeypatch, n, m, count):
     op = build_operator(dims, m, seed=m)
     row_bytes = 8 * max(n, m * last_block(n, m))
 
-    def outputs(rows_per_block):
-        monkeypatch.setattr(indexing, "_BLOCK_BYTES", rows_per_block * row_bytes)
-        return [hadamard_rows(xs, shared), hadamard_rows(xs, per_row),
-                apply_dense_mat(op, xs)]
+    def outputs(rows_per_block=None):
+        if rows_per_block is not None:
+            monkeypatch.setattr(indexing, "_BLOCK_BYTES", rows_per_block * row_bytes)
+        got = [hadamard_rows(xs, shared), hadamard_rows(xs, per_row),
+               apply_dense_mat(op, xs)]
+        # the signs flipped block by block into a reused buffer give the
+        # bytes of the batch signed up front
+        signed = hadamard_rows(xs * op.signs.full_vector(), op.samples.rows - 1)
+        assert np.array_equal(got[2], op.scale * signed)
+        return got
 
     whole = outputs(count)
-    for rows_per_block in (1, 2, 4):
+    # the default budget, then blocks of one, two and four rows, where the
+    # buffers serve several blocks and a one-row case's last is the largest
+    for rows_per_block in (None, 1, 2, 4):
         for got, want in zip(outputs(rows_per_block), whole):
             assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("n, m", [(1 << 12, 7), (256, 300)])  # split; m > N
+def test_hadamard_rows_results_are_fresh(monkeypatch, n, m):
+    # the blocks share the call's buffers, the calls share nothing
+    monkeypatch.setattr(indexing, "_BLOCK_BYTES", 2 * 8 * max(n, m))
+    rng = np.random.default_rng(n)
+    xs = rng.standard_normal((5, n))
+    rows0 = rng.integers(0, n, size=m)
+    signs = rng.choice([-1.0, 1.0], size=n)
+    for args in ((xs, rows0), (xs, rows0, signs)):
+        first, second = hadamard_rows(*args), hadamard_rows(*args)
+        assert np.array_equal(first, second)
+        assert not np.shares_memory(first, second)
+        assert not any(np.shares_memory(y, a) for y in (first, second) for a in args)
 
 
 def _peak_bytes(f):
@@ -265,8 +288,19 @@ def test_apply_dense_mat_peaks_near_its_batch():
     assert _peak_bytes(lambda: apply_dense_mat(op, xs)) <= 1.25 * xs.nbytes
 
 
+def test_apply_dense_mat_holds_no_signed_copy():
+    # an 8 MiB batch: the signs are flipped a block at a time, so no
+    # (count, N) signed copy (1x the batch) is ever allocated
+    op = build_operator((128, 128), 128, seed=2)
+    xs = np.random.default_rng(5).standard_normal((64, op.dims.total))
+    assert _peak_bytes(lambda: apply_dense_mat(op, xs)) < xs.nbytes / 2
+
+
 def test_hadamard_rows_validation():
     xs = np.ones((3, 128))
+    for signs in (np.ones(64), np.ones((3, 128)), 1.0):
+        with pytest.raises(ShapeError, match=r"signs must have shape \(128,\)"):
+            hadamard_rows(xs, [0], signs)
     for rows0 in ([0, 128], [-1], np.zeros((3, 2), dtype=int) - 1):
         with pytest.raises(ShapeError, match="0..127"):
             hadamard_rows(xs, rows0)
