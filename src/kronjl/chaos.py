@@ -12,8 +12,9 @@ Partition norms generalize Frobenius (one block) and the spectral norm of
 a matricization (two blocks); for three or more blocks the supremum is
 approximated from below by multi-start alternating maximization and the
 returned value is a certified lower bound of the true norm (SUP_TOL,
-SUP_MAX_ITER and SUP_SEED fix the search). Exact moments (at most
-EXACT_PATTERN_BUDGET sign patterns) and Monte Carlo moments (with
+SUP_MAX_ITER and SUP_SEED fix the search). Exact moments (a sign
+table, or a decoupled value per pattern pair, of at most
+EXACT_PATTERN_BUDGET entries) and Monte Carlo moments (with
 BOOTSTRAP_RESAMPLES bootstrap resamples) share all but the signs.
 
 Set partitions come from one recursion that yields rows of block labels
@@ -356,12 +357,14 @@ def exact_chaos_moments(coeffs, mode, p_values, centered=False):
     """Exact L_p norms by enumerating every sign pattern (both sides for
     the decoupled form). Intended as a desk-scale oracle."""
     p_values = _check_moment_args(mode, p_values)
-    patterns = 1 << sum(coeffs.dims.dims)
-    cost = patterns * patterns if mode == "decoupled" else patterns
-    if cost > EXACT_PATTERN_BUDGET:
+    bits = sum(coeffs.dims.dims)
+    # a row of n entries per pattern: the coupled form's sign table, or the
+    # decoupled form's values, which cover its table (N <= 2^bits)
+    n = 1 << bits if mode == "decoupled" else coeffs.dims.total
+    if n << bits > EXACT_PATTERN_BUDGET:
         raise BudgetError(
-            f"{cost} sign patterns exceed the enumeration budget "
-            f"{EXACT_PATTERN_BUDGET}"
+            f"exact moments: 2^{bits} sign patterns x {n} entries need "
+            f"{(8 * n) << bits} bytes, over the budget of {EXACT_PATTERN_BUDGET}"
         )
     signs = kron_sign_patterns(coeffs.dims)
     m = coeffs.matrix

@@ -104,8 +104,15 @@ def _transformed(a, axis, bufs=None):
         tgt = targets[i % 2]
         h = _sylvester(r)
         if post * inner == 1:
-            # last digit of a trailing axis: one (pre, r) @ (r, r) product
-            np.matmul(cur.reshape(pre, r), h, out=tgt.reshape(pre, r))
+            # last digit of a trailing axis: one (pre, r) @ (r, r) product.
+            # numpy sends a lone row to gemv, which rounds unlike gemm, so it
+            # runs as the first of two contiguous rows (not a broadcast view,
+            # which may skip BLAS): a row gets the same bytes in any batch
+            rows = cur.reshape(pre, r)
+            if pre == 1:
+                tgt.reshape(1, r)[...] = (rows.repeat(2, axis=0) @ h)[:1]
+            else:
+                np.matmul(rows, h, out=tgt.reshape(pre, r))
         else:
             shape = (pre, r, post * inner)
             np.matmul(h, cur.reshape(shape), out=tgt.reshape(shape))

@@ -4,17 +4,17 @@ Reproducibility contract: a run is a pure function of its configuration
 and master seed. Every random draw comes from a named substream, and each
 sweep cell draws its whole trial block up front in a fixed order (sign
 factors by ascending axis, then sample rows). The later arithmetic runs
-through blocks of trials of about 1 MiB (indexing._blocks), each holding
-two trials at least, so that no trial's transform is a one-row matrix
-product (gemv, which rounds unlike gemm): the block size changes no byte
-written. jl-sweep and pointset share that trial loop (`_sampled_trials`)
-and one cell loop (`_cells`), which gives each (m, eps) cell its substream
-and its wall time (the lower-bound sweep shares its timer, `_timed`), and
-every CSV format is written by one writer from its header's column names
-(`_to_csv`). The Gaussian baseline cannot afford whole-cell draws at
-large trial counts; it draws its normals whole trials at a time, in blocks
-of the same budget. Consecutive draws read a generator's stream as one
-draw does, so the block size bounds memory and changes no byte.
+through blocks of trials of about 1 MiB (indexing._blocks); the kernel
+gives a row the same bytes alone as in any batch, so the block size
+changes no byte written. jl-sweep and pointset share that trial loop
+(`_sampled_trials`) and one cell loop (`_cells`), which gives each
+(m, eps) cell its substream and its wall time (the lower-bound sweep
+shares its timer, `_timed`), and every CSV format is written by one
+writer from its header's column names (`_to_csv`). The Gaussian baseline
+cannot afford whole-cell draws at large trial counts; it draws its
+normals whole trials at a time, in blocks of the same budget. Consecutive
+draws read a generator's stream as one draw does, so the block size
+bounds memory and changes no byte.
 
 Each command option is one row of OPTIONS: its reader, which merge_options
 applies to a config or flag value, and its help line on the command line.
@@ -271,9 +271,8 @@ def _sampled_trials(dims, pts, m, trials, rng):
 
     `pts` holds the points' factors (_family_factors). Draws every trial
     up front: per-axis signs by ascending axis, then the sample rows. Then
-    yields, for blocks of trials in order (indexing._blocks, two trials at
-    least), the m sampled entries of H D_xi p for each point p:
-    (block, points, m).
+    yields, for blocks of trials in order (indexing._blocks), the m
+    sampled entries of H D_xi p for each point p: (block, points, m).
 
     A rank-one point never becomes a length-N vector: H D_xi (x_1 (x) ...
     (x) x_d) is the Kronecker product of the H_l (xi_l * x_l), so each
@@ -290,7 +289,7 @@ def _sampled_trials(dims, pts, m, trials, rng):
     # a trial's floats: its signed length-N points, or its per-axis
     # transforms and sampled entries
     width = dims.total if len(pts) == 1 else sum(dims) + m
-    for lo, hi in _blocks(trials, 8 * points * width, least=2):
+    for lo, hi in _blocks(trials, 8 * points * width):
         xi = [f[lo:hi] for f in signs]
         if len(pts) == 1:  # one length-N factor: dense, or a single axis
             z = kron_materialize(xi)[:, None, :] * pts[0][None, :, :]
@@ -594,13 +593,13 @@ def _family_energies(dims):
 
 
 def _check_family_block(member_bits, width, what):
-    """BudgetError, naming its bytes, unless a float64 block of the
-    2^member_bits family members by `width` fits in EXACT_PATTERN_BUDGET
+    """BudgetError, naming its bytes, unless the 2^member_bits family
+    members by `width` float64 entries (`what`) fit in EXACT_PATTERN_BUDGET
     entries (the family enumerates Kronecker sign patterns). Compared in
     log2, so that no oversized count is formed."""
     if member_bits + math.log2(width) > math.log2(EXACT_PATTERN_BUDGET):
         raise BudgetError(
-            f"adversarial family: 2^{member_bits} members x {width} {what} "
+            f"adversarial family: 2^{member_bits} members x {what} "
             f"need {8 * width} x 2^{member_bits} bytes, over the budget of "
             f"{EXACT_PATTERN_BUDGET} entries"
         )
@@ -609,20 +608,22 @@ def _check_family_block(member_bits, width, what):
 def _adversarial_rates(r_dims, m_values, eps, trials, seed):
     """Checks the arguments and tabulates the family's energies now; then
     an iterator of the joint failure at each m in turn, cell k reading the
-    rows of (seed, TAG_SAMPLES, axes, sum r_dims, k). The table and each
-    cell's gather are checked against the budget before they allocate."""
+    rows of (seed, TAG_SAMPLES, axes, sum r_dims, k). The table is checked
+    against the budget before it is built, and the table with a trial's
+    gather, which a cell holds at once, before the cell gathers."""
     r_dims = tuple(int(r) for r in r_dims)
     if any(r < 1 for r in r_dims):
         raise ConfigError("r_dims: per-axis exponents must be >= 1")
     _check_cells(m_values, (eps,), trials)
     member_bits = sum(1 << r for r in r_dims)
-    _check_family_block(member_bits, 1 << sum(r_dims), "columns")
+    n = 1 << sum(r_dims)
+    _check_family_block(member_bits, n, f"{n} columns")
     energy = _family_energies(KronDims(tuple(1 << r for r in r_dims)))
-    n = energy.shape[1]
     path = (rand.TAG_SAMPLES, len(r_dims), sum(r_dims))
 
     def rate(k, m):
-        _check_family_block(member_bits, m, "sampled rows")
+        _check_family_block(member_bits, n + m,
+                            f"({n} columns + {m} sampled rows)")
         rng = rand.substream(seed, *path, k)
         failures = 0
         # rows drawn a block at a time read the stream as one (trials, m)

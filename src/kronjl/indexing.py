@@ -68,19 +68,10 @@ def _group_positions(shape, groups):
     return pos
 
 
-def _blocks(count, item_bytes, least=1):
-    """(lo, hi) spans of range(count), in order, of max(least,
-    _BLOCK_BYTES // item_bytes) items each; the last span takes in any
-    remainder smaller than `least`.
-
-    numpy sends a one-row matrix product to gemv, whose sums round unlike
-    gemm's. A caller whose item's last product has a single row passes
-    least=2, so every span, the last included, holds two items unless
-    count is one, and the span sizes change no byte.
-    """
-    step = max(least, _BLOCK_BYTES // item_bytes)
-    lo = 0
-    while lo < count:
-        hi = lo + step if count - lo - step >= least else count
-        yield lo, hi
-        lo = hi
+def _blocks(count, item_bytes):
+    """(lo, hi) spans of range(count), in order, of
+    max(1, _BLOCK_BYTES // item_bytes) items each, the last taking what
+    is left."""
+    step = max(1, _BLOCK_BYTES // item_bytes)
+    for lo in range(0, count, step):
+        yield lo, min(lo + step, count)

@@ -301,10 +301,7 @@ def hadamard_rows(xs, rows0, signs=None):
     # indices where m > N (r = 1 then); a split's m indices and m gathered
     # length-64 rows fit in its row, as 256 m <= N
     item = max(n, m * r)
-    # one row's last product has one row where a split keeps m = 1 or an
-    # unsplit row is one digit (N <= 64)
-    one_row = m == 1 if r > 1 else n <= 64
-    blocks = list(_blocks(count, 8 * item, least=2 if one_row else 1))
+    blocks = list(_blocks(count, 8 * item))
     size = item * max((hi - lo for lo, hi in blocks), default=0)
     # separate allocations: one array holding them all was faulted in
     # afresh more often (a `sweep` pass: 1,986 minor faults, not 1,474)

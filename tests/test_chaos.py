@@ -380,6 +380,21 @@ def test_moment_budget_guard():
         exact_chaos_moments(co16, "decoupled", [2.0])
 
 
+def test_moment_budget_counts_the_sign_table():
+    # (8, 8, 8): 2^24 coupled patterns fit a count of patterns, but their
+    # (patterns, N) table would be 64 GiB; refused before it is built
+    co = ChaosCoefficients.from_gram(KronDims((8, 8, 8)), np.eye(512))
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetError, match="2\\^24 sign patterns x 512 "
+                           "entries need 68719476736 bytes"):
+            exact_chaos_moments(co, "coupled", [2.0])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
 def test_moment_validation():
     co = ChaosCoefficients.from_gram(KronDims((4,)), np.eye(4))
     with pytest.raises(ShapeError):

@@ -13,7 +13,7 @@ import re
 from pathlib import Path
 
 import kronjl
-from kronjl import harness
+from kronjl import harness, indexing
 
 TESTS = Path(__file__).resolve().parent
 SRC = Path(kronjl.__file__).resolve().parent
@@ -154,6 +154,10 @@ def test_one_block_budget():
                                               getattr(n, "name", None))]
     assert knobs == allowed
     assert readers == []
+    # a span's size comes from the budget alone: the kernel gives a row
+    # the same bytes in a block of any size, so no floor is needed
+    assert list(inspect.signature(indexing._blocks).parameters) == [
+        "count", "item_bytes"]
 
 
 def _clock_readers(node, where):

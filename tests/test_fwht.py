@@ -121,6 +121,18 @@ def test_fwht_axis_matches_columnwise():
             assert np.array_equal(view, before)
 
 
+def test_a_lone_row_transforms_as_in_a_batch():
+    # numpy sends a one-row product to gemv, which rounds unlike gemm; the
+    # kernel runs a lone row as gemm, so its bytes match any batch's
+    rng = np.random.default_rng(12)
+    for k in range(1, 14):
+        x = rng.standard_normal((5, 1 << k))
+        batch = fwht_axis(x, 1)
+        for i in range(5):
+            assert np.array_equal(fwht(x[i]), batch[i])
+            assert np.array_equal(fwht_axis(x[i:i + 1], 1)[0], batch[i])
+
+
 def test_input_not_mutated():
     x = np.ones(8)
     fwht(x)

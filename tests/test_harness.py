@@ -200,6 +200,17 @@ def test_sweep_onehot_never_fails():
     assert all(r.failures == 0 for r in recs)
 
 
+@pytest.mark.parametrize("dims", [(4, 4), (8, 16), (2, 2, 2, 2), (256,)])
+def test_sweep_onehot_never_fails_at_any_eps_below_one(dims):
+    # every entry of H D_xi e_i is +-1/sqrt(N), whatever the draw
+    recs = harness.jl_failure_sweep(
+        dims, (1, 3, 16, 64), (0.01, 0.5, 0.99), trials=50, seed=2,
+        families=("onehot",)
+    )
+    assert len(recs) == 12
+    assert all(r.failures == 0 for r in recs)
+
+
 def test_sweep_chunking_does_not_change_counts(monkeypatch):
     args = dict(
         dims=(2, 4), m_values=(4,), eps_values=(0.5,), trials=333, seed=13,
@@ -220,9 +231,9 @@ def test_sweep_chunking_does_not_change_counts(monkeypatch):
 def test_trial_coordinates_do_not_depend_on_the_block_size(
         monkeypatch, family, points):
     # 13 trials: one block at the default budget; at a budget of three
-    # trials, blocks of 3, 3, 3 and a last one that takes in the trial
-    # left over; at 1 byte, blocks of two and a last of three. A block of
-    # one trial would send a one-point trial's transform to gemv.
+    # trials, blocks of 3, 3, 3, 3 and a last of the one trial left over;
+    # at 1 byte, blocks of one trial, whose one-point transforms are
+    # one-row products
     dims = KronDims((8, 16))
     pts = harness._family_factors(family, dims, seed=4, count=points)
     width = dims.total if family == "dense" else sum(dims) + 8
@@ -602,9 +613,20 @@ def test_adversarial_family_budget():
     finally:
         tracemalloc.stop()
     assert peak < 2**20
-    # (4,): the 2^16 x 16 table fits, a cell's gather at m = 512 does not
-    with pytest.raises(BudgetError, match="2\\^16 members x 512 sampled rows"):
-        harness.adversarial_joint_norm_failure((4,), 512, 0.5, 10, seed=1)
+    # (4,): the 2^16 x 16 table fits, and so does a trial's gather at
+    # m = 256, but a cell holds both: it raises after building the 8 MiB
+    # table (through one temporary of its size) and before gathering
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetError, match="2\\^16 members x \\(16 columns "
+                           "\\+ 256 sampled rows\\) need 2176 x 2\\^16 bytes"):
+            harness.adversarial_joint_norm_failure((4,), 256, 0.5, 2, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 17 * 2**20
+    # at m = 240 the table and a trial's gather make 2^24 entries
+    assert harness.adversarial_joint_norm_failure((4,), 240, 0.5, 1, seed=1) == 1.0
 
 
 def test_required_rows_adversarial_scan():

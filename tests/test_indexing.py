@@ -99,21 +99,19 @@ def test_group_positions_linearize_each_group():
             assert pos[at] == np.ravel_multi_index(coords, shape)
 
 
-@pytest.mark.parametrize("least", [1, 2])
 @pytest.mark.parametrize("item_bytes", [
     1, 1 << 17, 300_000, indexing._BLOCK_BYTES - 1, indexing._BLOCK_BYTES,
     indexing._BLOCK_BYTES + 1, 5 * indexing._BLOCK_BYTES,
 ])
-def test_blocks_tile_the_range_within_the_budget(item_bytes, least):
-    step = max(least, indexing._BLOCK_BYTES // item_bytes)
+def test_blocks_tile_the_range_within_the_budget(item_bytes):
+    step = max(1, indexing._BLOCK_BYTES // item_bytes)
     for count in range(1, 41):
-        spans = list(_blocks(count, item_bytes, least))
+        spans = list(_blocks(count, item_bytes))
         # in order, each span starting where the last ended, 0 to count
         assert [lo for lo, _ in spans] == [0] + [hi for _, hi in spans[:-1]]
         assert spans[-1][1] == count
         sizes = [hi - lo for lo, hi in spans]
-        assert min(sizes) >= min(least, count)
-        assert max(sizes[:-1], default=0) <= step
-        # the last span takes in only a remainder smaller than least
-        assert sizes[-1] < step + least
-    assert list(_blocks(0, item_bytes, least)) == []
+        # full spans of step items, the last holding what is left
+        assert sizes[:-1] == [step] * (len(sizes) - 1)
+        assert 1 <= sizes[-1] <= step
+    assert list(_blocks(0, item_bytes)) == []

@@ -214,9 +214,9 @@ def test_hadamard_rows_many_rows_allocate_as_the_full_transform():
 
 @pytest.mark.parametrize("n, m, count", [
     (1 << 12, 7, 9),  # split, r = 64
-    (1 << 12, 1, 9),  # split at m = 1: a one-row block would run gemv
+    (1 << 12, 1, 9),  # split at m = 1: a lone row's last block has one row
     (256, 8, 9),  # unsplit, two digits
-    (64, 5, 9),  # unsplit, one digit: a one-row block would run gemv
+    (64, 5, 9),  # unsplit, one digit: a lone row's one product has one row
     (16, 40, 9),  # m > N
 ])
 def test_hadamard_rows_block_size_changes_no_byte(monkeypatch, n, m, count):
