@@ -310,9 +310,12 @@ def _lp_norms(absx, p_values):
 def _profile(coeffs, mode, p_values, centered, xs, seed, boot_rng):
     """Shared tail of both moment routines: the exact mean, optional
     centering at it, the L_p norms of |X| and, given a generator,
-    bootstrap standard errors (exact enumeration reports zeros)."""
+    bootstrap standard errors (exact enumeration reports zeros). The
+    samples `xs`, which both routines own, become |X| in place."""
     mean = float(np.trace(coeffs.matrix)) if mode == "coupled" else 0.0
-    absx = np.abs(xs - mean if centered else xs)
+    if centered:
+        xs -= mean
+    absx = np.abs(xs, out=xs)
     n = absx.size
     stderrs = np.zeros(len(p_values))
     if boot_rng is not None:

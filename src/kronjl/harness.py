@@ -10,11 +10,15 @@ changes no byte written. jl-sweep and pointset share that trial loop
 (`_sampled_trials`) and one cell loop (`_cells`), which gives each
 (m, eps) cell its substream and its wall time (the lower-bound sweep
 shares its timer, `_timed`), and every CSV format is written by one
-writer from its header's column names (`_to_csv`). The Gaussian baseline
-cannot afford whole-cell draws at large trial counts; it draws its
-normals whole trials at a time, in blocks of the same budget. Consecutive
-draws read a generator's stream as one draw does, so the block size
-bounds memory and changes no byte.
+writer from its header's column names (`_to_csv`).
+
+Every Monte Carlo cell is a source of ratios (embedded over original
+squared norm or pair distance) per block of trials, scored by one rule
+(`_failures`): a trial fails where some ratio leaves 1 +- eps. Each
+jl-sweep baseline is one such source in `_BASELINES`. gaussian draws its
+normals whole trials at a time; a generator's stream reads the same in
+blocks as in one draw. The adversarial family scores trials as their row
+counts times the members' exact energies.
 
 Each command option is one row of OPTIONS: its reader, which merge_options
 applies to a config or flag value, and its help line on the command line.
@@ -110,7 +114,6 @@ LOWER_BOUND_HEADER = (
 REPORT_SCHEMA = "kronjl.report.v1"
 
 FAMILIES = ("kron", "dense", "onehot")
-BASELINES = ("kfjlt", "gaussian")
 
 # the row counts a scan reads, doubling from 2 up to 4096
 _SCAN_ROWS = tuple(2 << k for k in range(12))
@@ -354,29 +357,6 @@ class SweepRecord(_DimsColumns):
         return math.sqrt(eta * (1.0 - eta) / self.trials)
 
 
-def _kfjlt_cell_failures(dims, x, m, eps, trials, rng):
-    """One sweep cell: fresh (signs, rows) per trial, fixed x (factors)."""
-    scale2 = dims.total / m
-    failures = 0
-    for g in _sampled_trials(dims, x, m, trials, rng):
-        dist = scale2 * np.sum(g * g, axis=2) - 1.0
-        failures += int(np.count_nonzero(np.abs(dist) > eps))
-    return failures
-
-
-def _gaussian_cell_failures(x, m, eps, trials, rng):
-    """Gaussian baseline cell: (m, N) normals per trial, drawn whole
-    trials at a time in blocks of about 1 MiB (indexing._blocks)."""
-    n = x.size
-    failures = 0
-    for lo, hi in _blocks(trials, 8 * m * n):
-        g = rng.standard_normal((hi - lo, m, n))
-        y = g @ x / math.sqrt(m)
-        dist = np.sum(y * y, axis=1) - 1.0
-        failures += int(np.count_nonzero(np.abs(dist) > eps))
-    return failures
-
-
 def _check_cells(m_values, eps_values, trials, families=()):
     """The checks of a grid of cells, shared by every sweep and scan."""
     for fam in families:
@@ -413,6 +393,39 @@ def _cells(seed, family, m_values, eps_values, timing, cell):
         yield (m, eps, *_timed(timing, cell, m, eps, rng))
 
 
+def _failures(ratios, eps):
+    """The failure rule of every Monte Carlo cell. `ratios` yields per
+    block of trials a (block, points) array, each entry an embedded over
+    an original squared norm or pair distance. Returns the trials where
+    some ratio leaves 1 +- eps, and the ratios that do."""
+    trials = entries = 0
+    for ratio in ratios:
+        bad = np.abs(ratio - 1.0) > eps
+        trials += int(np.count_nonzero(np.any(bad, axis=1)))
+        entries += int(np.count_nonzero(bad))
+    return trials, entries
+
+
+def _kfjlt_ratios(dims, x, m, trials, rng):
+    """Squared-norm ratios of fresh subsampled Kronecker FJLT draws."""
+    for g in _sampled_trials(dims, x, m, trials, rng):
+        yield dims.total / m * np.sum(g * g, axis=2)
+
+
+def _gaussian_ratios(dims, x, m, trials, rng):
+    """Squared-norm ratios of (m, N) Gaussian draws, normals drawn whole
+    trials at a time in blocks of about 1 MiB (indexing._blocks)."""
+    x = kron_materialize(x)[0]
+    for lo, hi in _blocks(trials, 8 * m * x.size):
+        y = rng.standard_normal((hi - lo, m, x.size)) @ x / math.sqrt(m)
+        yield np.sum(y * y, axis=1)[:, None]
+
+
+# per baseline operator, the source of a jl-sweep cell's ratios
+_BASELINES = {"kfjlt": _kfjlt_ratios, "gaussian": _gaussian_ratios}
+BASELINES = tuple(_BASELINES)
+
+
 def jl_failure_sweep(dims, m_values, eps_values, trials, seed,
                      families=FAMILIES, baseline="kfjlt", timing=False):
     """Estimate P(|‖Ax‖^2 - 1| > eps) per (family, m, eps) cell over
@@ -421,16 +434,13 @@ def jl_failure_sweep(dims, m_values, eps_values, trials, seed,
     if baseline not in BASELINES:
         raise ConfigError(f"baseline: unknown {baseline!r}")
     _check_cells(m_values, eps_values, trials, families)
+    source = _BASELINES[baseline]
     records = []
     for family in families:
         x = _family_factors(family, dims, seed)
-        if baseline == "gaussian":
-            x = kron_materialize(x)[0]
 
         def cell(m, eps, rng):
-            if baseline == "kfjlt":
-                return _kfjlt_cell_failures(dims, x, m, eps, trials, rng)
-            return _gaussian_cell_failures(x, m, eps, trials, rng)
+            return _failures(source(dims, x, m, trials, rng), eps)[0]
 
         records += [
             SweepRecord(family=family, dims=dims, m=m, eps=eps, trials=trials,
@@ -506,17 +516,15 @@ def _pointset_cells(dims, n_points, m_values, eps_values, trials, seed,
     valid = np.where(~degenerate)[0]
     base = pair_d0[valid]
 
-    def cell(m, eps, rng):
-        joint = pair_fail = 0
+    def pair_ratios(m, rng):
         for g in _sampled_trials(dims, pts, m, trials, rng):
             yg = np.matmul(g, np.transpose(g, (0, 2, 1))) * (dims.total / m)
             ysq = np.diagonal(yg, axis1=1, axis2=2)
             dist = ysq[:, :, None] + ysq[:, None, :] - 2.0 * yg
-            ratio = dist[:, iu[0], iu[1]][:, valid] / base[None, :]
-            bad = np.abs(ratio - 1.0) > eps
-            pair_fail += int(np.count_nonzero(bad))
-            joint += int(np.count_nonzero(np.any(bad, axis=1)))
-        return joint, pair_fail
+            yield dist[:, iu[0], iu[1]][:, valid] / base[None, :]
+
+    def cell(m, eps, rng):
+        return _failures(pair_ratios(m, rng), eps)
 
     return (PointsetReport(
         family=family, points=n_points, dims=dims, m=m, eps=eps,
@@ -592,51 +600,38 @@ def _family_energies(dims):
         [(kron_sign_patterns((n,)) @ _sylvester(n) / n) ** 2 for n in dims])
 
 
-def _check_family_block(member_bits, width, what):
-    """BudgetError, naming its bytes, unless the 2^member_bits family
-    members by `width` float64 entries (`what`) fit in EXACT_PATTERN_BUDGET
-    entries (the family enumerates Kronecker sign patterns). Compared in
-    log2, so that no oversized count is formed."""
-    if member_bits + math.log2(width) > math.log2(EXACT_PATTERN_BUDGET):
-        raise BudgetError(
-            f"adversarial family: 2^{member_bits} members x {what} "
-            f"need {8 * width} x 2^{member_bits} bytes, over the budget of "
-            f"{EXACT_PATTERN_BUDGET} entries"
-        )
-
-
 def _adversarial_rates(r_dims, m_values, eps, trials, seed):
     """Checks the arguments and tabulates the family's energies now; then
     an iterator of the joint failure at each m in turn, cell k reading the
     rows of (seed, TAG_SAMPLES, axes, sum r_dims, k). The table is checked
-    against the budget before it is built, and the table with a trial's
-    gather, which a cell holds at once, before the cell gathers."""
+    against the budget, in log2, before it is built."""
     r_dims = tuple(int(r) for r in r_dims)
     if any(r < 1 for r in r_dims):
         raise ConfigError("r_dims: per-axis exponents must be >= 1")
     _check_cells(m_values, (eps,), trials)
     member_bits = sum(1 << r for r in r_dims)
     n = 1 << sum(r_dims)
-    _check_family_block(member_bits, n, f"{n} columns")
+    if member_bits + math.log2(n) > math.log2(EXACT_PATTERN_BUDGET):
+        raise BudgetError(
+            f"adversarial family: 2^{member_bits} members x {n} columns "
+            f"need {8 * n} x 2^{member_bits} bytes, over the budget of "
+            f"{EXACT_PATTERN_BUDGET} entries"
+        )
     energy = _family_energies(KronDims(tuple(1 << r for r in r_dims)))
     path = (rand.TAG_SAMPLES, len(r_dims), sum(r_dims))
 
-    def rate(k, m):
-        _check_family_block(member_bits, n + m,
-                            f"({n} columns + {m} sampled rows)")
+    def ratios(k, m):
         rng = rand.substream(seed, *path, k)
-        failures = 0
-        # rows drawn a block at a time read the stream as one (trials, m)
-        # draw does; a block's (points, block, m) gather is about 1 MiB
-        for lo, hi in _blocks(trials, 8 * energy.shape[0] * m):
-            rows0 = rng.integers(0, n, size=(hi - lo, m))
-            sums = energy[:, rows0].sum(axis=2)
-            dist = n / m * sums - 1.0
-            bad = np.abs(dist) > eps
-            failures += int(np.count_nonzero(np.any(bad, axis=0)))
-        return failures / trials
+        # a trial holds its rows, its row counts and its members' sampled
+        # energies; rows drawn in blocks read the stream as one draw does
+        for lo, hi in _blocks(trials, 8 * (m + n + energy.shape[0])):
+            at = rng.integers(0, n, size=(hi - lo, m))
+            at += n * np.arange(hi - lo)[:, None]
+            counts = np.bincount(at.ravel(), minlength=(hi - lo) * n)
+            yield n / m * (counts.reshape(hi - lo, n) @ energy.T)
 
-    return itertools.starmap(rate, enumerate(m_values))
+    return (_failures(ratios(k, m), eps)[0] / trials
+            for k, m in enumerate(m_values))
 
 
 def adversarial_joint_norm_failure(r_dims, m, eps, trials, seed):
@@ -651,13 +646,17 @@ def adversarial_joint_norm_failure(r_dims, m, eps, trials, seed):
     distribution of the family's norm profile is invariant to the sign
     draw, so only the sample rows are random here.
 
-    Energies are exact, because some members sit exactly on the
+    Sampled energies are exact, because some members sit exactly on the
     |distortion| = eps boundary and the strict inequality must not depend
     on rounding. A member's energy is the product over axes of
     (W_l / n_l)^2, W_l being its axis pattern times the +-1 Sylvester
-    matrix: an integer of size at most n_l, summed exactly. So each factor
-    is dyadic with at most 2 log2 n_l significant bits and the product has
-    at most 2 log2 N <= 53 bits for any family small enough to enumerate.
+    matrix: an integer of size at most n_l, summed exactly. So every
+    energy is an integer numerator of at most N^2 over N^2. A trial's
+    sampled energy is its row counts, integers summing to m, times the
+    energies: every product and partial sum is a multiple of 1 / N^2 of
+    size at most m. Inside the table budget N^2 <= 2^16, so below
+    m = 2^37 each fits in 53 bits: the product is exact in any summation
+    order, as a gathered sum is.
     """
     return next(_adversarial_rates(r_dims, (m,), eps, trials, seed))
 

@@ -11,7 +11,8 @@ through `_group_positions`.
 
 Every blocked loop of the package walks its items through `_blocks`, in
 spans of about `_BLOCK_BYTES` of working data each; that one budget is the
-only block size there is.
+only block size there is. A span holds one item at least, so an item over
+`_ITEM_CAP` bytes is refused before its loop allocates it.
 """
 
 import math
@@ -20,11 +21,13 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ShapeError
+from .errors import BudgetError, ShapeError
 
 __all__ = ["KronDims"]
 
 _BLOCK_BYTES = 1 << 20  # half a 2 MiB per-core L2
+# the largest single item; a dense cell holds about five items at once
+_ITEM_CAP = 1 << 30
 
 
 @dataclass(frozen=True)
@@ -71,7 +74,13 @@ def _group_positions(shape, groups):
 def _blocks(count, item_bytes):
     """(lo, hi) spans of range(count), in order, of
     max(1, _BLOCK_BYTES // item_bytes) items each, the last taking what
-    is left."""
+    is left. BudgetError, naming the bytes, where one item is over
+    _ITEM_CAP."""
+    if item_bytes > _ITEM_CAP:
+        raise BudgetError(
+            f"one item of a blocked loop needs {item_bytes} bytes, over the "
+            f"cap of {_ITEM_CAP}"
+        )
     step = max(1, _BLOCK_BYTES // item_bytes)
     for lo in range(0, count, step):
         yield lo, min(lo + step, count)

@@ -395,6 +395,20 @@ def test_moment_budget_counts_the_sign_table():
     assert peak < 2**20
 
 
+def test_decoupled_moments_peak_near_their_value_table():
+    # dims (11,): 2^22 decoupled values, a 32 MiB table; |X| is taken in
+    # place, so the table and one power of it are all that is held
+    co = ChaosCoefficients.from_gram(KronDims((11,)), np.eye(11))
+    table = 8 << 22
+    tracemalloc.start()
+    try:
+        exact_chaos_moments(co, "decoupled", [2.0, 3.0])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.25 * table
+
+
 def test_moment_validation():
     co = ChaosCoefficients.from_gram(KronDims((4,)), np.eye(4))
     with pytest.raises(ShapeError):

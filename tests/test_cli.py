@@ -252,6 +252,23 @@ def test_dense_reports_refuse_a_wide_operator(args, capsys):
     assert peak < 8 * 2**20
 
 
+def test_one_oversized_trial_exits_two(capsys):
+    # one Gaussian-baseline trial at N = 2^20, m = 1024 would be 8 GiB of
+    # normals; the 8 MiB point is built, the trial block is refused
+    args = ["jl-sweep", "--dims", "1024x1024", "--m", "1024", "--family",
+            "kron", "--baseline", "gaussian", "--trials", "1"]
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(args, capsys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert out == ""
+    assert "needs 8589934592 bytes" in err
+    assert peak < 32 * 2**20
+
+
 def test_malformed_config_exits_one(tmp_path, capsys):
     cfg = tmp_path / "cfg.yaml"
     cfg.write_text("dims: [4, 4\nm: 8\n")

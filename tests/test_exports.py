@@ -3,7 +3,8 @@ or test imports a name it never reads, and the command line uses only the
 harness's public names and holds no default and no family, baseline or
 report-kind name of its own. No public function takes a private
 parameter. One byte budget, indexing._BLOCK_BYTES, sizes every blocked
-loop, and one function reads the clock."""
+loop, one function reads the clock, and one counter holds the failure
+rule."""
 
 import ast
 import importlib
@@ -160,22 +161,37 @@ def test_one_block_budget():
         "count", "item_bytes"]
 
 
-def _clock_readers(node, where):
-    """Where each read of perf_counter sits: (module, innermost function)."""
+def _sites(node, where, hit):
+    """Where each node for which hit(node) holds sits: (module, innermost
+    function)."""
     for child in ast.iter_child_nodes(node):
         inner = where
         if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
             inner = (where[0], child.name)
-        if "perf_counter" in (getattr(child, "id", None),
-                              getattr(child, "attr", None)):
+        if hit(child):
             yield inner
-        yield from _clock_readers(child, inner)
+        yield from _sites(child, inner, hit)
+
+
+def _src_sites(hit):
+    sites = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        sites += _sites(tree, (path.stem, None), hit)
+    return sites
 
 
 def test_one_cell_timer():
     # every wall_ms comes from one timer, where a span timer can hook in
-    readers = []
-    for path in sorted(SRC.glob("*.py")):
-        tree = ast.parse(path.read_text(), filename=str(path))
-        readers += _clock_readers(tree, (path.stem, None))
+    readers = _src_sites(lambda n: "perf_counter" in (
+        getattr(n, "id", None), getattr(n, "attr", None)))
     assert set(readers) == {("harness", "_timed")}
+
+
+def test_one_failure_rule():
+    # every Monte Carlo cell is a source of ratios scored by one counter:
+    # the only comparison against eps is its rule
+    compares = _src_sites(lambda n: isinstance(n, ast.Compare) and any(
+        isinstance(side, ast.Name) and side.id == "eps"
+        for side in (n.left, *n.comparators)))
+    assert compares == [("harness", "_failures")]

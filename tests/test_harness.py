@@ -1,6 +1,7 @@
 """Harness tests: option merging, sweep determinism, CSV texture,
 pointset union bound, lower-bound sweep consistency, JSON reports."""
 
+import itertools
 import json
 import math
 import tracemalloc
@@ -16,7 +17,11 @@ from kronjl.errors import BudgetError, ConfigError
 from kronjl.fwht import fwht_axis, hadamard_matrix
 from kronjl.indexing import KronDims
 from kronjl import indexing, rand
-from kronjl.transforms import kron_materialize, kron_sign_patterns
+from kronjl.transforms import (
+    kron_combinations,
+    kron_materialize,
+    kron_sign_patterns,
+)
 
 
 # ------------------------------------------------------------------ options
@@ -209,6 +214,49 @@ def test_sweep_onehot_never_fails_at_any_eps_below_one(dims):
     )
     assert len(recs) == 12
     assert all(r.failures == 0 for r in recs)
+
+
+def _multisets(n, m):
+    """Every multiset of m rows out of n as a (count, n) matrix of row
+    counts, with the probability of drawing it in m i.i.d. uniform rows."""
+    idx = np.array(list(itertools.combinations_with_replacement(range(n), m)))
+    k = idx.shape[0]
+    counts = np.bincount((idx + n * np.arange(k)[:, None]).ravel(),
+                         minlength=k * n).reshape(k, n)
+    fact = np.array([math.factorial(i) for i in range(m + 1)], dtype=float)
+    weights = math.factorial(m) / np.prod(fact[counts], axis=1) / n**m
+    return counts.astype(float), weights
+
+
+def _exact_failure(dims, x, m, eps):
+    """Exact P(|‖Ax‖^2 - 1| > eps) over the Kronecker signs and the m
+    rows. Flipping one axis's whole sign factor leaves (H D_xi x)^2
+    unchanged, so one pattern per class, with its first entry on every
+    axis +1, stands for the 2^d of it; every multiset of rows is scored
+    against a block of patterns at once."""
+    n = dims.total
+    axes = [kron_sign_patterns((k,)) for k in dims]
+    signs = kron_combinations([p[p[:, 0] > 0] for p in axes])
+    v = (hadamard_matrix(n) @ (signs * x).T) ** 2  # (N, patterns)
+    counts, weights = _multisets(n, m)
+    fails = sum(weights @ np.count_nonzero(
+        np.abs(n / m * (counts @ v[:, lo:lo + 64]) - 1.0) > eps, axis=1)
+        for lo in range(0, v.shape[1], 64))
+    return fails / v.shape[1]
+
+
+@pytest.mark.parametrize("dims, m_values", [
+    ((4, 4), (2, 4, 6)), ((2, 2, 2, 2), (2, 4, 6)), ((8, 4), (2, 4)),
+])
+def test_sweep_cells_match_their_exact_failure(dims, m_values):
+    # a fixed grid and seed, not chosen to pass: eps 0.5, seed 3, 20,000
+    # trials, every family; onehot cells are exactly 0
+    dims, trials = KronDims(dims), 20_000
+    for rec in harness.jl_failure_sweep(dims, m_values, (0.5,), trials, seed=3):
+        x = kron_materialize(harness._family_factors(rec.family, dims, 3))[0]
+        exact = _exact_failure(dims, x, rec.m, 0.5)
+        sigma = math.sqrt(exact * (1.0 - exact) / trials)
+        assert abs(rec.eta_hat - exact) <= 4 * sigma, (rec, exact)
 
 
 def test_sweep_chunking_does_not_change_counts(monkeypatch):
@@ -613,20 +661,46 @@ def test_adversarial_family_budget():
     finally:
         tracemalloc.stop()
     assert peak < 2**20
-    # (4,): the 2^16 x 16 table fits, and so does a trial's gather at
-    # m = 256, but a cell holds both: it raises after building the 8 MiB
-    # table (through one temporary of its size) and before gathering
+    # (4,): the 2^16 x 16 table fits; a cell scores its trials from their
+    # row counts, so at m = 256 it holds the 8 MiB table (built through
+    # one temporary of its size) and little else
     tracemalloc.start()
     try:
-        with pytest.raises(BudgetError, match="2\\^16 members x \\(16 columns "
-                           "\\+ 256 sampled rows\\) need 2176 x 2\\^16 bytes"):
-            harness.adversarial_joint_norm_failure((4,), 256, 0.5, 2, seed=1)
+        rate = harness.adversarial_joint_norm_failure((4,), 256, 0.5, 2, seed=1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 17 * 2**20
-    # at m = 240 the table and a trial's gather make 2^24 entries
+    assert 0.0 <= rate <= 1.0
     assert harness.adversarial_joint_norm_failure((4,), 240, 0.5, 1, seed=1) == 1.0
+
+
+def _gathered_ratios(r_dims, m_values, trials, seed):
+    """Reference for _adversarial_rates: per m in turn, every member's
+    energies gathered at each trial's rows and summed, (members, trials),
+    a few trials at a time."""
+    energy = harness._family_energies(KronDims(tuple(1 << r for r in r_dims)))
+    n = energy.shape[1]
+    for k, m in enumerate(m_values):
+        rng = rand.substream(seed, rand.TAG_SAMPLES, len(r_dims), sum(r_dims), k)
+        rows0 = rng.integers(0, n, size=(trials, m))
+        yield np.concatenate([n / m * energy[:, rows0[lo:lo + 16]].sum(axis=2)
+                              for lo in range(0, trials, 16)], axis=1)
+
+
+@pytest.mark.parametrize("seed", [2, 7])
+@pytest.mark.parametrize("r_dims", [(1,), (2,), (3,), (1, 1), (1, 2), (2, 2)])
+def test_row_counts_score_as_the_gathered_sum(r_dims, seed):
+    # the energies are dyadic with small numerators, so the count product
+    # and the gathered sum are exact and must agree on every boundary hit
+    m_values, trials = (1, 3, 16, 200), 200
+    ratios = list(_gathered_ratios(r_dims, m_values, trials, seed))
+    for eps in (0.25, 0.5, 0.75):
+        want = [np.count_nonzero(np.any(np.abs(r - 1.0) > eps, axis=0)) / trials
+                for r in ratios]
+        got = list(harness._adversarial_rates(r_dims, m_values, eps, trials,
+                                              seed))
+        assert got == want
 
 
 def test_required_rows_adversarial_scan():

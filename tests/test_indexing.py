@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from kronjl import indexing
-from kronjl.errors import ShapeError
+from kronjl.errors import BudgetError, ShapeError
 from kronjl.indexing import KronDims, _blocks, _group_positions
 
 
@@ -115,3 +115,12 @@ def test_blocks_tile_the_range_within_the_budget(item_bytes):
         assert sizes[:-1] == [step] * (len(sizes) - 1)
         assert 1 <= sizes[-1] <= step
     assert list(_blocks(0, item_bytes)) == []
+
+
+def test_blocks_refuse_one_item_over_the_cap():
+    # a span holds one item at least, so an item over the cap is refused
+    # before its loop starts; sizes only, nothing is allocated
+    cap = indexing._ITEM_CAP
+    assert list(_blocks(1, cap)) == [(0, 1)]
+    with pytest.raises(BudgetError, match=f"needs {cap + 8} bytes"):
+        list(_blocks(1, cap + 8))

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from kronjl import indexing
-from kronjl.errors import ShapeError
+from kronjl.errors import BudgetError, ShapeError
 from kronjl.fwht import fwht_axis, hadamard_matrix, last_block
 from kronjl.indexing import KronDims
 from kronjl.transforms import (
@@ -294,6 +294,20 @@ def test_apply_dense_mat_holds_no_signed_copy():
     op = build_operator((128, 128), 128, seed=2)
     xs = np.random.default_rng(5).standard_normal((64, op.dims.total))
     assert _peak_bytes(lambda: apply_dense_mat(op, xs)) < xs.nbytes / 2
+
+
+def test_hadamard_rows_refuse_one_oversized_row():
+    # N = 2^28: one row is 2 GiB, over the item cap; the broadcast view
+    # costs nothing, and the refusal comes before any buffer
+    xs = np.broadcast_to(0.0, (1, 1 << 28))
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetError, match="needs 2147483648 bytes"):
+            hadamard_rows(xs, [0])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_hadamard_rows_validation():
