@@ -13,9 +13,9 @@ a matricization (two blocks); for three or more blocks the supremum is
 approximated from below by multi-start alternating maximization and the
 returned value is a certified lower bound of the true norm (SUP_TOL,
 SUP_MAX_ITER and SUP_SEED fix the search). Exact moments (a sign
-table, or a decoupled value per pattern pair, of at most
-EXACT_PATTERN_BUDGET entries) and Monte Carlo moments (with
-BOOTSTRAP_RESAMPLES bootstrap resamples) share all but the signs.
+table, or a decoupled value per pattern pair, inside the table cap of
+kronjl.indexing) and Monte Carlo moments (with BOOTSTRAP_RESAMPLES
+bootstrap resamples) share all but the signs.
 
 Set partitions come from one recursion that yields rows of block labels
 (blocks numbered by their minima). enumerate_partitions maps them to
@@ -33,7 +33,7 @@ import numpy as np
 
 from . import rand
 from .errors import BudgetError, ShapeError
-from .indexing import KronDims, _blocks, _group_positions
+from .indexing import _TABLE_CAP, KronDims, _blocks, _check_bytes, _group_positions
 from .rip import rip_constant
 from .transforms import kron_materialize, kron_sign_patterns
 
@@ -52,7 +52,6 @@ __all__ = [
 ]
 
 PARTITION_GROUND_LIMIT = 12
-EXACT_PATTERN_BUDGET = 1 << 24
 SUP_TOL = 1e-10
 SUP_MAX_ITER = 10_000
 SUP_SEED = 0
@@ -364,11 +363,8 @@ def exact_chaos_moments(coeffs, mode, p_values, centered=False):
     # a row of n entries per pattern: the coupled form's sign table, or the
     # decoupled form's values, which cover its table (N <= 2^bits)
     n = 1 << bits if mode == "decoupled" else coeffs.dims.total
-    if n << bits > EXACT_PATTERN_BUDGET:
-        raise BudgetError(
-            f"exact moments: 2^{bits} sign patterns x {n} entries need "
-            f"{(8 * n) << bits} bytes, over the budget of {EXACT_PATTERN_BUDGET}"
-        )
+    what = f"exact moments: a table of 2^{bits} sign patterns x {n} entries"
+    _check_bytes(what, (8 * n) << bits, _TABLE_CAP)
     signs = kron_sign_patterns(coeffs.dims)
     m = coeffs.matrix
     if mode == "coupled":

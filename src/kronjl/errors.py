@@ -11,7 +11,7 @@ class ShapeError(KronjlError, ValueError):
 
 
 class BudgetError(KronjlError, RuntimeError):
-    """An enumeration or a dense matrix would exceed its configured budget."""
+    """An enumeration or a scan would exceed its budget, or an array a cap."""
 
 
 class ConfigError(KronjlError, ValueError):

@@ -50,7 +50,6 @@ from .adversarial import (
     failure_probability_exact,
 )
 from .chaos import (
-    EXACT_PATTERN_BUDGET,
     ChaosCoefficients,
     check_partition_counting,
     estimate_chaos_moments,
@@ -58,7 +57,14 @@ from .chaos import (
 from .errors import BudgetError, ConfigError
 from .fwht import _sylvester, fwht, fwht_axis, hadamard_matrix
 from .gf2 import enumerate_subspaces, indicator, orthogonal_complement
-from .indexing import KronDims, _blocks, _group_positions
+from .indexing import (
+    _ITEM_CAP,
+    _TABLE_CAP,
+    KronDims,
+    _blocks,
+    _check_bytes,
+    _group_positions,
+)
 from .rip import rip_constant
 from .sparsify import check_fiber_sparsity, split
 from .transforms import (
@@ -246,10 +252,15 @@ def _family_factors(family, dims, seed, count=1):
     The rank-one families give one (count, n_l) factor per axis: kron
     normalizes a Gaussian factor per axis, and a one-hot vector is the
     product of one-hot factors at the F-order coordinates of its index.
-    dense gives one (count, N) factor.
+    dense gives one (count, N) factor, refused over the item cap, the size
+    of the dense trial loop's own item, before anything is drawn. A
+    Gaussian row is drawn and normalized in place.
     """
     fam_idx = FAMILIES.index(family)
     rng = rand.substream(seed, rand.TAG_VECTOR, fam_idx)
+    if family == "dense":
+        _check_bytes(f"a dense point set of {count} x {dims.total}",
+                     8 * count * dims.total, _ITEM_CAP)
     lengths = (dims.total,) if family == "dense" else dims.dims
     factors = [np.zeros((count, n)) for n in lengths]
     for i in range(count):
@@ -261,8 +272,8 @@ def _family_factors(family, dims, seed, count=1):
                 f[i, c] = 1.0
         else:
             for f in factors:
-                v = rng.standard_normal(f.shape[1])
-                f[i] = v / np.linalg.norm(v)
+                rng.standard_normal(out=f[i])
+                f[i] /= np.linalg.norm(f[i])
     return factors
 
 
@@ -414,9 +425,12 @@ def _kfjlt_ratios(dims, x, m, trials, rng):
 
 def _gaussian_ratios(dims, x, m, trials, rng):
     """Squared-norm ratios of (m, N) Gaussian draws, normals drawn whole
-    trials at a time in blocks of about 1 MiB (indexing._blocks)."""
+    trials at a time in blocks of about 1 MiB (indexing._blocks). The
+    spans come first, so an oversized trial is refused before the point
+    is built."""
+    spans = list(_blocks(trials, 8 * m * dims.total))
     x = kron_materialize(x)[0]
-    for lo, hi in _blocks(trials, 8 * m * x.size):
+    for lo, hi in spans:
         y = rng.standard_normal((hi - lo, m, x.size)) @ x / math.sqrt(m)
         yield np.sum(y * y, axis=1)[:, None]
 
@@ -603,20 +617,15 @@ def _family_energies(dims):
 def _adversarial_rates(r_dims, m_values, eps, trials, seed):
     """Checks the arguments and tabulates the family's energies now; then
     an iterator of the joint failure at each m in turn, cell k reading the
-    rows of (seed, TAG_SAMPLES, axes, sum r_dims, k). The table is checked
-    against the budget, in log2, before it is built."""
+    rows of (seed, TAG_SAMPLES, axes, sum r_dims, k)."""
     r_dims = tuple(int(r) for r in r_dims)
     if any(r < 1 for r in r_dims):
         raise ConfigError("r_dims: per-axis exponents must be >= 1")
     _check_cells(m_values, (eps,), trials)
     member_bits = sum(1 << r for r in r_dims)
     n = 1 << sum(r_dims)
-    if member_bits + math.log2(n) > math.log2(EXACT_PATTERN_BUDGET):
-        raise BudgetError(
-            f"adversarial family: 2^{member_bits} members x {n} columns "
-            f"need {8 * n} x 2^{member_bits} bytes, over the budget of "
-            f"{EXACT_PATTERN_BUDGET} entries"
-        )
+    what = f"adversarial family: a table of 2^{member_bits} members x {n} columns"
+    _check_bytes(what, (8 * n, member_bits), _TABLE_CAP)
     energy = _family_energies(KronDims(tuple(1 << r for r in r_dims)))
     path = (rand.TAG_SAMPLES, len(r_dims), sum(r_dims))
 
@@ -654,7 +663,7 @@ def adversarial_joint_norm_failure(r_dims, m, eps, trials, seed):
     energy is an integer numerator of at most N^2 over N^2. A trial's
     sampled energy is its row counts, integers summing to m, times the
     energies: every product and partial sum is a multiple of 1 / N^2 of
-    size at most m. Inside the table budget N^2 <= 2^16, so below
+    size at most m. Inside the table cap N^2 <= 2^16, so below
     m = 2^37 each fits in 53 bits: the product is exact in any summation
     order, as a gathered sum is.
     """

@@ -11,8 +11,9 @@ through `_group_positions`.
 
 Every blocked loop of the package walks its items through `_blocks`, in
 spans of about `_BLOCK_BYTES` of working data each; that one budget is the
-only block size there is. A span holds one item at least, so an item over
-`_ITEM_CAP` bytes is refused before its loop allocates it.
+only block size there is. `_check_bytes` refuses every array over its byte
+cap before it is allocated: `_TABLE_CAP` for a whole table, `_ITEM_CAP` for
+one item (a span holds one item at least) or one dense point set.
 """
 
 import math
@@ -28,6 +29,7 @@ __all__ = ["KronDims"]
 _BLOCK_BYTES = 1 << 20  # half a 2 MiB per-core L2
 # the largest single item; a dense cell holds about five items at once
 _ITEM_CAP = 1 << 30
+_TABLE_CAP = 1 << 27  # a whole table: 2^24 float64, an N x N at N = 2^12
 
 
 @dataclass(frozen=True)
@@ -71,16 +73,21 @@ def _group_positions(shape, groups):
     return pos
 
 
+def _check_bytes(what, nbytes, cap):
+    """BudgetError where `what` needs more than `cap` bytes. A pair (c, k)
+    is c x 2^k bytes, compared by exponent first so no huge 2^k is formed."""
+    c, k = nbytes if isinstance(nbytes, tuple) else (nbytes, 0)
+    if k >= cap.bit_length() or c << k > cap:
+        shown = f"{c} x 2^{k}" if k else c
+        raise BudgetError(f"{what} needs {shown} bytes, over the cap of {cap}")
+
+
 def _blocks(count, item_bytes):
     """(lo, hi) spans of range(count), in order, of
     max(1, _BLOCK_BYTES // item_bytes) items each, the last taking what
     is left. BudgetError, naming the bytes, where one item is over
     _ITEM_CAP."""
-    if item_bytes > _ITEM_CAP:
-        raise BudgetError(
-            f"one item of a blocked loop needs {item_bytes} bytes, over the "
-            f"cap of {_ITEM_CAP}"
-        )
+    _check_bytes("one item of a blocked loop", item_bytes, _ITEM_CAP)
     step = max(1, _BLOCK_BYTES // item_bytes)
     for lo in range(0, count, step):
         yield lo, min(lo + step, count)

@@ -38,9 +38,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rand
-from .errors import BudgetError, ShapeError
+from .errors import ShapeError
 from .fwht import _transformed, fwht, fwht_axis, hadamard_matrix, last_block
-from .indexing import KronDims, _blocks
+from .indexing import _TABLE_CAP, KronDims, _blocks, _check_bytes
 
 __all__ = [
     "RademacherFactors",
@@ -57,9 +57,6 @@ __all__ = [
     "materialize",
     "sampled_entries",
 ]
-
-
-MATERIALIZE_MAX_COLUMNS = 1 << 12  # an N x N float64 is 128 MiB at 2^12
 
 
 def _frozen(a, dtype):
@@ -379,11 +376,11 @@ def materialize(op):
     independent derivation of the operator, and the recorded oracle
     digests come from its bits: hadamard_matrix(N) rounds differently
     (neither is exact), which moves outputs such as a RIP constant in the
-    last bits. Wider than MATERIALIZE_MAX_COLUMNS it allocates nothing.
+    last bits. Where the N x N Hadamard is over the table cap it
+    allocates nothing.
     """
     size = op.dims.total
-    if size > MATERIALIZE_MAX_COLUMNS:
-        raise BudgetError(f"materialize: N = {size} needs {8 * size**2} bytes (N x N)")
+    _check_bytes(f"materialize: N x N Hadamard at N = {size}", 8 * size**2, _TABLE_CAP)
     hs = [hadamard_matrix(n) for n in op.dims]
     h_full = hs[-1]
     for h in hs[-2::-1]:

@@ -387,7 +387,7 @@ def test_moment_budget_counts_the_sign_table():
     tracemalloc.start()
     try:
         with pytest.raises(BudgetError, match="2\\^24 sign patterns x 512 "
-                           "entries need 68719476736 bytes"):
+                           "entries needs 68719476736 bytes"):
             exact_chaos_moments(co, "coupled", [2.0])
         peak = tracemalloc.get_traced_memory()[1]
     finally:

@@ -247,14 +247,15 @@ def test_dense_reports_refuse_a_wide_operator(args, capsys):
     assert code == 2
     assert out == ""
     assert err.splitlines() == [
-        "budget error: materialize: N = 16384 needs 2147483648 bytes (N x N)"
+        "budget error: materialize: N x N Hadamard at N = 16384 needs "
+        "2147483648 bytes, over the cap of 134217728"
     ]
     assert peak < 8 * 2**20
 
 
 def test_one_oversized_trial_exits_two(capsys):
     # one Gaussian-baseline trial at N = 2^20, m = 1024 would be 8 GiB of
-    # normals; the 8 MiB point is built, the trial block is refused
+    # normals; the trial block is refused before the 8 MiB point is built
     args = ["jl-sweep", "--dims", "1024x1024", "--m", "1024", "--family",
             "kron", "--baseline", "gaussian", "--trials", "1"]
     tracemalloc.start()

@@ -3,8 +3,8 @@ or test imports a name it never reads, and the command line uses only the
 harness's public names and holds no default and no family, baseline or
 report-kind name of its own. No public function takes a private
 parameter. One byte budget, indexing._BLOCK_BYTES, sizes every blocked
-loop, one function reads the clock, and one counter holds the failure
-rule."""
+loop, one check refuses every oversized array, one function reads the
+clock, and one counter holds the failure rule."""
 
 import ast
 import importlib
@@ -186,6 +186,17 @@ def test_one_cell_timer():
     readers = _src_sites(lambda n: "perf_counter" in (
         getattr(n, "id", None), getattr(n, "attr", None)))
     assert set(readers) == {("harness", "_timed")}
+
+
+def test_one_memory_refusal():
+    # every BudgetError over bytes is raised by the one check behind the
+    # two caps; the others are count and time budgets
+    raises = _src_sites(lambda n: isinstance(n, ast.Raise) and any(
+        getattr(c, "id", None) == "BudgetError" for c in ast.walk(n)))
+    assert set(raises) == {
+        ("indexing", "_check_bytes"), ("rip", "_support_array"),
+        ("chaos", "enumerate_partitions"), ("chaos", "check_partition_counting"),
+        ("harness", "_scan_interpolate")}
 
 
 def test_one_failure_rule():

@@ -373,6 +373,45 @@ def test_rank_one_families_allocate_nothing_of_length_n():
     assert rep.valid_pairs == 3
 
 
+def _peak_bytes(f):
+    tracemalloc.start()
+    try:
+        f()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_dense_point_is_drawn_in_place():
+    # an 8 MiB point is its own array and no temporary of its size, with
+    # the bytes of v / norm(v) for v drawn from the family's substream
+    dims = KronDims((1024, 1024))
+    peak = _peak_bytes(lambda: harness._family_factors("dense", dims, 0))
+    [[point]] = harness._family_factors("dense", dims, 0)
+    assert peak <= 1.1 * point.nbytes
+    rng = rand.substream(0, rand.TAG_VECTOR, harness.FAMILIES.index("dense"))
+    v = rng.standard_normal(dims.total)
+    assert np.array_equal(point, v / np.linalg.norm(v))
+
+
+def test_oversized_points_and_trials_are_refused_before_allocating():
+    # a 2 GiB dense point set is over the item cap, and an 8 GiB
+    # Gaussian-baseline trial (m = 64 at N = 2^24) is refused before its
+    # 128 MiB point is built
+    def dense():
+        with pytest.raises(BudgetError, match="a dense point set of 1 x "
+                           f"{1 << 28} needs {1 << 31} bytes, over the cap"):
+            harness._family_factors("dense", KronDims((1 << 14, 1 << 14)), 0)
+
+    def gaussian():
+        with pytest.raises(BudgetError, match=f"needs {1 << 33} bytes"):
+            harness.jl_failure_sweep((256, 256, 256), (64,), (0.5,), 1, 0,
+                                     families=("kron",), baseline="gaussian")
+
+    for run in (dense, gaussian):
+        assert _peak_bytes(run) < 2**20
+
+
 def test_sweep_validation():
     with pytest.raises(ConfigError):
         harness.jl_failure_sweep((4,), (4,), (0.5,), 100, 0, families=("x",))
@@ -655,7 +694,7 @@ def test_adversarial_family_budget():
     tracemalloc.start()
     try:
         with pytest.raises(BudgetError, match="2\\^24 members x 128 columns "
-                           "need 1024 x 2\\^24 bytes"):
+                           "needs 1024 x 2\\^24 bytes"):
             harness.adversarial_joint_norm_failure((4, 3), 64, 0.5, 10, seed=1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:

@@ -9,7 +9,7 @@ import pytest
 
 from kronjl import indexing
 from kronjl.errors import BudgetError, ShapeError
-from kronjl.indexing import KronDims, _blocks, _group_positions
+from kronjl.indexing import KronDims, _blocks, _check_bytes, _group_positions
 
 
 def _full(shape):
@@ -124,3 +124,18 @@ def test_blocks_refuse_one_item_over_the_cap():
     assert list(_blocks(1, cap)) == [(0, 1)]
     with pytest.raises(BudgetError, match=f"needs {cap + 8} bytes"):
         list(_blocks(1, cap + 8))
+
+
+@pytest.mark.parametrize("cap", [indexing._ITEM_CAP, indexing._TABLE_CAP])
+def test_each_cap_holds_exactly_its_bytes(cap):
+    _check_bytes("a table", cap, cap)
+    with pytest.raises(BudgetError, match=f"^a table needs {cap + 1} bytes, "
+                       f"over the cap of {cap}$"):
+        _check_bytes("a table", cap + 1, cap)
+    # c x 2^k bytes: the exponent is compared first, so 2^(2^40) is never
+    # formed; at or under the cap the product decides
+    bits = cap.bit_length() - 1
+    _check_bytes("a table", (8, bits - 3), cap)
+    for c, k in ((9, bits - 3), (1, bits + 1), (8, 1 << 40)):
+        with pytest.raises(BudgetError, match=f"needs {c} x 2\\^{k} bytes"):
+            _check_bytes("a table", (c, k), cap)
