@@ -6,13 +6,15 @@ and involutive (applying it twice is the identity).
 
 One blocked numpy kernel computes it; there is no backend to choose.
 It rests on the Sylvester identity
-H_{2^(a+b)} = H_{2^a} (x) H_{2^b}: it splits log2(n) into at most 6-bit
+H_{2^(a+b)} = H_{2^a} (x) H_{2^b}: it splits log2(n) into at most 5-bit
 digits and applies each digit as one matrix product with the +-1
-Sylvester matrix of that digit (order <= 64), so a length-n transform is
+Sylvester matrix of that digit (order <= 32), so a length-n transform is
 a few BLAS products instead of log2(n) strided passes, then one
-1/sqrt(n) scale. The public functions write a new array on every call
-and none works in place; transforms.hadamard_rows lends the kernel one
-pair of buffers for all the blocks of a call instead.
+1/sqrt(n) scale. A digit of order r costs r multiply-adds per entry:
+2^18 splits as (32, 32, 16, 16), 96 per entry, where 6-bit digits
+(64, 64, 64) cost 192. The public functions write a new array on every
+call and none works in place; transforms.hadamard_rows lends the kernel
+one pair of buffers for all the blocks of a call instead.
 """
 
 import functools
@@ -38,11 +40,11 @@ def _check_pow2(n):
         raise ShapeError(f"transform length must be a power of two, got {n}")
 
 
-_DIGIT_BITS = 6
+_DIGIT_BITS = 5
 
 
 def _digits(n):
-    """Split n = 2^k into the fewest factors of at most 2^6, as even as
+    """Split n = 2^k into the fewest factors of at most 2^5, as even as
     possible, larger first: 2^13 -> (32, 16, 16)."""
     k = n.bit_length() - 1
     count = -(-k // _DIGIT_BITS)
@@ -51,16 +53,22 @@ def _digits(n):
 
 def last_block(n, m):
     """Order r of the last Sylvester block to split off a length-n
-    transform of which only m entries per row are kept: 64, the kernel's
-    largest digit, if the m length-64 rows holding those entries make at
-    most a quarter of the row (256 * m <= n), else 1 (no split).
+    transform of which only m entries per row are kept: 32, the kernel's
+    largest digit, if the m length-32 rows holding those entries make at
+    most a quarter of the row (128 * m <= n), else 1 (no split).
 
     With H_n = H_{n/r} (x) H_r, transforming the high bits in full and
     the last block at the m gathered rows alone skips one matmul pass of
     r multiply-adds per entry of the whole row, and pays r * r per
     gathered row and a copy of m * r floats. Below the quarter that
-    saves time and memory; at half the row it no longer does (measured
-    at n = 2^10..2^18 with one BLAS thread on a 2-vCPU x86-64 host).
+    saves time and memory; at half the row it no longer does. Split over
+    full time of transforms.hadamard_rows on 8 MiB of rows, with one BLAS
+    thread on a 2-vCPU x86-64 host:
+
+        m * r    n = 2^10  2^12  2^14  2^16  2^18
+        n / 8        0.58  0.72  0.72  0.80  0.69
+        n / 4        0.70  0.86  0.83  0.85  0.81
+        n / 2        0.93  1.08  0.99  1.04  0.90
     """
     _check_pow2(n)
     r = 1 << _DIGIT_BITS

@@ -14,15 +14,16 @@ the first axis varies fastest, so a rank-one array with factors
 The Kronecker structure lies only in D: for power-of-two axes,
 H_{n_d} (x) ... (x) H_{n_1} = H_N, so the batched dense path treats each
 row as one length-N vector (hadamard_rows), while apply_dense, its
-reference, composes the full per-axis transforms. P keeps only m rows, so
-where m is small against N (fwht.last_block) hadamard_rows transforms the
-high bits of a row in full and runs the last 64-wide Sylvester block only
-at the sampled rows. It streams a batch through blocks of rows of about
-1 MiB (indexing._blocks), applies D to one block at a time, and gives
-every block of a call the same buffers, allocated once for its largest
-block, so its temporaries stay in cache and do not grow with the batch;
-the block size changes no byte. A rank-one input needs no length-N work:
-H D (x_1 (x) ... (x) x_d) is the Kronecker product of the H_l
+reference, composes per-axis transforms. P keeps only m rows, so where m
+is small against N (fwht.last_block) hadamard_rows transforms the high
+bits of a row in full and runs the last 32-wide Sylvester block only at
+the sampled rows; apply_dense likewise transforms its first axis only at
+the sampled fibres. hadamard_rows streams a batch through blocks of rows
+of about 1 MiB (indexing._blocks), applies D to one block at a time, and
+gives every block of a call the same buffers, allocated once for its
+largest block, so its temporaries stay in cache and do not grow with the
+batch; the block size changes no byte. A rank-one input needs no length-N
+work: H D (x_1 (x) ... (x) x_d) is the Kronecker product of the H_l
 (xi_l * x_l), and a sampled entry is a product of one entry per axis,
 found at the bit fields of its row (sampled_entries). apply_factored and
 the harness's kron and onehot trials take that path; only dense inputs go
@@ -221,20 +222,29 @@ def kron_sign_patterns(dims):
 def apply_dense(op, x):
     """Apply the operator to a length-N vector via per-axis transforms.
 
-    Cost O(N log N + m). It composes full transforms, one per axis,
-    rather than the split length-N transform of hadamard_rows, so that
-    the two derivations of H check each other (apply_dense_mat is tested
-    against this function).
+    It composes transforms, one fwht_axis call per axis, rather than the
+    split length-N transform of hadamard_rows, so that the two derivations
+    of H check each other (apply_dense_mat is tested against this
+    function). Where the m sampled fibres of the first (fastest) axis make
+    at most a quarter of the vector (d > 1 and 4 m n_1 <= N), it writes
+    H_N = H_{N/n_1} (x) H_{n_1} per axis: axes 2..d are transformed in
+    full, then axis 1 only at the m fibres holding the sampled entries.
+    Cost O(N log(N/n_1) + m n_1 log n_1) there, else O(N log N + m).
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1 or x.size != op.dims.total:
         raise ShapeError(f"expected a vector of length {op.dims.total}")
+    n1, rows0 = op.dims.dims[0], op.samples.rows - 1
+    split = op.dims.order > 1 and 4 * op.m * n1 <= op.dims.total
     # C order over the reversed dims is the linearized order: axis l is
     # C axis d - l
     arr = (x * op.signs.full_vector()).reshape(op.dims.dims[::-1])
-    for axis in range(op.dims.order - 1, -1, -1):
+    for axis in range(op.dims.order - 1 - split, -1, -1):
         arr = fwht_axis(arr, axis)
-    return op.scale * arr.reshape(-1)[op.samples.rows - 1]
+    if not split:
+        return op.scale * arr.reshape(-1)[rows0]
+    fibres = fwht_axis(arr.reshape(-1, n1)[rows0 // n1], 1)
+    return op.scale * fibres[np.arange(op.m), rows0 % n1]
 
 
 def _check_rows(rows):
@@ -262,7 +272,7 @@ def hadamard_rows(xs, rows0, signs=None):
     r = fwht.last_block(N, m): the high bits are transformed in full, then
     only the m length-r rows holding the sampled entries take the last
     block. That block costs count * m * r^2 multiply-adds where the full
-    transform's last digit costs count * N * r, and r = 64 only where
+    transform's last digit costs count * N * r, and r = 32 only where
     m * r <= N / 4; otherwise r = 1, the full transform and a gather.
 
     The rows go through in blocks of about 1 MiB of row or gathered data
@@ -296,7 +306,7 @@ def hadamard_rows(xs, rows0, signs=None):
     out = np.empty((count, m))
     # a row's floats, and its share of each buffer: the row, or its m row
     # indices where m > N (r = 1 then); a split's m indices and m gathered
-    # length-64 rows fit in its row, as 256 m <= N
+    # length-32 rows fit in its row, as 128 m <= N
     item = max(n, m * r)
     blocks = list(_blocks(count, 8 * item))
     size = item * max((hi - lo for lo, hi in blocks), default=0)
@@ -334,7 +344,7 @@ def _block_rows(xs, rows0, r, bufs, out):
         return
     picked = _lent(bufs[1][at.size:], at.shape + (r,))
     np.take(high, at, axis=0, out=picked, mode="clip")
-    # r = 64 is one digit, so the kernel writes bufs[0] alone
+    # r = 32 is one digit, so the kernel writes bufs[0] alone
     low = _transformed(picked, 2, bufs)
     out[...] = np.take_along_axis(low, (rows0 % r)[:, :, None], axis=2)[:, :, 0]
 
@@ -355,16 +365,22 @@ def apply_factored(op, factors):
 
     Cost O(sum_l n_l log n_l + m d): each factor is sign-flipped and
     transformed on its own axis, then sampled entries are products of
-    per-axis entries.
+    per-axis entries. Where every axis has the same length the signed
+    factors go through one (d, n) transform, which gives each the bytes
+    of its own call (a lone row is a row of a batch to the kernel).
     """
     if len(factors) != op.dims.order:
         raise ShapeError("one input factor per axis required")
-    transformed = []
+    signed = []
     for f, s, n in zip(factors, op.signs.factors, op.dims):
         f = np.asarray(f, dtype=np.float64)
         if f.shape != (n,):
             raise ShapeError(f"factor shape {f.shape} != ({n},)")
-        transformed.append(fwht(f * s))
+        signed.append(f * s)
+    if len(set(op.dims)) == 1:
+        transformed = list(fwht_axis(np.stack(signed), 1))
+    else:
+        transformed = [fwht(f) for f in signed]
     return op.scale * sampled_entries(transformed, op.samples.rows - 1)
 
 
@@ -376,11 +392,13 @@ def materialize(op):
     independent derivation of the operator, and the recorded oracle
     digests come from its bits: hadamard_matrix(N) rounds differently
     (neither is exact), which moves outputs such as a RIP constant in the
-    last bits. Where the N x N Hadamard is over the table cap it
-    allocates nothing.
+    last bits. Where the N x N Hadamard or the (m, N) result is over the
+    table cap it allocates nothing.
     """
     size = op.dims.total
     _check_bytes(f"materialize: N x N Hadamard at N = {size}", 8 * size**2, _TABLE_CAP)
+    _check_bytes(f"materialize: the (m, N) = ({op.m}, {size}) result",
+                 8 * op.m * size, _TABLE_CAP)
     hs = [hadamard_matrix(n) for n in op.dims]
     h_full = hs[-1]
     for h in hs[-2::-1]:

@@ -253,6 +253,19 @@ def test_dense_reports_refuse_a_wide_operator(args, capsys):
     assert peak < 8 * 2**20
 
 
+def test_rip_report_refuses_a_tall_operator(capsys):
+    # m N = (2^20 + 1) * 16 float64 is over the table cap, though the
+    # N x N Hadamard is small
+    code, out, err = run_cli(["report", "--kind", "rip", "--dims", "16",
+                              "--m", str(2**20 + 1), "--s", "1"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == [
+        "budget error: materialize: the (m, N) = (1048577, 16) result needs "
+        "134217856 bytes, over the cap of 134217728"
+    ]
+
+
 def test_one_oversized_trial_exits_two(capsys):
     # one Gaussian-baseline trial at N = 2^20, m = 1024 would be 8 GiB of
     # normals; the trial block is refused before the 8 MiB point is built

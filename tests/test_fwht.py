@@ -5,7 +5,9 @@ import pytest
 import scipy.linalg
 
 from kronjl.errors import ShapeError
-from kronjl.fwht import active_backend, fwht, fwht_axis, hadamard_matrix, last_block
+from kronjl.fwht import (
+    _digits, active_backend, fwht, fwht_axis, hadamard_matrix, last_block,
+)
 
 
 def _transform_matrix(n):
@@ -144,9 +146,20 @@ def test_active_backend_reports():
 
 
 def test_last_block_splits_only_where_m_is_small_against_n():
-    # the m gathered 64-wide rows make at most a quarter of the row
-    assert last_block(1 << 16, 256) == 64
-    assert last_block(1 << 16, 257) == 1
-    assert last_block(256, 1) == 64
-    assert last_block(128, 1) == 1
+    # the m gathered 32-wide rows make at most a quarter of the row
+    assert last_block(1 << 16, 512) == 32
+    assert last_block(1 << 16, 513) == 1
+    assert last_block(128, 1) == 32
+    assert last_block(64, 1) == 1
     assert last_block(1, 1) == 1
+
+
+def test_a_split_last_block_is_one_kernel_digit():
+    # transforms._block_rows runs the last block in the kernel's output
+    # buffer alone, with the spare holding the gathered rows: a block of
+    # two digits would alias them
+    for k in range(25):
+        for m in (1, 2, 3, 7, 64, 100, 1 << 10, 1 << 14, (1 << 16) + 1):
+            r = last_block(1 << k, m)
+            if r > 1:
+                assert _digits(r) == (r,)

@@ -1,6 +1,6 @@
 """The byte contract of the benchmark: the sweep workload's smoke commands
 (jl-sweep per family, then pointset), its full-size jl-sweep/dense
-command (N = 2^16, so hadamard_rows splits off its 64-wide last block)
+command (N = 2^16, so hadamard_rows splits off its 32-wide last block)
 and pointset/kron command, and the oracles workload's lower-bound
 command, full and smoke, print exactly the bytes whose sha256
 perfbench/reference_digests.json records, for seeds 0-3."""

@@ -7,9 +7,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from kronjl import indexing
+from kronjl import indexing, transforms
 from kronjl.errors import BudgetError, ShapeError
-from kronjl.fwht import fwht_axis, hadamard_matrix, last_block
+from kronjl.fwht import fwht, fwht_axis, hadamard_matrix, last_block
 from kronjl.indexing import KronDims
 from kronjl.transforms import (
     KfjltOperator,
@@ -22,6 +22,7 @@ from kronjl.transforms import (
     hadamard_rows,
     kron_materialize,
     materialize,
+    sampled_entries,
 )
 
 
@@ -143,6 +144,45 @@ def test_apply_dense_matches_brute_matrix():
             assert np.max(np.abs(apply_dense(op, x) - mat @ x)) <= 1e-10
 
 
+def _apply_dense_unsplit(op, x):
+    # every axis transformed in full, then the sampled entries gathered
+    arr = (x * op.signs.full_vector()).reshape(op.dims.dims[::-1])
+    for axis in range(op.dims.order - 1, -1, -1):
+        arr = fwht_axis(arr, axis)
+    return op.scale * arr.reshape(-1)[op.samples.rows - 1]
+
+
+@pytest.mark.parametrize("dims, split", [
+    ((64,), False),  # d = 1
+    ((64, 64), True),
+    ((8, 32, 16), True),
+    ((16, 16), False),  # 4 m n_1 > N
+    ((2, 64), True),
+    ((2, 4), False),
+])
+def test_apply_dense_splits_its_first_axis(monkeypatch, dims, split):
+    # where 4 m n_1 <= N, axis 1 is transformed only at the m fibres
+    # holding the sampled entries
+    op = build_operator(dims, 9, seed=3)
+    shapes = []
+
+    def traced(a, axis):
+        shapes.append(np.shape(a))
+        return fwht_axis(a, axis)
+
+    monkeypatch.setattr(transforms, "fwht_axis", traced)
+    mat = materialize(op)
+    rng = np.random.default_rng(len(dims))
+    for _ in range(3):
+        x = rng.standard_normal(op.dims.total)
+        shapes.clear()
+        got = apply_dense(op, x)
+        assert len(shapes) == op.dims.order
+        assert (shapes[-1] == (9, dims[0])) == split
+        assert np.max(np.abs(got - mat @ x)) <= 1e-10
+        assert np.max(np.abs(got - _apply_dense_unsplit(op, x))) <= 1e-12
+
+
 def test_materialize_matches_brute_matrix():
     for dims in [(2, 2), (4, 2, 2)]:
         op = build_operator(dims, 7, seed=99)
@@ -163,10 +203,23 @@ def test_factored_equals_dense_on_rank_one():
         assert np.max(np.abs(dense - fact)) <= 1e-10 * scale
 
 
+@pytest.mark.parametrize("dims", [(64, 64, 64), (2, 2), (4, 8, 2)])
+def test_factored_one_transform_gives_the_per_axis_bytes(dims):
+    # equal axes go through one (d, n) transform, mixed axes one each
+    rng = np.random.default_rng(sum(dims))
+    op = build_operator(dims, 40, seed=4)
+    factors = [rng.standard_normal(n) for n in dims]
+    per_axis = [fwht(f * s) for f, s in zip(factors, op.signs.factors)]
+    want = op.scale * sampled_entries(per_axis, op.samples.rows - 1)
+    got = apply_factored(op, factors)
+    assert np.array_equal(got, want)
+    assert np.allclose(got, apply_dense(op, kron_materialize(factors)), atol=1e-12)
+
+
 def test_apply_dense_mat_matches_rowwise():
     # the batch runs one length-N transform, apply_dense one per axis
     rng = np.random.default_rng(31)
-    # N >= 256 * 9 splits off the last 64-wide block: (64, 64), (8, 32, 16)
+    # N >= 128 * 9 splits off the last 32-wide block: (64, 64), (8, 32, 16)
     for dims in [(4,), (2, 8), (4, 2, 8), (16, 16), (2, 2, 2, 2), (4, 4, 2),
                  (64, 64), (8, 32, 16)]:
         op = build_operator(dims, 9, seed=5)
@@ -178,8 +231,8 @@ def test_apply_dense_mat_matches_rowwise():
 
 @pytest.mark.parametrize("k", range(14))
 def test_hadamard_rows_match_full_transform(k):
-    # N = 2^k: the 64-wide last block splits off where 256 * m <= N
-    # (m = 1 from 2^8, m = 7 from 2^11), including splits N/64 x 64 unlike
+    # N = 2^k: the 32-wide last block splits off where 128 * m <= N
+    # (m = 1 from 2^7, m = 7 from 2^10), including splits N/32 x 32 unlike
     # the kernel's digits (2^13: 32 x 16 x 16); not at m > N
     n = 1 << k
     rng = np.random.default_rng(k)
@@ -196,8 +249,8 @@ def test_hadamard_rows_match_full_transform(k):
 
 
 def test_hadamard_rows_many_rows_allocate_as_the_full_transform():
-    # m > N: a 64-wide row gathered per sampled entry would hold
-    # 64 * 4096 * 64 floats (128 MiB); unsplit, the peak is that of the
+    # m > N: a 32-wide row gathered per sampled entry would hold
+    # 64 * 4096 * 32 floats (64 MiB); unsplit, the peak is that of the
     # full transform and the (count, m) result, a few times 2 MiB
     rng = np.random.default_rng(8)
     xs = rng.standard_normal((64, 4096))
@@ -213,10 +266,10 @@ def test_hadamard_rows_many_rows_allocate_as_the_full_transform():
 
 
 @pytest.mark.parametrize("n, m, count", [
-    (1 << 12, 7, 9),  # split, r = 64
+    (1 << 12, 7, 9),  # split, r = 32
     (1 << 12, 1, 9),  # split at m = 1: a lone row's last block has one row
     (256, 8, 9),  # unsplit, two digits
-    (64, 5, 9),  # unsplit, one digit: a lone row's one product has one row
+    (32, 5, 9),  # unsplit, one digit: a lone row's one product has one row
     (16, 40, 9),  # m > N
 ])
 def test_hadamard_rows_block_size_changes_no_byte(monkeypatch, n, m, count):
@@ -304,6 +357,20 @@ def test_hadamard_rows_refuse_one_oversized_row():
     try:
         with pytest.raises(BudgetError, match="needs 2147483648 bytes"):
             hadamard_rows(xs, [0])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+def test_materialize_refuses_a_tall_result():
+    # (2^20 + 1) x 16 float64 is 128 bytes over the table cap, and
+    # nothing is allocated
+    op = build_operator((16,), 2**20 + 1, seed=0)
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetError, match="needs 134217856 bytes"):
+            materialize(op)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
