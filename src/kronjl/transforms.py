@@ -393,7 +393,8 @@ def materialize(op):
     digests come from its bits: hadamard_matrix(N) rounds differently
     (neither is exact), which moves outputs such as a RIP constant in the
     last bits. Where the N x N Hadamard or the (m, N) result is over the
-    table cap it allocates nothing.
+    table cap it allocates nothing; otherwise it scales the gathered rows
+    in place, so it peaks near its result.
     """
     size = op.dims.total
     _check_bytes(f"materialize: N x N Hadamard at N = {size}", 8 * size**2, _TABLE_CAP)
@@ -403,5 +404,7 @@ def materialize(op):
     h_full = hs[-1]
     for h in hs[-2::-1]:
         h_full = np.kron(h_full, h)  # earlier axes innermost (fastest)
-    signs = op.signs.full_vector()
-    return op.scale * h_full[op.samples.rows - 1] * signs[None, :]
+    out = h_full[op.samples.rows - 1]
+    out *= op.scale
+    out *= op.signs.full_vector()
+    return out

@@ -266,6 +266,19 @@ def test_rip_report_refuses_a_tall_operator(capsys):
     ]
 
 
+def test_rip_report_refuses_a_large_support_table(capsys):
+    # C(64, 5) = 7,624,512 supports are within the count budget, but their
+    # table is over the table cap
+    code, out, err = run_cli(["report", "--kind", "rip", "--dims", "64",
+                              "--m", "4", "--s", "5"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == [
+        "budget error: the C(64,5) x 5 support table needs 304980480 bytes, "
+        "over the cap of 134217728"
+    ]
+
+
 def test_one_oversized_trial_exits_two(capsys):
     # one Gaussian-baseline trial at N = 2^20, m = 1024 would be 8 GiB of
     # normals; the trial block is refused before the 8 MiB point is built
@@ -578,6 +591,139 @@ CHAOS_REPORT_DIGESTS = {
 
 def test_chaos_report_bytes(capsys):
     for command, digest in CHAOS_REPORT_DIGESTS.items():
+        code, out, _ = run_cli(command.split(), capsys)
+        assert code == 0, command
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, command
+
+
+# sha256 of the stdout of RIP reports on 16 columns, one or two axes, at
+# every sparsity the oracle benchmark checks; their Gram blocks tie often
+RIP_REPORT_DIGESTS = {
+    "report --kind rip --dims 16 --m 4 --s 1 --seed 0":
+        "e60dd6bd97c88da6bbdc92d21a68778b6d94370c286746286d587a243729ea02",
+    "report --kind rip --dims 16 --m 4 --s 1 --seed 5":
+        "0bfbe0748c7521f023588729ab5f5c57715f1b1a35f6e7b1cdf6246703eb75bb",
+    "report --kind rip --dims 16 --m 4 --s 2 --seed 0":
+        "aee1ba533ec85eca6627532ed40b04ebc72c5667081dc391a51114c00ea5fdf2",
+    "report --kind rip --dims 16 --m 4 --s 2 --seed 5":
+        "bf1a840d6bdbe7d14f6cdb08bf8bee1687afb1fba093ae7e895a1d43e975174e",
+    "report --kind rip --dims 16 --m 4 --s 3 --seed 0":
+        "5cd49a89309818763cd2781e8fc2a267c09afe402757a95aee40a1dc66dba270",
+    "report --kind rip --dims 16 --m 4 --s 3 --seed 5":
+        "db6013dfb13f3f1147167da9dd33fc6fb4e8a9a12dcb9b3ba19eeaeea58b1941",
+    "report --kind rip --dims 16 --m 4 --s 4 --seed 0":
+        "687fd13a3de041aab7e3223d407f7303b5216e955371cf0df00012b1e4e25f78",
+    "report --kind rip --dims 16 --m 4 --s 4 --seed 5":
+        "6099c9426b8d5b856411f37be40bf6cff68c8e4a4415409e0cfb64189dae7b1e",
+    "report --kind rip --dims 16 --m 4 --s 6 --seed 0":
+        "4ec322ea4c4c8d58e0753949641e7f9bb6eb9e0912399175056e9de420c47a40",
+    "report --kind rip --dims 16 --m 4 --s 6 --seed 5":
+        "a34a9192d099a88ec29fe37adc8315a47e214485d746929780e5dd4354fb924b",
+    "report --kind rip --dims 16 --m 8 --s 1 --seed 0":
+        "92f9f71db1badaa78986ce2263cf568756e12295c8fdd72bcaf517564d67b58a",
+    "report --kind rip --dims 16 --m 8 --s 1 --seed 5":
+        "fc0c9346726754ce0a83b22df6e7b1769f3ffdf793b837914a600b80ba002365",
+    "report --kind rip --dims 16 --m 8 --s 2 --seed 0":
+        "40066ddf3981ce05de711992c329e47a731d64ec3328ec580f4f47e74da452fb",
+    "report --kind rip --dims 16 --m 8 --s 2 --seed 5":
+        "613503c1d2e0404b8d375cce831f40dfa50733a0fd610784a75dc5c91dd20827",
+    "report --kind rip --dims 16 --m 8 --s 3 --seed 0":
+        "d407b6f0b4ac9426153d1437abe4c6fad04b221702a7eefb941ca718645505ba",
+    "report --kind rip --dims 16 --m 8 --s 3 --seed 5":
+        "8b532ce482746eb77a3a7243f9701fce454a8e17474c5153892208d30de7a5d7",
+    "report --kind rip --dims 16 --m 8 --s 4 --seed 0":
+        "77b461fe508dc7b36612a18173c104af3156f7d51c49dacf7f47b10bbec6dd4f",
+    "report --kind rip --dims 16 --m 8 --s 4 --seed 5":
+        "889596b618cb4b2ced724668a24aa0098080713877cade2bef41fa1f66266dff",
+    "report --kind rip --dims 16 --m 8 --s 6 --seed 0":
+        "77b80d06c22a2d8a97969f9f9ac27e675fc8d8957a09196bdb3d6fa27d100388",
+    "report --kind rip --dims 16 --m 8 --s 6 --seed 5":
+        "248f5126aa5e72c41aff0c3428ec7fd97d8c03bb767dfba923e53bcbb1f5d0df",
+    "report --kind rip --dims 16 --m 12 --s 1 --seed 0":
+        "596179ec5ffe9669e8fdf6fa49b1d390c9db9c004a6a93622a4ff9ea936c2095",
+    "report --kind rip --dims 16 --m 12 --s 1 --seed 5":
+        "bfccefeb78417d6c52f8ac1c081297afcf3e80b25cdbf50ae1610f854208346a",
+    "report --kind rip --dims 16 --m 12 --s 2 --seed 0":
+        "43afd998d540ef63f8280c7660d6d40ce04dcf85e00c51f55666d051b7871fcb",
+    "report --kind rip --dims 16 --m 12 --s 2 --seed 5":
+        "1a84a06845dd84475da2d49ef605e61861cff7c019d2da466fe86e21f79361eb",
+    "report --kind rip --dims 16 --m 12 --s 3 --seed 0":
+        "ed96f0c67e4f9cdbf3ddcccb4c3a2f85e32549305983afca0f25cddd4dea61b3",
+    "report --kind rip --dims 16 --m 12 --s 3 --seed 5":
+        "87d02093078e12be573a7d0dd50f2d4953a4ac4b400430f1230d3fdd2afd9a7a",
+    "report --kind rip --dims 16 --m 12 --s 4 --seed 0":
+        "e780917e4aed285130a6c338bd1ec7ab8d80b2ff682a9801e41468b57501d846",
+    "report --kind rip --dims 16 --m 12 --s 4 --seed 5":
+        "289271573bd5a3303e9a972ef74fc1baa800396a3a2ede4c59c8c983d8fc6cf6",
+    "report --kind rip --dims 16 --m 12 --s 6 --seed 0":
+        "4ac2a76368ec41679de49d3dcf07e189e283edb0b922555f8f439a055cda88b1",
+    "report --kind rip --dims 16 --m 12 --s 6 --seed 5":
+        "adc17fa5a6aa63e990ca27956f87e14762b800b5c9da6c72676e96faaf1d62d3",
+    "report --kind rip --dims 4x4 --m 4 --s 1 --seed 0":
+        "72b52f1016bccc2f9feeadeaa6fd9f202e90d03d56033e88da0ddde7646c79af",
+    "report --kind rip --dims 4x4 --m 4 --s 1 --seed 5":
+        "1811e14bfaf30decce05ce77aa52da6c40a9814dd8f1d0af83b1905972c733b7",
+    "report --kind rip --dims 4x4 --m 4 --s 2 --seed 0":
+        "cd4d3b359cf16c15fb6674c8e148144fc93733f76f80888a589ba3cfb075daf5",
+    "report --kind rip --dims 4x4 --m 4 --s 2 --seed 5":
+        "f9d00fbe6062f43a2b91e2e103d24b59107b9954a832eee22bf311536b6c12d6",
+    "report --kind rip --dims 4x4 --m 4 --s 3 --seed 0":
+        "843424a34e89ac76718c67669ebd32c94eb63dae6ac493c0d98183586186dfae",
+    "report --kind rip --dims 4x4 --m 4 --s 3 --seed 5":
+        "80a96373c36cc445c96a8a4f8772681fc4e942d29f0e1338735284ebd893ba02",
+    "report --kind rip --dims 4x4 --m 4 --s 4 --seed 0":
+        "f47717e1abf88d90f2f9270d99ee70bf5a31622af110a0bd6144bd1a7bafbc88",
+    "report --kind rip --dims 4x4 --m 4 --s 4 --seed 5":
+        "55686fdf7a5e0feddf03447e7e78490a935eaa5fc350b6073cf2ed5ecce4771b",
+    "report --kind rip --dims 4x4 --m 4 --s 6 --seed 0":
+        "00fdd887883b5b2ce843281773e177784196558d5ff50c3d60f1fb1ae83462e8",
+    "report --kind rip --dims 4x4 --m 4 --s 6 --seed 5":
+        "d1091c9ff457d87329c215852f8e7144240b2e51a046bcd53cbded7ef5b5dd92",
+    "report --kind rip --dims 4x4 --m 8 --s 1 --seed 0":
+        "d62774e63a616681d813497834c045ec4c35ff72a2c1d2d5ed300c2443e28348",
+    "report --kind rip --dims 4x4 --m 8 --s 1 --seed 5":
+        "a4f92b26a02a88a4f239df647dabc131e458c2cf4d4d890c8f138d61cde13551",
+    "report --kind rip --dims 4x4 --m 8 --s 2 --seed 0":
+        "80b271eb36940abf8536cf0c8c8c39ed66b22567e71da594135fcc864848b4dd",
+    "report --kind rip --dims 4x4 --m 8 --s 2 --seed 5":
+        "4575fad03ec484616b740cd985dad1b2699180be08ab82645adf09c10d9b27bc",
+    "report --kind rip --dims 4x4 --m 8 --s 3 --seed 0":
+        "84d2ec9e4220564176860763e1a7b12334f18004222865ede8d06d56eb1b4351",
+    "report --kind rip --dims 4x4 --m 8 --s 3 --seed 5":
+        "a7948c37bb51381d3ad3ee5c36213feec08ff021b90a0851fa29678bfcd544fa",
+    "report --kind rip --dims 4x4 --m 8 --s 4 --seed 0":
+        "f99b83ff941bcfbc31f33f81d797aaecda45a0615d0637282887bb002347b70d",
+    "report --kind rip --dims 4x4 --m 8 --s 4 --seed 5":
+        "b109bb8d7b9dfb643c4ecc63d6b029258897ffd7a84964694dcf9ee2e4a632b4",
+    "report --kind rip --dims 4x4 --m 8 --s 6 --seed 0":
+        "1f733a63f3b5e70ecc58ac7c8a1a862470264bbf8415726362aef91cd0051ca1",
+    "report --kind rip --dims 4x4 --m 8 --s 6 --seed 5":
+        "47c1f120054547fbffa5fe87c376f11297c86564e62a95caab24f0cbba9bdb7e",
+    "report --kind rip --dims 4x4 --m 12 --s 1 --seed 0":
+        "cfb0afeb8ffdfe29a803412adeaf000593ca8f58381201b0dcae785fe5c521b7",
+    "report --kind rip --dims 4x4 --m 12 --s 1 --seed 5":
+        "7bf53c060277aa398221b1d8dd4b2c58d7393fba2cb079ae99b610664ab4bab8",
+    "report --kind rip --dims 4x4 --m 12 --s 2 --seed 0":
+        "7561da7b3e78e3d0793d457dd4ac04d51273352c14ce4ae68ea711548f72b123",
+    "report --kind rip --dims 4x4 --m 12 --s 2 --seed 5":
+        "06785013ca2c1bf910db68f83dd874339e9898daf1b2f178f824a49e2ca09518",
+    "report --kind rip --dims 4x4 --m 12 --s 3 --seed 0":
+        "04de8ecd6a1e3361fd4f40359edbc9cd0eda0daeb84abd1c819979decd5d3d7b",
+    "report --kind rip --dims 4x4 --m 12 --s 3 --seed 5":
+        "a305e6c4bf6fa8fa1d1d44aea4e084dd5d9591f1e1345946d628dd4631443fb9",
+    "report --kind rip --dims 4x4 --m 12 --s 4 --seed 0":
+        "215bed8529d7f770046a22e92faf797aece736dbf30de24c1dcd22f9dfce321f",
+    "report --kind rip --dims 4x4 --m 12 --s 4 --seed 5":
+        "82300c13319ef0f481c772083a01732abbe1404deddba1e449686032c25014eb",
+    "report --kind rip --dims 4x4 --m 12 --s 6 --seed 0":
+        "d58c083b1c6787a013f0d266a90acee158839f25fdf99fc91c0f18ccc8c93e18",
+    "report --kind rip --dims 4x4 --m 12 --s 6 --seed 5":
+        "b9c524a0da003e3e7741c312125c6e6d424ae5c288526bfeb86d49846315b0e3",
+}
+
+
+def test_rip_report_bytes(capsys):
+    for command, digest in RIP_REPORT_DIGESTS.items():
         code, out, _ = run_cli(command.split(), capsys)
         assert code == 0, command
         assert hashlib.sha256(out.encode()).hexdigest() == digest, command

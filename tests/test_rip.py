@@ -2,12 +2,14 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from kronjl import rip
 from kronjl.errors import BudgetError, ShapeError
+from kronjl.fwht import hadamard_matrix
 from kronjl.rip import check_submatrix_bound, rip_constant
 from kronjl.transforms import build_operator, materialize
 
@@ -21,6 +23,17 @@ def _brute_delta(phi, s):
         dev = np.linalg.norm(block.T @ block - np.eye(s), 2)
         best = max(best, dev)
     return best
+
+
+def _all_supports_delta(phi, s):
+    # reference: one eigvalsh per support, in lexicographic order, and the
+    # first support attaining the largest deviation
+    gram = phi.T @ phi
+    supports = np.array(list(itertools.combinations(range(phi.shape[1]), s)))
+    evs = np.linalg.eigvalsh(gram[supports[:, :, None], supports[:, None, :]])
+    dev = np.maximum(evs[:, -1] - 1.0, 1.0 - evs[:, 0])
+    k = int(np.argmax(dev))
+    return float(dev[k]), tuple(int(c) + 1 for c in supports[k])
 
 
 def _all_pairs_worst(phi, s):
@@ -197,6 +210,94 @@ def test_pruning_decomposes_few_blocks(monkeypatch):
     rep = check_submatrix_bound(phi, 3, delta=1.0)
     assert rep.exhaustive and rep.pairs_checked == 313_600
     assert 0 < sum(decomposed) < 31_360
+
+
+def _assert_pruned_equals_all_supports(monkeypatch, phi, s):
+    # small chunks make the lead chunk miss the witness, so the stop rule
+    # and the tie rule decide the answer
+    expected = _all_supports_delta(phi, s)
+    for chunk in (3, 64, rip._PAIR_CHUNK):
+        monkeypatch.setattr(rip, "_PAIR_CHUNK", chunk)
+        rep = rip_constant(phi, s)
+        assert (rep.delta, rep.witness_support) == expected, (s, chunk)
+
+
+def test_rip_constant_equals_all_supports_on_hadamard_instances(monkeypatch):
+    # subsampled Hadamard Gram blocks take few distinct values: many exact
+    # ties; m = 4 < s also makes blocks singular
+    for m in (4, 8, 12):
+        for seed in (3, m):
+            phi = materialize(build_operator((16,), m, seed=seed))
+            for s in range(1, 7):
+                _assert_pruned_equals_all_supports(monkeypatch, phi, s)
+
+
+def test_rip_constant_equals_all_supports_on_gaussian_instances(monkeypatch):
+    rng = np.random.default_rng(13)
+    for rows, cols in ((6, 10), (8, 12), (12, 14)):
+        phi = rng.standard_normal((rows, cols)) / math.sqrt(rows)
+        for s in range(1, 7):
+            _assert_pruned_equals_all_supports(monkeypatch, phi, s)
+
+
+def test_rip_constant_equals_all_supports_near_zero_delta(monkeypatch):
+    # delta is 0 or a few rounding errors: the bound's slack must be
+    # absolute, since the deviation is read from the eigenvalues of G_S
+    q, _ = np.linalg.qr(np.random.default_rng(14).standard_normal((12, 12)))
+    for phi in (np.eye(8), hadamard_matrix(8), q):
+        for s in range(1, 7):
+            _assert_pruned_equals_all_supports(monkeypatch, phi, s)
+            assert rip_constant(phi, s).delta < 1e-14
+
+
+def test_rip_constant_equals_all_supports_when_rank_deficient(monkeypatch):
+    # m < s: every Gram block is singular, so delta_s >= 1
+    rng = np.random.default_rng(15)
+    for rows, cols, sizes in ((2, 8, (3, 4, 5)), (3, 9, (4, 5, 6))):
+        phi = rng.standard_normal((rows, cols)) / math.sqrt(rows)
+        for s in sizes:
+            _assert_pruned_equals_all_supports(monkeypatch, phi, s)
+            assert rip_constant(phi, s).delta >= 1.0 - 1e-12
+
+
+def test_rip_constant_equals_all_supports_when_the_bound_overflows(monkeypatch):
+    # the Gram entries (up to 1.2e154) have finite squares, but the
+    # fourth powers overflow, and some bounds sum inf and -inf to nan
+    phi = np.random.default_rng(87).standard_normal((6, 10)) * 3.7e76
+    for s in (2, 4, 5, 6):
+        _assert_pruned_equals_all_supports(monkeypatch, phi, s)
+
+
+def test_rip_pruning_decomposes_few_supports(monkeypatch):
+    decomposed = []
+    real_eigvalsh = np.linalg.eigvalsh
+
+    def counting_eigvalsh(a, *args, **kwargs):
+        decomposed.append(a.shape[0])
+        return real_eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+    # at seed 0 the lead chunk settles it; at seed 3 four more chunks
+    # have bounds that reach the lead chunk's largest deviation
+    for seed, count in ((0, 512), (3, 2248)):
+        decomposed.clear()
+        rip_constant(materialize(build_operator((16,), 8, seed=seed)), 6)
+        assert sum(decomposed) == count < math.comb(16, 6) // 2
+
+
+def test_support_table_is_refused_before_it_is_allocated():
+    # C(60, 5) = 5,461,512 supports are within the count budget, but their
+    # table (218 MB) is over the table cap
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetError, match="support table needs 218460480"):
+            rip_constant(np.eye(60)[:4], 5)
+        with pytest.raises(BudgetError, match="support table needs 218460480"):
+            check_submatrix_bound(np.eye(60)[:4], 5, delta=1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_support_array_matches_combinations():

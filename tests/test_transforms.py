@@ -189,6 +189,19 @@ def test_materialize_matches_brute_matrix():
         assert np.max(np.abs(materialize(op) - _brute_matrix(op))) <= 1e-12
 
 
+def test_materialize_peaks_near_its_result():
+    # the gathered rows are scaled in place: no full-size temporary
+    op = build_operator((16,), 16384, seed=0)
+    tracemalloc.start()
+    try:
+        mat = materialize(op)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert mat.nbytes == 2 * 2**20
+    assert peak < 1.25 * mat.nbytes
+
+
 def test_factored_equals_dense_on_rank_one():
     rng = np.random.default_rng(23)
     for _ in range(50):
