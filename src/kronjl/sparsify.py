@@ -16,13 +16,30 @@ Two max-sum comparisons connect parts to the original array:
 Both are checked exhaustively by check_max_sum_inequalities, up to a
 relative slack of MAX_SUM_REL_TOL, from one fiber-energy table.
 
-Fibers and slices are gathers of the flat array at the positions that
-`indexing._group_positions` gives for the axis groups (S, rest) or
-(S, T, rest). A split keeps its parts and, per entry, the position of its
-part's subset in priority order (`choice`).
+All three calls run from one comparison plan per (shape, s). A comparison
+gathers the whole flat array once, fiber after fiber, each fiber in
+linearized order (the other axes slowest, as `indexing._group_positions`
+lays them out): one per selection K(S), one per part for its fiber
+counts, one per fiber energy of x and one per max-sum row, in (S, T, kind)
+order. The plan puts their positions end to end, so a call makes a few
+array calls over all of them: for `split` one stable sort of -|x| per
+fiber length, for `check_fiber_sparsity` one count of nonzeros per fiber,
+and for the max-sum check one maximum per fiber or slice and one sum per
+fiber. Each fiber is summed in the order numpy sums a gathered fiber
+table: in sequence (`np.bincount`), or pairwise where the fiber is the
+whole array, so every report keeps its bytes.
+
+The last 16 plans whose comparisons all fit in one `indexing._blocks` span
+(`_BLOCK_BYTES` of working data, at `_ENTRY_BYTES` per gathered entry) are
+kept. A larger plan is built and evaluated span by span, and dropped.
+
+A split keeps its parts and, per entry, the position of its part's subset
+in priority order (`choice`).
 """
 
 import itertools
+import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from types import MappingProxyType
@@ -30,7 +47,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .errors import ShapeError
-from .indexing import _group_positions
+from .indexing import _blocks
 
 __all__ = [
     "SparsifySplit",
@@ -43,40 +60,28 @@ __all__ = [
 
 MAX_SUM_REL_TOL = 1e-12
 
+# bytes a plan takes per gathered entry: int64 positions and fiber ids in
+# its tables, the float64 values and sort order a call makes from them
+_ENTRY_BYTES = 64
+
+
+def _level(s):
+    """The sparsity level as a Python int >= 1."""
+    if isinstance(s, (bool, np.bool_)) or not hasattr(type(s), "__index__"):
+        raise ShapeError(f"sparsity level must be an integer, got {s!r}")
+    s = operator.index(s)
+    if s < 1:
+        raise ShapeError(f"sparsity level must be >= 1, got {s}")
+    return s
+
 
 def _check_input(x, s):
     x = np.asarray(x, dtype=np.float64)
     if x.ndim < 1:
         raise ShapeError("expected an array of order >= 1")
-    if s < 1:
-        raise ShapeError(f"sparsity level must be >= 1, got {s}")
-    return x
-
-
-@lru_cache(maxsize=256)
-def _positions(shape, *groups):
-    """Grouped positions for `groups` of 0-based axes, then the rest."""
-    used = set().union(*groups)
-    rest = tuple(a for a in range(len(shape)) if a not in used)
-    return _group_positions(shape, groups + (rest,))
-
-
-def _grouped(x, *groups):
-    return x.reshape(-1)[_positions(x.shape, *groups)]
-
-
-def _k_mask(x, axes0, s):
-    """Where K(S) keeps x, for S given as sorted 0-based axes: the s^|S|
-    largest entries by magnitude of every fiber over S."""
-    pos = _positions(x.shape, axes0)
-    k = s ** len(axes0)
-    if k >= pos.shape[0]:
-        return np.ones(x.shape, dtype=bool)
-    # stable sort on -|v|: ties resolve to the smallest linearized index
-    order = np.argsort(-np.abs(x.reshape(-1)[pos]), axis=0, kind="stable")
-    mask = np.zeros(x.size, dtype=bool)
-    mask[np.take_along_axis(pos, order[:k], axis=0)] = True
-    return mask.reshape(x.shape)
+    if x.size == 0:
+        raise ShapeError(f"expected a non-empty array, got shape {x.shape}")
+    return x, _level(s)
 
 
 @dataclass(frozen=True)
@@ -106,24 +111,247 @@ def _priority_subsets(d):
     })
 
 
+def _cat(arrays, dtype=np.intp):
+    return np.concatenate(arrays) if arrays else np.empty(0, dtype)
+
+
+class _Plan:
+    """The comparisons of all three calls on arrays of one shape at level
+    s, and their gather tables, one per `_blocks` span. Each comparison
+    gathers all n entries of one row of a (2^d + 1, n) source: the parts
+    in priority order, then x. Sections:
+
+    - "sort": the selections K(S) that `split` sorts, for the subsets
+      before `keeps_all`, the first whose selection keeps every entry;
+    - "count": every part, counted per fiber over its subset;
+    - "energy": the fiber energies of x over every nonempty subset;
+    - "rows": the max-sum rows, in (S, T, kind) order.
+    """
+
+    SECTIONS = ("sort", "count", "energy", "rows")
+
+    def __init__(self, shape, s):
+        self.shape, self.s, self.n = shape, s, math.prod(shape)
+        self.subsets = tuple(_priority_subsets(len(shape)).items())
+        self.index = {sub: p for p, (sub, _) in enumerate(self.subsets)}
+        self.lengths = [
+            math.prod(shape[a] for a in axes) for _, axes in self.subsets
+        ]
+        self.keeps_all = next(
+            p for p, ((sub, _), length)
+            in enumerate(zip(self.subsets, self.lengths))
+            if s ** len(sub) >= length
+        )
+        # s^|S| clipped to n + 1: it fits int64 and still exceeds any count
+        self.bounds = np.array(
+            [min(s ** len(sub), self.n + 1) for sub, _ in self.subsets]
+        )
+        # offset of each nonempty subset's fibers in the fiber-energy vector
+        self.energy_at = np.cumsum([0] + [self.n // k for k in self.lengths])
+        count = sum(
+            sum(1 for _ in self._comparisons(name)) for name in self.SECTIONS
+        )
+        # kept where every comparison of the plan fits in one span
+        _, fit = next(_blocks(count, self.n * _ENTRY_BYTES))
+        self._kept = None
+        if fit == count:
+            self._kept = {
+                name: tuple(self._spans(name)) for name in self.SECTIONS
+            }
+
+    def tables(self, name):
+        """The tables of one section in comparison order."""
+        if self._kept is None:
+            return self._spans(name)
+        return self._kept[name]
+
+    def _comparisons(self, name):
+        if name == "sort":
+            return range(self.keeps_all)
+        if name == "count":
+            return range(len(self.subsets))
+        if name == "energy":
+            return range(len(self.subsets) - 1)  # the empty subset is last
+        return (
+            (kind, ps, pt)
+            for ps, (s_sub, _) in enumerate(self.subsets)
+            for pt, (t_sub, _) in enumerate(self.subsets[:-1])
+            for kind, due in (
+                ("peak", len(s_sub) < len(t_sub)),
+                ("energy", s_sub and not s_sub & t_sub),
+            )
+            if due
+        )
+
+    def _spans(self, name):
+        comps = list(self._comparisons(name))
+        build = getattr(self, f"_{name}_table")
+        for lo, hi in _blocks(len(comps), self.n * _ENTRY_BYTES):
+            yield build(comps[lo:hi])
+
+    def _layout(self, *groups):
+        """Flat positions of every entry, fiber after fiber: the axes in no
+        group slowest, then each group in turn; inside a group the first
+        axis varies fastest, as in `indexing._group_positions`."""
+        used = set().union(*groups)
+        rest = tuple(a for a in range(len(self.shape)) if a not in used)
+        order = [a for group in (rest,) + groups for a in reversed(group)]
+        flat = np.arange(self.n).reshape(self.shape)
+        return flat.transpose(order).reshape(-1)
+
+    def _sort_table(self, parts):
+        """The fibers of the given parts grouped by length, one (fibers,
+        length) table each, with the slots in sorted order that K(S) keeps,
+        the first s^|S| of each fiber, and the fiber of each kept slot."""
+        by_length = {}
+        for p in parts:
+            by_length.setdefault(self.lengths[p], []).append(p)
+        groups = []
+        for length, ps in by_length.items():
+            pos = _cat([self._layout(self.subsets[p][1]) for p in ps])
+            pos = pos.reshape(-1, length)
+            rows = self.n // length
+            first = np.repeat(np.asarray(ps, dtype=np.intp) * self.n, rows)
+            keep = [self.s ** len(self.subsets[p][0]) for p in ps]
+            slots = np.arange(length) < np.repeat(keep, rows)[:, None]
+            tgt = pos + first[:, None]
+            groups.append((pos, tgt, slots, slots.nonzero()[0]))
+        return groups
+
+    def _count_table(self, parts):
+        """Positions of the given parts, fiber after fiber over each part's
+        own subset; where each fiber starts, and each part's first fiber."""
+        tgt = _cat([
+            p * self.n + self._layout(self.subsets[p][1]) for p in parts
+        ])
+        starts = _cat([
+            i * self.n + np.arange(0, self.n, self.lengths[p])
+            for i, p in enumerate(parts)
+        ])
+        fibers = [self.n // self.lengths[p] for p in parts]
+        return tgt, starts, np.cumsum([0] + fibers[:-1])
+
+    def _sum_table(self, specs):
+        """Per-fiber sums of source rows: one spec (row, outer axes, summed
+        axes) sums row `row` over the fibers along the summed axes, ordered
+        by the remaining axes and then the outer ones. A fiber that is the
+        whole row goes to a separate (k, n) table, summed pairwise."""
+        tgt, seg, whole, whole_at = [], [], [], []
+        out = 0
+        for row, outer, axes in specs:
+            length = math.prod(self.shape[a] for a in axes)
+            fibers = self.n // length
+            pos = row * self.n + self._layout(outer, axes)
+            if fibers == 1:
+                whole.append(pos)
+                whole_at.append(out)
+            else:
+                tgt.append(pos)
+                seg.append(np.arange(out, out + fibers).repeat(length))
+            out += fibers
+        whole = np.array(whole, dtype=np.intp).reshape(-1, self.n)
+        whole_at = np.array(whole_at, dtype=np.intp)
+        return _cat(tgt), _cat(seg), out, whole, whole_at
+
+    def _energy_table(self, subs):
+        x_row = len(self.subsets)
+        return self._sum_table([(x_row, (), self.subsets[u][1]) for u in subs])
+
+    def _rows_table(self, rows):
+        """Gathers, reductions and right-hand sides of some max-sum rows.
+        Peak outputs and energy outputs come out of separate reductions;
+        `merge` puts them back in row order."""
+        peak_tgt, peak_starts, energy_specs, energy_starts = [], [], [], []
+        at, rhs_at, sizes, labels = [], [], [], []
+        outputs = {"peak": 0, "energy": 0}
+        sums = 0
+        for kind, ps, pt in rows:
+            s_sub, s_axes = self.subsets[ps]
+            t_sub, t_axes = self.subsets[pt]
+            length = self.lengths[pt]
+            if kind == "peak":
+                fiber = pt
+                size = self.n // length
+                peak_starts.append(
+                    len(peak_tgt) * self.n + np.arange(0, self.n, length)
+                )
+                peak_tgt.append(ps * self.n + self._layout(t_axes))
+            else:
+                fiber = self.index[s_sub | t_sub]
+                size = self.n // self.lengths[fiber]
+                # slices over T, outer to S: `size` runs of `length` sums
+                energy_specs.append((ps, t_axes, s_axes))
+                runs = size * length
+                energy_starts.append(np.arange(sums, sums + runs, length))
+                sums += runs
+            labels.append((kind, s_sub, t_sub))
+            sizes.append(size)
+            at.append(outputs[kind] + np.arange(size))
+            outputs[kind] += size
+            rhs_at.append(self.energy_at[fiber] + np.arange(size))
+        sizes = np.array(sizes, dtype=np.intp)
+        is_energy = np.repeat([kind == "energy" for kind, _, _ in rows], sizes)
+        bound = np.repeat(
+            [float(self.s ** len(t_sub)) for _, _, t_sub in labels], sizes
+        )
+        at = _cat(at)
+        return (
+            _cat(peak_tgt), _cat(peak_starts),
+            self._sum_table(energy_specs), _cat(energy_starts),
+            np.where(is_energy, at + outputs["peak"], at),
+            _cat(rhs_at), bound, np.cumsum(sizes) - sizes, labels,
+        )
+
+
+_plan = lru_cache(maxsize=16)(_Plan)
+
+
 def split(x, s):
     """Partition x into parts x^(S), one per axis subset.
 
     Each index funds exactly one part: the largest S whose selection keeps
     it, ties to the lexicographically smallest subset.
     """
-    x = _check_input(x, s)
-    subsets = _priority_subsets(x.ndim)
-    masks = np.stack([_k_mask(x, axes0, s) for axes0 in subsets.values()])
-    choice = np.argmax(masks, axis=0)  # first True in priority order
+    x, s = _check_input(x, s)
+    plan = _plan(x.shape, s)
+    flat = x.reshape(-1)
+    # keep[p, i]: K(S_p) keeps entry i; K(S_keeps_all) keeps every entry
+    keep = np.zeros((plan.keeps_all + 1, flat.size), dtype=bool)
+    keep[plan.keeps_all] = True
+    magnitude = -np.abs(flat)
+    for groups in plan.tables("sort"):
+        for pos, tgt, slots, fibers in groups:
+            # stable: within a fiber, ties keep the linearized order
+            order = np.argsort(magnitude[pos], axis=1, kind="stable")
+            keep.reshape(-1)[tgt[fibers, order[slots]]] = True
+    choice = keep.argmax(axis=0).reshape(x.shape)  # first kept in priority
     choice.setflags(write=False)
-    parts = {
-        sub: np.where(choice == pos, x, 0.0) for pos, sub in enumerate(subsets)
-    }
+    owner = choice.reshape(-1) == np.arange(len(plan.subsets))[:, None]
+    parts = np.where(owner, flat, 0.0)
     return SparsifySplit(
-        shape=x.shape, s=int(s), subsets=tuple(subsets), parts=parts,
+        shape=x.shape, s=s, subsets=tuple(sub for sub, _ in plan.subsets),
+        parts={
+            sub: part.reshape(x.shape)
+            for (sub, _), part in zip(plan.subsets, parts)
+        },
         choice=choice,
     )
+
+
+def _part_rows(sp):
+    """The split's parts as rows of one (2^d + 1, n) array in priority
+    order, with a last row left for x."""
+    if math.prod(sp.shape) == 0:
+        raise ShapeError(f"expected a non-empty split, got shape {sp.shape}")
+    subsets = _priority_subsets(len(sp.shape))
+    if sp.parts.keys() != subsets.keys():
+        raise ShapeError("split parts must be exactly the axis subsets")
+    if any(np.shape(part) != sp.shape for part in sp.parts.values()):
+        raise ShapeError(f"split parts must have the shape {sp.shape}")
+    rows = np.empty((len(subsets) + 1, math.prod(sp.shape)))
+    for row, sub in zip(rows, subsets):
+        row[:] = np.reshape(sp.parts[sub], -1)
+    return rows
 
 
 @dataclass(frozen=True)
@@ -136,19 +364,25 @@ class FiberReport:
 
 def check_fiber_sparsity(sp):
     """Every part must keep at most s^|S| entries per fiber over S."""
-    axes = _priority_subsets(len(sp.shape))
-    ok = True
-    worst = (-1, 0, frozenset())
-    for sub, part in sp.parts.items():
-        counts = np.count_nonzero(_grouped(part, axes[sub]), axis=0)
-        bound = sp.s ** len(sub)
-        top = int(counts.max()) if counts.size else 0
-        if top - bound > worst[0] - worst[1]:
-            worst = (top, bound, sub)
-        if top > bound:
-            ok = False
+    rows = _part_rows(sp)
+    plan = _plan(tuple(sp.shape), _level(sp.s))
+    nonzero = rows[:-1].reshape(-1) != 0
+    top = _cat([
+        np.maximum.reduceat(
+            np.add.reduceat(nonzero[tgt], starts, dtype=np.intp), part_starts
+        )
+        for tgt, starts, part_starts in plan.tables("count")
+    ])
+    excess = top - plan.bounds
+    p = int(excess.argmax())  # the first subset with the largest excess
+    sub = plan.subsets[p][0]
+    worst = (
+        (int(top[p]), plan.s ** len(sub), sub) if excess[p] > -1
+        else (-1, 0, frozenset())
+    )
     return FiberReport(
-        ok=ok, worst_count=worst[0], worst_bound=worst[1], worst_subset=worst[2]
+        ok=bool(excess[p] <= 0), worst_count=worst[0],
+        worst_bound=worst[1], worst_subset=worst[2],
     )
 
 
@@ -159,38 +393,48 @@ class MaxSumReport:
     violations: tuple  # (kind, S, T, slice position, lhs, rhs)
 
 
+def _fiber_sums(source, tgt, seg, count, whole, whole_at):
+    """Sums of a `_sum_table`, each in numpy's order for its fiber table."""
+    # with no entries, bincount returns int64 zeros even given weights
+    sums = np.bincount(seg, weights=source[tgt], minlength=count).astype(
+        np.float64, copy=False
+    )
+    sums[whole_at] = source[whole].sum(axis=1)
+    return sums
+
+
 def check_max_sum_inequalities(x, sp):
     """Exhaustively verify both max-sum inequalities for a split of x."""
     x = np.asarray(x, dtype=np.float64)
     if x.shape != sp.shape:
         raise ShapeError("split does not belong to this array")
-    axes = _priority_subsets(x.ndim)
-    x2 = x * x
+    rows = _part_rows(sp)
+    plan = _plan(x.shape, _level(sp.s))
+    rows[-1] = x.reshape(-1)
+    source = np.square(rows, out=rows).reshape(-1)
     # fiber[U]: energy of x over each fiber along the axes of U
-    fiber = {u: _grouped(x2, axes[u]).sum(axis=0) for u in sp.subsets if u}
+    fiber = _cat(
+        [_fiber_sums(source, *table) for table in plan.tables("energy")],
+        np.float64,
+    )
     checked = 0
     violations = []
-    for s_sub in sp.subsets:
-        part2 = sp.parts[s_sub] ** 2
-        for t_sub in sp.subsets:
-            if not t_sub:
-                continue
-            bound = float(sp.s ** len(t_sub))
-            sides = []
-            if len(s_sub) < len(t_sub):
-                lhs = _grouped(part2, axes[t_sub]).max(axis=0)
-                sides.append(("peak", lhs, fiber[t_sub] / bound))
-            if s_sub and not (s_sub & t_sub):
-                st = (axes[s_sub], axes[t_sub])
-                lhs = _grouped(part2, *st).sum(axis=0).max(axis=0)
-                sides.append(("energy", lhs, fiber[s_sub | t_sub] / bound))
-            for kind, lhs, rhs in sides:
-                checked += lhs.size
-                for k in (lhs > rhs * (1.0 + MAX_SUM_REL_TOL)).nonzero()[0]:
-                    violations.append(
-                        (kind, s_sub, t_sub, int(k) + 1,
-                         float(lhs[k]), float(rhs[k]))
-                    )
+    for (peak_tgt, peak_starts, sum_table, energy_starts, merge, rhs_at,
+         bound, row_starts, labels) in plan.tables("rows"):
+        sums = _fiber_sums(source, *sum_table)
+        lhs = np.concatenate((
+            np.maximum.reduceat(source[peak_tgt], peak_starts),
+            np.maximum.reduceat(sums, energy_starts),
+        ))[merge]
+        rhs = fiber[rhs_at] / bound
+        for k in (lhs > rhs * (1.0 + MAX_SUM_REL_TOL)).nonzero()[0]:
+            row = int(np.searchsorted(row_starts, k, side="right")) - 1
+            kind, s_sub, t_sub = labels[row]
+            violations.append(
+                (kind, s_sub, t_sub, int(k - row_starts[row]) + 1,
+                 float(lhs[k]), float(rhs[k]))
+            )
+        checked += lhs.size
     return MaxSumReport(
         ok=not violations, checked=checked, violations=tuple(violations)
     )
