@@ -17,11 +17,13 @@ table, or a decoupled value per pattern pair, inside the table cap of
 kronjl.indexing) and Monte Carlo moments (with BOOTSTRAP_RESAMPLES
 bootstrap resamples) share all but the signs.
 
-Set partitions come from one recursion that yields rows of block labels
-(blocks numbered by their minima). enumerate_partitions maps them to
-SetPartitions one at a time; the partition-counting check stacks them
-into a label table per ground size and checks each (S, T) cell in one
-array pass, with no SetPartition unless a row violates the inequality.
+Set partitions come in one order, that of a recursion over rows of block
+labels (blocks numbered by their minima). enumerate_partitions streams
+the recursion's rows and maps them to SetPartitions one at a time. The
+partition-counting check builds the same rows as a label table per
+ground size, in numpy, level by level, and checks one array pass per
+class (|S|, |T|) of (S, T) cells, since a cell's sides depend only on the
+two sizes; no SetPartition is made unless a row violates the inequality.
 """
 
 import itertools
@@ -110,11 +112,38 @@ def _label_rows(g):
 
 def _label_table(g):
     """(B(g), g) int64 array of block labels, one row per set partition
-    of range(g), in the order enumerate_partitions yields them."""
-    if g == 0:
-        return np.zeros((1, 0), dtype=np.int64)  # the empty partition
-    # rows stream into the array: no list of B(g) row lists is held
-    return np.fromiter(_label_rows(g), dtype=np.dtype((np.int64, g)))
+    of range(g), in the order enumerate_partitions yields them.
+
+    Built in numpy, level by level in the order of the recursion of
+    `_label_rows`: element k joins each block of every partition of
+    k + 1 .. g - 1 in turn, then opens a new front block. Blocks gain
+    elements largest first, so a block's position in the recursion's list
+    is the rank of its largest element; the table holds these positions
+    until the last level, and then numbers the blocks by their minima."""
+    pos = np.zeros((1, 0), dtype=np.int64)
+    blocks = np.zeros(1, dtype=np.int64)  # blocks per partition
+    for _ in range(g):
+        children = blocks + 1
+        parent = np.repeat(np.arange(blocks.size), children)
+        first = np.cumsum(children) - children
+        slot = np.arange(parent.size) - first[parent]
+        new = slot == blocks[parent]  # the new front block
+        pos = np.column_stack(
+            (np.where(new, 0, slot), pos[parent] + new[:, None])
+        )
+        blocks = blocks[parent] + new
+    # number the blocks in the order their minima appear along the row
+    rows = np.arange(pos.shape[0])
+    label_of = np.full(pos.shape, -1, dtype=np.int64)
+    seen = np.zeros(pos.shape[0], dtype=np.int64)
+    labels = np.empty_like(pos)
+    for e in range(g):
+        p = pos[:, e]
+        fresh = label_of[rows, p] < 0
+        label_of[rows[fresh], p[fresh]] = seen[fresh]
+        seen += fresh
+        labels[:, e] = label_of[rows, p]
+    return labels
 
 
 def _partition_from_labels(items, row):
@@ -410,14 +439,18 @@ def check_partition_counting(d):
     inside [d], I' the union inside [2d] \\ [d], and J the rest,
     |J|/4 + (|I| + |I'|)/2 >= kappa/2.
 
-    Each (S, T) cell is one array pass over the label table of its
-    ground (built once per call for sizes 0..2d): block sizes and
-    left-side counts per partition come from one bincount each, and only
-    a violating partition becomes a SetPartition."""
+    A cell's ground has 2d - |S| - |T| elements, the first d - |S| of
+    them on the left, so both sides of every partition depend only on the
+    class (|S|, |T|): one array pass over the label table of the ground
+    size (built once per call for sizes 0..2d) serves every cell of a
+    class. Block sizes and left-side counts per partition come from one
+    bincount each, and only a violating partition becomes a SetPartition,
+    on its cell's ground."""
     if not 1 <= d <= 4:
         raise BudgetError(f"supported for 1 <= d <= 4, got {d}")
     axes = range(1, d + 1)
     tables = [_label_table(g) for g in range(2 * d + 1)]
+    violating = {}  # (|S|, |T|) -> the rows that violate the inequality
     checked = 0
     violations = []
     for s_size in range(d + 1):
@@ -428,9 +461,12 @@ def check_partition_counting(d):
                     ground = [e for e in range(1, 2 * d + 1)
                               if e not in removed]
                     table = tables[len(ground)]
-                    kappa, lhs = _counting_sides(table, ground, d)
+                    if (s_size, t_size) not in violating:
+                        kappa, lhs = _counting_sides(table, ground, d)
+                        violating[s_size, t_size] = np.flatnonzero(
+                            lhs < kappa / 2.0 - 1e-12)
                     checked += len(table)
-                    for r in np.flatnonzero(lhs < kappa / 2.0 - 1e-12):
+                    for r in violating[s_size, t_size]:
                         part = _partition_from_labels(ground, table[r].tolist())
                         violations.append((s_sub, t_sub, part))
     return PartitionCountingReport(

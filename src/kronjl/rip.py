@@ -14,28 +14,43 @@ budget the checker falls back to a seeded random sample of pairs and
 reports how many were covered.
 
 Both oracles are exact without decomposing every block. Each item (a
-support, or an ordered support pair) gets a cheap upper bound on the value
-its decomposition would give, and one search, `_pruned_max`, decomposes
-the _PAIR_CHUNK items with the largest bounds for a first maximum; then
-only the other items whose bound reaches it are decomposed, in descending
-order of bound, a chunk at a time, stopping before a chunk whose largest
-bound is below the largest value seen. So no skipped item could reach or
-tie that value. Among items whose value equals the maximum exactly, the
-one with the smallest index is reported, so the result is that of a visit
-of all items in order: the first support in lexicographic order, the first
-pair in row-major order S * k + T (k = C(N, s)).
+support, or an ordered support pair) gets two upper bounds on the value
+its decomposition would give: a coarse one for every item, and a fine one
+for the items the coarse one cannot rule out. One search, `_pruned_max`,
+decomposes the _PAIR_CHUNK items with the largest coarse bounds for a
+first maximum. Of the other items, only those whose coarse bound reaches
+it get a fine bound, and only those whose fine bound reaches it too are
+decomposed, in descending order of fine bound, a chunk at a time,
+stopping before a chunk whose largest fine bound is below the largest
+value seen. So no skipped item could reach or tie that value. Among items
+whose value equals the maximum exactly, the one with the smallest index
+is reported, so the result is that of a visit of all items in order: the
+first support in lexicographic order, the first pair in row-major order
+S * k + T (k = C(N, s)).
 
-The bounds:
-- rip_constant bounds ||G_S - I||_2 for A = (Phi* Phi - I)_{S,S}, which is
-  symmetric, so rho(A)^4 <= ||A^4||_inf: b = (||A^4||_inf + 1e-12 (s
-  ||A||_F^2)^2)^(1/4). The inner term covers rounding in the two batched
-  s x s products, since || |A|^4 ||_inf <= s^2 ||A||_F^4. The bound is then
-  widened to b + 1e-12 (1 + b): the deviation is read from the eigenvalues
-  of G_S, not of G_S - I, so near delta = 0 a relative slack alone fails.
-  A bound whose fourth power overflows is infinite.
-- check_submatrix_bound uses ||B||_2 <= ||B||_F, with the Frobenius norms
-  of all k^2 blocks from one product of support indicators, times
-  (1 + 1e-12) for rounding in the sums and in the SVD.
+The bounds, on A = (Phi* Phi - I)_{S,S} for rip_constant and on the block
+B = (Phi* Phi - I)_{S,T} for check_submatrix_bound:
+- Coarse: the Frobenius norm. For pairs, the squared norms of all k^2
+  blocks come from one product of support indicators, member @ (Phi* Phi
+  - I)^2 @ member.T (entrywise square); for supports, ||A||_F^2 is that
+  product's diagonal, summed directly over the entry pairs of each S.
+- Fine: a fourth-power bound. A symmetric s x s M has rho(M)^4 <=
+  ||M^4||_inf, so r(M) = (||M^4||_inf + 1e-12 (s ||M||_F^2)^2)^(1/4)
+  bounds rho(M); the inner term covers rounding in the two batched s x s
+  products, since || |M|^4 ||_inf <= s^2 ||M||_F^4. rip_constant takes
+  M = A. check_submatrix_bound takes M = C = B^T B, whose spectral radius
+  is ||B||_2^2. The computed C' has C' - C = E with |E| <= gamma_s |B|^T
+  |B| entrywise (gamma_s = s u / (1 - s u), u the unit roundoff), so
+  ||E||_2 <= ||E||_F <= gamma_s ||B||_F^2, and by Weyl rho(C) <= rho(C') +
+  ||E||_2. gamma_s is below 1e-12 (1 - gamma_s) for s < 9,000, and
+  trace(C') >= (1 - gamma_s) ||B||_F^2, so ||B||_2 <= (r(C') + 1e-12
+  trace(C'))^(1/2).
+- Slack: rip_constant widens both bounds b (the coarse one after a factor
+  1 + 1e-12 for rounding in its sums) to b + 1e-12 (1 + b): the deviation
+  is read from the eigenvalues of G_S, not of G_S - I, so near delta = 0
+  a relative slack alone fails. check_submatrix_bound multiplies both by
+  1 + 1e-12, for rounding in the sums and in the SVD. A bound whose
+  square sums or fourth power overflow is infinite.
 pairs_checked counts the pairs certified: all k^2 when exhaustive, the
 sampled draws otherwise.
 
@@ -136,28 +151,63 @@ def rip_constant(phi, s):
     n = gram.shape[0]
     supports = _support_array(n, s, DEFAULT_BUDGET)
     hollow = gram - np.eye(n)
-    # the fourth-power bound of the module docstring, per support
-    bound = np.empty(supports.shape[0])
-    with np.errstate(over="ignore", invalid="ignore"):
-        for lo, hi in _blocks(supports.shape[0], 8 * s * s):
-            a = _gather(hollow, supports[lo:hi], supports[lo:hi])
-            a2 = a @ a
-            quartic = np.abs(a2 @ a2).sum(axis=2).max(axis=1)
-            frob2 = np.einsum("kii->k", a2)  # trace(A^2) = ||A||_F^2
-            bound[lo:hi] = (quartic + _SLACK * (s * frob2) ** 2) ** 0.25
-    bound[np.isnan(bound)] = np.inf  # inf - inf in an overflowed power
-    bound += _SLACK * (1.0 + bound)
+    # the two bounds of the module docstring, on A, with rounding slack
+    coarse = _widen(np.sqrt(_support_energies(hollow * hollow, supports))
+                    * (1.0 + _SLACK))
+
+    def fine(items):
+        a = _gather(hollow, supports[items], supports[items])
+        return _widen(_quartic_root(a, s))
 
     def deviations(items):
         evs = np.linalg.eigvalsh(_gather(gram, supports[items], supports[items]))
         return np.maximum(evs[:, -1] - 1.0, 1.0 - evs[:, 0])
 
-    delta, witness = _pruned_max(bound, deviations, 8 * s * s)
+    delta, witness = _pruned_max(coarse, fine, deviations, _item_bytes(s))
     return RipReport(
         sparsity=s,
         delta=delta,
         witness_support=tuple(int(c) + 1 for c in supports[witness]),
     )
+
+
+def _support_energies(squares, supports):
+    """The sum of squares[S, S] for each support S (as rows): the diagonal
+    of member @ squares @ member.T, summed over the entry pairs of S, so
+    the cost does not grow with the column count."""
+    n, s = squares.shape[0], supports.shape[1]
+    flat = squares.ravel()
+    with np.errstate(over="ignore"):
+        out = np.diagonal(squares)[supports].sum(axis=1)
+        for a in range(s):
+            for b in range(a + 1, s):
+                out += 2.0 * flat[supports[:, a] * n + supports[:, b]]
+    return out
+
+
+def _quartic_root(a, s):
+    """(||A^4||_inf + 1e-12 (s ||A||_F^2)^2)^(1/4) for a stack of
+    symmetric s x s blocks A, an upper bound on rho(A); inf where the
+    fourth power overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        a2 = a @ a
+        quartic = np.abs(a2 @ a2).sum(axis=2).max(axis=1)
+        frob2 = np.einsum("kii->k", a2)  # trace(A^2) = ||A||_F^2
+        root = (quartic + _SLACK * (s * frob2) ** 2) ** 0.25
+    root[np.isnan(root)] = np.inf  # inf - inf in an overflowed power
+    return root
+
+
+def _item_bytes(s):
+    """Working data per item of a fine bound or a decomposition: at most
+    about eight s x s arrays of 8 bytes (gather positions, the block and
+    its products)."""
+    return 64 * s * s
+
+
+def _widen(bound):
+    """Absolute and relative slack on a bound of an eigenvalue deviation."""
+    return bound + _SLACK * (1.0 + bound)
 
 
 def _gather(matrix, rows, cols):
@@ -170,34 +220,47 @@ def _block_norms(hollow, supports, left, right):
     return np.linalg.svd(blocks, compute_uv=False)[:, 0]
 
 
-def _pruned_max(bound, measure, item_bytes):
+def _pruned_max(coarse, fine, measure, item_bytes):
     """(value, index): the largest measure over all items and the smallest
-    item index attaining it, where bound[i] >= measure of item i.
+    item index attaining it, where coarse[i] and fine(i) both bound the
+    measure of item i from above.
 
-    measure(items) returns the values of an index array. The _PAIR_CHUNK
-    items with the largest bounds give a first value; of the rest, only
-    those whose bound reaches it are measured, in descending order of
-    bound, _PAIR_CHUNK at a time, until no bound reaches the largest value
-    so far. A chunk is measured in _blocks spans of item_bytes per item."""
-    lead = np.argpartition(bound, max(bound.size - _PAIR_CHUNK, 0))[-_PAIR_CHUNK:]
+    fine and measure map an index array to its items' values. The
+    _PAIR_CHUNK items with the largest coarse bounds give a first value;
+    of the rest, the fine bound is computed only where the coarse bound
+    reaches it, and only items whose fine bound also reaches it are
+    measured, in descending order of fine bound, _PAIR_CHUNK at a time,
+    until no fine bound reaches the largest value so far. Fine bounds and
+    measures run in _blocks spans of item_bytes per item."""
+    lead = np.argpartition(coarse, max(coarse.size - _PAIR_CHUNK, 0))
+    lead = lead[-_PAIR_CHUNK:].copy()  # not a view that keeps every index
     best = _fold(lead, measure, item_bytes, (-1.0, 0))
-    rest = bound >= best[0]
+    rest = coarse >= best[0]
     rest[lead] = False
     rest = np.flatnonzero(rest)
-    rest = rest[np.argsort(-bound[rest], kind="stable")]
+    bound = _spans(fine, rest, item_bytes)
+    keep = bound >= best[0]
+    rest, bound = rest[keep], bound[keep]
+    order = np.argsort(-bound, kind="stable")
+    rest, bound = rest[order], bound[order]
     for lo in range(0, rest.size, _PAIR_CHUNK):
-        items = rest[lo : lo + _PAIR_CHUNK]
-        if bound[items[0]] < best[0]:
+        if bound[lo] < best[0]:
             break
-        best = _fold(items, measure, item_bytes, best)
+        best = _fold(rest[lo : lo + _PAIR_CHUNK], measure, item_bytes, best)
     return best
+
+
+def _spans(fn, items, item_bytes):
+    """fn over an index array, one _blocks span at a time."""
+    return np.concatenate(
+        [fn(items[lo:hi]) for lo, hi in _blocks(items.size, item_bytes)]
+        or [np.empty(0)]
+    )
 
 
 def _fold(items, measure, item_bytes, best):
     """best = (value, smallest index attaining it), updated with items."""
-    values = np.concatenate(
-        [measure(items[lo:hi]) for lo, hi in _blocks(items.size, item_bytes)]
-    )
+    values = _spans(measure, items, item_bytes)
     top = values.max()
     value, index = best
     if top >= value:
@@ -222,12 +285,25 @@ def check_submatrix_bound(phi, s, delta, budget=DEFAULT_BUDGET, seed=0):
     if exhaustive:
         member = np.zeros((k, n))
         member[np.arange(k)[:, None], supports] = 1.0
-        # ||block(S, T)||_2 <= ||block(S, T)||_F, with rounding slack
-        bound = np.sqrt(member @ (hollow * hollow) @ member.T).ravel()
-        bound *= 1.0 + _SLACK
+        # the two bounds of the module docstring, with rounding slack
+        with np.errstate(over="ignore", invalid="ignore"):
+            coarse = (member @ (hollow * hollow) @ member.T).ravel()
+        np.sqrt(coarse, out=coarse)
+        coarse[np.isnan(coarse)] = np.inf  # an overflowed sum times 0
+        coarse *= 1.0 + _SLACK
+
+        def fine(items):
+            left, right = np.divmod(items, k)
+            b = _gather(hollow, supports[left], supports[right])
+            with np.errstate(over="ignore", invalid="ignore"):
+                c = np.matmul(b.transpose(0, 2, 1), b)  # B^T B
+                trace = np.einsum("kii->k", c)
+            return np.sqrt(_quartic_root(c, s) + _SLACK * trace) * (1.0 + _SLACK)
+
         worst, index = _pruned_max(
-            bound, lambda items: _block_norms(hollow, supports, *np.divmod(items, k)),
-            8 * s * s,
+            coarse, fine,
+            lambda items: _block_norms(hollow, supports, *np.divmod(items, k)),
+            _item_bytes(s),
         )
         worst_pair = divmod(index, k)
         checked = k * k

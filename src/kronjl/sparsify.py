@@ -41,7 +41,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from types import MappingProxyType
 
 import numpy as np
@@ -186,6 +186,9 @@ class _Plan:
     def _spans(self, name):
         comps = list(self._comparisons(name))
         build = getattr(self, f"_{name}_table")
+        if name == "rows":
+            # a T's peak layout once per pass, not once per S
+            build = partial(build, lru_cache(maxsize=None)(self._layout))
         for lo, hi in _blocks(len(comps), self.n * _ENTRY_BYTES):
             yield build(comps[lo:hi])
 
@@ -257,10 +260,11 @@ class _Plan:
         x_row = len(self.subsets)
         return self._sum_table([(x_row, (), self.subsets[u][1]) for u in subs])
 
-    def _rows_table(self, rows):
+    def _rows_table(self, peak_layout, rows):
         """Gathers, reductions and right-hand sides of some max-sum rows.
         Peak outputs and energy outputs come out of separate reductions;
-        `merge` puts them back in row order."""
+        `merge` puts them back in row order. peak_layout is `_layout`,
+        memoized for the pass."""
         peak_tgt, peak_starts, energy_specs, energy_starts = [], [], [], []
         at, rhs_at, sizes, labels = [], [], [], []
         outputs = {"peak": 0, "energy": 0}
@@ -275,7 +279,7 @@ class _Plan:
                 peak_starts.append(
                     len(peak_tgt) * self.n + np.arange(0, self.n, length)
                 )
-                peak_tgt.append(ps * self.n + self._layout(t_axes))
+                peak_tgt.append(ps * self.n + peak_layout(t_axes))
             else:
                 fiber = self.index[s_sub | t_sub]
                 size = self.n // self.lengths[fiber]

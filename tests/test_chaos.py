@@ -91,10 +91,10 @@ def test_enumerate_partitions_streams_at_the_limit():
     assert peak < 16 * 2**20
 
 
-def _recursive_partitions(items):
+def _recursive_blocks(items):
     """The recursive generator that defined the enumeration order: each
     element, last first, joins every block of each partition of the
-    later elements and then opens a new front block."""
+    later elements and then opens a new front block. Yields block lists."""
 
     def rec(seq):
         if not seq:
@@ -106,22 +106,28 @@ def _recursive_partitions(items):
                 yield part[:i] + [part[i] | {first}] + part[i + 1 :]
             yield [{first}] + part
 
-    return [SetPartition(tuple(blocks)) for blocks in rec(list(items))]
+    return rec(list(items))
+
+
+def _recursive_partitions(items):
+    return [SetPartition(tuple(blocks)) for blocks in _recursive_blocks(items)]
 
 
 def test_label_table_keeps_recursive_order():
-    for g in range(9):
+    # up to B(10) = 115,975 rows, each against the recursion's partition
+    # with its blocks numbered by their minima
+    for g in range(11):
         table = _label_table(g)
         assert table.dtype == np.int64
         assert table.shape[1] == g
-        got = [
-            SetPartition(tuple(
-                frozenset(np.flatnonzero(row == b).tolist())
-                for b in range(row.max(initial=-1) + 1)
-            ))
-            for row in table
-        ]
-        assert got == _recursive_partitions(range(g))
+        want = []
+        for blocks in _recursive_blocks(range(g)):
+            row = [0] * g
+            for label, block in enumerate(sorted(blocks, key=min)):
+                for e in block:
+                    row[e] = label
+            want.append(row)
+        assert table.tolist() == want, g
 
 
 def test_enumerate_partitions_keeps_recursive_order():

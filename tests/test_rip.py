@@ -197,6 +197,19 @@ def test_pruned_bound_equals_all_pairs_on_gaussian_instances(monkeypatch):
         _assert_pruned_equals_all_pairs(monkeypatch, phi, s)
 
 
+def test_pruned_bound_equals_all_pairs_when_the_bound_overflows(monkeypatch):
+    # the blocks' Frobenius sums and the fourth powers of B^T B overflow:
+    # an inf times a 0 indicator, or inf and -inf summed, give nan bounds,
+    # which must count as inf. The second phi's columns are nearly
+    # parallel (Gram entries near 1.2e154), so every sum of two squared
+    # entries overflows and every coarse bound at s >= 2 is nan
+    scaled = np.random.default_rng(87).standard_normal((6, 10)) * 3.7e76
+    near = 4.3e76 * (1.0 + 0.05 * np.random.default_rng(88).standard_normal((6, 10)))
+    for phi in (scaled, near):
+        for s in (1, 2, 3):
+            _assert_pruned_equals_all_pairs(monkeypatch, phi, s)
+
+
 def test_pruning_decomposes_few_blocks(monkeypatch):
     decomposed = []
     real_svd = np.linalg.svd
@@ -210,6 +223,13 @@ def test_pruning_decomposes_few_blocks(monkeypatch):
     rep = check_submatrix_bound(phi, 3, delta=1.0)
     assert rep.exhaustive and rep.pairs_checked == 313_600
     assert 0 < sum(decomposed) < 31_360
+    # the Frobenius bound alone leaves 14,720, 15,344 and 15,344 blocks to
+    # decompose on these operators; the fourth-power bound on B^T B does not
+    for m, seed in ((8, 1), (4, 16), (4, 32)):
+        decomposed.clear()
+        phi = materialize(build_operator((16,), m, seed=seed))
+        check_submatrix_bound(phi, 3, delta=1.0)
+        assert 0 < sum(decomposed) <= 1024, (m, seed)
 
 
 def _assert_pruned_equals_all_supports(monkeypatch, phi, s):
