@@ -11,7 +11,8 @@ check_submatrix_bound verifies the polarization consequence of the
 spectral norm at most delta, over ALL ordered support pairs |S| = |T| = s,
 including overlapping and equal pairs. If the pair count exceeds the
 budget the checker falls back to a seeded random sample of pairs and
-reports how many were covered.
+reports how many were covered; the sample's support indices are drawn a
+`_blocks` span at a time, the same pairs as one whole draw.
 
 Both oracles are exact without decomposing every block. Each item (a
 support, or an ordered support pair) gets two upper bounds on the value
@@ -308,13 +309,18 @@ def check_submatrix_bound(phi, s, delta, budget=DEFAULT_BUDGET, seed=0):
         worst_pair = divmod(index, k)
         checked = k * k
     else:
+        # the first `budget` draws pick left supports, the next `budget`
+        # right ones, which `ahead` reads after skipping the left ones
         rng = rand.substream(seed, rand.TAG_EXPERIMENT)
-        left = rng.integers(0, k, size=budget)
-        right = rng.integers(0, k, size=budget)
+        ahead = rand.substream(seed, rand.TAG_EXPERIMENT)
+        item_bytes = 8 * s * s + 16  # a block and its two support indices
+        for lo, hi in _blocks(budget, item_bytes):
+            ahead.integers(0, k, size=hi - lo)
         worst = -1.0
         worst_pair = (0, 0)
-        for lo, hi in _blocks(budget, 8 * s * s):
-            li, ri = left[lo:hi], right[lo:hi]
+        for lo, hi in _blocks(budget, item_bytes):
+            li = rng.integers(0, k, size=hi - lo)
+            ri = ahead.integers(0, k, size=hi - lo)
             norms = _block_norms(hollow, supports, li, ri)
             j = int(np.argmax(norms))
             if norms[j] > worst:

@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from kronjl import rip
+from kronjl import indexing, rand, rip
 from kronjl.errors import BudgetError, ShapeError
 from kronjl.fwht import hadamard_matrix
 from kronjl.rip import check_submatrix_bound, rip_constant
@@ -168,6 +168,53 @@ def test_sampled_fallback_when_over_budget():
     assert not rep.exhaustive
     assert rep.pairs_checked == 100
     assert rep.ok
+
+
+def _sampled_reference(phi, s, budget, seed):
+    # reference: the whole draw, `budget` left supports then `budget` right
+    # ones, and the first sampled pair attaining the largest block norm
+    hollow = phi.T @ phi - np.eye(phi.shape[1])
+    supports = np.array(list(itertools.combinations(range(phi.shape[1]), s)))
+    stream = rand.substream(seed, rand.TAG_EXPERIMENT)
+    left = stream.integers(0, len(supports), size=budget)
+    right = stream.integers(0, len(supports), size=budget)
+    blocks = hollow[supports[left][:, :, None], supports[right][:, None, :]]
+    norms = np.linalg.svd(blocks, compute_uv=False)[:, 0]
+    j = int(np.argmax(norms))
+    return float(norms[j]), (tuple(int(c) + 1 for c in supports[left[j]]),
+                             tuple(int(c) + 1 for c in supports[right[j]]))
+
+
+# budgets between the support count k and the pair count k^2
+@pytest.mark.parametrize("dims,m,s,budget", [
+    ((16,), 8, 2, 200), ((16,), 4, 3, 600), ((4, 4), 8, 1, 200),
+])
+def test_sampled_fallback_matches_the_whole_draw(monkeypatch, dims, m, s, budget):
+    # one block of all pairs and blocks of 1, 3 and 7 pairs draw the same
+    phi = materialize(build_operator(dims, m, seed=2))
+    expected = _sampled_reference(phi, s, budget, seed=5)
+    for pairs in (None, 1, 3, 7):
+        if pairs:
+            monkeypatch.setattr(indexing, "_BLOCK_BYTES", pairs * (8 * s * s + 16))
+        rep = check_submatrix_bound(phi, s, delta=1.0, budget=budget, seed=5)
+        assert (rep.worst_norm, rep.worst_pair) == expected, pairs
+        assert not rep.exhaustive and rep.pairs_checked == budget
+
+
+def test_sampled_fallback_draws_its_pairs_in_blocks():
+    # 10^6 pairs of single columns: a whole draw of their 16 MB of indices
+    # would sit on top of the (N, N) Gram tables (the Gram, its hollow
+    # copy and an identity while the copy is made)
+    phi = materialize(build_operator((1024,), 8, seed=0))
+    tables = 3 * 8 * 1024 * 1024
+    tracemalloc.start()
+    try:
+        rep = check_submatrix_bound(phi, 1, delta=1.0, budget=1_000_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not rep.exhaustive and rep.pairs_checked == 1_000_000
+    assert peak < tables + (2 << 20), peak
 
 
 def _assert_pruned_equals_all_pairs(monkeypatch, phi, s):
