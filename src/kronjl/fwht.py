@@ -9,8 +9,9 @@ It rests on the Sylvester identity
 H_{2^(a+b)} = H_{2^a} (x) H_{2^b}: it splits log2(n) into at most 5-bit
 digits and applies each digit as one matrix product with the +-1
 Sylvester matrix of that digit (order <= 32), so a length-n transform is
-a few BLAS products instead of log2(n) strided passes, then one
-1/sqrt(n) scale. A digit of order r costs r multiply-adds per entry:
+a few BLAS products instead of log2(n) strided passes. The 1/sqrt(n)
+scale rides on the last digit's matrix, so no pass of its own follows.
+A digit of order r costs r multiply-adds per entry:
 2^18 splits as (32, 32, 16, 16), 96 per entry, where 6-bit digits
 (64, 64, 64) cost 192. The public functions write a new array on every
 call and none works in place; transforms.hadamard_rows lends the kernel
@@ -61,14 +62,15 @@ def last_block(n, m):
     the last block at the m gathered rows alone skips one matmul pass of
     r multiply-adds per entry of the whole row, and pays r * r per
     gathered row and a copy of m * r floats. Below the quarter that
-    saves time and memory; at half the row it no longer does. Split over
-    full time of transforms.hadamard_rows on 8 MiB of rows, with one BLAS
-    thread on a 2-vCPU x86-64 host:
+    saves time and memory; at half the row it saves little time (1-12%)
+    for a copy of half the row. Split over full time of
+    transforms.hadamard_rows on 8 MiB of rows (median of 7 calls, mean of
+    two runs), with one BLAS thread on a 2-vCPU x86-64 host:
 
         m * r    n = 2^10  2^12  2^14  2^16  2^18
-        n / 8        0.58  0.72  0.72  0.80  0.69
-        n / 4        0.70  0.86  0.83  0.85  0.81
-        n / 2        0.93  1.08  0.99  1.04  0.90
+        n / 8        0.49  0.76  0.69  0.77  0.69
+        n / 4        0.68  0.83  0.79  0.86  0.73
+        n / 2        0.88  0.99  0.94  0.98  0.89
     """
     _check_pow2(n)
     r = 1 << _DIGIT_BITS
@@ -77,10 +79,21 @@ def last_block(n, m):
 
 @functools.cache
 def _sylvester(r):
-    """Unnormalized +-1 Sylvester-Hadamard matrix of order r (read-only)."""
+    """Unnormalized +-1 Sylvester-Hadamard matrix of order r (read-only),
+    whose products with integers are exact (harness._family_energies)."""
     h = np.ones((1, 1))
     while h.shape[0] < r:
         h = np.block([[h, h], [h, -h]])
+    h.flags.writeable = False
+    return h
+
+
+@functools.cache
+def _scaled_sylvester(r, n):
+    """_sylvester(r) times 1/sqrt(n), the last digit of a length-n
+    transform (read-only). Where n = 4^k the scale is a power of two, so
+    the products and sums round as the +-1 matrix's do, then scaled."""
+    h = _sylvester(r) * (1.0 / math.sqrt(n))
     h.flags.writeable = False
     return h
 
@@ -91,7 +104,8 @@ def _transformed(a, axis, bufs=None):
     an (output, spare) pair of flat float64 buffers: viewed as
     (outer, n, inner), each digit of n is one matmul through `out=`,
     alternating between the output and at most one spare so that the last
-    lands in the output; then one 1/sqrt(n) scale."""
+    lands in the output. The last digit's matrix carries the 1/sqrt(n)
+    scale (_scaled_sylvester), so no scale pass follows."""
     n = a.shape[axis]
     axis = range(a.ndim)[axis]
     cur = np.ascontiguousarray(a)
@@ -110,7 +124,7 @@ def _transformed(a, axis, bufs=None):
     for i, r in enumerate(digits):
         post //= r
         tgt = targets[i % 2]
-        h = _sylvester(r)
+        h = _scaled_sylvester(r, n) if i == len(digits) - 1 else _sylvester(r)
         if post * inner == 1:
             # last digit of a trailing axis: one (pre, r) @ (r, r) product.
             # numpy sends a lone row to gemv, which rounds unlike gemm, so it
@@ -125,7 +139,6 @@ def _transformed(a, axis, bufs=None):
             shape = (pre, r, post * inner)
             np.matmul(h, cur.reshape(shape), out=tgt.reshape(shape))
         cur, pre = tgt, pre * r
-    out *= 1.0 / math.sqrt(n)
     return out
 
 

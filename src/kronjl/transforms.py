@@ -166,6 +166,8 @@ def kron_materialize(factors):
     of per-axis factors gives a batch of products of shape (..., N).
     """
     factors = [np.asarray(f, dtype=np.float64) for f in factors]
+    if not factors:
+        raise ShapeError("need at least one factor")
     out = factors[0]
     for f in factors[1:]:
         # later axes vary slower: new index = (i_next - 1) * len(out) + old
@@ -193,6 +195,8 @@ def sampled_entries(factors, rows0):
         entry = f[at] if f.ndim == 1 else np.take_along_axis(f, at, axis=-1)
         out = entry if out is None else entry * out
         shift += n.bit_length() - 1
+    if out is None:
+        raise ShapeError("need at least one factor")
     return out
 
 
@@ -230,20 +234,32 @@ def apply_dense(op, x):
     H_N = H_{N/n_1} (x) H_{n_1} per axis: axes 2..d are transformed in
     full, then axis 1 only at the m fibres holding the sampled entries.
     Cost O(N log(N/n_1) + m n_1 log n_1) there, else O(N log N + m).
+
+    No length-N sign vector is built: the signs of axes 2..d (length
+    N/n_1) multiply x along its fibres of axis 1, and axis 1's signs
+    multiply the m gathered fibres where the path splits, else the whole
+    array. A sign flip commutes with rounding, so the bytes are those of
+    signing with op.signs.full_vector() first, but for the sign of an
+    exact zero where n_1 = 1: there no matrix product follows the flip.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1 or x.size != op.dims.total:
         raise ShapeError(f"expected a vector of length {op.dims.total}")
     n1, rows0 = op.dims.dims[0], op.samples.rows - 1
     split = op.dims.order > 1 and 4 * op.m * n1 <= op.dims.total
+    first, *rest = op.signs.factors
+    arr = x.reshape(-1, n1) * (
+        kron_materialize(rest)[:, None] if rest else first)
+    if rest and not split:
+        arr *= first
     # C order over the reversed dims is the linearized order: axis l is
     # C axis d - l
-    arr = (x * op.signs.full_vector()).reshape(op.dims.dims[::-1])
+    arr = arr.reshape(op.dims.dims[::-1])
     for axis in range(op.dims.order - 1 - split, -1, -1):
         arr = fwht_axis(arr, axis)
     if not split:
         return op.scale * arr.reshape(-1)[rows0]
-    fibres = fwht_axis(arr.reshape(-1, n1)[rows0 // n1], 1)
+    fibres = fwht_axis(arr.reshape(-1, n1)[rows0 // n1] * first, 1)
     return op.scale * fibres[np.arange(op.m), rows0 % n1]
 
 

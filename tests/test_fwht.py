@@ -6,7 +6,8 @@ import scipy.linalg
 
 from kronjl.errors import ShapeError
 from kronjl.fwht import (
-    _digits, active_backend, fwht, fwht_axis, hadamard_matrix, last_block,
+    _digits, _scaled_sylvester, _sylvester, active_backend, fwht, fwht_axis,
+    hadamard_matrix, last_block,
 )
 
 
@@ -133,6 +134,48 @@ def test_a_lone_row_transforms_as_in_a_batch():
         for i in range(5):
             assert np.array_equal(fwht(x[i]), batch[i])
             assert np.array_equal(fwht_axis(x[i:i + 1], 1)[0], batch[i])
+
+
+def _unfolded(a, k):
+    # the kernel with the scale as a pass of its own: +-1 digit products,
+    # then one multiply by 1/sqrt(4^k) = 2^-k, along the last axis of a
+    # (pre, 4^k) array
+    pre, n = a.shape
+    cur, post = a, n
+    for r in _digits(n):
+        post //= r
+        if post == 1:
+            rows = cur.reshape(pre, r)
+            cur = rows @ _sylvester(r) if pre > 1 else (
+                rows.repeat(2, axis=0) @ _sylvester(r))[:1]
+        else:
+            cur = np.matmul(_sylvester(r), cur.reshape(pre, r, post))
+        pre *= r
+    return cur.reshape(a.shape) * 2.0**-k
+
+
+def test_scale_on_the_last_digit_keeps_the_bytes_at_lengths_4k():
+    # at n = 4^k the folded scale 2^-k is a power of two, so every product
+    # and sum rounds as with the +-1 digit, then scaled
+    rng = np.random.default_rng(13)
+    for k in range(10):
+        x = rng.standard_normal((3, 4**k))
+        want = _unfolded(x, k)
+        assert fwht(x[0]).tobytes() == want[0].tobytes(), k
+        assert fwht_axis(x, 1).tobytes() == want.tobytes(), k
+
+
+def test_sylvester_tables_are_read_only():
+    # the +-1 matrix keeps exact integer sums (harness._family_energies);
+    # the scaled last digits are shared by every call, so neither is writable
+    for r in (1, 2, 4, 8, 16, 32):
+        h = _sylvester(r)
+        assert not h.flags.writeable
+        assert np.array_equal(np.abs(h), np.ones((r, r)))
+        for n in (r, 32 * r, 1 << 18):
+            scaled = _scaled_sylvester(r, n)
+            assert not scaled.flags.writeable
+            assert np.array_equal(scaled, h * (1.0 / np.sqrt(n)))
 
 
 def test_input_not_mutated():

@@ -1,8 +1,9 @@
 """The byte contract of the benchmark: the sweep workload's smoke commands
 (jl-sweep per family, then pointset), its full-size jl-sweep/dense
 command (N = 2^16, so hadamard_rows splits off its 32-wide last block)
-and pointset/kron command, and the oracles workload's lower-bound
-command, full and smoke, print exactly the bytes whose sha256
+and pointset/kron command, and every command of the oracles workload
+(lower-bound, report-chaos for each m, report-partition and selftest),
+full and smoke, print exactly the bytes whose sha256
 perfbench/reference_digests.json records, for seeds 0-3."""
 
 import hashlib
@@ -61,3 +62,14 @@ def test_oracles_lower_bound_matches_reference_digests(mode, seed, capsys):
     calls = WORKLOADS["oracles"].build(seed, smoke=mode == "smoke")["cli"]
     (argv,) = [argv for label, argv, _ in calls if label == "lower-bound"]
     assert _digest(argv, capsys) == want
+
+
+@pytest.mark.parametrize("mode", ["full", "smoke"])
+@pytest.mark.parametrize("seed", range(4))
+def test_oracles_reports_and_selftest_match_reference_digests(mode, seed, capsys):
+    want = REFERENCE[mode]["oracles"][str(seed)]
+    calls = WORKLOADS["oracles"].build(seed, smoke=mode == "smoke")["cli"]
+    assert sorted(label for label, _, _ in calls) == sorted(want)
+    for label, argv, _ in calls:
+        if label != "lower-bound":  # replayed by the test above
+            assert _digest(argv, capsys) == want[label], label

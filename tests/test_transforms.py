@@ -20,7 +20,9 @@ from kronjl.transforms import (
     apply_factored,
     build_operator,
     hadamard_rows,
+    kron_combinations,
     kron_materialize,
+    kron_sign_patterns,
     materialize,
     sampled_entries,
 )
@@ -76,6 +78,26 @@ def test_kron_materialize_matches_vectorized_outer():
         assert np.array_equal(got[b], row)
         row = kron_materialize([xs[0], batch[1][b], batch[2][0]])
         assert np.array_equal(shared[b], row)
+
+
+def test_kron_materialize_needs_a_factor():
+    with pytest.raises(ShapeError, match="at least one factor"):
+        kron_materialize([])
+
+
+def test_kron_combinations_needs_a_factor():
+    with pytest.raises(ShapeError, match="at least one factor"):
+        kron_combinations([])
+
+
+def test_kron_sign_patterns_needs_an_axis():
+    with pytest.raises(ShapeError, match="at least one factor"):
+        kron_sign_patterns(())
+
+
+def test_sampled_entries_needs_a_factor():
+    with pytest.raises(ShapeError, match="at least one factor"):
+        sampled_entries([], np.arange(3))
 
 
 def test_build_operator_determinism():
@@ -181,6 +203,41 @@ def test_apply_dense_splits_its_first_axis(monkeypatch, dims, split):
         assert (shapes[-1] == (9, dims[0])) == split
         assert np.max(np.abs(got - mat @ x)) <= 1e-10
         assert np.max(np.abs(got - _apply_dense_unsplit(op, x))) <= 1e-12
+
+
+def _apply_dense_signed_in_full(op, x):
+    # apply_dense's per-axis transforms after one multiply by the length-N
+    # sign vector
+    n1, rows0 = op.dims.dims[0], op.samples.rows - 1
+    split = op.dims.order > 1 and 4 * op.m * n1 <= op.dims.total
+    arr = (x * op.signs.full_vector()).reshape(op.dims.dims[::-1])
+    for axis in range(op.dims.order - 1 - split, -1, -1):
+        arr = fwht_axis(arr, axis)
+    if not split:
+        return op.scale * arr.reshape(-1)[rows0]
+    fibres = fwht_axis(arr.reshape(-1, n1)[rows0 // n1], 1)
+    return op.scale * fibres[np.arange(op.m), rows0 % n1]
+
+
+@pytest.mark.parametrize("dims, m", [
+    ((64,), 9),  # d = 1: no signs of axes 2..d
+    ((64, 64), 9),  # split
+    ((16, 16), 9),  # unsplit
+    ((8, 32, 16), 9),  # split
+    ((4, 4, 4), 9),  # unsplit
+    ((4, 2), 20),  # m > N
+])
+def test_apply_dense_signs_match_the_full_sign_vector(dims, m):
+    # each axis's signs multiply where apply_dense puts them; products of
+    # +-1 are exact, so the bytes are those of signing with the full vector
+    rng = np.random.default_rng(m + len(dims))
+    for seed in range(3):
+        op = build_operator(dims, m, seed=seed)
+        n = op.dims.total
+        for x in (rng.standard_normal(n), rng.integers(-1, 2, n) * 1.0,
+                  np.repeat(rng.standard_normal(n // 2), 2), np.ones(n)):
+            want = _apply_dense_signed_in_full(op, x)
+            assert apply_dense(op, x).tobytes() == want.tobytes()
 
 
 def test_materialize_matches_brute_matrix():
