@@ -31,10 +31,7 @@ whole array, so every report keeps its bytes.
 
 The last 16 plans whose comparisons all fit in one `indexing._blocks` span
 (`_BLOCK_BYTES` of working data, at `_ENTRY_BYTES` per gathered entry) are
-kept. A larger plan builds its gather positions span by span on each call
-and drops them; it keeps only the index tables of its max-sum rows
-(reduction starts, order, right-hand-side offsets, bounds and labels),
-where those fit in one span at `_OUTPUT_BYTES` per output.
+kept. A larger plan is built and evaluated span by span, and dropped.
 
 A split keeps its parts and, per entry, the position of its part's subset
 in priority order (`choice`).
@@ -44,7 +41,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from types import MappingProxyType
 
 import numpy as np
@@ -66,9 +63,6 @@ MAX_SUM_REL_TOL = 1e-12
 # bytes a plan takes per gathered entry: int64 positions and fiber ids in
 # its tables, the float64 values and sort order a call makes from them
 _ENTRY_BYTES = 64
-# bytes a plan keeps per max-sum output: its int64 reduction start, place
-# in row order and right-hand-side offset, and its float64 bound
-_OUTPUT_BYTES = 32
 
 
 def _level(s):
@@ -154,13 +148,6 @@ class _Plan:
         )
         # offset of each nonempty subset's fibers in the fiber-energy vector
         self.energy_at = np.cumsum([0] + [self.n // k for k in self.lengths])
-        outputs = sum(
-            self.n // self.lengths[self._fiber(*row)]
-            for row in self._comparisons("rows")
-        )
-        # the max-sum rows' index tables, kept where they fit in one span
-        _, fit = next(_blocks(outputs, _OUTPUT_BYTES))
-        self._kept_rows = tuple(self._row_spans()) if fit == outputs else None
         count = sum(
             sum(1 for _ in self._comparisons(name)) for name in self.SECTIONS
         )
@@ -197,22 +184,13 @@ class _Plan:
         )
 
     def _spans(self, name):
+        comps = list(self._comparisons(name))
+        build = getattr(self, f"_{name}_table")
         if name == "rows":
             # a T's peak layout once per pass, not once per S
-            layout = lru_cache(maxsize=None)(self._layout)
-            for index in self._kept_rows or self._row_spans():
-                yield self._rows_table(layout, index)
-            return
-        comps = list(self._comparisons(name))
+            build = partial(build, lru_cache(maxsize=None)(self._layout))
         for lo, hi in _blocks(len(comps), self.n * _ENTRY_BYTES):
-            yield getattr(self, f"_{name}_table")(comps[lo:hi])
-
-    def _fiber(self, kind, ps, pt):
-        """The subset whose fiber energies bound a max-sum row: T for a
-        peak row, S u T for an energy row."""
-        if kind == "peak":
-            return pt
-        return self.index[self.subsets[ps][0] | self.subsets[pt][0]]
+            yield build(comps[lo:hi])
 
     def _layout(self, *groups):
         """Flat positions of every entry, fiber after fiber: the axes in no
@@ -282,19 +260,12 @@ class _Plan:
         x_row = len(self.subsets)
         return self._sum_table([(x_row, (), self.subsets[u][1]) for u in subs])
 
-    def _row_spans(self):
-        """`_rows_index` of each `_blocks` span of the max-sum rows."""
-        rows = list(self._comparisons("rows"))
-        for lo, hi in _blocks(len(rows), self.n * _ENTRY_BYTES):
-            yield self._rows_index(rows[lo:hi])
-
-    def _rows_index(self, rows):
-        """Every table of some max-sum rows but their gathered positions:
-        the part and T axes of each peak row, the sum spec of each energy
-        row, reductions and right-hand sides. Peak outputs and energy
-        outputs come out of separate reductions; `merge` puts them back in
-        row order."""
-        peaks, peak_starts, energy_specs, energy_starts = [], [], [], []
+    def _rows_table(self, peak_layout, rows):
+        """Gathers, reductions and right-hand sides of some max-sum rows.
+        Peak outputs and energy outputs come out of separate reductions;
+        `merge` puts them back in row order. peak_layout is `_layout`,
+        memoized for the pass."""
+        peak_tgt, peak_starts, energy_specs, energy_starts = [], [], [], []
         at, rhs_at, sizes, labels = [], [], [], []
         outputs = {"peak": 0, "energy": 0}
         sums = 0
@@ -302,14 +273,16 @@ class _Plan:
             s_sub, s_axes = self.subsets[ps]
             t_sub, t_axes = self.subsets[pt]
             length = self.lengths[pt]
-            fiber = self._fiber(kind, ps, pt)
-            size = self.n // self.lengths[fiber]
             if kind == "peak":
+                fiber = pt
+                size = self.n // length
                 peak_starts.append(
-                    len(peaks) * self.n + np.arange(0, self.n, length)
+                    len(peak_tgt) * self.n + np.arange(0, self.n, length)
                 )
-                peaks.append((ps, t_axes))
+                peak_tgt.append(ps * self.n + peak_layout(t_axes))
             else:
+                fiber = self.index[s_sub | t_sub]
+                size = self.n // self.lengths[fiber]
                 # slices over T, outer to S: `size` runs of `length` sums
                 energy_specs.append((ps, t_axes, s_axes))
                 runs = size * length
@@ -327,18 +300,11 @@ class _Plan:
         )
         at = _cat(at)
         return (
-            peaks, _cat(peak_starts), energy_specs, _cat(energy_starts),
+            _cat(peak_tgt), _cat(peak_starts),
+            self._sum_table(energy_specs), _cat(energy_starts),
             np.where(is_energy, at + outputs["peak"], at),
             _cat(rhs_at), bound, np.cumsum(sizes) - sizes, labels,
         )
-
-    def _rows_table(self, peak_layout, index):
-        """A span's `_rows_index` with the gathered positions of its peak
-        rows and sums put in. peak_layout is `_layout`, memoized for the
-        pass."""
-        peaks, peak_starts, energy_specs, *rest = index
-        peak_tgt = _cat([ps * self.n + peak_layout(axes) for ps, axes in peaks])
-        return (peak_tgt, peak_starts, self._sum_table(energy_specs), *rest)
 
 
 _plan = lru_cache(maxsize=16)(_Plan)

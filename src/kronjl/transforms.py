@@ -238,9 +238,10 @@ def apply_dense(op, x):
     No length-N sign vector is built: the signs of axes 2..d (length
     N/n_1) multiply x along its fibres of axis 1, and axis 1's signs
     multiply the m gathered fibres where the path splits, else the whole
-    array. A sign flip commutes with rounding, so the bytes are those of
-    signing with op.signs.full_vector() first, but for the sign of an
-    exact zero where n_1 = 1: there no matrix product follows the flip.
+    array. Where n_1 = 1 its one sign joins those of axes 2..d, which
+    then span x, so no flip follows a sum that cancelled to zero. A sign
+    flip commutes with rounding, so the bytes are those of signing with
+    op.signs.full_vector() first.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1 or x.size != op.dims.total:
@@ -248,9 +249,11 @@ def apply_dense(op, x):
     n1, rows0 = op.dims.dims[0], op.samples.rows - 1
     split = op.dims.order > 1 and 4 * op.m * n1 <= op.dims.total
     first, *rest = op.signs.factors
+    if n1 == 1:
+        first, rest = None, op.signs.factors
     arr = x.reshape(-1, n1) * (
         kron_materialize(rest)[:, None] if rest else first)
-    if rest and not split:
+    if first is not None and rest and not split:
         arr *= first
     # C order over the reversed dims is the linearized order: axis l is
     # C axis d - l
@@ -259,7 +262,10 @@ def apply_dense(op, x):
         arr = fwht_axis(arr, axis)
     if not split:
         return op.scale * arr.reshape(-1)[rows0]
-    fibres = fwht_axis(arr.reshape(-1, n1)[rows0 // n1] * first, 1)
+    fibres = arr.reshape(-1, n1)[rows0 // n1]
+    if first is not None:
+        fibres *= first
+    fibres = fwht_axis(fibres, 1)
     return op.scale * fibres[np.arange(op.m), rows0 % n1]
 
 

@@ -6,6 +6,7 @@ and pointset/kron command, and every command of the oracles workload
 full and smoke, print exactly the bytes whose sha256
 perfbench/reference_digests.json records, for seeds 0-3."""
 
+import functools
 import hashlib
 import importlib.util
 import json
@@ -55,21 +56,28 @@ def test_full_sweep_dense_and_pointset_match_reference_digests(seed, capsys):
         assert _digest(argvs[label], capsys) == want[label], label
 
 
+@functools.cache
+def _oracles_calls(mode, seed):
+    # building the workload materializes its phis: once per (mode, seed)
+    return WORKLOADS["oracles"].build(seed, smoke=mode == "smoke")["cli"]
+
+
 @pytest.mark.parametrize("mode", ["full", "smoke"])
 @pytest.mark.parametrize("seed", range(4))
 def test_oracles_lower_bound_matches_reference_digests(mode, seed, capsys):
     want = REFERENCE[mode]["oracles"][str(seed)]["lower-bound"]
-    calls = WORKLOADS["oracles"].build(seed, smoke=mode == "smoke")["cli"]
-    (argv,) = [argv for label, argv, _ in calls if label == "lower-bound"]
+    (argv,) = [argv for label, argv, _ in _oracles_calls(mode, seed)
+               if label == "lower-bound"]
     assert _digest(argv, capsys) == want
 
 
 @pytest.mark.parametrize("mode", ["full", "smoke"])
 @pytest.mark.parametrize("seed", range(4))
 def test_oracles_reports_and_selftest_match_reference_digests(mode, seed, capsys):
+    # every other oracles command; with the test above, all of them
     want = REFERENCE[mode]["oracles"][str(seed)]
-    calls = WORKLOADS["oracles"].build(seed, smoke=mode == "smoke")["cli"]
+    calls = _oracles_calls(mode, seed)
     assert sorted(label for label, _, _ in calls) == sorted(want)
     for label, argv, _ in calls:
-        if label != "lower-bound":  # replayed by the test above
+        if label != "lower-bound":
             assert _digest(argv, capsys) == want[label], label

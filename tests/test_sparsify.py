@@ -415,33 +415,14 @@ def test_spans_match_kept_plan(monkeypatch):
     budget = 3 * 16 * sparsify._ENTRY_BYTES  # three comparisons at n = 16
     sparsify._plan.cache_clear()
     monkeypatch.setattr(indexing, "_BLOCK_BYTES", budget)
-    kept_rows = set()
     try:
         for x, s in cases:
             plan = sparsify._plan(x.shape, s)
             assert plan._kept is None
             assert len(list(plan.tables("rows"))) > 1
-            kept_rows.add(plan._kept_rows is not None)
             _assert_same_bytes(x, s, inflate=True)
     finally:
         sparsify._plan.cache_clear()
-    # both with the max-sum rows' index tables kept and rebuilt per call
-    assert kept_rows == {True, False}
-
-
-def test_a_plan_not_kept_builds_its_row_index_once(monkeypatch):
-    # a plan over the block budget keeps the index tables of its max-sum
-    # rows, so a call builds only their gather positions
-    shape = (4,) * 5
-    x = np.random.default_rng(31).standard_normal(shape)
-    sp = split(x, 2)
-    plan = sparsify._plan(shape, 2)
-    assert plan._kept is None and plan._kept_rows is not None
-    built = []
-    monkeypatch.setattr(plan, "_rows_index", lambda rows: built.append(rows))
-    for _ in range(2):
-        assert check_max_sum_inequalities(x, sp).ok
-    assert built == []
 
 
 def test_large_plans_are_not_kept():

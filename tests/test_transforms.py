@@ -226,6 +226,8 @@ def _apply_dense_signed_in_full(op, x):
     ((8, 32, 16), 9),  # split
     ((4, 4, 4), 9),  # unsplit
     ((4, 2), 20),  # m > N
+    ((1, 4), 1),  # n_1 = 1, split
+    ((1, 4, 2), 3),  # n_1 = 1, unsplit
 ])
 def test_apply_dense_signs_match_the_full_sign_vector(dims, m):
     # each axis's signs multiply where apply_dense puts them; products of
