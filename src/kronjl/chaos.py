@@ -178,10 +178,12 @@ def partition_norm(arr, partition, restarts=32):
 
     One block: Euclidean (Frobenius) norm. Two blocks: spectral norm of
     the matricization. Three or more: alternating maximization over unit
-    block factors with `restarts` seeded starts; the result is a lower
-    bound that is exact in the matrix cases.
+    block factors with `restarts` (>= 1) seeded starts; the result is a
+    lower bound that is exact in the matrix cases.
     """
     arr = np.asarray(arr, dtype=np.float64)
+    if restarts < 1:
+        raise ShapeError(f"need at least one restart, got {restarts}")
     if partition.ground != frozenset(range(1, arr.ndim + 1)):
         raise ShapeError(
             f"partition ground {sorted(partition.ground)} != axes 1..{arr.ndim}"
@@ -239,8 +241,8 @@ def moment_bound_profile(arr, p_values):
     float per p."""
     arr = np.asarray(arr, dtype=np.float64)
     p_values = tuple(float(p) for p in p_values)
-    if any(p <= 0 for p in p_values):
-        raise ShapeError("p must be positive")
+    if not all(0 < p < math.inf for p in p_values):
+        raise ShapeError("p must be positive and finite")
     terms = [
         (partition.kappa, partition_norm(arr, partition))
         for partition in enumerate_partitions(range(1, arr.ndim + 1))
@@ -322,8 +324,8 @@ def _check_moment_args(mode, p_values):
     if mode not in ("coupled", "decoupled"):
         raise ShapeError(f"mode must be coupled|decoupled, got {mode!r}")
     p_values = tuple(float(p) for p in p_values)
-    if not all(p >= 1 for p in p_values):
-        raise ShapeError("moment orders must be >= 1")
+    if not all(1 <= p < math.inf for p in p_values):
+        raise ShapeError("moment orders must be finite and >= 1")
     return p_values
 
 

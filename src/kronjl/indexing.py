@@ -7,7 +7,9 @@ A vector over axis sizes (n_1, ..., n_d) sends the 1-based full index
 
 so the earliest axis varies fastest; on numpy arrays that is Fortran
 raveling. Fibers, slices and matricizations group axes by the same rule,
-through `_group_positions`.
+through `_group_positions`. It builds its positions on every call and keeps
+none: a table is as large as the array, and a cache of them would pin
+tables for shapes and groupings no caller asks for again.
 
 Every blocked loop of the package walks its items through `_blocks`, in
 spans of about `_BLOCK_BYTES` of working data each; that one budget is the
@@ -18,7 +20,6 @@ one item (a span holds one item at least) or one dense point set.
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -61,14 +62,14 @@ class KronDims:
         return len(self.dims)
 
 
-@lru_cache(maxsize=256)
 def _group_positions(shape, groups):
     """Read-only C-order flat positions of an array of `shape` whose
     0-based axes are regrouped by `groups` (covering each axis once): each
     group is one super-axis, linearized with its first listed axis fastest."""
     sizes = tuple(math.prod(shape[a] for a in g) for g in groups)
-    flat = np.arange(math.prod(shape)).reshape(shape).transpose(sum(groups, ()))
-    pos = np.ascontiguousarray(flat.reshape(sizes, order="F"))
+    order = [a for g in groups for a in reversed(g)]
+    flat = np.arange(math.prod(shape)).reshape(shape).transpose(order)
+    pos = np.ascontiguousarray(flat.reshape(sizes))
     pos.setflags(write=False)
     return pos
 

@@ -24,10 +24,11 @@ counts, one per fiber energy of x and one per max-sum row, in (S, T, kind)
 order. The plan puts their positions end to end, so a call makes a few
 array calls over all of them: for `split` one stable sort of -|x| per
 fiber length, for `check_fiber_sparsity` one count of nonzeros per fiber,
-and for the max-sum check one maximum per fiber or slice and one sum per
-fiber. Each fiber is summed in the order numpy sums a gathered fiber
-table: in sequence (`np.bincount`), or pairwise where the fiber is the
-whole array, so every report keeps its bytes.
+and for every max-sum row one sum per fiber, then one maximum per run
+over T; a peak row sums over no axes, each sum one entry (0.0 + v = v
+exactly, squares are never -0.0). Each fiber is summed in the order numpy
+sums a gathered fiber table: in sequence (`np.bincount`), or pairwise
+where the fiber is the whole array, so every report keeps its bytes.
 
 The last 16 plans whose comparisons all fit in one `indexing._blocks` span
 (`_BLOCK_BYTES` of working data, at `_ENTRY_BYTES` per gathered entry) are
@@ -41,13 +42,13 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 from types import MappingProxyType
 
 import numpy as np
 
 from .errors import ShapeError
-from .indexing import _blocks
+from .indexing import _blocks, _group_positions
 
 __all__ = [
     "SparsifySplit",
@@ -125,7 +126,8 @@ class _Plan:
       before `keeps_all`, the first whose selection keeps every entry;
     - "count": every part, counted per fiber over its subset;
     - "energy": the fiber energies of x over every nonempty subset;
-    - "rows": the max-sum rows, in (S, T, kind) order.
+    - "rows": the max-sum rows, in (S, T, kind) order, each a sum table
+      and one maximum per run (a peak row sums over no axes).
     """
 
     SECTIONS = ("sort", "count", "energy", "rows")
@@ -186,21 +188,16 @@ class _Plan:
     def _spans(self, name):
         comps = list(self._comparisons(name))
         build = getattr(self, f"_{name}_table")
-        if name == "rows":
-            # a T's peak layout once per pass, not once per S
-            build = partial(build, lru_cache(maxsize=None)(self._layout))
         for lo, hi in _blocks(len(comps), self.n * _ENTRY_BYTES):
             yield build(comps[lo:hi])
 
     def _layout(self, *groups):
         """Flat positions of every entry, fiber after fiber: the axes in no
-        group slowest, then each group in turn; inside a group the first
-        axis varies fastest, as in `indexing._group_positions`."""
+        group slowest, then each group in turn, as `_group_positions` lays
+        them out."""
         used = set().union(*groups)
         rest = tuple(a for a in range(len(self.shape)) if a not in used)
-        order = [a for group in (rest,) + groups for a in reversed(group)]
-        flat = np.arange(self.n).reshape(self.shape)
-        return flat.transpose(order).reshape(-1)
+        return _group_positions(self.shape, (rest,) + groups).reshape(-1)
 
     def _sort_table(self, parts):
         """The fibers of the given parts grouped by length, one (fibers,
@@ -260,50 +257,31 @@ class _Plan:
         x_row = len(self.subsets)
         return self._sum_table([(x_row, (), self.subsets[u][1]) for u in subs])
 
-    def _rows_table(self, peak_layout, rows):
-        """Gathers, reductions and right-hand sides of some max-sum rows.
-        Peak outputs and energy outputs come out of separate reductions;
-        `merge` puts them back in row order. peak_layout is `_layout`,
-        memoized for the pass."""
-        peak_tgt, peak_starts, energy_specs, energy_starts = [], [], [], []
-        at, rhs_at, sizes, labels = [], [], [], []
-        outputs = {"peak": 0, "energy": 0}
+    def _rows_table(self, rows):
+        """One sum table for some max-sum rows, in row order, with the
+        starts of its runs over T and the right-hand sides: a row's `size`
+        left-hand sides are the maxima of its runs."""
+        specs, starts, rhs_at, sizes, labels = [], [], [], [], []
         sums = 0
         for kind, ps, pt in rows:
-            s_sub, s_axes = self.subsets[ps]
             t_sub, t_axes = self.subsets[pt]
-            length = self.lengths[pt]
-            if kind == "peak":
-                fiber = pt
-                size = self.n // length
-                peak_starts.append(
-                    len(peak_tgt) * self.n + np.arange(0, self.n, length)
-                )
-                peak_tgt.append(ps * self.n + peak_layout(t_axes))
-            else:
-                fiber = self.index[s_sub | t_sub]
-                size = self.n // self.lengths[fiber]
-                # slices over T, outer to S: `size` runs of `length` sums
-                energy_specs.append((ps, t_axes, s_axes))
-                runs = size * length
-                energy_starts.append(np.arange(sums, sums + runs, length))
-                sums += runs
-            labels.append((kind, s_sub, t_sub))
-            sizes.append(size)
-            at.append(outputs[kind] + np.arange(size))
-            outputs[kind] += size
+            # an energy row sums its part over S; a peak row sums over the
+            # empty subset, which is last
+            u_sub, u_axes = self.subsets[ps if kind == "energy" else -1]
+            fiber = self.index[u_sub | t_sub]
+            size, length = self.n // self.lengths[fiber], self.lengths[pt]
+            specs.append((ps, t_axes, u_axes))
+            starts.append(np.arange(sums, sums + size * length, length))
+            sums += size * length
             rhs_at.append(self.energy_at[fiber] + np.arange(size))
-        sizes = np.array(sizes, dtype=np.intp)
-        is_energy = np.repeat([kind == "energy" for kind, _, _ in rows], sizes)
+            sizes.append(size)
+            labels.append((kind, self.subsets[ps][0], t_sub))
         bound = np.repeat(
             [float(self.s ** len(t_sub)) for _, _, t_sub in labels], sizes
         )
-        at = _cat(at)
         return (
-            _cat(peak_tgt), _cat(peak_starts),
-            self._sum_table(energy_specs), _cat(energy_starts),
-            np.where(is_energy, at + outputs["peak"], at),
-            _cat(rhs_at), bound, np.cumsum(sizes) - sizes, labels,
+            self._sum_table(specs), _cat(starts), _cat(rhs_at), bound,
+            np.cumsum(sizes) - sizes, labels,
         )
 
 
@@ -423,19 +401,14 @@ def check_max_sum_inequalities(x, sp):
     )
     checked = 0
     violations = []
-    for (peak_tgt, peak_starts, sum_table, energy_starts, merge, rhs_at,
-         bound, row_starts, labels) in plan.tables("rows"):
-        sums = _fiber_sums(source, *sum_table)
-        lhs = np.concatenate((
-            np.maximum.reduceat(source[peak_tgt], peak_starts),
-            np.maximum.reduceat(sums, energy_starts),
-        ))[merge]
+    for table, starts, rhs_at, bound, first, labels in plan.tables("rows"):
+        lhs = np.maximum.reduceat(_fiber_sums(source, *table), starts)
         rhs = fiber[rhs_at] / bound
         for k in (lhs > rhs * (1.0 + MAX_SUM_REL_TOL)).nonzero()[0]:
-            row = int(np.searchsorted(row_starts, k, side="right")) - 1
+            row = int(np.searchsorted(first, k, side="right")) - 1
             kind, s_sub, t_sub = labels[row]
             violations.append(
-                (kind, s_sub, t_sub, int(k - row_starts[row]) + 1,
+                (kind, s_sub, t_sub, int(k - first[row]) + 1,
                  float(lhs[k]), float(rhs[k]))
             )
         checked += lhs.size

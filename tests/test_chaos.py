@@ -2,6 +2,7 @@
 routes, exact sign enumeration as the moment oracle, and the comparison
 inequalities (decoupling, merge monotonicity, expectation control)."""
 
+import gc
 import itertools
 import math
 import tracemalloc
@@ -218,6 +219,38 @@ def test_merge_monotonicity_bulk():
             assert lo <= hi + 1e-9 * max(1.0, hi)
 
 
+def test_partition_norm_needs_a_restart():
+    # with no start the alternating solver would report 0.0 on three
+    # blocks, where the norm of this rank-one array is sqrt(3)
+    arr = np.ones((3, 3, 3)) / 3.0
+    for restarts in (0, -1):
+        with pytest.raises(ShapeError):
+            partition_norm(arr, P({1}, {2}, {3}), restarts=restarts)
+    assert partition_norm(arr, P({1}, {2}, {3}), restarts=1) == pytest.approx(
+        math.sqrt(3.0), rel=1e-9)
+
+
+def test_matricize_keeps_no_layout():
+    # positions are built per call: a cache of them would keep one 32 KiB
+    # table per partition here, 6.4 MiB in all
+    arr = np.random.default_rng(32).standard_normal((4,) * 6)
+    partitions = [part for part in enumerate_partitions(range(1, 7))
+                  if part.kappa >= 2]
+    assert len(partitions) == 202
+    chaos._matricize(arr, partitions[0].blocks)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for part in partitions:
+            chaos._matricize(arr, part.blocks)
+        gc.collect()
+        left = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert left < 64 * 1024
+
+
 def test_partition_norm_rejects_wrong_ground():
     arr = np.zeros((2, 2))
     with pytest.raises(ShapeError):
@@ -432,6 +465,19 @@ def test_moment_validation():
             estimate_chaos_moments(co, "decoupled", [p], trials=10, seed=0)
 
 
+def test_moment_orders_must_be_finite():
+    # at p = inf the L_p routine reads 1.0 (|X|^inf is inf or 0, and its
+    # mean to the power 1/inf is 1), where the largest |X| here is 3.0
+    dims = KronDims((4, 2))
+    phi = materialize(build_operator(dims, m=4, seed=0))
+    co = ChaosCoefficients.distortion(dims, phi, np.ones(8) / math.sqrt(8))
+    for p in (math.inf, math.nan):
+        with pytest.raises(ShapeError):
+            exact_chaos_moments(co, "coupled", [2.0, p])
+        with pytest.raises(ShapeError):
+            estimate_chaos_moments(co, "coupled", [p], trials=10, seed=0)
+
+
 # ------------------------------------------------------------ moment profile
 
 
@@ -446,6 +492,14 @@ def test_profile_rejects_bad_p():
     for ps in ([0.0], [2.0, -1.0]):
         with pytest.raises(ShapeError):
             moment_bound_profile(np.eye(2), ps)
+
+
+def test_profile_rejects_non_finite_p():
+    # nan would come back as nan, and inf as nan on a zero array (0 * inf)
+    for arr in (np.eye(2), np.zeros((2, 2))):
+        for p in (math.nan, math.inf):
+            with pytest.raises(ShapeError):
+                moment_bound_profile(arr, [2.0, p])
 
 
 def test_profile_matches_one_p_at_a_time():

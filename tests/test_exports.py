@@ -4,7 +4,8 @@ harness's public names and holds no default and no family, baseline or
 report-kind name of its own. No public function takes a private
 parameter. One byte budget, indexing._BLOCK_BYTES, sizes every blocked
 loop, one check refuses every oversized array, one function reads the
-clock, and one counter holds the failure rule."""
+clock, one lays out grouped axes, and one counter holds the failure
+rule."""
 
 import ast
 import importlib
@@ -186,6 +187,17 @@ def test_one_cell_timer():
     readers = _src_sites(lambda n: "perf_counter" in (
         getattr(n, "id", None), getattr(n, "attr", None)))
     assert set(readers) == {("harness", "_timed")}
+
+
+def test_one_layout_builder():
+    # every fiber, slice and matricization is laid out by one function:
+    # any other that transposes an np.arange builds a layout of its own
+    def reads(name):
+        return lambda n: name in (getattr(n, "id", None),
+                                  getattr(n, "attr", None))
+    builders = set(_src_sites(reads("arange"))) & set(
+        _src_sites(reads("transpose")))
+    assert builders == {("indexing", "_group_positions")}
 
 
 def test_one_memory_refusal():

@@ -1,6 +1,7 @@
 """Fiber top-k selection, split partition properties, max-sum checks."""
 
 import dataclasses
+import functools
 import gc
 import itertools
 import tracemalloc
@@ -25,18 +26,21 @@ from kronjl.sparsify import (
 
 # reference: one gather and one numpy reduction per subset and per (S, T)
 # pair, the library's loops before the comparison plan; the plan must give
-# the same bytes
+# the same bytes. It asks for the same few layouts thousands of times, so
+# it reads them through a cache of its own (the tables are read-only).
+_positions = functools.cache(_group_positions)
+
 
 def _grouped(x, *groups):
     used = set().union(*groups)
     rest = tuple(a for a in range(x.ndim) if a not in used)
-    return x.reshape(-1)[_group_positions(x.shape, groups + (rest,))]
+    return x.reshape(-1)[_positions(x.shape, groups + (rest,))]
 
 
 def _k_mask(x, axes0, s):
     """Where K(S) keeps x, for S given as sorted 0-based axes: the s^|S|
     largest entries by magnitude of every fiber over S."""
-    pos = _group_positions(x.shape, (axes0, tuple(
+    pos = _positions(x.shape, (axes0, tuple(
         a for a in range(x.ndim) if a not in axes0)))
     k = s ** len(axes0)
     if k >= pos.shape[0]:
