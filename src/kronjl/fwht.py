@@ -15,7 +15,7 @@ A digit of order r costs r multiply-adds per entry:
 2^18 splits as (32, 32, 16, 16), 96 per entry, where 6-bit digits
 (64, 64, 64) cost 192. The public functions write a new array on every
 call and none works in place; transforms.hadamard_rows lends the kernel
-one pair of buffers for all the blocks of a call instead.
+one pair of buffers for all the blocks a thread of a call runs instead.
 """
 
 import functools
@@ -34,6 +34,15 @@ def active_backend():
     Kept because run manifests record the kernel that produced them.
     """
     return "numpy"
+
+
+def _real(a):
+    """`a` as a float64 array. ShapeError, naming the dtype, for complex
+    input, checked before the cast, which would drop the imaginary part."""
+    a = np.asarray(a)
+    if a.dtype.kind == "c":
+        raise ShapeError(f"expected real input, got dtype {a.dtype}")
+    return a.astype(np.float64, copy=False)
 
 
 def _check_pow2(n):
@@ -147,7 +156,7 @@ def fwht(x):
 
     Cost O(n log n); the length must be a power of two.
     """
-    x = np.asarray(x, dtype=np.float64)
+    x = _real(x)
     if x.ndim != 1:
         raise ShapeError(f"expected a 1-D vector, got shape {x.shape}")
     _check_pow2(x.shape[0])
@@ -159,7 +168,9 @@ def fwht_axis(a, axis):
 
     Returns a new array; the input is untouched.
     """
-    a = np.asarray(a, dtype=np.float64)
+    if isinstance(axis, bool) or not isinstance(axis, (int, np.integer)):
+        raise ShapeError(f"axis must be an integer, got {axis!r}")
+    a = _real(a)
     if not -a.ndim <= axis < a.ndim:
         raise ShapeError(f"axis {axis} is out of range for shape {a.shape}")
     _check_pow2(a.shape[axis])

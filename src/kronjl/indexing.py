@@ -27,7 +27,9 @@ from .errors import BudgetError, ShapeError
 
 __all__ = ["KronDims"]
 
-_BLOCK_BYTES = 1 << 20  # half a 2 MiB per-core L2
+# half a 2 MiB per-core L2; where transforms.hadamard_rows runs a call on
+# two threads they share it, a block of two or more rows split in halves
+_BLOCK_BYTES = 1 << 20
 # the largest single item; a dense cell holds about five items at once
 _ITEM_CAP = 1 << 30
 _TABLE_CAP = 1 << 27  # a whole table: 2^24 float64, an N x N at N = 2^12

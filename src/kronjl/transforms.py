@@ -19,11 +19,16 @@ is small against N (fwht.last_block) hadamard_rows transforms the high
 bits of a row in full and runs the last 32-wide Sylvester block only at
 the sampled rows; apply_dense likewise transforms its first axis only at
 the sampled fibres. hadamard_rows streams a batch through blocks of rows
-of about 1 MiB (indexing._blocks), applies D to one block at a time, and
-gives every block of a call the same buffers, allocated once for its
-largest block, so its temporaries stay in cache and do not grow with the
-batch; the block size changes no byte. A rank-one input needs no length-N
-work: H D (x_1 (x) ... (x) x_d) is the Kronecker product of the H_l
+of about 1 MiB (indexing._blocks) and applies D to one block at a time.
+A call of one block runs in the caller; a call of two or more runs on
+two threads where the process may use two CPUs and BLAS runs one thread:
+the caller and one helper each take the next block as they come free,
+each block of two or more rows first split in half. Every block a thread
+runs reuses that thread's buffers, allocated once for the largest block,
+so the temporaries stay in cache and do not grow with the batch; neither
+the block size nor the thread count changes a byte. A rank-one input
+needs no length-N work:
+H D (x_1 (x) ... (x) x_d) is the Kronecker product of the H_l
 (xi_l * x_l), and a sampled entry is a product of one entry per axis,
 found at the bit fields of its row (sampled_entries). apply_factored and
 the harness's kron and onehot trials take that path; only dense inputs go
@@ -34,13 +39,15 @@ row sample from substream(seed, TAG_SAMPLES).
 """
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import rand
 from .errors import ShapeError
-from .fwht import _transformed, fwht, fwht_axis, hadamard_matrix, last_block
+from .fwht import _real, _transformed, fwht, fwht_axis, hadamard_matrix, last_block
 from .indexing import _TABLE_CAP, KronDims, _blocks, _check_bytes
 
 __all__ = [
@@ -58,6 +65,21 @@ __all__ = [
     "materialize",
     "sampled_entries",
 ]
+
+# A hadamard_rows call of two or more blocks runs on two threads where this
+# process may use two CPUs and BLAS runs one thread: two callers of a
+# multi-threaded BLAS contend (at two BLAS threads on 2 vCPUs, the operator
+# benchmark's batch took 40-44 ms on two threads, 27 ms on one). numpy does
+# not report the BLAS thread count, so it is read once here, as OpenBLAS
+# reads it at load: the first of its variables set to a positive count,
+# else one per CPU.
+_CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+_BLAS_THREADS = next(
+    (int(v) for v in map(os.environ.get, (
+        "OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"))
+     if v and v.strip().isdigit() and int(v) > 0),
+    _CPUS)
+_TWO_THREADS = _CPUS >= 2 and _BLAS_THREADS == 1
 
 
 def _frozen(a, dtype):
@@ -243,7 +265,7 @@ def apply_dense(op, x):
     flip commutes with rounding, so the bytes are those of signing with
     op.signs.full_vector() first.
     """
-    x = np.asarray(x, dtype=np.float64)
+    x = _real(x)
     if x.ndim != 1 or x.size != op.dims.total:
         raise ShapeError(f"expected a vector of length {op.dims.total}")
     n1, rows0 = op.dims.dims[0], op.samples.rows - 1
@@ -299,19 +321,25 @@ def hadamard_rows(xs, rows0, signs=None):
 
     The rows go through in blocks of about 1 MiB of row or gathered data
     (indexing._blocks), each signed, transformed, gathered and read into
-    the (count, m) result before the next starts. The call allocates one
-    set of buffers for its largest block (the signed rows, the kernel's
-    output and its spare, which then holds the row index and the gathered
-    rows) and every block reuses them, so the temporaries stay in cache
-    and do not grow with count. Each row meets the same products whatever
-    the block, so the block size changes no byte.
+    the (count, m) result. A call of one block runs in the caller. A call
+    of two or more runs on two threads where the process may use two CPUs
+    and BLAS runs one thread (_TWO_THREADS): the caller and one helper,
+    which the call starts and joins, share the block budget, so each block
+    of two or more rows splits at its midpoint; each thread takes the next
+    block as it comes free and writes its rows of the result. Each thread
+    allocates one set of buffers for the largest block (the signed rows,
+    the kernel's output and its spare, which then holds the row index and
+    the gathered rows) and every block it runs reuses them, so the
+    temporaries stay in cache and do not grow with count. Each row meets
+    the same products whatever its block or thread, so neither the block
+    size nor the thread count changes a byte.
     """
-    xs = np.asarray(xs, dtype=np.float64)
+    xs = _real(xs)
     if xs.ndim != 2:
         raise ShapeError(f"expected a (count, N) matrix, got shape {xs.shape}")
     count, n = xs.shape
     if signs is not None:
-        signs = np.asarray(signs, dtype=np.float64)
+        signs = _real(signs)
         if signs.shape != (n,):
             raise ShapeError(f"signs must have shape ({n},), got {signs.shape}")
     rows0 = np.asarray(rows0)
@@ -331,16 +359,51 @@ def hadamard_rows(xs, rows0, signs=None):
     # length-32 rows fit in its row, as 128 m <= N
     item = max(n, m * r)
     blocks = list(_blocks(count, 8 * item))
+    two = _TWO_THREADS and len(blocks) > 1
+    if two:  # the threads share the budget: a block of 2+ rows in halves
+        blocks = [half for lo, hi in blocks
+                  for half in ((lo, (lo + hi) // 2), ((lo + hi) // 2, hi))
+                  if half[0] < half[1]]
     size = item * max((hi - lo for lo, hi in blocks), default=0)
+    if not two:
+        _spans_rows(xs, rows0, signs, r, size, blocks, out)
+        return out
+    # each thread takes the next block as it comes free, so a thread on a
+    # slower CPU takes fewer of them
+    lock, spans, errors = threading.Lock(), iter(blocks), []
+
+    def take():
+        with lock:
+            return next(spans, None)
+
+    def helper():
+        try:
+            _spans_rows(xs, rows0, signs, r, size, iter(take, None), out)
+        except BaseException as exc:  # raised again in the caller
+            errors.append(exc)
+
+    thread = threading.Thread(target=helper)
+    thread.start()
+    try:
+        _spans_rows(xs, rows0, signs, r, size, iter(take, None), out)
+    finally:
+        thread.join()
+    if errors:
+        raise errors[0]
+    return out
+
+
+def _spans_rows(xs, rows0, signs, r, size, spans, out):
+    """hadamard_rows of the (lo, hi) spans of rows, each written into
+    out[lo:hi], through one set of buffers of `size` floats each."""
     # separate allocations: one array holding them all was faulted in
     # afresh more often (a `sweep` pass: 1,986 minor faults, not 1,474)
     bufs = [np.empty(size) for _ in range(2 if signs is None else 3)]
-    for lo, hi in blocks:
+    for lo, hi in spans:
         block = xs[lo:hi]
         if signs is not None:
             block = np.multiply(block, signs, out=_lent(bufs[2], block.shape))
         _block_rows(block, rows0[lo:hi], r, bufs[:2], out[lo:hi])
-    return out
 
 
 def _lent(buf, shape, dtype=np.float64):
@@ -374,8 +437,9 @@ def _block_rows(xs, rows0, r, bufs, out):
 def apply_dense_mat(op, xs):
     """Apply one operator to the rows of a (count, N) matrix in a batch:
     hadamard_rows flips the signs and computes only the m sampled entries
-    of each row, block by block."""
-    xs = np.asarray(xs, dtype=np.float64)
+    of each row, block by block, on two threads where hadamard_rows
+    uses them."""
+    xs = _real(xs)
     if xs.ndim != 2 or xs.shape[1] != op.dims.total:
         raise ShapeError(f"expected shape (count, {op.dims.total})")
     ys = hadamard_rows(xs, op.samples.rows - 1, op.signs.full_vector())
@@ -395,7 +459,7 @@ def apply_factored(op, factors):
         raise ShapeError("one input factor per axis required")
     signed = []
     for f, s, n in zip(factors, op.signs.factors, op.dims):
-        f = np.asarray(f, dtype=np.float64)
+        f = _real(f)
         if f.shape != (n,):
             raise ShapeError(f"factor shape {f.shape} != ({n},)")
         signed.append(f * s)

@@ -4,8 +4,8 @@ harness's public names and holds no default and no family, baseline or
 report-kind name of its own. No public function takes a private
 parameter. One byte budget, indexing._BLOCK_BYTES, sizes every blocked
 loop, one check refuses every oversized array, one function reads the
-clock, one lays out grouped axes, and one counter holds the failure
-rule."""
+clock, one lays out grouped axes, one counter holds the failure rule,
+and one function starts a thread."""
 
 import ast
 import importlib
@@ -187,6 +187,19 @@ def test_one_cell_timer():
     readers = _src_sites(lambda n: "perf_counter" in (
         getattr(n, "id", None), getattr(n, "attr", None)))
     assert set(readers) == {("harness", "_timed")}
+
+
+def test_one_thread_site():
+    # one function starts a thread, and it sits beside the import-time
+    # reads of the CPU affinity and the BLAS thread variables that decide
+    # when it may
+    def hit(n):
+        names = (getattr(n, "id", None), getattr(n, "attr", None))
+        return ("Thread" in names or "sched_getaffinity" in names
+                or "NUM_THREADS" in str(getattr(n, "value", None)))
+    sites = set(_src_sites(hit))
+    assert {fn for _, fn in sites if fn} == {"hadamard_rows"}
+    assert {module for module, _ in sites} == {"transforms"}
 
 
 def test_one_layout_builder():

@@ -2,11 +2,17 @@
 
 import itertools
 import math
+import os
+import subprocess
+import sys
+import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import kronjl
 from kronjl import indexing, transforms
 from kronjl.errors import BudgetError, ShapeError
 from kronjl.fwht import fwht, fwht_axis, hadamard_matrix, last_block
@@ -353,7 +359,8 @@ def test_hadamard_rows_block_size_changes_no_byte(monkeypatch, n, m, count):
     op = build_operator(dims, m, seed=m)
     row_bytes = 8 * max(n, m * last_block(n, m))
 
-    def outputs(rows_per_block=None):
+    def outputs(rows_per_block=None, two_threads=False):
+        monkeypatch.setattr(transforms, "_TWO_THREADS", two_threads)
         if rows_per_block is not None:
             monkeypatch.setattr(indexing, "_BLOCK_BYTES", rows_per_block * row_bytes)
         got = [hadamard_rows(xs, shared), hadamard_rows(xs, per_row),
@@ -366,9 +373,12 @@ def test_hadamard_rows_block_size_changes_no_byte(monkeypatch, n, m, count):
 
     whole = outputs(count)
     # the default budget, then blocks of one, two and four rows, where the
-    # buffers serve several blocks and a one-row case's last is the largest
-    for rows_per_block in (None, 1, 2, 4):
-        for got, want in zip(outputs(rows_per_block), whole):
+    # buffers serve several blocks and a one-row case's last is the largest;
+    # on two threads the blocks of two and four rows split into halves, and
+    # the two take the 9, 9 and 5 spans in whatever order they come free
+    for rows_per_block, two_threads in itertools.product((None, 1, 2, 4),
+                                                         (False, True)):
+        for got, want in zip(outputs(rows_per_block, two_threads), whole):
             assert np.array_equal(got, want)
 
 
@@ -421,6 +431,111 @@ def test_apply_dense_mat_holds_no_signed_copy():
     assert _peak_bytes(lambda: apply_dense_mat(op, xs)) < xs.nbytes / 2
 
 
+def test_two_threads_share_the_block_budget(monkeypatch):
+    # each thread holds one set of buffers: for the operator benchmark's
+    # batch (one 2 MiB row a block) about 14 MiB beyond it, 8 MiB on one
+    # thread; a block of eight 128 KiB rows splits into two halves of four
+    monkeypatch.setattr(transforms, "_TWO_THREADS", True)
+    op = build_operator((64, 64, 64), 128, seed=0)
+    xs = np.random.default_rng(4).standard_normal((32, op.dims.total))
+    assert _peak_bytes(lambda: apply_dense_mat(op, xs)) <= 16 * 2**20
+    op = build_operator((128, 128), 128, seed=2)
+    xs = np.random.default_rng(5).standard_normal((64, op.dims.total))
+    assert _peak_bytes(lambda: apply_dense_mat(op, xs)) < 4 * 2**20
+
+
+def test_a_helper_error_is_raised_in_the_caller(monkeypatch):
+    # the helper's error comes back after the join, and no thread outlives
+    # a call, failed or not
+    monkeypatch.setattr(transforms, "_TWO_THREADS", True)
+    monkeypatch.setattr(indexing, "_BLOCK_BYTES", 8 * 256)
+    xs = np.random.default_rng(6).standard_normal((4, 256))
+    block_rows = transforms._block_rows
+    before = threading.active_count()
+    want = hadamard_rows(xs, [3, 9])
+    assert threading.active_count() == before
+    # the caller holds its first block until the helper has taken one
+    helper_ran = threading.Event()
+
+    def failing(*args):
+        if threading.current_thread() is not threading.main_thread():
+            helper_ran.set()
+            raise ZeroDivisionError("helper failed")
+        assert helper_ran.wait(timeout=60)
+        block_rows(*args)
+
+    monkeypatch.setattr(transforms, "_block_rows", failing)
+    with pytest.raises(ZeroDivisionError, match="helper failed"):
+        hadamard_rows(xs, [3, 9])
+    assert threading.active_count() == before
+    monkeypatch.setattr(transforms, "_block_rows", block_rows)
+    assert np.array_equal(hadamard_rows(xs, [3, 9]), want)
+
+
+def test_two_thread_calls_under_contention(monkeypatch):
+    # three callers at once, six threads on fewer cores, switching often:
+    # a block taken twice or never would change or leave out rows
+    monkeypatch.setattr(indexing, "_BLOCK_BYTES", 8 * 256)
+    xs = np.random.default_rng(8).standard_normal((48, 256))
+    rows0, signs = [3, 9, 200], np.sign(xs[0])
+    want = hadamard_rows(xs, rows0, signs)
+    monkeypatch.setattr(transforms, "_TWO_THREADS", True)
+    got = [None] * 3
+
+    def call(i):
+        got[i] = [hadamard_rows(xs, rows0, signs) for _ in range(20)]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        callers = [threading.Thread(target=call, args=(i,)) for i in range(3)]
+        for t in callers:
+            t.start()
+        for t in callers:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in callers)
+    assert all(np.array_equal(y, want) for ys in got for y in ys)
+
+
+_THREADS_SCRIPT = """
+import hashlib
+import numpy as np
+from kronjl import transforms
+for dims, count in (((64, 64, 32), 3), ((128, 128), 24)):
+    op = transforms.build_operator(dims, 128, seed=1)
+    xs = np.random.default_rng(2).standard_normal((count, op.dims.total))
+    print(hashlib.sha256(transforms.apply_dense_mat(op, xs).tobytes()).hexdigest())
+print(transforms._TWO_THREADS)
+"""
+
+
+def test_thread_decision_and_bytes_in_a_fresh_process():
+    # the BLAS variables are read at import: one BLAS thread gives two
+    # threads of our own where two CPUs are allowed, two BLAS threads or
+    # none set (one per CPU) keep the serial path, and the bytes of a batch
+    # of several blocks (3 one-row blocks, 3 blocks of 8 rows) never change
+    src = str(Path(kronjl.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    base = {k: v for k, v in os.environ.items() if k not in (
+        "OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
+    two_cpus = len(os.sched_getaffinity(0)) >= 2
+    outs = []
+    for blas, two_threads in (({"OPENBLAS_NUM_THREADS": "1"}, two_cpus),
+                              ({"OPENBLAS_NUM_THREADS": "2"}, False),
+                              ({}, False)):
+        done = subprocess.run(
+            [sys.executable, "-c", _THREADS_SCRIPT],
+            env=dict(base, PYTHONPATH=path, **blas),
+            capture_output=True, timeout=120, check=True, text=True)
+        *digests, decision = done.stdout.split()
+        assert decision == str(two_threads), blas
+        outs.append(digests)
+    assert len(outs[0]) == 2
+    assert outs[0] == outs[1] == outs[2]
+
+
 def test_hadamard_rows_refuse_one_oversized_row():
     # N = 2^28: one row is 2 GiB, over the item cap; the broadcast view
     # costs nothing, and the refusal comes before any buffer
@@ -468,6 +583,27 @@ def test_hadamard_rows_validation():
             hadamard_rows(xs, rows0)
     got = hadamard_rows(xs, np.array([0, 127], dtype=np.uint64))
     assert np.array_equal(got, hadamard_rows(xs, [0, 127]))
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda op, z: apply_dense(op, z), "complex128"),
+    (lambda op, z: apply_dense_mat(op, z[None]), "complex128"),
+    (lambda op, z: hadamard_rows(z[None], [0]), "complex128"),
+    (lambda op, z: hadamard_rows(z.real[None], [0], z), "complex128"),
+    (lambda op, z: apply_factored(op, [z[:8], z.real[:8]]), "complex128"),
+    (lambda op, z: fwht(z.astype(np.complex64)), "complex64"),
+    (lambda op, z: fwht_axis(z.reshape(8, 8), 1), "complex128"),
+    (lambda op, z: fwht_axis(z.real.reshape(8, 8), True), "axis must be an integer"),
+    (lambda op, z: fwht_axis(z.real.reshape(8, 8), 1.0), "axis must be an integer"),
+])
+def test_entry_points_refuse_complex_input_and_non_integer_axes(call, match):
+    # a cast to float64 would drop the imaginary part with only a warning;
+    # an axis of True would index as 1, where numpy refuses bool and float
+    # axes
+    op = build_operator((8, 8), 4, seed=0)
+    z = np.random.default_rng(7).standard_normal(64) + 1j
+    with pytest.raises(ShapeError, match=match):
+        call(op, z)
 
 
 def test_duplicate_rows_counted_twice():
