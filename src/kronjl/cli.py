@@ -8,6 +8,10 @@ Exit codes: 0 success, 1 configuration error (bad flags or config file,
 missing required options, a shape the library rejects), 2 budget error
 (an enumeration, scan or materialized matrix over its cap), 3 selftest
 failure.
+
+Every click.echo names its stream, sys.stdout or sys.stderr: without
+one, click caches the stream it finds, and keeps a redirected one and
+all its text alive for good.
 """
 
 import inspect
@@ -53,7 +57,7 @@ def _command(name, build):
         if out:
             harness.write_text(out, text)
         else:
-            click.echo(text, nl=False)
+            click.echo(text, file=sys.stdout, nl=False)
 
     params = inspect.signature(build).parameters.values()
     return click.Command(
@@ -73,12 +77,12 @@ def selftest():
     results = harness.selftest()
     bad = 0
     for name, ok, detail in results:
-        click.echo(f"{name}: {'ok' if ok else 'FAIL'} ({detail})")
+        click.echo(f"{name}: {'ok' if ok else 'FAIL'} ({detail})", file=sys.stdout)
         bad += 0 if ok else 1
     if bad:
-        click.echo(f"{bad} check(s) failed", err=True)
+        click.echo(f"{bad} check(s) failed", file=sys.stderr)
         raise _SelftestFailure()
-    click.echo(f"all {len(results)} checks passed")
+    click.echo(f"all {len(results)} checks passed", file=sys.stdout)
 
 
 def main(argv=None):
@@ -92,10 +96,10 @@ def main(argv=None):
         exc.show()
         sys.exit(1)
     except (ConfigError, ShapeError) as exc:
-        click.echo(f"config error: {exc}", err=True)
+        click.echo(f"config error: {exc}", file=sys.stderr)
         sys.exit(1)
     except BudgetError as exc:
-        click.echo(f"budget error: {exc}", err=True)
+        click.echo(f"budget error: {exc}", file=sys.stderr)
         sys.exit(2)
     except _SelftestFailure:
         sys.exit(3)

@@ -3,14 +3,19 @@
 Reproducibility contract: a run is a pure function of its configuration
 and master seed. Every random draw comes from a named substream, and each
 sweep cell draws its whole trial block up front in a fixed order (sign
-factors by ascending axis, then sample rows). The later arithmetic runs
-through blocks of trials of about 1 MiB (indexing._blocks); the kernel
-gives a row the same bytes alone as in any batch, so the block size
-changes no byte written. jl-sweep and pointset share that trial loop
-(`_sampled_trials`) and one cell loop (`_cells`), which gives each
-(m, eps) cell its substream and its wall time (the lower-bound sweep
-shares its timer, `_timed`), and every CSV format is written by one
-writer from its header's column names (`_to_csv`).
+factors by ascending axis, then sample rows), refused over the item cap
+before it is drawn. The later arithmetic runs through spans of trials of
+about 1 MiB (indexing._blocks): a rank-one span sized by its per-axis
+work, a dense span by its output (each no smaller than a pointset's Gram
+matrices), one hadamard_rows call that signs and transforms its rows in
+blocks, on two threads where it uses them; the kernel gives a row the
+same bytes alone as in any batch, so neither the block size nor the
+thread count changes a byte written. jl-sweep and
+pointset share that trial loop (`_sampled_trials`) and one cell loop
+(`_cells`), which gives each (m, eps) cell its substream and its wall
+time (the lower-bound sweep shares its timer, `_timed`), and every CSV
+format is written by one writer from its header's column names
+(`_to_csv`).
 
 Every Monte Carlo cell is a source of ratios (embedded over original
 squared norm or pair distance) per block of trials, scored by one rule
@@ -284,36 +289,41 @@ def _sampled_trials(dims, pts, m, trials, rng):
     """Sampled, unscaled coordinates of fresh embeddings of the points.
 
     `pts` holds the points' factors (_family_factors). Draws every trial
-    up front: per-axis signs by ascending axis, then the sample rows. Then
-    yields, for blocks of trials in order (indexing._blocks), the m
-    sampled entries of H D_xi p for each point p: (block, points, m).
+    up front, refused over the item cap before anything is drawn: per-axis
+    signs by ascending axis, then the sample rows. Then yields, for spans
+    of trials in order (indexing._blocks), the m sampled entries of
+    H D_xi p for each point p: (span, points, m).
 
     A rank-one point never becomes a length-N vector: H D_xi (x_1 (x) ...
     (x) x_d) is the Kronecker product of the H_l (xi_l * x_l), so each
     axis is transformed on its own and the entries are gathered at the
     bit fields of the rows (sampled_entries). Dense points, one length-N
-    factor, meet the Kronecker product of the signs and go through
-    hadamard_rows at their trial's rows: the high bits are transformed in
-    full, and where m is small against N the last Sylvester block only at
-    the m sampled rows.
+    factor, go through one hadamard_rows call per span of trials, sized by
+    its output or a pointset's Gram matrices: each row is signed by its
+    trial's Kronecker product in the call's own buffers, the high bits
+    are transformed in full, and where m is small against N the last
+    Sylvester block runs only at the m sampled rows. A span holds many
+    blocks of rows, so it runs on two threads where hadamard_rows uses
+    them.
     """
     points = pts[0].shape[0]
+    _check_bytes(f"a cell's draw of {trials} trials x ({sum(dims)} signs + {m} rows)",
+                 8 * trials * (sum(dims) + m), _ITEM_CAP)
     signs = rand.rademacher_factors(rng, trials, dims)
     rows0 = rng.integers(0, dims.total, size=(trials, m))
-    # a trial's floats: its signed length-N points, or its per-axis
-    # transforms and sampled entries
-    width = dims.total if len(pts) == 1 else sum(dims) + m
-    for lo, hi in _blocks(trials, 8 * points * width):
+    # a trial's floats: its sampled entries (and a rank-one point's
+    # per-axis transforms), and no fewer than the (points, points) Gram
+    # matrix a pointset forms of them
+    if len(pts) == 1:  # one length-N factor: dense, or a single axis
+        for lo, hi in _blocks(trials, 8 * points * max(m, points)):
+            yield hadamard_rows(pts[0], rows0[lo:hi, None, :],
+                                [f[lo:hi] for f in signs])
+        return
+    for lo, hi in _blocks(trials, 8 * points * max(sum(dims) + m, points)):
         xi = [f[lo:hi] for f in signs]
-        if len(pts) == 1:  # one length-N factor: dense, or a single axis
-            z = kron_materialize(xi)[:, None, :] * pts[0][None, :, :]
-            rows = np.repeat(rows0[lo:hi], points, axis=0)
-            ys = hadamard_rows(z.reshape(-1, dims.total), rows)
-            yield ys.reshape(z.shape[:2] + (m,))
-        else:
-            ys = [fwht_axis(s[:, None, :] * f[None, :, :], 2)
-                  for s, f in zip(xi, pts)]
-            yield sampled_entries(ys, rows0[lo:hi, None, :])
+        ys = [fwht_axis(s[:, None, :] * f[None, :, :], 2)
+              for s, f in zip(xi, pts)]
+        yield sampled_entries(ys, rows0[lo:hi, None, :])
 
 
 def _csv_cell(value):

@@ -15,7 +15,8 @@ Every blocked loop of the package walks its items through `_blocks`, in
 spans of about `_BLOCK_BYTES` of working data each; that one budget is the
 only block size there is. `_check_bytes` refuses every array over its byte
 cap before it is allocated: `_TABLE_CAP` for a whole table, `_ITEM_CAP` for
-one item (a span holds one item at least) or one dense point set.
+one item (a span holds one item at least), one dense point set or one
+Monte Carlo cell's up-front draw.
 """
 
 import math

@@ -18,21 +18,25 @@ reference, composes per-axis transforms. P keeps only m rows, so where m
 is small against N (fwht.last_block) hadamard_rows transforms the high
 bits of a row in full and runs the last 32-wide Sylvester block only at
 the sampled rows; apply_dense likewise transforms its first axis only at
-the sampled fibres. hadamard_rows streams a batch through blocks of rows
-of about 1 MiB (indexing._blocks) and applies D to one block at a time.
-A call of one block runs in the caller; a call of two or more runs on
-two threads where the process may use two CPUs and BLAS runs one thread:
-the caller and one helper each take the next block as they come free,
-each block of two or more rows first split in half. Every block a thread
-runs reuses that thread's buffers, allocated once for the largest block,
-so the temporaries stay in cache and do not grow with the batch; neither
+the sampled fibres. hadamard_rows takes D as per-axis factors with a
+leading trials axis, so one call runs every point of a batch under every
+trial's D (apply_dense_mat passes its operator's as one trial, the
+harness a span of trials). It streams the rows through blocks of about
+1 MiB (indexing._blocks) and writes each block's signs into the buffer
+that then holds its rows: one trial's length-N vector is formed once per
+call, and under several trials each row's is formed in its place. A call
+of one block runs in the caller; a call of two or more runs on two
+threads where the process may use two CPUs and BLAS runs one thread: the
+caller and one helper each take the next block as they come free, each
+block of two or more rows first split in half. Every block a thread runs
+reuses that thread's buffers, allocated once for the largest block, so
+the temporaries stay in cache and do not grow with the batch; neither
 the block size nor the thread count changes a byte. A rank-one input
-needs no length-N work:
-H D (x_1 (x) ... (x) x_d) is the Kronecker product of the H_l
-(xi_l * x_l), and a sampled entry is a product of one entry per axis,
-found at the bit fields of its row (sampled_entries). apply_factored and
-the harness's kron and onehot trials take that path; only dense inputs go
-through hadamard_rows.
+needs no length-N work: H D (x_1 (x) ... (x) x_d) is the Kronecker
+product of the H_l (xi_l * x_l), and a sampled entry is a product of one
+entry per axis, found at the bit fields of its row (sampled_entries).
+apply_factored and the harness's kron and onehot trials take that path;
+only dense inputs go through hadamard_rows.
 
 Randomness: signs for axis l come from substream(seed, TAG_SIGNS, l); the
 row sample from substream(seed, TAG_SAMPLES).
@@ -302,63 +306,82 @@ def _check_rows(rows):
     return rows.astype(np.int64, copy=False)
 
 
-def hadamard_rows(xs, rows0, signs=None):
-    """Entries rows0[c] of the orthonormal length-N Walsh-Hadamard
-    transform of each row xs[c] of a (count, N) matrix, each row first
-    multiplied by the length-N vector `signs` where one is given:
-    (count, m).
+def hadamard_rows(xs, rows0, factors=None):
+    """Entries rows0 of the orthonormal length-N Walsh-Hadamard transform
+    of each row xs[p] of a (points, N) matrix: (points, m). Given per-axis
+    sign factors, each of shape (trials, n_l) with prod n_l = N, the rows
+    are every point under every trial t, signed by the Kronecker product
+    of the factors' rows t (kron_materialize): (trials, points, m).
 
     rows0 holds 0-based integer rows in [0, N), of shape (m,) for every
-    row or (count, m); duplicates are kept. With the earliest axis
-    fastest, the Kronecker product of the per-axis Sylvester factors is
-    the length-N Sylvester matrix, so one transform serves every shape of
-    the same N. It is split as H_N = H_{N/r} (x) H_r,
-    r = fwht.last_block(N, m): the high bits are transformed in full, then
-    only the m length-r rows holding the sampled entries take the last
-    block. That block costs count * m * r^2 multiply-adds where the full
-    transform's last digit costs count * N * r, and r = 32 only where
-    m * r <= N / 4; otherwise r = 1, the full transform and a gather.
+    row or broadcasting to the result's shape (the harness passes
+    (trials, 1, m), a trial's rows for each of its points); duplicates
+    are kept. With the earliest axis fastest, the Kronecker product of
+    the per-axis Sylvester factors is the length-N Sylvester matrix, so
+    one transform serves every shape of the same N. It is split as
+    H_N = H_{N/r} (x) H_r, r = fwht.last_block(N, m): the high bits are
+    transformed in full, then only the m length-r rows holding the
+    sampled entries take the last block. That block costs m * r^2
+    multiply-adds a row where the full transform's last digit costs
+    N * r, and r = 32 only where m * r <= N / 4; otherwise r = 1, the
+    full transform and a gather.
 
-    The rows go through in blocks of about 1 MiB of row or gathered data
-    (indexing._blocks), each signed, transformed, gathered and read into
-    the (count, m) result. A call of one block runs in the caller. A call
-    of two or more runs on two threads where the process may use two CPUs
-    and BLAS runs one thread (_TWO_THREADS): the caller and one helper,
-    which the call starts and joins, share the block budget, so each block
-    of two or more rows splits at its midpoint; each thread takes the next
-    block as it comes free and writes its rows of the result. Each thread
-    allocates one set of buffers for the largest block (the signed rows,
-    the kernel's output and its spare, which then holds the row index and
-    the gathered rows) and every block it runs reuses them, so the
-    temporaries stay in cache and do not grow with count. Each row meets
-    the same products whatever its block or thread, so neither the block
-    size nor the thread count changes a byte.
+    The rows, trial by trial, go through in blocks of about 1 MiB of row
+    or gathered data (indexing._blocks), each signed, transformed,
+    gathered and read into the result. A row's signs are written into the
+    buffer that then holds it: one trial's vector is formed once per call
+    and multiplies each block; under several trials each row's vector is
+    formed in its place in the buffer, then times its point. A call of one
+    block runs in the caller. A call of two or more runs on two threads
+    where the process may use two CPUs and BLAS runs one thread
+    (_TWO_THREADS): the caller and one helper, which the call starts and
+    joins, share the block budget, so each block of two or more rows
+    splits at its midpoint; each thread takes the next block as it comes
+    free and writes its rows of the result. Each thread allocates one set
+    of buffers for the largest block (the signed rows, the kernel's output
+    and its spare, which then holds the row index and the gathered rows)
+    and every block it runs reuses them, so the temporaries stay in cache
+    and do not grow with the rows. Each row meets the same products
+    whatever its block or thread, and a sign flip is exact, so neither the
+    block size nor the thread count changes a byte, and the bytes are
+    those of signing every row up front.
     """
     xs = _real(xs)
     if xs.ndim != 2:
-        raise ShapeError(f"expected a (count, N) matrix, got shape {xs.shape}")
-    count, n = xs.shape
-    if signs is not None:
-        signs = _real(signs)
-        if signs.shape != (n,):
-            raise ShapeError(f"signs must have shape ({n},), got {signs.shape}")
+        raise ShapeError(f"expected a (points, N) matrix, got shape {xs.shape}")
+    points, n = xs.shape
+    lead = (points,)
+    if factors is not None:
+        factors = [_real(f) for f in factors]
+        shapes = [f.shape for f in factors]
+        if (not factors or any(len(s) != 2 or s[0] != shapes[0][0] for s in shapes)
+                or math.prod(s[1] for s in shapes) != n):
+            raise ShapeError(
+                f"sign factors must be (trials, n_l) arrays with prod n_l = {n}, "
+                f"got {len(shapes)} of shapes {shapes[:4]}")
+        lead = (shapes[0][0], points)
     rows0 = np.asarray(rows0)
-    if rows0.ndim not in (1, 2) or rows0.shape[:-1] not in ((), (count,)):
+    if not 1 <= rows0.ndim <= len(lead) + 1 or any(
+            a not in (1, b) for a, b in zip(rows0.shape[-2::-1], lead[::-1])):
         raise ShapeError(
-            f"rows must have shape (m,) or ({count}, m), got {rows0.shape}"
+            f"rows must have shape (m,) or {lead + ('m',)}, got {rows0.shape}"
         )
     rows0 = _check_rows(rows0)
     m = rows0.shape[-1]
     r = last_block(n, m)
     if np.any((rows0 < 0) | (rows0 >= n)):
         raise ShapeError(f"rows must lie in 0..{n - 1}")
-    rows0 = np.broadcast_to(rows0, (count, m))
+    count = math.prod(lead)
+    rows0 = np.broadcast_to(rows0, lead + (m,)).reshape(count, m)
     out = np.empty((count, m))
     # a row's floats, and its share of each buffer: the row, or its m row
     # indices where m > N (r = 1 then); a split's m indices and m gathered
     # length-32 rows fit in its row, as 128 m <= N
     item = max(n, m * r)
     blocks = list(_blocks(count, 8 * item))
+    signs = factors
+    if factors is not None and lead[0] == 1:  # one trial: one sign vector
+        signs = kron_materialize([f[0] for f in factors])
     two = _TWO_THREADS and len(blocks) > 1
     if two:  # the threads share the budget: a block of 2+ rows in halves
         blocks = [half for lo, hi in blocks
@@ -367,7 +390,7 @@ def hadamard_rows(xs, rows0, signs=None):
     size = item * max((hi - lo for lo, hi in blocks), default=0)
     if not two:
         _spans_rows(xs, rows0, signs, r, size, blocks, out)
-        return out
+        return out.reshape(lead + (m,))
     # each thread takes the next block as it comes free, so a thread on a
     # slower CPU takes fewer of them
     lock, spans, errors = threading.Lock(), iter(blocks), []
@@ -390,20 +413,51 @@ def hadamard_rows(xs, rows0, signs=None):
         thread.join()
     if errors:
         raise errors[0]
-    return out
+    return out.reshape(lead + (m,))
 
 
 def _spans_rows(xs, rows0, signs, r, size, spans, out):
     """hadamard_rows of the (lo, hi) spans of rows, each written into
-    out[lo:hi], through one set of buffers of `size` floats each."""
-    # separate allocations: one array holding them all was faulted in
-    # afresh more often (a `sweep` pass: 1,986 minor faults, not 1,474)
-    bufs = [np.empty(size) for _ in range(2 if signs is None else 3)]
+    out[lo:hi], through one set of buffers of `size` floats each. `signs`
+    is None, one length-N vector for every row, or per-axis factors whose
+    trial i // points signs row i, the point xs[i % points]."""
+    points, n = xs.shape
+    # one allocation cut into the buffers: the first is over glibc's mmap
+    # threshold, and freeing it raises that threshold and the heap's trim
+    # threshold (twice it), so later buffers and the caller's arrays reuse
+    # heap pages rather than fault them in afresh. Three separate 2 MiB
+    # buffers left the threshold low: a `sweep` pass took 710-1,440 minor
+    # faults, not 12-17, and most `operator` passes 33,300, not about 100
+    k = 2 if signs is None else 3
+    whole = np.empty(k * size)
+    bufs = [whole[i * size:(i + 1) * size] for i in range(k)]
     for lo, hi in spans:
-        block = xs[lo:hi]
-        if signs is not None:
-            block = np.multiply(block, signs, out=_lent(bufs[2], block.shape))
+        if signs is None:
+            block = xs[lo:hi]
+        elif isinstance(signs, np.ndarray):
+            block = np.multiply(xs[lo:hi], signs, out=_lent(bufs[2], (hi - lo, n)))
+        else:
+            block = _lent(bufs[2], (hi - lo, n))
+            for i, row in enumerate(block, start=lo):
+                t, p = divmod(i, points)
+                _kron_into([f[t] for f in signs], row)
+                row *= xs[p]
         _block_rows(block, rows0[lo:hi], r, bufs[:2], out[lo:hi])
+
+
+def _kron_into(factors, out):
+    """kron_materialize of 1-D factors written into the length-N `out`,
+    bit for bit and with no temporary: each later axis's entries after the
+    first times the product so far go behind it, then its first entry
+    scales the product in place."""
+    size = factors[0].size
+    out[:size] = factors[0]
+    for f in factors[1:]:
+        np.multiply(f[1:, None], out[:size],
+                    out=out[size:size * f.size].reshape(-1, size))
+        out[:size] *= f[0]
+        size *= f.size
+    return out
 
 
 def _lent(buf, shape, dtype=np.float64):
@@ -436,14 +490,14 @@ def _block_rows(xs, rows0, r, bufs, out):
 
 def apply_dense_mat(op, xs):
     """Apply one operator to the rows of a (count, N) matrix in a batch:
-    hadamard_rows flips the signs and computes only the m sampled entries
-    of each row, block by block, on two threads where hadamard_rows
-    uses them."""
+    hadamard_rows, given the operator's sign factors as one trial, flips
+    the signs and computes only the m sampled entries of each row, block
+    by block, on two threads where hadamard_rows uses them."""
     xs = _real(xs)
     if xs.ndim != 2 or xs.shape[1] != op.dims.total:
         raise ShapeError(f"expected shape (count, {op.dims.total})")
-    ys = hadamard_rows(xs, op.samples.rows - 1, op.signs.full_vector())
-    return op.scale * ys
+    ys = hadamard_rows(xs, op.samples.rows - 1, [f[None] for f in op.signs.factors])
+    return op.scale * ys[0]
 
 
 def apply_factored(op, factors):

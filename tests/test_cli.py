@@ -1,8 +1,11 @@
 """CLI tests driven through the real entry point so the exit-code
 mapping is exercised: 0 success, 1 config, 2 budget, 3 selftest."""
 
+import contextlib
+import gc
 import hashlib
 import inspect
+import io
 import itertools
 import json
 import math
@@ -12,6 +15,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -294,6 +298,52 @@ def test_one_oversized_trial_exits_two(capsys):
     assert out == ""
     assert "needs 8589934592 bytes" in err
     assert peak < 32 * 2**20
+
+
+def test_an_oversized_trial_draw_exits_two(capsys):
+    # the signs and rows of 1025 trials at m = 2^17 - 8 over 4x4 are
+    # 1 MiB over the item cap: refused, naming its bytes, before a draw
+    args = ["jl-sweep", "--dims", "4x4", "--m", str((1 << 17) - 8),
+            "--family", "kron", "--trials", "1025"]
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(args, capsys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == [
+        "budget error: a cell's draw of 1025 trials x (8 signs + 131064 rows) "
+        "needs 1074790400 bytes, over the cap of 1073741824"
+    ]
+    assert peak < 2**20
+
+
+def test_in_process_runs_keep_no_stream():
+    # click's echo without a file caches the current sys.stdout or
+    # sys.stderr in a WeakKeyDictionary whose value is the stream itself,
+    # so a redirected stream and all its text would stay alive for good:
+    # every run here, a success, a config, a usage and a budget error,
+    # writes to fresh streams that must be freed when it is done
+    runs = [
+        ["jl-sweep", "--dims", "4x4", "--m", "4", "--trials", "2"],
+        ["report", "--kind", "partition", "--d", "2"],
+        ["jl-sweep", "--dims", "3x4", "--m", "4"],
+        ["jl-sweep", "--no-such-flag"],
+        ["report", "--kind", "rip", "--dims", "64", "--m", "4", "--s", "5"],
+    ]
+    refs = []
+    for args in runs * 3:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            with pytest.raises(SystemExit):
+                main(args)
+        assert out.getvalue() or err.getvalue(), args
+        refs += [weakref.ref(out), weakref.ref(err)]
+        del out, err
+    gc.collect()
+    assert [r for r in refs if r() is not None] == []
 
 
 def test_malformed_config_exits_one(tmp_path, capsys):

@@ -16,7 +16,7 @@ from kronjl.adversarial import failure_probability_exact
 from kronjl.errors import BudgetError, ConfigError
 from kronjl.fwht import fwht_axis, hadamard_matrix
 from kronjl.indexing import KronDims
-from kronjl import indexing, rand
+from kronjl import indexing, rand, transforms
 from kronjl.transforms import (
     kron_combinations,
     kron_materialize,
@@ -278,36 +278,60 @@ def test_sweep_chunking_does_not_change_counts(monkeypatch):
 @pytest.mark.parametrize("points", [1, 5])
 def test_trial_coordinates_do_not_depend_on_the_block_size(
         monkeypatch, family, points):
-    # 13 trials: one block at the default budget; at a budget of three
-    # trials, blocks of 3, 3, 3, 3 and a last of the one trial left over;
-    # at 1 byte, blocks of one trial, whose one-point transforms are
-    # one-row products
+    # 13 trials, on one thread and on two. A rank-one span is sized by its
+    # per-axis work, a dense one by its output, which hadamard_rows fills
+    # in blocks of rows: at the default budget one span (and at N = 128
+    # one block); at a budget of three trials' work, rank-one spans of
+    # 3, 3, 3, 3 and the one trial left over, and one dense span in blocks
+    # of three trials' rows; at three dense rows, blocks of three rows,
+    # which at 5 points straddle trials; at 1 byte, spans of one trial and
+    # blocks of one row, whose transforms are one-row products
     dims = KronDims((8, 16))
     pts = harness._family_factors(family, dims, seed=4, count=points)
     width = dims.total if family == "dense" else sum(dims) + 8
 
-    def coords(budget):
+    def coords(budget, two_threads):
         monkeypatch.setattr(indexing, "_BLOCK_BYTES", budget)
+        monkeypatch.setattr(transforms, "_TWO_THREADS", two_threads)
         rng = rand.substream(4, rand.TAG_EXPERIMENT)
         return np.concatenate(list(harness._sampled_trials(dims, pts, 8, 13, rng)))
 
-    want = coords(indexing._BLOCK_BYTES)
+    want = coords(indexing._BLOCK_BYTES, False)
     assert want.shape == (13, points, 8)
-    for budget in (3 * 8 * points * width, 1):
-        assert np.array_equal(coords(budget), want)
+    for budget, two_threads in itertools.product(
+            (3 * 8 * points * width, 3 * 8 * width, 1), (False, True)):
+        assert np.array_equal(coords(budget, two_threads), want)
 
 
-def test_dense_cell_memory_does_not_grow_with_trials():
+def test_dense_cell_memory_does_not_grow_with_trials(monkeypatch):
     # 64 trials at N = 2^16 would be 32 MiB per length-N array formed for
-    # the whole cell at once; blocks of two trials keep it to a few MiB
-    tracemalloc.start()
-    try:
+    # the whole cell at once. One hadamard_rows call per span of trials
+    # holds a few 1 MiB buffers per thread, on one thread and on two, for
+    # one point and for a dense point set of five (2.5 MiB of points). A
+    # span of 100 points at m = 8 is sized by its 100 x 100 Gram matrices,
+    # not its entries: by its entries it would peak near 59 MiB
+    def sweep():
         harness.jl_failure_sweep((64, 64, 16), (32,), (0.5,), 64, 0,
                                  families=("dense",))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 16 * 2**20
+
+    def pointset():
+        harness.pointset_preservation((64, 64, 16), 5, (32,), (0.5,), 64, 0,
+                                      family="dense")
+
+    def many_points():
+        harness.pointset_preservation((16, 16), 100, (8,), (0.5,), 500, 0,
+                                      family="dense")
+
+    for run, two_threads in itertools.product((sweep, pointset, many_points),
+                                              (False, True)):
+        monkeypatch.setattr(transforms, "_TWO_THREADS", two_threads)
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * 2**20, (run.__name__, two_threads)
 
 
 def _length_n_trials(dims, pts, m, trials, rng):
@@ -395,9 +419,9 @@ def test_dense_point_is_drawn_in_place():
 
 
 def test_oversized_points_and_trials_are_refused_before_allocating():
-    # a 2 GiB dense point set is over the item cap, and an 8 GiB
+    # a 2 GiB dense point set is over the item cap, an 8 GiB
     # Gaussian-baseline trial (m = 64 at N = 2^24) is refused before its
-    # 128 MiB point is built
+    # 128 MiB point is built, and so is a cell's draw over the cap
     def dense():
         with pytest.raises(BudgetError, match="a dense point set of 1 x "
                            f"{1 << 28} needs {1 << 31} bytes, over the cap"):
@@ -408,7 +432,15 @@ def test_oversized_points_and_trials_are_refused_before_allocating():
             harness.jl_failure_sweep((256, 256, 256), (64,), (0.5,), 1, 0,
                                      families=("kron",), baseline="gaussian")
 
-    for run in (dense, gaussian):
+    def draw():
+        # a cell's up-front draw of 1025 trials x (8 signs + 2^17 - 8 rows)
+        # is 1 MiB over the item cap, refused before a sign is drawn
+        with pytest.raises(BudgetError, match=r"a cell's draw of 1025 trials "
+                           r"x \(8 signs \+ 131064 rows\) needs 1074790400 bytes"):
+            harness.jl_failure_sweep((4, 4), ((1 << 17) - 8,), (0.5,), 1025, 0,
+                                     families=("kron",))
+
+    for run in (dense, gaussian, draw):
         assert _peak_bytes(run) < 2**20
 
 

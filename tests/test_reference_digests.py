@@ -14,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+from kronjl import transforms
 from kronjl.cli import main
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -47,8 +48,14 @@ def test_sweep_smoke_outputs_match_reference_digests(seed, capsys):
         assert _digest(argv, capsys) == want[label], label
 
 
-@pytest.mark.parametrize("seed", range(4))
-def test_full_sweep_dense_and_pointset_match_reference_digests(seed, capsys):
+# the dense cells on the caller alone (the default BLAS threads, ids
+# "0".."3") and on the caller and a helper thread
+@pytest.mark.parametrize("seed, two_threads", [
+    pytest.param(seed, two, id=f"{seed}-two-threads" if two else str(seed))
+    for two in (False, True) for seed in range(4)])
+def test_full_sweep_dense_and_pointset_match_reference_digests(
+        seed, two_threads, monkeypatch, capsys):
+    monkeypatch.setattr(transforms, "_TWO_THREADS", two_threads)
     want = REFERENCE["full"]["sweep"][str(seed)]
     calls = WORKLOADS["sweep"].build(seed, smoke=False)["cli"]
     argvs = {label: argv for label, argv, _ in calls}

@@ -357,6 +357,10 @@ def test_hadamard_rows_block_size_changes_no_byte(monkeypatch, n, m, count):
     per_row = rng.integers(0, n, size=(count, m))
     dims = (n,) if n <= 64 else (64, n // 64)
     op = build_operator(dims, m, seed=m)
+    # three points under three trials of factor signs, each trial its rows:
+    # nine rows, so blocks of two and four rows straddle trials
+    factors = [rng.choice([-1.0, 1.0], size=(3, k)) for k in dims]
+    per_trial = rng.integers(0, n, size=(3, 1, m))
     row_bytes = 8 * max(n, m * last_block(n, m))
 
     def outputs(rows_per_block=None, two_threads=False):
@@ -364,11 +368,15 @@ def test_hadamard_rows_block_size_changes_no_byte(monkeypatch, n, m, count):
         if rows_per_block is not None:
             monkeypatch.setattr(indexing, "_BLOCK_BYTES", rows_per_block * row_bytes)
         got = [hadamard_rows(xs, shared), hadamard_rows(xs, per_row),
-               apply_dense_mat(op, xs)]
-        # the signs flipped block by block into a reused buffer give the
-        # bytes of the batch signed up front
+               apply_dense_mat(op, xs), hadamard_rows(xs[:3], per_trial, factors)]
+        # the signs written block by block into a reused buffer, one
+        # trial's vector or each row's own, give the bytes of the rows
+        # signed up front
         signed = hadamard_rows(xs * op.signs.full_vector(), op.samples.rows - 1)
         assert np.array_equal(got[2], op.scale * signed)
+        signed = (kron_materialize(factors)[:, None, :] * xs[None, :3]).reshape(-1, n)
+        signed = hadamard_rows(signed, np.repeat(per_trial[:, 0], 3, axis=0))
+        assert np.array_equal(got[3], signed.reshape(3, 3, m))
         return got
 
     whole = outputs(count)
@@ -389,12 +397,13 @@ def test_hadamard_rows_results_are_fresh(monkeypatch, n, m):
     rng = np.random.default_rng(n)
     xs = rng.standard_normal((5, n))
     rows0 = rng.integers(0, n, size=m)
-    signs = rng.choice([-1.0, 1.0], size=n)
-    for args in ((xs, rows0), (xs, rows0, signs)):
-        first, second = hadamard_rows(*args), hadamard_rows(*args)
+    signs = rng.choice([-1.0, 1.0], size=(2, n))
+    for factors in (None, [signs[:1]], [signs]):
+        first, second = (hadamard_rows(xs, rows0, factors) for _ in range(2))
         assert np.array_equal(first, second)
         assert not np.shares_memory(first, second)
-        assert not any(np.shares_memory(y, a) for y in (first, second) for a in args)
+        assert not any(np.shares_memory(y, a) for y in (first, second)
+                       for a in (xs, rows0, signs))
 
 
 def _peak_bytes(f):
@@ -474,16 +483,18 @@ def test_a_helper_error_is_raised_in_the_caller(monkeypatch):
 
 def test_two_thread_calls_under_contention(monkeypatch):
     # three callers at once, six threads on fewer cores, switching often:
-    # a block taken twice or never would change or leave out rows
+    # a block taken twice or never would change or leave out rows; each
+    # of the 12 points under 4 trials of (16, 16) factor signs
     monkeypatch.setattr(indexing, "_BLOCK_BYTES", 8 * 256)
-    xs = np.random.default_rng(8).standard_normal((48, 256))
-    rows0, signs = [3, 9, 200], np.sign(xs[0])
-    want = hadamard_rows(xs, rows0, signs)
+    xs = np.random.default_rng(8).standard_normal((12, 256))
+    rows0 = [3, 9, 200]
+    factors = [np.sign(xs[:4, :16]), np.sign(xs[4:8, 16:32])]
+    want = hadamard_rows(xs, rows0, factors)
     monkeypatch.setattr(transforms, "_TWO_THREADS", True)
     got = [None] * 3
 
     def call(i):
-        got[i] = [hadamard_rows(xs, rows0, signs) for _ in range(20)]
+        got[i] = [hadamard_rows(xs, rows0, factors) for _ in range(20)]
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -566,9 +577,14 @@ def test_materialize_refuses_a_tall_result():
 
 def test_hadamard_rows_validation():
     xs = np.ones((3, 128))
-    for signs in (np.ones(64), np.ones((3, 128)), 1.0):
-        with pytest.raises(ShapeError, match=r"signs must have shape \(128,\)"):
-            hadamard_rows(xs, [0], signs)
+    # factors: a leading trials axis each, the same for all, and the
+    # lengths multiplying to N
+    for factors in ([np.ones(128)], [np.ones((1, 64))], [],
+                    [np.ones((2, 8)), np.ones((3, 16))], [np.ones((1, 1, 128))]):
+        with pytest.raises(ShapeError, match=r"sign factors must be .* = 128"):
+            hadamard_rows(xs, [0], factors)
+    with pytest.raises(ShapeError, match="shape"):
+        hadamard_rows(xs, np.zeros((2, 3, 4), dtype=int), [np.ones((3, 128))])
     for rows0 in ([0, 128], [-1], np.zeros((3, 2), dtype=int) - 1):
         with pytest.raises(ShapeError, match="0..127"):
             hadamard_rows(xs, rows0)
@@ -589,7 +605,7 @@ def test_hadamard_rows_validation():
     (lambda op, z: apply_dense(op, z), "complex128"),
     (lambda op, z: apply_dense_mat(op, z[None]), "complex128"),
     (lambda op, z: hadamard_rows(z[None], [0]), "complex128"),
-    (lambda op, z: hadamard_rows(z.real[None], [0], z), "complex128"),
+    (lambda op, z: hadamard_rows(z.real[None], [0], [z[None]]), "complex128"),
     (lambda op, z: apply_factored(op, [z[:8], z.real[:8]]), "complex128"),
     (lambda op, z: fwht(z.astype(np.complex64)), "complex64"),
     (lambda op, z: fwht_axis(z.reshape(8, 8), 1), "complex128"),
