@@ -24,11 +24,11 @@ trial's D (apply_dense_mat passes its operator's as one trial, the
 harness a span of trials). It streams the rows through blocks of about
 1 MiB (indexing._blocks) and writes each block's signs into the buffer
 that then holds its rows: one trial's length-N vector is formed once per
-call, and under several trials each row's is formed in its place. A call
-of one block runs in the caller; a call of two or more runs on two
-threads where the process may use two CPUs and BLAS runs one thread: the
-caller and one helper each take the next block as they come free, each
-block of two or more rows first split in half. Every block a thread runs
+call, and under several trials a block's vectors at once, one a row.
+A call of one block runs in the caller; a call of two or more runs on
+two threads where the process may use two CPUs and BLAS runs one
+thread: the caller and one helper each take the next block as they come
+free, each block of two or more rows first split in half. Every block a thread runs
 reuses that thread's buffers, allocated once for the largest block, so
 the temporaries stay in cache and do not grow with the batch; neither
 the block size nor the thread count changes a byte. A rank-one input
@@ -330,8 +330,9 @@ def hadamard_rows(xs, rows0, factors=None):
     or gathered data (indexing._blocks), each signed, transformed,
     gathered and read into the result. A row's signs are written into the
     buffer that then holds it: one trial's vector is formed once per call
-    and multiplies each block; under several trials each row's vector is
-    formed in its place in the buffer, then times its point. A call of one
+    and multiplies each block; under several trials a block's vectors are
+    formed in the buffer in one batched Kronecker product, a row each, and
+    multiplied by their points, with no loop over rows. A call of one
     block runs in the caller. A call of two or more runs on two threads
     where the process may use two CPUs and BLAS runs one thread
     (_TWO_THREADS): the caller and one helper, which the call starts and
@@ -438,25 +439,33 @@ def _spans_rows(xs, rows0, signs, r, size, spans, out):
             block = np.multiply(xs[lo:hi], signs, out=_lent(bufs[2], (hi - lo, n)))
         else:
             block = _lent(bufs[2], (hi - lo, n))
-            for i, row in enumerate(block, start=lo):
-                t, p = divmod(i, points)
-                _kron_into([f[t] for f in signs], row)
-                row *= xs[p]
+            _kron_rows([f[np.arange(lo, hi) // points] for f in signs], block)
+            # row i is point i % points: a partial trial, whole trials of
+            # every point in turn, then a partial trial from point 0
+            head = min(-lo % points, hi - lo)
+            body = head + (hi - lo - head) // points * points
+            block[:head] *= xs[lo % points:lo % points + head]
+            whole = block[head:body].reshape(-1, points, n)
+            whole *= xs
+            block[body:] *= xs[:hi - lo - body]
         _block_rows(block, rows0[lo:hi], r, bufs[:2], out[lo:hi])
 
 
-def _kron_into(factors, out):
-    """kron_materialize of 1-D factors written into the length-N `out`,
-    bit for bit and with no temporary: each later axis's entries after the
-    first times the product so far go behind it, then its first entry
-    scales the product in place."""
-    size = factors[0].size
-    out[:size] = factors[0]
+def _kron_rows(factors, out):
+    """kron_materialize of (rows, n_l) factors, row by row, written into
+    the (rows, N) `out` with no temporary of its size: each later axis's
+    entries after the first times the product so far go behind it, then
+    its first entry scales the product in place. The entries are +-1, so
+    every product is exact and the bytes are kron_materialize's."""
+    rows, n = out.shape
+    size = factors[0].shape[1]
+    out[:, :size] = factors[0]
     for f in factors[1:]:
-        np.multiply(f[1:, None], out[:size],
-                    out=out[size:size * f.size].reshape(-1, size))
-        out[:size] *= f[0]
-        size *= f.size
+        # a view: `out` is C-contiguous and `size` divides N
+        np.multiply(f[:, 1:, None], out[:, None, :size],
+                    out=out.reshape(rows, n // size, size)[:, 1:f.shape[1]])
+        out[:, :size] *= f[:, :1]
+        size *= f.shape[1]
     return out
 
 
