@@ -11,7 +11,8 @@ failure.
 
 Every click.echo names its stream, sys.stdout or sys.stderr: without
 one, click caches the stream it finds, and keeps a redirected one and
-all its text alive for good.
+all its text alive for good. So `--help` runs a callback of this module,
+not click's own, which names none.
 """
 
 import inspect
@@ -27,7 +28,26 @@ class _SelftestFailure(Exception):
     pass
 
 
-@click.group(name="kronjl")
+def _show_help(ctx, param, value):
+    """click's --help callback, with the stream named."""
+    if value and not ctx.resilient_parsing:
+        click.echo(ctx.get_help(), file=sys.stdout, color=ctx.color)
+        ctx.exit()
+
+
+class _Command(click.Command):
+    def get_help_option(self, ctx):
+        option = super().get_help_option(ctx)
+        if option is not None:
+            option.callback = _show_help
+        return option
+
+
+class _Group(_Command, click.Group):
+    command_class = _Command
+
+
+@click.group(name="kronjl", cls=_Group)
 def cli():
     """Kronecker fast Johnson-Lindenstrauss experiments and reports."""
 
@@ -60,7 +80,7 @@ def _command(name, build):
             click.echo(text, file=sys.stdout, nl=False)
 
     params = inspect.signature(build).parameters.values()
-    return click.Command(
+    return _Command(
         name, callback=run, help=inspect.getdoc(build), epilog=_EPILOG.get(name),
         params=[click.Option(["--config"], help="YAML option file; flags win.")]
         + [_option(p.name, p.default) for p in params] + [_option("out")],

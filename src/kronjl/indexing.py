@@ -29,7 +29,7 @@ from .errors import BudgetError, ShapeError
 __all__ = ["KronDims"]
 
 # half a 2 MiB per-core L2; where transforms.hadamard_rows runs a call on
-# two threads they share it, a block of two or more rows split in halves
+# two threads they share it, each block taking half of it
 _BLOCK_BYTES = 1 << 20
 # the largest single item; a dense cell holds about five items at once
 _ITEM_CAP = 1 << 30

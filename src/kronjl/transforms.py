@@ -24,14 +24,14 @@ trial's D (apply_dense_mat passes its operator's as one trial, the
 harness a span of trials). It streams the rows through blocks of about
 1 MiB (indexing._blocks) and writes each block's signs into the buffer
 that then holds its rows: one trial's length-N vector is formed once per
-call, and under several trials a block's vectors at once, one a row.
-A call of one block runs in the caller; a call of two or more runs on
-two threads where the process may use two CPUs and BLAS runs one
-thread: the caller and one helper each take the next block as they come
-free, each block of two or more rows first split in half. Every block a thread runs
-reuses that thread's buffers, allocated once for the largest block, so
-the temporaries stay in cache and do not grow with the batch; neither
-the block size nor the thread count changes a byte. A rank-one input
+call, and under several trials kron_materialize forms a block's vectors
+in place, one a row. A call of one block runs in the caller; a call of
+two or more runs on two threads where the process may use two CPUs and
+BLAS runs one thread: the caller and one helper each take the next block,
+of half the budget, as they come free. Every block a thread runs reuses
+that thread's buffers, allocated once for the largest block, so the
+temporaries stay in cache and do not grow with the batch; neither the
+block size nor the thread count changes a byte. A rank-one input
 needs no length-N work: H D (x_1 (x) ... (x) x_d) is the Kronecker
 product of the H_l (xi_l * x_l), and a sampled entry is a product of one
 entry per axis, found at the bit fields of its row (sampled_entries).
@@ -52,7 +52,7 @@ import numpy as np
 from . import rand
 from .errors import ShapeError
 from .fwht import _real, _transformed, fwht, fwht_axis, hadamard_matrix, last_block
-from .indexing import _TABLE_CAP, KronDims, _blocks, _check_bytes
+from .indexing import _ITEM_CAP, _TABLE_CAP, KronDims, _blocks, _check_bytes
 
 __all__ = [
     "RademacherFactors",
@@ -184,21 +184,36 @@ def build_operator(dims, m, seed):
     )
 
 
-def kron_materialize(factors):
+def kron_materialize(factors, out=None):
     """Kronecker product in linearized order: the entry at the position of
     full index i is the product of factors[l][..., i_l - 1].
 
     Factor l has shape (..., n_l); the leading axes broadcast, so a batch
-    of per-axis factors gives a batch of products of shape (..., N).
+    of per-axis factors gives a batch of products of shape (..., N). It is
+    built in place, in `out` where given (float64 with last axis N, the
+    factors broadcasting over its leading axes), and nothing else of its
+    size is allocated. One factor and no `out` give that factor itself.
     """
     factors = [np.asarray(f, dtype=np.float64) for f in factors]
     if not factors:
         raise ShapeError("need at least one factor")
-    out = factors[0]
+    n = math.prod(f.shape[-1] for f in factors)
+    if out is None:
+        if len(factors) == 1:
+            return factors[0]
+        out = np.empty(np.broadcast_shapes(*(f.shape[:-1] for f in factors)) + (n,))
+    elif out.shape[-1:] != (n,) or out.dtype != np.float64:
+        raise ShapeError(f"out must be float64 with last axis {n}, got {out.shape}")
+    size = factors[0].shape[-1]
+    out[..., :size] = factors[0]
     for f in factors[1:]:
-        # later axes vary slower: new index = (i_next - 1) * len(out) + old
-        out = f[..., :, None] * out[..., None, :]
-        out = out.reshape(out.shape[:-2] + (-1,))
+        # later axes vary slower: entries 2..k of f times the product so far
+        # go behind it (a view of `out`), then entry 1 scales it in place
+        k = f.shape[-1]
+        grid = out[..., :size * k].reshape(out.shape[:-1] + (k, size))
+        np.multiply(f[..., 1:, None], grid[..., :1, :], out=grid[..., 1:, :])
+        out[..., :size] *= f[..., :1]
+        size *= k
     return out
 
 
@@ -306,12 +321,12 @@ def _check_rows(rows):
     return rows.astype(np.int64, copy=False)
 
 
-def hadamard_rows(xs, rows0, factors=None):
+def hadamard_rows(xs, rows0, factors):
     """Entries rows0 of the orthonormal length-N Walsh-Hadamard transform
-    of each row xs[p] of a (points, N) matrix: (points, m). Given per-axis
-    sign factors, each of shape (trials, n_l) with prod n_l = N, the rows
-    are every point under every trial t, signed by the Kronecker product
-    of the factors' rows t (kron_materialize): (trials, points, m).
+    of each point xs[p] of a (points, N) matrix under each trial t:
+    (trials, points, m). Sign factor l has shape (trials, n_l), prod n_l =
+    N, and the Kronecker product of the factors' rows t (kron_materialize)
+    signs trial t; unit factors, [np.ones((1, N))], sign nothing.
 
     rows0 holds 0-based integer rows in [0, N), of shape (m,) for every
     row or broadcasting to the result's shape (the harness passes
@@ -330,43 +345,39 @@ def hadamard_rows(xs, rows0, factors=None):
     or gathered data (indexing._blocks), each signed, transformed,
     gathered and read into the result. A row's signs are written into the
     buffer that then holds it: one trial's vector is formed once per call
-    and multiplies each block; under several trials a block's vectors are
-    formed in the buffer in one batched Kronecker product, a row each, and
-    multiplied by their points, with no loop over rows. A call of one
-    block runs in the caller. A call of two or more runs on two threads
-    where the process may use two CPUs and BLAS runs one thread
-    (_TWO_THREADS): the caller and one helper, which the call starts and
-    joins, share the block budget, so each block of two or more rows
-    splits at its midpoint; each thread takes the next block as it comes
-    free and writes its rows of the result. Each thread allocates one set
-    of buffers for the largest block (the signed rows, the kernel's output
-    and its spare, which then holds the row index and the gathered rows)
-    and every block it runs reuses them, so the temporaries stay in cache
-    and do not grow with the rows. Each row meets the same products
-    whatever its block or thread, and a sign flip is exact, so neither the
-    block size nor the thread count changes a byte, and the bytes are
-    those of signing every row up front.
+    and multiplies each block; under several trials kron_materialize forms
+    a block's vectors in the buffer, a row each, and they are multiplied
+    by their points, with no loop over rows. A call of one block runs in
+    the caller. A call of two or more runs on two threads where the
+    process may use two CPUs and BLAS runs one thread (_TWO_THREADS): the
+    caller and one helper, which the call starts and joins, share the
+    block budget, so each block takes half of it; each thread takes the
+    next block as it comes free and writes its rows of the result. Each
+    thread allocates one set of buffers for the largest block (the signed
+    rows, the kernel's output and its spare, which then holds the row
+    index and the gathered rows) and every block it runs reuses them, so
+    the temporaries stay in cache and do not grow with the rows. Each row
+    meets the same products whatever its block or thread, and a sign flip
+    is exact, so neither the block size nor the thread count changes a
+    byte, and the bytes are those of signing every row up front.
     """
     xs = _real(xs)
     if xs.ndim != 2:
         raise ShapeError(f"expected a (points, N) matrix, got shape {xs.shape}")
     points, n = xs.shape
-    lead = (points,)
-    if factors is not None:
-        factors = [_real(f) for f in factors]
-        shapes = [f.shape for f in factors]
-        if (not factors or any(len(s) != 2 or s[0] != shapes[0][0] for s in shapes)
-                or math.prod(s[1] for s in shapes) != n):
-            raise ShapeError(
-                f"sign factors must be (trials, n_l) arrays with prod n_l = {n}, "
-                f"got {len(shapes)} of shapes {shapes[:4]}")
-        lead = (shapes[0][0], points)
+    factors = [_real(f) for f in factors]
+    shapes = [f.shape for f in factors]
+    if (not factors or any(len(s) != 2 or s[0] != shapes[0][0] for s in shapes)
+            or math.prod(s[1] for s in shapes) != n):
+        raise ShapeError(
+            f"sign factors must be (trials, n_l) arrays with prod n_l = {n}, "
+            f"got {len(shapes)} of shapes {shapes[:4]}")
+    lead = (shapes[0][0], points)
     rows0 = np.asarray(rows0)
-    if not 1 <= rows0.ndim <= len(lead) + 1 or any(
+    if not 1 <= rows0.ndim <= 3 or any(
             a not in (1, b) for a, b in zip(rows0.shape[-2::-1], lead[::-1])):
         raise ShapeError(
-            f"rows must have shape (m,) or {lead + ('m',)}, got {rows0.shape}"
-        )
+            f"rows must have shape (m,) or {lead + ('m',)}, got {rows0.shape}")
     rows0 = _check_rows(rows0)
     m = rows0.shape[-1]
     r = last_block(n, m)
@@ -380,14 +391,11 @@ def hadamard_rows(xs, rows0, factors=None):
     # length-32 rows fit in its row, as 128 m <= N
     item = max(n, m * r)
     blocks = list(_blocks(count, 8 * item))
-    signs = factors
-    if factors is not None and lead[0] == 1:  # one trial: one sign vector
-        signs = kron_materialize([f[0] for f in factors])
     two = _TWO_THREADS and len(blocks) > 1
-    if two:  # the threads share the budget: a block of 2+ rows in halves
-        blocks = [half for lo, hi in blocks
-                  for half in ((lo, (lo + hi) // 2), ((lo + hi) // 2, hi))
-                  if half[0] < half[1]]
+    if two:  # the threads share the budget, half of it a block, under the same cap
+        blocks = list(_blocks(count, min(16 * item, _ITEM_CAP)))
+    # one trial: one sign vector
+    signs = kron_materialize([f[0] for f in factors]) if lead[0] == 1 else factors
     size = item * max((hi - lo for lo, hi in blocks), default=0)
     if not two:
         _spans_rows(xs, rows0, signs, r, size, blocks, out)
@@ -420,8 +428,8 @@ def hadamard_rows(xs, rows0, factors=None):
 def _spans_rows(xs, rows0, signs, r, size, spans, out):
     """hadamard_rows of the (lo, hi) spans of rows, each written into
     out[lo:hi], through one set of buffers of `size` floats each. `signs`
-    is None, one length-N vector for every row, or per-axis factors whose
-    trial i // points signs row i, the point xs[i % points]."""
+    is one length-N vector for every row, or per-axis factors whose trial
+    i // points signs row i, the point xs[i % points]."""
     points, n = xs.shape
     # one allocation cut into the buffers: the first is over glibc's mmap
     # threshold, and freeing it raises that threshold and the heap's trim
@@ -429,17 +437,15 @@ def _spans_rows(xs, rows0, signs, r, size, spans, out):
     # heap pages rather than fault them in afresh. Three separate 2 MiB
     # buffers left the threshold low: a `sweep` pass took 710-1,440 minor
     # faults, not 12-17, and most `operator` passes 33,300, not about 100
-    k = 2 if signs is None else 3
-    whole = np.empty(k * size)
-    bufs = [whole[i * size:(i + 1) * size] for i in range(k)]
+    whole = np.empty(3 * size)
+    bufs = [whole[i * size:(i + 1) * size] for i in range(3)]
     for lo, hi in spans:
-        if signs is None:
-            block = xs[lo:hi]
-        elif isinstance(signs, np.ndarray):
-            block = np.multiply(xs[lo:hi], signs, out=_lent(bufs[2], (hi - lo, n)))
+        block = _lent(bufs[2], (hi - lo, n))
+        if isinstance(signs, np.ndarray):
+            np.multiply(xs[lo:hi], signs, out=block)
         else:
-            block = _lent(bufs[2], (hi - lo, n))
-            _kron_rows([f[np.arange(lo, hi) // points] for f in signs], block)
+            trial = np.arange(lo, hi) // points
+            kron_materialize([f[trial] for f in signs], block)
             # row i is point i % points: a partial trial, whole trials of
             # every point in turn, then a partial trial from point 0
             head = min(-lo % points, hi - lo)
@@ -449,24 +455,6 @@ def _spans_rows(xs, rows0, signs, r, size, spans, out):
             whole *= xs
             block[body:] *= xs[:hi - lo - body]
         _block_rows(block, rows0[lo:hi], r, bufs[:2], out[lo:hi])
-
-
-def _kron_rows(factors, out):
-    """kron_materialize of (rows, n_l) factors, row by row, written into
-    the (rows, N) `out` with no temporary of its size: each later axis's
-    entries after the first times the product so far go behind it, then
-    its first entry scales the product in place. The entries are +-1, so
-    every product is exact and the bytes are kron_materialize's."""
-    rows, n = out.shape
-    size = factors[0].shape[1]
-    out[:, :size] = factors[0]
-    for f in factors[1:]:
-        # a view: `out` is C-contiguous and `size` divides N
-        np.multiply(f[:, 1:, None], out[:, None, :size],
-                    out=out.reshape(rows, n // size, size)[:, 1:f.shape[1]])
-        out[:, :size] *= f[:, :1]
-        size *= f.shape[1]
-    return out
 
 
 def _lent(buf, shape, dtype=np.float64):

@@ -324,14 +324,18 @@ def test_in_process_runs_keep_no_stream():
     # click's echo without a file caches the current sys.stdout or
     # sys.stderr in a WeakKeyDictionary whose value is the stream itself,
     # so a redirected stream and all its text would stay alive for good:
-    # every run here, a success, a config, a usage and a budget error,
-    # writes to fresh streams that must be freed when it is done
+    # every run here, a success, a config, a usage and a budget error, and
+    # --help, which click's own callback writes without a file, writes to
+    # fresh streams that must be freed when it is done
     runs = [
         ["jl-sweep", "--dims", "4x4", "--m", "4", "--trials", "2"],
         ["report", "--kind", "partition", "--d", "2"],
         ["jl-sweep", "--dims", "3x4", "--m", "4"],
         ["jl-sweep", "--no-such-flag"],
         ["report", "--kind", "rip", "--dims", "64", "--m", "4", "--s", "5"],
+        ["--help"],
+        ["jl-sweep", "--help"],
+        ["report", "--help"],
     ]
     refs = []
     for args in runs * 3:

@@ -4,8 +4,8 @@ harness's public names and holds no default and no family, baseline or
 report-kind name of its own. No public function takes a private
 parameter. One byte budget, indexing._BLOCK_BYTES, sizes every blocked
 loop, one check refuses every oversized array, one function reads the
-clock, one lays out grouped axes, one counter holds the failure rule,
-and one function starts a thread."""
+clock, one lays out grouped axes, one builds Kronecker products, one
+counter holds the failure rule, and one function starts a thread."""
 
 import ast
 import importlib
@@ -15,7 +15,7 @@ import re
 from pathlib import Path
 
 import kronjl
-from kronjl import harness, indexing
+from kronjl import harness, indexing, transforms
 
 TESTS = Path(__file__).resolve().parent
 SRC = Path(kronjl.__file__).resolve().parent
@@ -200,6 +200,25 @@ def test_one_thread_site():
     sites = set(_src_sites(hit))
     assert {fn for _, fn in sites if fn} == {"hadamard_rows"}
     assert {module for module, _ in sites} == {"transforms"}
+
+
+def test_one_kronecker_builder_and_one_sign_form():
+    # every Kronecker product in transforms comes from kron_materialize,
+    # which writes into `out` where given, and hadamard_rows always takes
+    # sign factors
+    tree = ast.parse((SRC / "transforms.py").read_text())
+    krons = {n.name: {c.func.id for c in ast.walk(n) if isinstance(c, ast.Call)
+                      and isinstance(c.func, ast.Name)}
+             for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)
+             and "kron" in n.name}
+    assert set(krons) == {"kron_materialize", "kron_combinations", "kron_sign_patterns"}
+    assert "kron_materialize" in krons["kron_combinations"]
+    assert "kron_combinations" in krons["kron_sign_patterns"]
+    builder = inspect.signature(transforms.kron_materialize).parameters
+    assert list(builder) == ["factors", "out"]
+    rows = inspect.signature(transforms.hadamard_rows).parameters
+    assert list(rows) == ["xs", "rows0", "factors"]
+    assert rows["factors"].default is inspect.Parameter.empty
 
 
 def test_one_layout_builder():

@@ -86,6 +86,65 @@ def test_kron_materialize_matches_vectorized_outer():
         assert np.array_equal(shared[b], row)
 
 
+def _kron_outer(factors):
+    # the outer-product recursion the in-place builder replaced, kept as
+    # its reference
+    out = factors[0]
+    for f in factors[1:]:
+        out = f[..., :, None] * out[..., None, :]
+        out = out.reshape(out.shape[:-2] + (-1,))
+    return out
+
+
+def test_kron_materialize_matches_the_outer_recursion_byte_for_byte():
+    # the in-place builder puts entries 2..n_l times the product so far
+    # behind it, then scales by entry 1: each entry is the same product of
+    # the same two floats, so Gaussian factors match too
+    rng = np.random.default_rng(11)
+    tables = [rng.standard_normal((r, n)) for r, n in ((3, 4), (2, 1), (5, 8))]
+    cases = [
+        [rng.standard_normal(n) for n in (3, 2, 4)],
+        [rng.standard_normal((5, n)) for n in (4, 8, 2)],
+        # leading axes as kron_combinations lays them: table l on axis l
+        [t.reshape((1,) * l + (-1,) + (1,) * (2 - l) + t.shape[1:])
+         for l, t in enumerate(tables)],
+        [rng.standard_normal((6, n)) for n in (1, 4, 1, 2)],  # axes of length 1
+        [rng.standard_normal((4, 8))[:, None, :], rng.standard_normal((3, 1))],
+        [rng.standard_normal((2, 16))],  # a single factor
+    ]
+    for factors in cases:
+        want = _kron_outer(factors)
+        assert kron_materialize(factors).tobytes() == want.tobytes()
+        # into a view of a larger flat buffer, whose other entries stay
+        buf = np.full(want.size + 7, 9.0)
+        out = buf[3:3 + want.size].reshape(want.shape)
+        assert kron_materialize(factors, out=out) is out
+        assert out.tobytes() == want.tobytes()
+        assert np.all(buf[:3] == 9.0) and np.all(buf[3 + want.size:] == 9.0)
+    # one factor and no out: the factor itself, no copy
+    assert kron_materialize(cases[-1]) is cases[-1][0]
+    with pytest.raises(ShapeError, match="out must be float64 with last axis 24"):
+        kron_materialize(cases[0], out=np.empty(23))
+    with pytest.raises(ShapeError, match="out must be float64 with last axis 24"):
+        kron_materialize(cases[0], out=np.empty(24, dtype=np.float32))
+
+
+def test_kron_materialize_peaks_near_its_result():
+    # a (256, 4096) product of three factors is its only allocation; the
+    # outer recursion also held its (256, 2048) intermediate, 1.5x the result
+    rng = np.random.default_rng(12)
+    factors = [rng.standard_normal((256, n)) for n in (64, 32, 2)]
+    tracemalloc.start()
+    try:
+        got = kron_materialize(factors)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.nbytes == 8 * 2**20
+    assert peak < 1.05 * got.nbytes
+    assert got.tobytes() == _kron_outer(factors).tobytes()
+
+
 def test_kron_materialize_needs_a_factor():
     with pytest.raises(ShapeError, match="at least one factor"):
         kron_materialize([])
@@ -321,7 +380,7 @@ def test_hadamard_rows_match_full_transform(k):
     per_row[:, 1] = per_row[:, 0]
     for rows0 in (shared, per_row, np.array([n - 1] * 3), np.array([n - 1])):
         want = np.take_along_axis(full, np.broadcast_to(rows0, (5, rows0.shape[-1])), 1)
-        got = hadamard_rows(xs, rows0)
+        got = hadamard_rows(xs, rows0, [np.ones((1, n))])[0]
         assert got.shape == want.shape
         assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
 
@@ -335,7 +394,7 @@ def test_hadamard_rows_many_rows_allocate_as_the_full_transform():
     rows0 = rng.integers(0, 4096, size=4096)
     tracemalloc.start()
     try:
-        got = hadamard_rows(xs, rows0)
+        got = hadamard_rows(xs, rows0, [np.ones((1, 4096))])[0]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -362,28 +421,30 @@ def test_hadamard_rows_block_size_changes_no_byte(monkeypatch, n, m, count):
     factors = [rng.choice([-1.0, 1.0], size=(3, k)) for k in dims]
     per_trial = rng.integers(0, n, size=(3, 1, m))
     row_bytes = 8 * max(n, m * last_block(n, m))
+    unit = [np.ones((1, n))]
 
     def outputs(rows_per_block=None, two_threads=False):
         monkeypatch.setattr(transforms, "_TWO_THREADS", two_threads)
         if rows_per_block is not None:
             monkeypatch.setattr(indexing, "_BLOCK_BYTES", rows_per_block * row_bytes)
-        got = [hadamard_rows(xs, shared), hadamard_rows(xs, per_row),
+        got = [hadamard_rows(xs, shared, unit)[0], hadamard_rows(xs, per_row, unit)[0],
                apply_dense_mat(op, xs), hadamard_rows(xs[:3], per_trial, factors)]
         # the signs written block by block into a reused buffer, one
         # trial's vector or each row's own, give the bytes of the rows
         # signed up front
-        signed = hadamard_rows(xs * op.signs.full_vector(), op.samples.rows - 1)
-        assert np.array_equal(got[2], op.scale * signed)
+        signed = hadamard_rows(xs * op.signs.full_vector(), op.samples.rows - 1, unit)
+        assert np.array_equal(got[2], op.scale * signed[0])
         signed = (kron_materialize(factors)[:, None, :] * xs[None, :3]).reshape(-1, n)
-        signed = hadamard_rows(signed, np.repeat(per_trial[:, 0], 3, axis=0))
+        signed = hadamard_rows(signed, np.repeat(per_trial[:, 0], 3, axis=0), unit)[0]
         assert np.array_equal(got[3], signed.reshape(3, 3, m))
         return got
 
     whole = outputs(count)
     # the default budget, then blocks of one, two and four rows, where the
     # buffers serve several blocks and a one-row case's last is the largest;
-    # on two threads the blocks of two and four rows split into halves, and
-    # the two take the 9, 9 and 5 spans in whatever order they come free
+    # on two threads each block takes half the budget, one, one and two
+    # rows, and the two take the 9, 9 and 5 spans in whatever order they
+    # come free
     for rows_per_block, two_threads in itertools.product((None, 1, 2, 4),
                                                          (False, True)):
         for got, want in zip(outputs(rows_per_block, two_threads), whole):
@@ -398,7 +459,7 @@ def test_hadamard_rows_results_are_fresh(monkeypatch, n, m):
     xs = rng.standard_normal((5, n))
     rows0 = rng.integers(0, n, size=m)
     signs = rng.choice([-1.0, 1.0], size=(2, n))
-    for factors in (None, [signs[:1]], [signs]):
+    for factors in ([np.ones((1, n))], [signs[:1]], [signs]):
         first, second = (hadamard_rows(xs, rows0, factors) for _ in range(2))
         assert np.array_equal(first, second)
         assert not np.shares_memory(first, second)
@@ -421,7 +482,8 @@ def test_hadamard_rows_memory_does_not_grow_with_the_batch():
     rng = np.random.default_rng(3)
     xs = rng.standard_normal((64, 1 << 16))
     rows0 = rng.integers(0, 1 << 16, size=128)
-    assert _peak_bytes(lambda: hadamard_rows(xs, rows0)) <= xs.nbytes / 4
+    unit = [np.ones((1, 1 << 16))]
+    assert _peak_bytes(lambda: hadamard_rows(xs, rows0, unit)) <= xs.nbytes / 4
 
 
 def test_apply_dense_mat_peaks_near_its_batch():
@@ -443,7 +505,7 @@ def test_apply_dense_mat_holds_no_signed_copy():
 def test_two_threads_share_the_block_budget(monkeypatch):
     # each thread holds one set of buffers: for the operator benchmark's
     # batch (one 2 MiB row a block) about 14 MiB beyond it, 8 MiB on one
-    # thread; a block of eight 128 KiB rows splits into two halves of four
+    # thread; where a block holds eight 128 KiB rows, a thread's holds four
     monkeypatch.setattr(transforms, "_TWO_THREADS", True)
     op = build_operator((64, 64, 64), 128, seed=0)
     xs = np.random.default_rng(4).standard_normal((32, op.dims.total))
@@ -461,7 +523,8 @@ def test_a_helper_error_is_raised_in_the_caller(monkeypatch):
     xs = np.random.default_rng(6).standard_normal((4, 256))
     block_rows = transforms._block_rows
     before = threading.active_count()
-    want = hadamard_rows(xs, [3, 9])
+    unit = [np.ones((1, 256))]
+    want = hadamard_rows(xs, [3, 9], unit)
     assert threading.active_count() == before
     # the caller holds its first block until the helper has taken one
     helper_ran = threading.Event()
@@ -475,10 +538,25 @@ def test_a_helper_error_is_raised_in_the_caller(monkeypatch):
 
     monkeypatch.setattr(transforms, "_block_rows", failing)
     with pytest.raises(ZeroDivisionError, match="helper failed"):
-        hadamard_rows(xs, [3, 9])
+        hadamard_rows(xs, [3, 9], unit)
     assert threading.active_count() == before
     monkeypatch.setattr(transforms, "_block_rows", block_rows)
-    assert np.array_equal(hadamard_rows(xs, [3, 9]), want)
+    assert np.array_equal(hadamard_rows(xs, [3, 9], unit), want)
+
+
+def test_two_threads_refuse_only_what_one_thread_refuses(monkeypatch):
+    # two threads halve the block budget, not the cap of one row: a row of
+    # exactly the cap runs on either path, with the same bytes
+    monkeypatch.setattr(indexing, "_BLOCK_BYTES", 8 * 256)
+    monkeypatch.setattr(indexing, "_ITEM_CAP", 8 * 256)
+    monkeypatch.setattr(transforms, "_ITEM_CAP", 8 * 256)
+    xs = np.random.default_rng(9).standard_normal((4, 256))
+    unit = [np.ones((1, 256))]
+    want = hadamard_rows(xs, [3, 9], unit)
+    monkeypatch.setattr(transforms, "_TWO_THREADS", True)
+    assert np.array_equal(hadamard_rows(xs, [3, 9], unit), want)
+    with pytest.raises(BudgetError, match="needs 4096 bytes"):
+        hadamard_rows(np.ones((4, 512)), [3, 9], [np.ones((1, 512))])
 
 
 def test_two_thread_calls_under_contention(monkeypatch):
@@ -548,13 +626,15 @@ def test_thread_decision_and_bytes_in_a_fresh_process():
 
 
 def test_hadamard_rows_refuse_one_oversized_row():
-    # N = 2^28: one row is 2 GiB, over the item cap; the broadcast view
-    # costs nothing, and the refusal comes before any buffer
+    # N = 2^28: one row is 2 GiB, over the item cap; the broadcast views
+    # of the row and its unit signs cost nothing, and the refusal comes
+    # before any buffer
     xs = np.broadcast_to(0.0, (1, 1 << 28))
+    unit = [np.broadcast_to(1.0, (1, 1 << 28))]
     tracemalloc.start()
     try:
         with pytest.raises(BudgetError, match="needs 2147483648 bytes"):
-            hadamard_rows(xs, [0])
+            hadamard_rows(xs, [0], unit)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -577,6 +657,7 @@ def test_materialize_refuses_a_tall_result():
 
 def test_hadamard_rows_validation():
     xs = np.ones((3, 128))
+    unit = [np.ones((1, 128))]
     # factors: a leading trials axis each, the same for all, and the
     # lengths multiplying to N
     for factors in ([np.ones(128)], [np.ones((1, 64))], [],
@@ -587,24 +668,25 @@ def test_hadamard_rows_validation():
         hadamard_rows(xs, np.zeros((2, 3, 4), dtype=int), [np.ones((3, 128))])
     for rows0 in ([0, 128], [-1], np.zeros((3, 2), dtype=int) - 1):
         with pytest.raises(ShapeError, match="0..127"):
-            hadamard_rows(xs, rows0)
-    for rows0 in (np.zeros((2, 4), dtype=int), np.zeros((1, 3, 4), dtype=int), 0):
+            hadamard_rows(xs, rows0, unit)
+    # rows (1, 3, 4) are one trial of three points: valid under unit signs
+    for rows0 in (np.zeros((2, 4), dtype=int), np.zeros((2, 3, 4), dtype=int), 0):
         with pytest.raises(ShapeError, match="shape"):
-            hadamard_rows(xs, rows0)
+            hadamard_rows(xs, rows0, unit)
     # integer rows only: bool rows read as 0 and 1, float rows fail to
     # index, and no rows at all (m = 0) fail to reshape
     for rows0 in (np.array([True, False]), [1.0, 2.0], [1.7], np.zeros(0, dtype=int),
                   np.zeros((3, 0), dtype=int), []):
         with pytest.raises(ShapeError, match="rows must be a non-empty integer"):
-            hadamard_rows(xs, rows0)
-    got = hadamard_rows(xs, np.array([0, 127], dtype=np.uint64))
-    assert np.array_equal(got, hadamard_rows(xs, [0, 127]))
+            hadamard_rows(xs, rows0, unit)
+    got = hadamard_rows(xs, np.array([0, 127], dtype=np.uint64), unit)
+    assert np.array_equal(got, hadamard_rows(xs, [0, 127], unit))
 
 
 @pytest.mark.parametrize("call, match", [
     (lambda op, z: apply_dense(op, z), "complex128"),
     (lambda op, z: apply_dense_mat(op, z[None]), "complex128"),
-    (lambda op, z: hadamard_rows(z[None], [0]), "complex128"),
+    (lambda op, z: hadamard_rows(z[None], [0], [np.ones((1, 64))]), "complex128"),
     (lambda op, z: hadamard_rows(z.real[None], [0], [z[None]]), "complex128"),
     (lambda op, z: apply_factored(op, [z[:8], z.real[:8]]), "complex128"),
     (lambda op, z: fwht(z.astype(np.complex64)), "complex64"),
