@@ -35,7 +35,8 @@ import numpy as np
 
 from . import rand
 from .errors import BudgetError, ShapeError
-from .indexing import _TABLE_CAP, KronDims, _blocks, _check_bytes, _group_positions
+from .indexing import (_ITEM_CAP, _TABLE_CAP, KronDims, _blocks, _check_bytes,
+                       _group_positions, _real)
 from .rip import rip_constant
 from .transforms import kron_materialize, kron_sign_patterns
 
@@ -181,7 +182,7 @@ def partition_norm(arr, partition, restarts=32):
     block factors with `restarts` (>= 1) seeded starts; the result is a
     lower bound that is exact in the matrix cases.
     """
-    arr = np.asarray(arr, dtype=np.float64)
+    arr = _real(arr)
     if restarts < 1:
         raise ShapeError(f"need at least one restart, got {restarts}")
     if partition.ground != frozenset(range(1, arr.ndim + 1)):
@@ -239,7 +240,7 @@ def moment_bound_profile(arr, p_values):
     the total partition norm over all partitions of the axes into kappa
     blocks. Each partition norm is computed once for all p; returns one
     float per p."""
-    arr = np.asarray(arr, dtype=np.float64)
+    arr = _real(arr)
     p_values = tuple(float(p) for p in p_values)
     if not all(0 < p < math.inf for p in p_values):
         raise ShapeError("p must be positive and finite")
@@ -264,7 +265,7 @@ class ChaosCoefficients:
     array: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.array, dtype=np.float64)
+        arr = _real(self.array)
         if arr.shape != self.dims.dims * 2:
             raise ShapeError(
                 f"array shape {arr.shape} != doubled dims {self.dims.dims * 2}"
@@ -276,12 +277,12 @@ class ChaosCoefficients:
         """Wrap an (N, N) matrix indexed by linearized positions; optional
         entrywise weights w_i w_j (vector of length N)."""
         dims = KronDims(dims)
-        matrix = np.asarray(matrix, dtype=np.float64)
+        matrix = _real(matrix)
         n = dims.total
         if matrix.shape != (n, n):
             raise ShapeError(f"matrix shape {matrix.shape} != ({n}, {n})")
         if weights is not None:
-            w = np.asarray(weights, dtype=np.float64)
+            w = _real(weights)
             if w.shape != (n,):
                 raise ShapeError(f"weights must have length {n}")
             matrix = matrix * w[:, None] * w[None, :]
@@ -291,7 +292,7 @@ class ChaosCoefficients:
     def distortion(cls, dims, phi, x):
         """Coefficients of ||Phi vec||^2 - ||.||^2 at the weighting x (a
         length-N vector): hollow Gram entries times x_i x_j."""
-        phi = np.asarray(phi, dtype=np.float64)
+        phi = _real(phi)
         gram = phi.T @ phi - np.eye(phi.shape[1])
         return cls.from_gram(dims, gram, weights=x)
 
@@ -372,10 +373,16 @@ def estimate_chaos_moments(coeffs, mode, p_values, trials, seed,
     TAG_EXPERIMENT, 2) for the independent copy; bootstrap resampling uses
     substream(seed, TAG_BOOTSTRAP). `centered` subtracts the exact mean
     (only meaningful for the coupled form; the decoupled mean is zero).
+    The (trials, N) sign rows, one table per copy, are one item, refused
+    over the item cap before they are drawn.
     """
     p_values = _check_moment_args(mode, p_values)
     if trials < 2:
         raise ShapeError("need at least 2 trials")
+    copies, tables = (1, "sign table") if mode == "coupled" else (2, "2 sign tables")
+    n = coeffs.dims.total
+    _check_bytes(f"a chaos estimate's {tables} of {trials} trials x {n} entries",
+                 8 * copies * trials * n, _ITEM_CAP)
     left = _sign_rows(seed, 1, trials, coeffs.dims)
     if mode == "coupled":
         right = left
@@ -412,8 +419,8 @@ def moment_to_tail(gammas, exponents, p0, t):
     moment scales gamma_{k,l} with growth exponents e_{k,l}. The bound is
     exp(p0) * exp(-min_k max_l (t / (e * rows * gamma_{k,l}))^{1/e_{k,l}}).
     """
-    g = np.atleast_2d(np.asarray(gammas, dtype=np.float64))
-    e = np.atleast_2d(np.asarray(exponents, dtype=np.float64))
+    g = np.atleast_2d(_real(gammas))
+    e = np.atleast_2d(_real(exponents))
     if g.shape != e.shape:
         raise ShapeError("gammas and exponents must have matching shapes")
     if np.any(g <= 0) or np.any(e <= 0):
@@ -507,8 +514,8 @@ def check_expectation_bound(phi, x):
     """The mean distortion is a diagonal sum controlled by the order-1
     isometry constant: |E X| <= max_j |diag_j| * ||x||^2 and the diagonal
     deviation never exceeds delta_1."""
-    phi = np.asarray(phi, dtype=np.float64)
-    x = np.asarray(x, dtype=np.float64)
+    phi = _real(phi)
+    x = _real(x)
     if x.ndim != 1 or x.size != phi.shape[1]:
         raise ShapeError("x must be a vector matching the column count")
     diag = np.sum(phi**2, axis=0) - 1.0

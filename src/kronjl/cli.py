@@ -8,68 +8,81 @@ Exit codes: 0 success, 1 configuration error (bad flags or config file,
 missing required options, a shape the library rejects), 2 budget error
 (an enumeration, scan or materialized matrix over its cap), 3 selftest
 failure.
-
-Every click.echo names its stream, sys.stdout or sys.stderr: without
-one, click caches the stream it finds, and keeps a redirected one and
-all its text alive for good. So `--help` runs a callback of this module,
-not click's own, which names none.
 """
 
+import argparse
 import inspect
 import sys
-
-import click
 
 from . import harness
 from .errors import BudgetError, ConfigError, ShapeError
 
 
-class _SelftestFailure(Exception):
-    pass
+class _Parser(argparse.ArgumentParser):
+    """A parser whose usage errors are config errors, so exit code 1."""
+
+    def error(self, message):
+        raise ConfigError(message)
 
 
-def _show_help(ctx, param, value):
-    """click's --help callback, with the stream named."""
-    if value and not ctx.resilient_parsing:
-        click.echo(ctx.get_help(), file=sys.stdout, color=ctx.color)
-        ctx.exit()
-
-
-class _Command(click.Command):
-    def get_help_option(self, ctx):
-        option = super().get_help_option(ctx)
-        if option is not None:
-            option.callback = _show_help
-        return option
-
-
-class _Group(_Command, click.Group):
-    command_class = _Command
-
-
-@click.group(name="kronjl", cls=_Group)
-def cli():
-    """Kronecker fast Johnson-Lindenstrauss experiments and reports."""
-
+# every parser: no abbreviated flags, --help added last, and the report
+# kinds' lines kept as they are
+_STYLE = dict(add_help=False, allow_abbrev=False,
+              formatter_class=argparse.RawDescriptionHelpFormatter)
 
 # per command, a block of lines shown after its options
 _EPILOG = {
-    "report": "\b\nOptions each kind reads, [optional]:\n"
+    "report": "Options each kind reads, [optional]:\n"
     + "\n".join(f"  {line}" for line in harness.REPORT_USAGE),
 }
 
 
-def _option(name, default=None):
+def _option(parser, name, default=None):
     """The flag of one harness.OPTIONS row; a boolean default makes it a
     switch, and an unset flag is None, so the builder's default applies."""
-    return click.Option([f"--{name}"], is_flag=isinstance(default, bool),
-                        default=None, help=harness.OPTIONS[name].help)
+    switch = dict(action="store_const", const=True) if isinstance(default, bool) else {}
+    parser.add_argument(f"--{name}", help=harness.OPTIONS[name].help, **switch)
 
 
-def _command(name, build):
-    """The click command that runs `build` through harness.run_command."""
+_PARSER = _Parser(prog="kronjl", **_STYLE, description=(
+    "Kronecker fast Johnson-Lindenstrauss experiments and reports."))
+_COMMANDS = _PARSER.add_subparsers(dest="command", required=True,
+                                   title="commands", metavar="COMMAND")
+for _name, _build in harness.COMMANDS.items():
+    _doc = inspect.getdoc(_build)
+    _sub = _COMMANDS.add_parser(_name, help=_doc, description=_doc,
+                                epilog=_EPILOG.get(_name), **_STYLE)
+    _sub.add_argument("--config", help="YAML option file; flags win.")
+    for _p in inspect.signature(_build).parameters.values():
+        _option(_sub, _p.name, _p.default)
+    _option(_sub, "out")
+_doc = "Run the oracle suite; nonzero exit on any failure."
+_COMMANDS.add_parser("selftest", help=_doc, description=_doc, **_STYLE)
+for _sub in (_PARSER, *_COMMANDS.choices.values()):
+    _sub.add_argument("--help", action="help", help="Show this message and exit.")
 
-    def run(config, **flags):
+
+def _selftest():
+    """Print one line per oracle check and a summary; 3 on any failure."""
+    results = harness.selftest()
+    bad = 0
+    for name, ok, detail in results:
+        print(f"{name}: {'ok' if ok else 'FAIL'} ({detail})")
+        bad += 0 if ok else 1
+    if bad:
+        print(f"{bad} check(s) failed", file=sys.stderr)
+        return 3
+    print(f"all {len(results)} checks passed")
+    return 0
+
+
+def main(argv=None):
+    try:
+        flags = vars(_PARSER.parse_args(argv))
+        name = flags.pop("command")
+        if name == "selftest":
+            sys.exit(_selftest())
+        config = flags.pop("config")
         loaded = harness.load_config(config) if config else {}
         options = harness.merge_options(loaded, flags)
         out = options.pop("out", None)
@@ -77,52 +90,13 @@ def _command(name, build):
         if out:
             harness.write_text(out, text)
         else:
-            click.echo(text, file=sys.stdout, nl=False)
-
-    params = inspect.signature(build).parameters.values()
-    return _Command(
-        name, callback=run, help=inspect.getdoc(build), epilog=_EPILOG.get(name),
-        params=[click.Option(["--config"], help="YAML option file; flags win.")]
-        + [_option(p.name, p.default) for p in params] + [_option("out")],
-    )
-
-
-for _name, _build in harness.COMMANDS.items():
-    cli.add_command(_command(_name, _build))
-
-
-@cli.command("selftest")
-def selftest():
-    """Run the oracle suite; nonzero exit on any failure."""
-    results = harness.selftest()
-    bad = 0
-    for name, ok, detail in results:
-        click.echo(f"{name}: {'ok' if ok else 'FAIL'} ({detail})", file=sys.stdout)
-        bad += 0 if ok else 1
-    if bad:
-        click.echo(f"{bad} check(s) failed", file=sys.stderr)
-        raise _SelftestFailure()
-    click.echo(f"all {len(results)} checks passed", file=sys.stdout)
-
-
-def main(argv=None):
-    try:
-        cli.main(args=argv, standalone_mode=False)
-    except click.exceptions.Exit as exc:
-        sys.exit(exc.exit_code)
-    except click.exceptions.Abort:
-        sys.exit(1)
-    except click.ClickException as exc:
-        exc.show()
-        sys.exit(1)
+            sys.stdout.write(text)
     except (ConfigError, ShapeError) as exc:
-        click.echo(f"config error: {exc}", file=sys.stderr)
+        print(f"config error: {exc}", file=sys.stderr)
         sys.exit(1)
     except BudgetError as exc:
-        click.echo(f"budget error: {exc}", file=sys.stderr)
+        print(f"budget error: {exc}", file=sys.stderr)
         sys.exit(2)
-    except _SelftestFailure:
-        sys.exit(3)
     sys.exit(0)
 
 

@@ -24,6 +24,7 @@ import math
 import numpy as np
 
 from .errors import ShapeError
+from .indexing import _real
 
 __all__ = ["fwht", "fwht_axis", "last_block", "hadamard_matrix", "active_backend"]
 
@@ -34,15 +35,6 @@ def active_backend():
     Kept because run manifests record the kernel that produced them.
     """
     return "numpy"
-
-
-def _real(a):
-    """`a` as a float64 array. ShapeError, naming the dtype, for complex
-    input, checked before the cast, which would drop the imaginary part."""
-    a = np.asarray(a)
-    if a.dtype.kind == "c":
-        raise ShapeError(f"expected real input, got dtype {a.dtype}")
-    return a.astype(np.float64, copy=False)
 
 
 def _check_pow2(n):

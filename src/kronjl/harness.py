@@ -522,11 +522,15 @@ class PointsetReport(_DimsColumns):
 def _pointset_cells(dims, n_points, m_values, eps_values, trials, seed,
                     family, timing):
     """Checks the arguments and builds the points now; then an iterator of
-    one PointsetReport per (m, eps), each cell run as it is reached."""
+    one PointsetReport per (m, eps), each cell run as it is reached. The
+    (points, points) pair tables are whole tables, refused over the table
+    cap before the points are drawn."""
     dims = KronDims(dims)
     if n_points < 2:
         raise ConfigError("points: need at least 2")
     _check_cells(m_values, eps_values, trials, (family,))
+    _check_bytes(f"a pointset's {n_points} x {n_points} pair table",
+                 8 * n_points * n_points, _TABLE_CAP)
     pts = _family_factors(family, dims, seed, count=n_points)
 
     iu = np.triu_indices(n_points, k=1)

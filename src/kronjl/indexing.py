@@ -17,6 +17,10 @@ only block size there is. `_check_bytes` refuses every array over its byte
 cap before it is allocated: `_TABLE_CAP` for a whole table, `_ITEM_CAP` for
 one item (a span holds one item at least), one dense point set or one
 Monte Carlo cell's up-front draw.
+
+Every array entry point of the package casts its real input through
+`_real`, which refuses complex input where a float64 cast would drop the
+imaginary part.
 """
 
 import math
@@ -84,6 +88,16 @@ def _check_bytes(what, nbytes, cap):
     if k >= cap.bit_length() or c << k > cap:
         shown = f"{c} x 2^{k}" if k else c
         raise BudgetError(f"{what} needs {shown} bytes, over the cap of {cap}")
+
+
+def _real(a):
+    """`a` as a float64 array: the one cast of the package's real array
+    input. ShapeError, naming the dtype, for complex input, checked before
+    the cast, which would drop the imaginary part."""
+    a = np.asarray(a)
+    if a.dtype.kind == "c":
+        raise ShapeError(f"expected real input, got dtype {a.dtype}")
+    return a.astype(np.float64, copy=False)
 
 
 def _blocks(count, item_bytes):

@@ -67,7 +67,7 @@ import numpy as np
 
 from . import rand
 from .errors import BudgetError, ShapeError
-from .indexing import _TABLE_CAP, _blocks, _check_bytes
+from .indexing import _TABLE_CAP, _blocks, _check_bytes, _real
 
 __all__ = [
     "RipReport",
@@ -103,7 +103,7 @@ def _check_phi(phi, s):
     """Return the Gram matrix phi* phi of a finite 2-D phi, for 1 <= s <=
     its columns. Its squared entries must be finite too: the pruning sums
     them, and an overflowed block would yield nan norms that no max sees."""
-    phi = np.asarray(phi, dtype=np.float64)
+    phi = _real(phi)
     if phi.ndim != 2:
         raise ShapeError(f"need a 2-D measurement matrix, not {phi.ndim}-D")
     n = phi.shape[1]

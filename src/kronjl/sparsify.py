@@ -48,7 +48,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .errors import ShapeError
-from .indexing import _blocks, _group_positions
+from .indexing import _blocks, _group_positions, _real
 
 __all__ = [
     "SparsifySplit",
@@ -77,7 +77,7 @@ def _level(s):
 
 
 def _check_input(x, s):
-    x = np.asarray(x, dtype=np.float64)
+    x = _real(x)
     if x.ndim < 1:
         raise ShapeError("expected an array of order >= 1")
     if x.size == 0:
@@ -387,7 +387,7 @@ def _fiber_sums(source, tgt, seg, count, whole, whole_at):
 
 def check_max_sum_inequalities(x, sp):
     """Exhaustively verify both max-sum inequalities for a split of x."""
-    x = np.asarray(x, dtype=np.float64)
+    x = _real(x)
     if x.shape != sp.shape:
         raise ShapeError("split does not belong to this array")
     rows = _part_rows(sp)

@@ -51,8 +51,8 @@ import numpy as np
 
 from . import rand
 from .errors import ShapeError
-from .fwht import _real, _transformed, fwht, fwht_axis, hadamard_matrix, last_block
-from .indexing import _ITEM_CAP, _TABLE_CAP, KronDims, _blocks, _check_bytes
+from .fwht import _transformed, fwht, fwht_axis, hadamard_matrix, last_block
+from .indexing import _ITEM_CAP, _TABLE_CAP, KronDims, _blocks, _check_bytes, _real
 
 __all__ = [
     "RademacherFactors",
@@ -102,7 +102,7 @@ class RademacherFactors:
     factors: tuple
 
     def __post_init__(self):
-        fac = tuple(_frozen(f, np.float64) for f in self.factors)
+        fac = tuple(_frozen(_real(f), np.float64) for f in self.factors)
         for f in fac:
             if f.ndim != 1:
                 raise ShapeError("each sign factor must be a 1-D vector")
@@ -194,7 +194,7 @@ def kron_materialize(factors, out=None):
     factors broadcasting over its leading axes), and nothing else of its
     size is allocated. One factor and no `out` give that factor itself.
     """
-    factors = [np.asarray(f, dtype=np.float64) for f in factors]
+    factors = [_real(f) for f in factors]
     if not factors:
         raise ShapeError("need at least one factor")
     n = math.prod(f.shape[-1] for f in factors)
@@ -230,7 +230,7 @@ def sampled_entries(factors, rows0):
     rows0 = np.asarray(rows0)
     out, shift = None, 0
     for f in factors:
-        f = np.asarray(f, dtype=np.float64)
+        f = _real(f)
         n = f.shape[-1]
         at = (rows0 >> shift) & (n - 1)
         entry = f[at] if f.ndim == 1 else np.take_along_axis(f, at, axis=-1)

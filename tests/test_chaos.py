@@ -434,6 +434,23 @@ def test_moment_budget_counts_the_sign_table():
     assert peak < 2**20
 
 
+@pytest.mark.parametrize("mode, trials, tables", [
+    ("coupled", 2**24, "sign table"), ("decoupled", 2**23, "2 sign tables")])
+def test_monte_carlo_sign_table_is_refused_before_the_draw(mode, trials, tables):
+    # N = 16: the (trials, N) sign rows of every copy are 2 GiB of float64,
+    # over the item cap; refused before any sign is drawn
+    co = ChaosCoefficients.from_gram(KronDims((16,)), np.eye(16))
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetError, match=f"a chaos estimate's {tables} of "
+                           f"{trials} trials x 16 entries needs 2147483648 bytes"):
+            estimate_chaos_moments(co, mode, [2.0], trials=trials, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
 def test_decoupled_moments_peak_near_their_value_table():
     # dims (11,): 2^22 decoupled values, a 32 MiB table; |X| is taken in
     # place, so the table and one power of it are all that is held

@@ -257,6 +257,25 @@ def test_dense_reports_refuse_a_wide_operator(args, capsys):
     assert peak < 8 * 2**20
 
 
+def test_chaos_report_refuses_a_long_sign_table(capsys):
+    # 2^24 trials x N = 16 float64 signs are 2 GiB, though the operator
+    # and its coefficients are small
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(["report", "--kind", "chaos", "--dims", "16",
+                                  "--m", "4", "--trials", str(2**24)], capsys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == [
+        "budget error: a chaos estimate's sign table of 16777216 trials x 16 "
+        "entries needs 2147483648 bytes, over the cap of 1073741824"
+    ]
+    assert peak < 2**20
+
+
 def test_rip_report_refuses_a_tall_operator(capsys):
     # m N = (2^20 + 1) * 16 float64 is over the table cap, though the
     # N x N Hadamard is small
@@ -320,13 +339,31 @@ def test_an_oversized_trial_draw_exits_two(capsys):
     assert peak < 2**20
 
 
+def test_pointset_refuses_large_pair_tables(capsys):
+    # 5000 points: one 5000 x 5000 float64 pair table is over the table
+    # cap; refused before the Gram matrix or any pair index is built
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(["pointset", "--dims", "4", "--points", "5000",
+                                  "--m", "4", "--trials", "10"], capsys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == [
+        "budget error: a pointset's 5000 x 5000 pair table needs "
+        "200000000 bytes, over the cap of 134217728"
+    ]
+    assert peak < 2**20
+
+
 def test_in_process_runs_keep_no_stream():
-    # click's echo without a file caches the current sys.stdout or
-    # sys.stderr in a WeakKeyDictionary whose value is the stream itself,
-    # so a redirected stream and all its text would stay alive for good:
+    # a front end that caches the sys.stdout or sys.stderr it first finds
+    # would keep a redirected stream and all its text alive for good:
     # every run here, a success, a config, a usage and a budget error, and
-    # --help, which click's own callback writes without a file, writes to
-    # fresh streams that must be freed when it is done
+    # --help at each level, writes to fresh streams that must be freed when
+    # it is done
     runs = [
         ["jl-sweep", "--dims", "4x4", "--m", "4", "--trials", "2"],
         ["report", "--kind", "partition", "--d", "2"],

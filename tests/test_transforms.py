@@ -14,9 +14,19 @@ import pytest
 
 import kronjl
 from kronjl import indexing, transforms
+from kronjl.chaos import (
+    ChaosCoefficients,
+    SetPartition,
+    check_expectation_bound,
+    moment_bound_profile,
+    moment_to_tail,
+    partition_norm,
+)
 from kronjl.errors import BudgetError, ShapeError
 from kronjl.fwht import fwht, fwht_axis, hadamard_matrix, last_block
 from kronjl.indexing import KronDims
+from kronjl.rip import check_submatrix_bound, rip_constant
+from kronjl.sparsify import check_max_sum_inequalities, split
 from kronjl.transforms import (
     KfjltOperator,
     RademacherFactors,
@@ -693,6 +703,26 @@ def test_hadamard_rows_validation():
     (lambda op, z: fwht_axis(z.reshape(8, 8), 1), "complex128"),
     (lambda op, z: fwht_axis(z.real.reshape(8, 8), True), "axis must be an integer"),
     (lambda op, z: fwht_axis(z.real.reshape(8, 8), 1.0), "axis must be an integer"),
+    (lambda op, z: kron_materialize([z[:8], z.real[:8]]), "complex128"),
+    (lambda op, z: sampled_entries([z.real[:8], z[:8]], [0, 9]), "complex128"),
+    (lambda op, z: RademacherFactors((np.ones(8) + 0j,)), "complex128"),
+    (lambda op, z: rip_constant(z.reshape(8, 8), 1), "complex128"),
+    (lambda op, z: check_submatrix_bound(z.reshape(8, 8), 1, 0.5), "complex128"),
+    (lambda op, z: split(z.reshape(8, 8), 1), "complex128"),
+    (lambda op, z: check_max_sum_inequalities(
+        z.reshape(8, 8), split(z.real.reshape(8, 8), 1)), "complex128"),
+    (lambda op, z: partition_norm(z.reshape(8, 8), SetPartition(({1, 2},))),
+     "complex128"),
+    (lambda op, z: moment_bound_profile(z.reshape(8, 8), (2.0,)), "complex128"),
+    (lambda op, z: ChaosCoefficients.from_gram((8,), z.reshape(8, 8)), "complex128"),
+    (lambda op, z: ChaosCoefficients(KronDims((8,)), z.reshape(8, 8)), "complex128"),
+    (lambda op, z: ChaosCoefficients.distortion((8,), z.reshape(8, 8), z.real[:8]),
+     "complex128"),
+    (lambda op, z: ChaosCoefficients.from_gram((8,), z.real.reshape(8, 8), z[:8]),
+     "complex128"),
+    (lambda op, z: check_expectation_bound(z.reshape(8, 8), z.real[:8]), "complex128"),
+    (lambda op, z: check_expectation_bound(z.real.reshape(8, 8), z[:8]), "complex128"),
+    (lambda op, z: moment_to_tail(z[:2], np.ones(2), 1.0, 1.0), "complex128"),
 ])
 def test_entry_points_refuse_complex_input_and_non_integer_axes(call, match):
     # a cast to float64 would drop the imaginary part with only a warning;
