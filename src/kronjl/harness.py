@@ -312,8 +312,8 @@ def _sampled_trials(dims, pts, m, trials, rng):
     signs = rand.rademacher_factors(rng, trials, dims)
     rows0 = rng.integers(0, dims.total, size=(trials, m))
     # a trial's floats: its sampled entries (and a rank-one point's
-    # per-axis transforms), and no fewer than the (points, points) Gram
-    # matrix a pointset forms of them
+    # per-axis transforms), and no fewer than the (points, points) table a
+    # pointset forms of them: their Gram, then distances and ratios in place
     if len(pts) == 1:  # one length-N factor: dense, or a single axis
         for lo, hi in _blocks(trials, 8 * points * max(m, points)):
             yield hadamard_rows(pts[0], rows0[lo:hi, None, :],
@@ -523,8 +523,11 @@ def _pointset_cells(dims, n_points, m_values, eps_values, trials, seed,
                     family, timing):
     """Checks the arguments and builds the points now; then an iterator of
     one PointsetReport per (m, eps), each cell run as it is reached. The
-    (points, points) pair tables are whole tables, refused over the table
-    cap before the points are drawn."""
+    cells hold two (points, points) tables: the base squared distances d0,
+    refused over the table cap before the points are drawn, and the mask
+    of the pairs they score, i < j at a distance over 1e-24. Every other
+    entry scores 1.0, which never fails. The set-up peaks at two float
+    tables, the Gram matrix and one sum."""
     dims = KronDims(dims)
     if n_points < 2:
         raise ConfigError("points: need at least 2")
@@ -533,23 +536,23 @@ def _pointset_cells(dims, n_points, m_values, eps_values, trials, seed,
                  8 * n_points * n_points, _TABLE_CAP)
     pts = _family_factors(family, dims, seed, count=n_points)
 
-    iu = np.triu_indices(n_points, k=1)
     # the Gram matrix of Kronecker products is the product of the factors'
-    gram0 = math.prod(f @ f.T for f in pts)
-    sq = np.diag(gram0)
-    d0 = sq[:, None] + sq[None, :] - 2.0 * gram0
-    pair_d0 = d0[iu]
-    degenerate = pair_d0 <= 1e-24
-    skipped = int(np.count_nonzero(degenerate))
-    valid = np.where(~degenerate)[0]
-    base = pair_d0[valid]
+    d0 = math.prod(f @ f.T for f in pts)
+    sq = d0.diagonal().copy()
+    d0 *= -2.0  # (|x_i|^2 + |x_j|^2) - 2 <x_i, x_j>, in the Gram's place
+    d0 += sq[:, None] + sq[None, :]
+    valid = np.triu(d0 > 1e-24, k=1)
+    pairs = int(np.count_nonzero(valid))
 
     def pair_ratios(m, rng):
         for g in _sampled_trials(dims, pts, m, trials, rng):
-            yg = np.matmul(g, np.transpose(g, (0, 2, 1))) * (dims.total / m)
-            ysq = np.diagonal(yg, axis1=1, axis2=2)
-            dist = ysq[:, :, None] + ysq[:, None, :] - 2.0 * yg
-            yield dist[:, iu[0], iu[1]][:, valid] / base[None, :]
+            dist = np.matmul(g, np.transpose(g, (0, 2, 1))) * (dims.total / m)
+            sq = np.diagonal(dist, axis1=1, axis2=2).copy()
+            dist *= -2.0  # as d0
+            dist += sq[:, :, None] + sq[:, None, :]
+            np.divide(dist, d0, out=dist, where=valid)
+            np.copyto(dist, 1.0, where=~valid)
+            yield dist.reshape(len(g), -1)
 
     def cell(m, eps, rng):
         return _failures(pair_ratios(m, rng), eps)
@@ -557,8 +560,8 @@ def _pointset_cells(dims, n_points, m_values, eps_values, trials, seed,
     return (PointsetReport(
         family=family, points=n_points, dims=dims, m=m, eps=eps,
         trials=trials, joint_failures=joint, pair_failures=pair_fail,
-        valid_pairs=int(valid.size), skipped_pairs=skipped, seed=seed,
-        wall_ms=wall,
+        valid_pairs=pairs, skipped_pairs=n_points * (n_points - 1) // 2 - pairs,
+        seed=seed, wall_ms=wall,
     ) for m, eps, (joint, pair_fail), wall in _cells(
         seed, family, m_values, eps_values, timing, cell))
 
@@ -703,10 +706,6 @@ class ScalingReport:
         return self.slope_d2 / self.slope_d1
 
 
-def _nominal_points(r_dims):
-    return 1 << sum(1 << r for r in r_dims)
-
-
 def scaling_exponent_report(seed, trials=3000):
     """Fit log m* against log log p on the adversarial families and
     report the d=2 vs d=1 slope ratio (qualitative scaling check).
@@ -726,7 +725,7 @@ def scaling_exponent_report(seed, trials=3000):
             m_star, _ = required_rows_adversarial(
                 r_dims, SCALING_EPS, SCALING_TARGET, trials, seed
             )
-            rows.append((tuple(r_dims), _nominal_points(r_dims), m_star))
+            rows.append((tuple(r_dims), 1 << sum(1 << r for r in r_dims), m_star))
         cells[key] = tuple(rows)
         loglogp = [math.log(math.log(p)) for _, p, _ in rows]
         logm = [math.log(m) for _, _, m in rows]

@@ -225,19 +225,25 @@ def sampled_entries(factors, rows0):
     (..., m). A 1-D factor serves every row; otherwise factor and rows
     have as many axes, and the leading ones broadcast as in
     np.take_along_axis. A position's F-order coordinate on axis l is a bit
-    field of it, and the entries multiply in kron_materialize's order.
+    field of it, and the entries multiply in kron_materialize's order, so
+    the rows must be integers in [0, N) (ShapeError).
     """
-    rows0 = np.asarray(rows0)
+    factors = [_real(f) for f in factors]
+    if not factors:
+        raise ShapeError("need at least one factor")
+    lengths = [f.shape[-1] for f in factors]
+    if any(n < 1 or n & (n - 1) for n in lengths):
+        raise ShapeError(f"factor lengths must be powers of two, got {lengths}")
+    rows0 = _check_rows(np.asarray(rows0))
+    total = math.prod(lengths)
+    if rows0.min() < 0 or rows0.max() >= total:
+        raise ShapeError(f"rows must lie in 0..{total - 1}")
     out, shift = None, 0
-    for f in factors:
-        f = _real(f)
-        n = f.shape[-1]
+    for f, n in zip(factors, lengths):
         at = (rows0 >> shift) & (n - 1)
         entry = f[at] if f.ndim == 1 else np.take_along_axis(f, at, axis=-1)
         out = entry if out is None else entry * out
         shift += n.bit_length() - 1
-    if out is None:
-        raise ShapeError("need at least one factor")
     return out
 
 
@@ -313,7 +319,7 @@ def apply_dense(op, x):
 def _check_rows(rows):
     """ShapeError unless `rows` is a non-empty integer array (bool and
     float rows would index as 0/1 or truncate); integer rows as int64."""
-    if rows.dtype.kind not in "iu" or rows.shape[-1] == 0:
+    if rows.dtype.kind not in "iu" or rows.ndim == 0 or rows.shape[-1] == 0:
         raise ShapeError(
             f"rows must be a non-empty integer array, got {rows.dtype} "
             f"of shape {rows.shape}"

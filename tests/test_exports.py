@@ -5,7 +5,8 @@ report-kind name of its own. No public function takes a private
 parameter. One byte budget, indexing._BLOCK_BYTES, sizes every blocked
 loop, one check refuses every oversized array, one function reads the
 clock, one lays out grouped axes, one builds Kronecker products, one
-counter holds the failure rule, and one function starts a thread."""
+counter holds the failure rule, and one function starts a thread. Every
+top-level definition serves a command or waits on one list."""
 
 import ast
 import importlib
@@ -129,15 +130,20 @@ def test_cli_names_no_choice_and_no_default():
     assert defaults == []
 
 
+def _bound_names(node):
+    """Names a top-level statement binds."""
+    if isinstance(node, (ast.Assign, ast.AnnAssign)):
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        return [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return [node.name]
+    return []
+
+
 def _module_names(tree):
     """Names a module binds at its top level."""
     for node in tree.body:
-        if isinstance(node, (ast.Assign, ast.AnnAssign)):
-            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-            for t in targets:
-                yield from (n.id for n in ast.walk(t) if isinstance(n, ast.Name))
-        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            yield node.name
+        yield from _bound_names(node)
 
 
 def test_one_block_budget():
@@ -250,3 +256,96 @@ def test_one_failure_rule():
         isinstance(side, ast.Name) and side.id == "eps"
         for side in (n.left, *n.comparators)))
     assert compares == [("harness", "_failures")]
+
+
+_REFERENCE = "test/perfbench reference"
+_MOMENTS = "ROADMAP item 12b: report --kind moments"
+_SCALING = "ROADMAP item 12c: report --kind scaling"
+
+# the top-level definitions no command reaches yet: each names the ROADMAP
+# item that will give it a command, or is kept for tests and perfbench to
+# call. An entry leaves the list when a command reaches it or it moves out
+# of src, and a new definition no command reaches fails until it is listed
+_NO_COMMAND_YET = {
+    "adversarial._TRACED_BINDINGS": _REFERENCE,
+    **dict.fromkeys(
+        [f"chaos.{name}" for name in (
+            "ExpectationReport", "PARTITION_GROUND_LIMIT", "SUP_MAX_ITER",
+            "SUP_SEED", "SUP_TOL", "_alternating_sup", "_label_rows",
+            "_matricize", "check_expectation_bound", "enumerate_partitions",
+            "exact_chaos_moments", "moment_bound_profile", "moment_to_tail",
+            "partition_norm")], _MOMENTS),
+    "fwht.active_backend": _REFERENCE,
+    "gf2.dot": _REFERENCE,
+    **dict.fromkeys(
+        [f"harness.{name}" for name in (
+            "ROW_SCAN_CAP", "ROW_SCAN_START", "SCALING_EPS", "SCALING_GRIDS",
+            "SCALING_TARGET", "ScalingReport", "_SCAN_ROWS",
+            "_adversarial_rates", "_family_energies", "_scan_interpolate",
+            "adversarial_joint_norm_failure", "required_embedding_rows",
+            "required_rows_adversarial", "scaling_exponent_report")]
+        + ["transforms.kron_combinations", "transforms.kron_sign_patterns"],
+        _SCALING),
+    **dict.fromkeys(
+        ["rip.SubmatrixReport", "rip._block_norms", "rip.check_submatrix_bound"],
+        "ROADMAP item 6: the orbit form of report --kind rip"),
+    **dict.fromkeys(
+        ["sparsify.MAX_SUM_REL_TOL", "sparsify.MaxSumReport",
+         "sparsify._fiber_sums", "sparsify.check_max_sum_inequalities"],
+        _REFERENCE),
+    **dict.fromkeys(["transforms.apply_dense_mat", "transforms.apply_factored"],
+                    "ROADMAP item 5: kronjl embed"),
+}
+
+
+def _command_reach():
+    """Every top-level definition of src/kronjl as "module.name", and those
+    the command line reaches: cli.py's statements, which run every
+    command and selftest, then each definition they read, and so on. A
+    name resolves to its module's own top-level definition or to the one
+    it imports from kronjl, and `module.name` through an imported kronjl
+    module. Names are matched, not bindings, so a local that shadows a
+    top-level name counts as a use of it."""
+    defs, scopes, trees = {}, {}, {}
+    for path in sorted(SRC.glob("*.py")):
+        tree = trees[path.stem] = ast.parse(path.read_text(), filename=str(path))
+        scope = scopes[path.stem] = {}  # name -> "module.name", or a module
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                for alias in node.names:
+                    scope[alias.asname or alias.name] = ".".join(
+                        filter(None, (node.module, alias.name)))
+            for name in _bound_names(node):
+                if not name.startswith("__"):
+                    scope[name] = f"{path.stem}.{name}"
+                    defs[scope[name]] = (path.stem, node)
+
+    def reads(module, node):
+        scope = scopes[module]
+        for n in ast.walk(node):
+            if isinstance(n, ast.Name):
+                yield scope.get(n.id)
+            elif isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name):
+                target = scope.get(n.value.id)
+                if target in scopes:  # an imported kronjl module
+                    yield f"{target}.{n.attr}"
+
+    reached, todo = set(), [("cli", node) for node in trees["cli"].body]
+    while todo:
+        for key in reads(*todo.pop()):
+            if key in defs and key not in reached:
+                reached.add(key)
+                todo.append(defs[key])
+    return set(defs), reached
+
+
+def test_every_definition_serves_a_command_or_is_listed():
+    defs, reached = _command_reach()
+    commands = {f"harness.{build.__name__}" for build in harness.COMMANDS.values()}
+    assert commands | {"harness.selftest", "harness._rip_report"} <= reached
+    unreached = defs - reached
+    assert sorted(unreached - set(_NO_COMMAND_YET)) == []
+    # the list only shrinks: a reached or deleted definition leaves it
+    assert sorted(set(_NO_COMMAND_YET) - unreached) == []
+    assert all(why == _REFERENCE or re.match(r"ROADMAP item \d+[a-z]?: \S", why)
+               for why in _NO_COMMAND_YET.values())

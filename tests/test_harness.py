@@ -541,6 +541,53 @@ def test_pointset_identical_points_skipped():
     assert rep.union_bound == 0.0
 
 
+def test_pointset_pairs_match_an_explicit_pair_loop():
+    # twenty one-hot points on N = 16 coincide in some pairs and not in
+    # others; each cell scores the pairs i < j of its own draws as a loop
+    # over them does, and skips the coincident ones. A length-4 axis
+    # transform scales by exactly 1/2, so the sampled entries are +-1/4,
+    # and N / m is a power of two: both sides are exact, also where a
+    # ratio sits on 1 +- eps
+    dims, p, trials, seed = KronDims((4, 4)), 20, 400, 5
+    pts = harness._family_factors("onehot", dims, seed, count=p)
+    x = kron_materialize(pts)
+    reps = harness.pointset_preservation(dims, p, (16, 32), (0.25, 0.5), trials,
+                                         seed, family="onehot")
+    fam = harness.FAMILIES.index("onehot")
+    for rep, at in zip(reps, itertools.product(range(2), range(2))):
+        rng = rand.substream(seed, rand.TAG_EXPERIMENT, fam, *at)
+        g = np.concatenate(list(
+            harness._sampled_trials(dims, pts, rep.m, trials, rng)))
+        joint, pair_failures, valid = np.zeros(trials, dtype=bool), 0, 0
+        for i, j in itertools.combinations(range(p), 2):
+            base = np.sum((x[i] - x[j]) ** 2)
+            if base == 0.0:
+                continue
+            valid += 1
+            dist = dims.total / rep.m * np.sum((g[:, i] - g[:, j]) ** 2, axis=1)
+            fails = np.abs(dist / base - 1.0) > rep.eps
+            pair_failures += int(np.count_nonzero(fails))
+            joint |= fails
+        assert 0 < valid < p * (p - 1) // 2
+        assert rep.valid_pairs + rep.skipped_pairs == p * (p - 1) // 2
+        assert rep.valid_pairs == valid
+        assert rep.pair_failures == pair_failures > 0
+        assert rep.joint_failures == int(np.count_nonzero(joint))
+        assert 0 < rep.joint_failures < trials
+
+
+def test_pointset_setup_forms_two_pair_tables_at_most():
+    # at 1024 points one (points, points) float table is 8 MiB; the
+    # set-up forms the Gram matrix and one sum of its size, and keeps d0
+    # and a boolean mask, an eighth of a table
+    cells = []
+    peak = _peak_bytes(lambda: cells.append(harness._pointset_cells(
+        (4,), 1024, (4,), (0.5,), 2, 0, "kron", False)))
+    assert peak < 20 * 2**20
+    [rep] = cells[0]
+    assert rep.valid_pairs + rep.skipped_pairs == 1024 * 1023 // 2
+
+
 def test_pointset_joint_below_union_bound():
     # per-sample: a joint failure needs at least one failing pair, so the
     # joint rate never exceeds p(p-1) times the pair rate

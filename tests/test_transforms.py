@@ -173,6 +173,19 @@ def test_kron_sign_patterns_needs_an_axis():
 def test_sampled_entries_needs_a_factor():
     with pytest.raises(ShapeError, match="at least one factor"):
         sampled_entries([], np.arange(3))
+    # N = 16: rows 0 and 15 read 1 * 10 and 4 * 40; a row outside [0, 16)
+    # would wrap onto another row's bit fields, a float row would not
+    # index, and a length-3 axis has no bit field
+    factors = [np.array([1.0, 2.0, 3.0, 4.0]), np.array([10.0, 20.0, 30.0, 40.0])]
+    assert sampled_entries(factors, [0, 15]).tolist() == [10.0, 160.0]
+    for rows in ([16], [-1], [[0, 16], [1, 2]], np.array([2**63], dtype=np.uint64)):
+        with pytest.raises(ShapeError, match=r"rows must lie in 0\.\.15"):
+            sampled_entries(factors, rows)
+    for rows in ([0.0], [True], 3, np.zeros((2, 0), dtype=int)):
+        with pytest.raises(ShapeError, match="rows must be a non-empty integer"):
+            sampled_entries(factors, rows)
+    with pytest.raises(ShapeError, match="powers of two, got \\[4, 3\\]"):
+        sampled_entries([factors[0], np.ones(3)], [0])
 
 
 def test_build_operator_determinism():
