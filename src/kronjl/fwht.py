@@ -15,7 +15,8 @@ A digit of order r costs r multiply-adds per entry:
 2^18 splits as (32, 32, 16, 16), 96 per entry, where 6-bit digits
 (64, 64, 64) cost 192. The public functions write a new array on every
 call and none works in place; transforms.hadamard_rows lends the kernel
-one pair of buffers for all the blocks a thread of a call runs instead.
+one pair of buffers, the first holding the signed block it transforms,
+for all the blocks a thread of a call runs instead.
 """
 
 import functools
@@ -101,30 +102,31 @@ def _scaled_sylvester(r, n):
 
 def _transformed(a, axis, bufs=None):
     """`a` (float64) transformed along `axis` into a new C-contiguous array,
-    or into the leading a.size entries of bufs[0] where the caller lends
-    an (output, spare) pair of flat float64 buffers: viewed as
-    (outer, n, inner), each digit of n is one matmul through `out=`,
-    alternating between the output and at most one spare so that the last
-    lands in the output. The last digit's matrix carries the 1/sqrt(n)
-    scale (_scaled_sylvester), so no scale pass follows."""
+    or, where the caller lends a pair of flat float64 buffers with `a`
+    anywhere in the first, into the leading a.size entries of one of them:
+    viewed as (outer, n, inner), digit i of n is one matmul through `out=`
+    into bufs[(i + 1) % 2], so the first digit never writes the buffer it
+    reads and the result lands in bufs[len(_digits(n)) % 2], for odd and
+    even digit counts (n = 1 copies `a` to the front of bufs[0]). Without
+    buffers each target is a new array, and one digit needs only one. The
+    last digit's matrix carries the 1/sqrt(n) scale (_scaled_sylvester),
+    so no scale pass follows."""
     n = a.shape[axis]
     axis = range(a.ndim)[axis]
     cur = np.ascontiguousarray(a)
     digits = _digits(n)
     if bufs is None:
-        out = np.empty_like(cur)
-        spare = np.empty_like(out) if len(digits) > 1 else None
-    else:
-        out, spare = (b[:cur.size].reshape(cur.shape) for b in bufs)
+        bufs = [np.empty(cur.size) if len(digits) != 1 else None,
+                np.empty(cur.size) if digits else None]
+    targets = [b if b is None else b[:cur.size].reshape(cur.shape) for b in bufs]
     if not digits:  # n = 1: the identity
-        np.copyto(out, cur)
-        return out
-    targets = (out, spare) if len(digits) % 2 else (spare, out)
+        np.copyto(targets[0], cur)
+        return targets[0]
     pre, post = math.prod(a.shape[:axis]), n
     inner = math.prod(a.shape[axis + 1:])
     for i, r in enumerate(digits):
         post //= r
-        tgt = targets[i % 2]
+        tgt = targets[(i + 1) % 2]
         h = _scaled_sylvester(r, n) if i == len(digits) - 1 else _sylvester(r)
         if post * inner == 1:
             # last digit of a trailing axis: one (pre, r) @ (r, r) product.
@@ -140,7 +142,7 @@ def _transformed(a, axis, bufs=None):
             shape = (pre, r, post * inner)
             np.matmul(h, cur.reshape(shape), out=tgt.reshape(shape))
         cur, pre = tgt, pre * r
-    return out
+    return cur
 
 
 def fwht(x):

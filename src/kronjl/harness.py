@@ -6,11 +6,11 @@ sweep cell draws its whole trial block up front in a fixed order (sign
 factors by ascending axis, then sample rows), refused over the item cap
 before it is drawn. The later arithmetic runs through spans of trials of
 about 1 MiB (indexing._blocks): a rank-one span sized by its per-axis
-work, a dense span by its output (each no smaller than a pointset's Gram
-matrices), one hadamard_rows call that signs and transforms its rows in
-blocks, on two threads where it uses them; the kernel gives a row the
-same bytes alone as in any batch, so neither the block size nor the
-thread count changes a byte written. jl-sweep and
+work, a dense span by its output (each no smaller than the two tables a
+pointset scores a trial in), one hadamard_rows call that signs and
+transforms its rows in blocks, on two threads where it uses them; the
+kernel gives a row the same bytes alone as in any batch, so neither the
+block size nor the thread count changes a byte written. jl-sweep and
 pointset share that trial loop (`_sampled_trials`) and one cell loop
 (`_cells`), which gives each (m, eps) cell its substream and its wall
 time (the lower-bound sweep shares its timer, `_timed`), and every CSV
@@ -80,7 +80,7 @@ from .transforms import (
     kron_materialize,
     kron_sign_patterns,
     materialize,
-    sampled_entries,
+    _gathered,
 )
 
 __all__ = [
@@ -297,10 +297,12 @@ def _sampled_trials(dims, pts, m, trials, rng):
     A rank-one point never becomes a length-N vector: H D_xi (x_1 (x) ...
     (x) x_d) is the Kronecker product of the H_l (xi_l * x_l), so each
     axis is transformed on its own and the entries are gathered at the
-    bit fields of the rows (sampled_entries). Dense points, one length-N
-    factor, go through one hadamard_rows call per span of trials, sized by
-    its output or a pointset's Gram matrices: each row is signed by its
-    trial's Kronecker product in the call's own buffers, the high bits
+    bit fields of the rows (transforms._gathered: sampled_entries without
+    its checks, as the rows are drawn in [0, N) and the transforms are
+    float64 of power-of-two lengths). Dense points, one length-N factor,
+    go through one hadamard_rows call per span of trials, sized by its
+    output or the tables a pointset scores it in: each row is signed by
+    its trial's Kronecker product in the call's own buffers, the high bits
     are transformed in full, and where m is small against N the last
     Sylvester block runs only at the m sampled rows. A span holds many
     blocks of rows, so it runs on two threads where hadamard_rows uses
@@ -312,18 +314,19 @@ def _sampled_trials(dims, pts, m, trials, rng):
     signs = rand.rademacher_factors(rng, trials, dims)
     rows0 = rng.integers(0, dims.total, size=(trials, m))
     # a trial's floats: its sampled entries (and a rank-one point's
-    # per-axis transforms), and no fewer than the (points, points) table a
-    # pointset forms of them: their Gram, then distances and ratios in place
+    # per-axis transforms), and no fewer than the two (points, points)
+    # tables a pointset scores them in: its table of Gram, distances and
+    # ratios in place, and one sum
     if len(pts) == 1:  # one length-N factor: dense, or a single axis
-        for lo, hi in _blocks(trials, 8 * points * max(m, points)):
+        for lo, hi in _blocks(trials, 8 * points * max(m, 2 * points)):
             yield hadamard_rows(pts[0], rows0[lo:hi, None, :],
                                 [f[lo:hi] for f in signs])
         return
-    for lo, hi in _blocks(trials, 8 * points * max(sum(dims) + m, points)):
+    for lo, hi in _blocks(trials, 8 * points * max(sum(dims) + m, 2 * points)):
         xi = [f[lo:hi] for f in signs]
         ys = [fwht_axis(s[:, None, :] * f[None, :, :], 2)
               for s, f in zip(xi, pts)]
-        yield sampled_entries(ys, rows0[lo:hi, None, :])
+        yield _gathered(ys, rows0[lo:hi, None, :])
 
 
 def _csv_cell(value):
@@ -417,11 +420,13 @@ def _cells(seed, family, m_values, eps_values, timing, cell):
 def _failures(ratios, eps):
     """The failure rule of every Monte Carlo cell. `ratios` yields per
     block of trials a (block, points) array, each entry an embedded over
-    an original squared norm or pair distance. Returns the trials where
-    some ratio leaves 1 +- eps, and the ratios that do."""
+    an original squared norm or pair distance, which the rule overwrites
+    with its distance from 1. Returns the trials where some ratio leaves
+    1 +- eps, and the ratios that do."""
     trials = entries = 0
     for ratio in ratios:
-        bad = np.abs(ratio - 1.0) > eps
+        ratio -= 1.0
+        bad = np.abs(ratio, out=ratio) > eps
         trials += int(np.count_nonzero(np.any(bad, axis=1)))
         entries += int(np.count_nonzero(bad))
     return trials, entries
@@ -527,7 +532,10 @@ def _pointset_cells(dims, n_points, m_values, eps_values, trials, seed,
     refused over the table cap before the points are drawn, and the mask
     of the pairs they score, i < j at a distance over 1e-24. Every other
     entry scores 1.0, which never fails. The set-up peaks at two float
-    tables, the Gram matrix and one sum."""
+    tables, the Gram matrix and one sum. A cell scores a span of trials in
+    one table per trial, reused for every span: the embedded Gram matrix
+    is formed into it and turned into distances, ratios and then their
+    distance from 1 in place, beside one sum table and a mask."""
     dims = KronDims(dims)
     if n_points < 2:
         raise ConfigError("points: need at least 2")
@@ -545,8 +553,12 @@ def _pointset_cells(dims, n_points, m_values, eps_values, trials, seed,
     pairs = int(np.count_nonzero(valid))
 
     def pair_ratios(m, rng):
+        table = None
         for g in _sampled_trials(dims, pts, m, trials, rng):
-            dist = np.matmul(g, np.transpose(g, (0, 2, 1))) * (dims.total / m)
+            if table is None:  # the first span is the longest
+                table = np.empty((len(g), n_points, n_points))
+            dist = np.matmul(g, np.transpose(g, (0, 2, 1)), out=table[:len(g)])
+            dist *= dims.total / m
             sq = np.diagonal(dist, axis1=1, axis2=2).copy()
             dist *= -2.0  # as d0
             dist += sq[:, :, None] + sq[:, None, :]

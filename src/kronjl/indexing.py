@@ -32,8 +32,9 @@ from .errors import BudgetError, ShapeError
 
 __all__ = ["KronDims"]
 
-# half a 2 MiB per-core L2; where transforms.hadamard_rows runs a call on
-# two threads they share it, each block taking half of it
+# half a 2 MiB L2; each core has its own (lscpu: "2 instances" on a
+# 2-vCPU host), so where transforms.hadamard_rows runs a call on two
+# threads each takes blocks of this size, each in its own pair of buffers
 _BLOCK_BYTES = 1 << 20
 # the largest single item; a dense cell holds about five items at once
 _ITEM_CAP = 1 << 30

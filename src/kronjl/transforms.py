@@ -27,14 +27,15 @@ that then holds its rows: one trial's length-N vector is formed once per
 call, and under several trials kron_materialize forms a block's vectors
 in place, one a row. A call of one block runs in the caller; a call of
 two or more runs on two threads where the process may use two CPUs and
-BLAS runs one thread: the caller and one helper each take the next block,
-of half the budget, as they come free. Every block a thread runs reuses
-that thread's buffers, allocated once for the largest block, so the
-temporaries stay in cache and do not grow with the batch; neither the
-block size nor the thread count changes a byte. A rank-one input
-needs no length-N work: H D (x_1 (x) ... (x) x_d) is the Kronecker
-product of the H_l (xi_l * x_l), and a sampled entry is a product of one
-entry per axis, found at the bit fields of its row (sampled_entries).
+BLAS runs one thread: the caller and one helper each take the next block
+as they come free, the same blocks either way, as each core has its own
+L2. Every block a thread runs reuses that thread's two buffers,
+allocated once for the largest block, so the temporaries stay in cache
+and do not grow with the batch; neither the block size nor the thread
+count changes a byte. A rank-one input needs no length-N work:
+H D (x_1 (x) ... (x) x_d) is the Kronecker product of the
+H_l (xi_l * x_l), and a sampled entry is a product of one entry per
+axis, found at the bit fields of its row (sampled_entries).
 apply_factored and the harness's kron and onehot trials take that path;
 only dense inputs go through hadamard_rows.
 
@@ -51,8 +52,8 @@ import numpy as np
 
 from . import rand
 from .errors import ShapeError
-from .fwht import _transformed, fwht, fwht_axis, hadamard_matrix, last_block
-from .indexing import _ITEM_CAP, _TABLE_CAP, KronDims, _blocks, _check_bytes, _real
+from .fwht import _digits, _transformed, fwht, fwht_axis, hadamard_matrix, last_block
+from .indexing import _TABLE_CAP, KronDims, _blocks, _check_bytes, _real
 
 __all__ = [
     "RademacherFactors",
@@ -238,8 +239,16 @@ def sampled_entries(factors, rows0):
     total = math.prod(lengths)
     if rows0.min() < 0 or rows0.max() >= total:
         raise ShapeError(f"rows must lie in 0..{total - 1}")
+    return _gathered(factors, rows0)
+
+
+def _gathered(factors, rows0):
+    """sampled_entries without its checks, for callers whose float64
+    factors have power-of-two lengths and whose int64 rows are known to
+    lie in [0, N): an operator's own rows, or rows drawn there."""
     out, shift = None, 0
-    for f, n in zip(factors, lengths):
+    for f in factors:
+        n = f.shape[-1]
         at = (rows0 >> shift) & (n - 1)
         entry = f[at] if f.ndim == 1 else np.take_along_axis(f, at, axis=-1)
         out = entry if out is None else entry * out
@@ -356,16 +365,17 @@ def hadamard_rows(xs, rows0, factors):
     by their points, with no loop over rows. A call of one block runs in
     the caller. A call of two or more runs on two threads where the
     process may use two CPUs and BLAS runs one thread (_TWO_THREADS): the
-    caller and one helper, which the call starts and joins, share the
-    block budget, so each block takes half of it; each thread takes the
-    next block as it comes free and writes its rows of the result. Each
-    thread allocates one set of buffers for the largest block (the signed
-    rows, the kernel's output and its spare, which then holds the row
-    index and the gathered rows) and every block it runs reuses them, so
-    the temporaries stay in cache and do not grow with the rows. Each row
-    meets the same products whatever its block or thread, and a sign flip
-    is exact, so neither the block size nor the thread count changes a
-    byte, and the bytes are those of signing every row up front.
+    caller and one helper, which the call starts and joins, take the
+    blocks of a one-thread call, each the next one as it comes free, and
+    write their rows of the result. Each thread allocates one pair of
+    buffers for the largest block (the signed rows, which the kernel then
+    alternates with the other; the one its high-bit transform leaves free
+    holds the row index and the gathered rows) and every block it runs
+    reuses them, so the temporaries stay in cache and do not grow with
+    the rows. Each row meets the same products whatever its block or
+    thread, and a sign flip is exact, so neither the block size nor the
+    thread count changes a byte, and the bytes are those of signing
+    every row up front.
     """
     xs = _real(xs)
     if xs.ndim != 2:
@@ -398,8 +408,6 @@ def hadamard_rows(xs, rows0, factors):
     item = max(n, m * r)
     blocks = list(_blocks(count, 8 * item))
     two = _TWO_THREADS and len(blocks) > 1
-    if two:  # the threads share the budget, half of it a block, under the same cap
-        blocks = list(_blocks(count, min(16 * item, _ITEM_CAP)))
     # one trial: one sign vector
     signs = kron_materialize([f[0] for f in factors]) if lead[0] == 1 else factors
     size = item * max((hi - lo for lo, hi in blocks), default=0)
@@ -433,20 +441,21 @@ def hadamard_rows(xs, rows0, factors):
 
 def _spans_rows(xs, rows0, signs, r, size, spans, out):
     """hadamard_rows of the (lo, hi) spans of rows, each written into
-    out[lo:hi], through one set of buffers of `size` floats each. `signs`
-    is one length-N vector for every row, or per-axis factors whose trial
-    i // points signs row i, the point xs[i % points]."""
+    out[lo:hi], through one pair of buffers of `size` floats each, the
+    first holding each signed block. `signs` is one length-N vector for
+    every row, or per-axis factors whose trial i // points signs row i,
+    the point xs[i % points]."""
     points, n = xs.shape
     # one allocation cut into the buffers: the first is over glibc's mmap
     # threshold, and freeing it raises that threshold and the heap's trim
     # threshold (twice it), so later buffers and the caller's arrays reuse
-    # heap pages rather than fault them in afresh. Three separate 2 MiB
-    # buffers left the threshold low: a `sweep` pass took 710-1,440 minor
-    # faults, not 12-17, and most `operator` passes 33,300, not about 100
-    whole = np.empty(3 * size)
-    bufs = [whole[i * size:(i + 1) * size] for i in range(3)]
+    # heap pages rather than fault them in afresh. Separate 2 MiB buffers
+    # left the threshold low: a `sweep` pass took 710-1,440 minor faults,
+    # not 12-17, and most `operator` passes 33,300, not about 100
+    whole = np.empty(2 * size)
+    bufs = (whole[:size], whole[size:])
     for lo, hi in spans:
-        block = _lent(bufs[2], (hi - lo, n))
+        block = _lent(bufs[0], (hi - lo, n))
         if isinstance(signs, np.ndarray):
             np.multiply(xs[lo:hi], signs, out=block)
         else:
@@ -460,7 +469,7 @@ def _spans_rows(xs, rows0, signs, r, size, spans, out):
             whole = block[head:body].reshape(-1, points, n)
             whole *= xs
             block[body:] *= xs[:hi - lo - body]
-        _block_rows(block, rows0[lo:hi], r, bufs[:2], out[lo:hi])
+        _block_rows(block, rows0[lo:hi], r, bufs, out[lo:hi])
 
 
 def _lent(buf, shape, dtype=np.float64):
@@ -470,25 +479,31 @@ def _lent(buf, shape, dtype=np.float64):
 
 
 def _block_rows(xs, rows0, r, bufs, out):
-    """hadamard_rows of one block with last block r, written into `out`.
-    bufs[0] holds the high-bit transform, then the last block of the
-    gathered rows; bufs[1] the transform's spare, then the row index
-    followed by the gathered rows. Neither the gather nor the last block
-    allocates a block-sized array."""
+    """hadamard_rows of one block `xs`, held in bufs[0], with last block
+    r, written into `out`. The high-bit transform alternates between the
+    two buffers (fwht._transformed); the row index and the gathered rows
+    go in the one it leaves free, the last block of those rows in the
+    other, and the index of their entries in the free one again. Neither
+    the gather nor the last block allocates a block-sized array."""
     count, n = xs.shape
     high = _transformed(xs.reshape(count, n // r, r), 1, bufs).reshape(-1, r)
+    # the buffer holding `high`, and the one the transform left free
+    held, free = bufs[::-1] if len(_digits(n // r)) % 2 else bufs
     # the length-r rows of every xs[c], one after another, at rows0 // r
-    at = np.floor_divide(rows0, r, out=_lent(bufs[1], rows0.shape, np.int64))
+    at = np.floor_divide(rows0, r, out=_lent(free, rows0.shape, np.int64))
     at += np.arange(0, count * (n // r), n // r)[:, None]
     # rows0 is checked; "clip" writes into `out=` without a buffered copy
     if r == 1:  # no last block: the gathered entries are the result
         np.take(high[:, 0], at, out=out, mode="clip")
         return
-    picked = _lent(bufs[1][at.size:], at.shape + (r,))
+    picked = _lent(free[at.size:], at.shape + (r,))
     np.take(high, at, axis=0, out=picked, mode="clip")
-    # r = 32 is one digit, so the kernel writes bufs[0] alone
-    low = _transformed(picked, 2, bufs)
-    out[...] = np.take_along_axis(low, (rows0 % r)[:, :, None], axis=2)[:, :, 0]
+    # r = 32 is one digit, read from `free` into the other buffer, so the
+    # index of entry rows0 % r of each low row goes in `free` again
+    low = _transformed(picked, 2, (free, held))
+    at = np.remainder(rows0, r, out=_lent(free, rows0.shape, np.int64))
+    at += np.arange(0, at.size * r, r).reshape(at.shape)
+    np.take(low.reshape(-1), at, out=out, mode="clip")
 
 
 def apply_dense_mat(op, xs):
@@ -524,7 +539,7 @@ def apply_factored(op, factors):
         transformed = list(fwht_axis(np.stack(signed), 1))
     else:
         transformed = [fwht(f) for f in signed]
-    return op.scale * sampled_entries(transformed, op.samples.rows - 1)
+    return op.scale * _gathered(transformed, op.samples.rows - 1)
 
 
 def materialize(op):

@@ -277,6 +277,9 @@ _NO_COMMAND_YET = {
             "partition_norm")], _MOMENTS),
     "fwht.active_backend": _REFERENCE,
     "gf2.dot": _REFERENCE,
+    # the checked gather for outside callers; the trial loop and
+    # apply_factored call its unchecked core, transforms._gathered
+    "transforms.sampled_entries": _REFERENCE,
     **dict.fromkeys(
         [f"harness.{name}" for name in (
             "ROW_SCAN_CAP", "ROW_SCAN_START", "SCALING_EPS", "SCALING_GRIDS",

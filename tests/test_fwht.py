@@ -6,8 +6,8 @@ import scipy.linalg
 
 from kronjl.errors import ShapeError
 from kronjl.fwht import (
-    _digits, _scaled_sylvester, _sylvester, active_backend, fwht, fwht_axis,
-    hadamard_matrix, last_block,
+    _digits, _scaled_sylvester, _sylvester, _transformed, active_backend, fwht,
+    fwht_axis, hadamard_matrix, last_block,
 )
 
 
@@ -197,10 +197,34 @@ def test_last_block_splits_only_where_m_is_small_against_n():
     assert last_block(1, 1) == 1
 
 
+@pytest.mark.parametrize("shape, axis, count", [
+    ((3, 1), 1, 0), ((3, 32), 1, 1), ((2, 1 << 10), 1, 2),
+    ((2, 1 << 13, 32), 1, 3), ((1, 1 << 18), 1, 4)])
+def test_transform_in_lent_buffers_gives_the_fresh_bytes(shape, axis, count):
+    # the input sits in the first of two lent buffers, at its front or
+    # behind other data (as transforms._block_rows's gathered rows do):
+    # digit i writes buffer (i + 1) % 2, so the first never overwrites the
+    # input it reads, and the result is the fresh path's, in buffer
+    # count % 2
+    assert len(_digits(shape[axis])) == count
+    a = np.random.default_rng(count).standard_normal(shape)
+    want = _transformed(a, axis)
+    for offset in (0, 5):
+        whole = np.full(2 * (a.size + offset), np.nan)
+        bufs = (whole[:a.size + offset], whole[a.size + offset:])
+        held = bufs[0][offset:].reshape(shape)
+        held[...] = a
+        got = _transformed(held, axis, bufs)
+        assert np.array_equal(got, want)
+        assert np.shares_memory(got, bufs[count % 2][:a.size])
+    assert not np.shares_memory(want, a)
+
+
 def test_a_split_last_block_is_one_kernel_digit():
-    # transforms._block_rows runs the last block in the kernel's output
-    # buffer alone, with the spare holding the gathered rows: a block of
-    # two digits would alias them
+    # transforms._block_rows reads the gathered rows from the buffer the
+    # high-bit transform left free and runs the last block into the other;
+    # a block of two digits would land back in the free buffer, where the
+    # index of the entries it keeps then goes
     for k in range(25):
         for m in (1, 2, 3, 7, 64, 100, 1 << 10, 1 << 14, (1 << 16) + 1):
             r = last_block(1 << k, m)

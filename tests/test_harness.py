@@ -588,6 +588,27 @@ def test_pointset_setup_forms_two_pair_tables_at_most():
     assert rep.valid_pairs + rep.skipped_pairs == 1024 * 1023 // 2
 
 
+def test_pointset_cells_score_in_one_table_and_one_sum():
+    # at 2048 points one (points, points) float table is 32 MiB; beside d0
+    # and its mask the cells hold one table per trial of a span, reused
+    # from span to span and scored in place, and one sum: about 3.3 tables
+    table = 8 * 2048**2
+    reps = []
+    peak = _peak_bytes(lambda: reps.extend(harness._pointset_cells(
+        (4,), 2048, (4,), (0.5,), 2, 0, "kron", False)))
+    assert peak < 3.5 * table
+    assert reps[0].valid_pairs + reps[0].skipped_pairs == 2048 * 2047 // 2
+
+
+def test_pointset_spans_are_sized_by_the_tables_they_hold(monkeypatch):
+    # a trial of 64 points holds two 32 KiB tables while it is scored: an
+    # item cap of one table refuses the cell before its first span
+    monkeypatch.setattr(indexing, "_ITEM_CAP", 8 * 64 * 64)
+    cells = harness._pointset_cells((8,), 64, (4,), (0.5,), 3, 0, "kron", False)
+    with pytest.raises(BudgetError, match="needs 65536 bytes"):
+        next(cells)
+
+
 def test_pointset_joint_below_union_bound():
     # per-sample: a joint failure needs at least one failing pair, so the
     # joint rate never exceeds p(p-1) times the pair rate

@@ -465,9 +465,8 @@ def test_hadamard_rows_block_size_changes_no_byte(monkeypatch, n, m, count):
     whole = outputs(count)
     # the default budget, then blocks of one, two and four rows, where the
     # buffers serve several blocks and a one-row case's last is the largest;
-    # on two threads each block takes half the budget, one, one and two
-    # rows, and the two take the 9, 9 and 5 spans in whatever order they
-    # come free
+    # on two threads the blocks are the same, and the two take the 9, 5
+    # and 3 spans in whatever order they come free
     for rows_per_block, two_threads in itertools.product((None, 1, 2, 4),
                                                          (False, True)):
         for got, want in zip(outputs(rows_per_block, two_threads), whole):
@@ -525,17 +524,52 @@ def test_apply_dense_mat_holds_no_signed_copy():
     assert _peak_bytes(lambda: apply_dense_mat(op, xs)) < xs.nbytes / 2
 
 
-def test_two_threads_share_the_block_budget(monkeypatch):
-    # each thread holds one set of buffers: for the operator benchmark's
-    # batch (one 2 MiB row a block) about 14 MiB beyond it, 8 MiB on one
-    # thread; where a block holds eight 128 KiB rows, a thread's holds four
+def test_each_thread_holds_two_buffers_of_a_full_block(monkeypatch):
+    # each thread holds one pair of buffers of a one-thread block: for the
+    # operator benchmark's batch (one 2 MiB row a block) about 10 MiB
+    # beyond it, its sign vector and 4 MiB a thread; where a block holds
+    # eight 128 KiB rows, 2 MiB of buffers a thread and the result
     monkeypatch.setattr(transforms, "_TWO_THREADS", True)
     op = build_operator((64, 64, 64), 128, seed=0)
     xs = np.random.default_rng(4).standard_normal((32, op.dims.total))
-    assert _peak_bytes(lambda: apply_dense_mat(op, xs)) <= 16 * 2**20
+    assert _peak_bytes(lambda: apply_dense_mat(op, xs)) <= 12 * 2**20
     op = build_operator((128, 128), 128, seed=2)
     xs = np.random.default_rng(5).standard_normal((64, op.dims.total))
-    assert _peak_bytes(lambda: apply_dense_mat(op, xs)) < 4 * 2**20
+    assert _peak_bytes(lambda: apply_dense_mat(op, xs)) < 4.25 * 2**20
+
+
+def test_two_threads_take_the_spans_of_one(monkeypatch):
+    # the sweep benchmark's dense call, one 2^16 point under 16 trials:
+    # both paths take eight spans of two rows through buffers of one block
+    # each, whichever thread takes a span
+    rng = np.random.default_rng(12)
+    xs = rng.standard_normal((1, 1 << 16))
+    factors = [rng.choice([-1.0, 1.0], size=(16, k)) for k in (64, 64, 16)]
+    rows0 = rng.integers(0, 1 << 16, size=(16, 1, 32))
+    spans_rows = transforms._spans_rows
+    lock = threading.Lock()
+
+    def taken_spans(two_threads):
+        taken = []
+
+        def recording(xs, rows0, signs, r, size, spans, out):
+            def seen():
+                for span in spans:
+                    with lock:
+                        taken.append((span, size))
+                    yield span
+            spans_rows(xs, rows0, signs, r, size, seen(), out)
+
+        monkeypatch.setattr(transforms, "_TWO_THREADS", two_threads)
+        monkeypatch.setattr(transforms, "_spans_rows", recording)
+        got = hadamard_rows(xs, rows0, factors)
+        return sorted(taken), got
+
+    one, want = taken_spans(False)
+    assert one == [((lo, lo + 2), 2 << 16) for lo in range(0, 16, 2)]
+    two, got = taken_spans(True)
+    assert two == one
+    assert np.array_equal(got, want)
 
 
 def test_a_helper_error_is_raised_in_the_caller(monkeypatch):
@@ -568,11 +602,11 @@ def test_a_helper_error_is_raised_in_the_caller(monkeypatch):
 
 
 def test_two_threads_refuse_only_what_one_thread_refuses(monkeypatch):
-    # two threads halve the block budget, not the cap of one row: a row of
-    # exactly the cap runs on either path, with the same bytes
+    # two threads take the blocks of one and check one row against the
+    # same cap: a row of exactly the cap runs on either path, with the
+    # same bytes
     monkeypatch.setattr(indexing, "_BLOCK_BYTES", 8 * 256)
     monkeypatch.setattr(indexing, "_ITEM_CAP", 8 * 256)
-    monkeypatch.setattr(transforms, "_ITEM_CAP", 8 * 256)
     xs = np.random.default_rng(9).standard_normal((4, 256))
     unit = [np.ones((1, 256))]
     want = hadamard_rows(xs, [3, 9], unit)
@@ -619,6 +653,13 @@ for dims, count in (((64, 64, 32), 3), ((128, 128), 24)):
     op = transforms.build_operator(dims, 128, seed=1)
     xs = np.random.default_rng(2).standard_normal((count, op.dims.total))
     print(hashlib.sha256(transforms.apply_dense_mat(op, xs).tobytes()).hexdigest())
+rng = np.random.default_rng(3)
+x = rng.standard_normal((1, 1 << 16))
+factors = [rng.choice([-1.0, 1.0], size=(16, k)) for k in (64, 64, 16)]
+for m in (32, 128):
+    rows0 = rng.integers(0, 1 << 16, size=(16, 1, m))
+    ys = transforms.hadamard_rows(x, rows0, factors)
+    print(hashlib.sha256(ys.tobytes()).hexdigest())
 print(transforms._TWO_THREADS)
 """
 
@@ -627,7 +668,9 @@ def test_thread_decision_and_bytes_in_a_fresh_process():
     # the BLAS variables are read at import: one BLAS thread gives two
     # threads of our own where two CPUs are allowed, two BLAS threads or
     # none set (one per CPU) keep the serial path, and the bytes of a batch
-    # of several blocks (3 one-row blocks, 3 blocks of 8 rows) never change
+    # of several blocks (3 one-row blocks, 3 blocks of 8 rows) never change,
+    # nor those of the sweep benchmark's dense call (a 2^16 point under 16
+    # trials of factor signs, 8 blocks of two rows, at m = 32 and 128)
     src = str(Path(kronjl.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     base = {k: v for k, v in os.environ.items() if k not in (
@@ -644,7 +687,7 @@ def test_thread_decision_and_bytes_in_a_fresh_process():
         *digests, decision = done.stdout.split()
         assert decision == str(two_threads), blas
         outs.append(digests)
-    assert len(outs[0]) == 2
+    assert len(outs[0]) == 4
     assert outs[0] == outs[1] == outs[2]
 
 
