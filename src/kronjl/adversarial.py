@@ -30,7 +30,7 @@ from . import rand
 from .errors import ShapeError
 from .fwht import fwht
 from .gf2 import random_subspace
-from .indexing import _blocks
+from .indexing import _blocks, _integer
 
 __all__ = [
     "ExactFailure",
@@ -100,7 +100,7 @@ def failure_probability_empirical(bit_dims, r, m, trials, seed):
     Rows are drawn one block at a time, which reads the stream exactly as
     one (trials, m) draw would, so memory does not grow with `trials`.
     """
-    bit_dims = tuple(int(n) for n in bit_dims)
+    bit_dims = tuple(_integer(n, "bit dims") for n in bit_dims)
     if not bit_dims or any(n < 1 for n in bit_dims):
         raise ShapeError(f"bad bit dims {bit_dims}")
     if any(r > n for n in bit_dims):

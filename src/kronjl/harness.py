@@ -7,14 +7,12 @@ factors by ascending axis, then sample rows), refused over the item cap
 before it is drawn. The later arithmetic runs through spans of trials of
 about 1 MiB (indexing._blocks): a rank-one span sized by its per-axis
 work, a dense span by its output (each no smaller than the two tables a
-pointset scores a trial in), one hadamard_rows call that signs and
-transforms its rows in blocks, on two threads where it uses them; the
-kernel gives a row the same bytes alone as in any batch, so neither the
-block size nor the thread count changes a byte written. jl-sweep and
-pointset share that trial loop (`_sampled_trials`) and one cell loop
-(`_cells`), which gives each (m, eps) cell its substream and its wall
-time (the lower-bound sweep shares its timer, `_timed`), and every CSV
-format is written by one writer from its header's column names
+pointset scores a trial in) and run by one hadamard_rows call, whose
+docstring says why neither its blocks nor its threads change a byte.
+jl-sweep and pointset share that trial loop (`_sampled_trials`) and one
+cell loop (`_cells`), which gives each (m, eps) cell its substream and its
+wall time (the lower-bound sweep shares its timer, `_timed`), and every
+CSV format is written by one writer from its header's column names
 (`_to_csv`).
 
 Every Monte Carlo cell is a source of ratios (embedded over original
@@ -69,6 +67,7 @@ from .indexing import (
     _blocks,
     _check_bytes,
     _group_positions,
+    _integer,
 )
 from .rip import rip_constant
 from .sparsify import check_fiber_sparsity, split
@@ -301,12 +300,7 @@ def _sampled_trials(dims, pts, m, trials, rng):
     its checks, as the rows are drawn in [0, N) and the transforms are
     float64 of power-of-two lengths). Dense points, one length-N factor,
     go through one hadamard_rows call per span of trials, sized by its
-    output or the tables a pointset scores it in: each row is signed by
-    its trial's Kronecker product in the call's own buffers, the high bits
-    are transformed in full, and where m is small against N the last
-    Sylvester block runs only at the m sampled rows. A span holds many
-    blocks of rows, so it runs on two threads where hadamard_rows uses
-    them.
+    output or the tables a pointset scores it in.
     """
     points = pts[0].shape[0]
     _check_bytes(f"a cell's draw of {trials} trials x ({sum(dims)} signs + {m} rows)",
@@ -387,8 +381,11 @@ def _check_cells(m_values, eps_values, trials, families=()):
         if fam not in FAMILIES:
             raise ConfigError(f"family: unknown {fam!r}")
     _distinct("family", families)
+    _integer(trials, "trials:", ConfigError)
     if trials <= 0:
         raise ConfigError("trials: must be positive")
+    for m in m_values:
+        _integer(m, "m:", ConfigError)
     if any(m <= 0 for m in m_values):
         raise ConfigError("m: must be positive")
     if any(e <= 0 for e in eps_values):
@@ -524,6 +521,15 @@ class PointsetReport(_DimsColumns):
         return self.points * (self.points - 1) * self.pair_eta
 
 
+def _squared_distances(gram):
+    """The Gram matrices on the last two axes of `gram` turned into squared
+    pair distances in place, (|x_i|^2 + |x_j|^2) - 2 <x_i, x_j>."""
+    sq = np.diagonal(gram, axis1=-2, axis2=-1).copy()
+    gram *= -2.0
+    gram += sq[..., :, None] + sq[..., None, :]
+    return gram
+
+
 def _pointset_cells(dims, n_points, m_values, eps_values, trials, seed,
                     family, timing):
     """Checks the arguments and builds the points now; then an iterator of
@@ -537,6 +543,7 @@ def _pointset_cells(dims, n_points, m_values, eps_values, trials, seed,
     is formed into it and turned into distances, ratios and then their
     distance from 1 in place, beside one sum table and a mask."""
     dims = KronDims(dims)
+    _integer(n_points, "points:", ConfigError)
     if n_points < 2:
         raise ConfigError("points: need at least 2")
     _check_cells(m_values, eps_values, trials, (family,))
@@ -545,10 +552,7 @@ def _pointset_cells(dims, n_points, m_values, eps_values, trials, seed,
     pts = _family_factors(family, dims, seed, count=n_points)
 
     # the Gram matrix of Kronecker products is the product of the factors'
-    d0 = math.prod(f @ f.T for f in pts)
-    sq = d0.diagonal().copy()
-    d0 *= -2.0  # (|x_i|^2 + |x_j|^2) - 2 <x_i, x_j>, in the Gram's place
-    d0 += sq[:, None] + sq[None, :]
+    d0 = _squared_distances(math.prod(f @ f.T for f in pts))
     valid = np.triu(d0 > 1e-24, k=1)
     pairs = int(np.count_nonzero(valid))
 
@@ -559,9 +563,7 @@ def _pointset_cells(dims, n_points, m_values, eps_values, trials, seed,
                 table = np.empty((len(g), n_points, n_points))
             dist = np.matmul(g, np.transpose(g, (0, 2, 1)), out=table[:len(g)])
             dist *= dims.total / m
-            sq = np.diagonal(dist, axis1=1, axis2=2).copy()
-            dist *= -2.0  # as d0
-            dist += sq[:, :, None] + sq[:, None, :]
+            _squared_distances(dist)
             np.divide(dist, d0, out=dist, where=valid)
             np.copyto(dist, 1.0, where=~valid)
             yield dist.reshape(len(g), -1)
@@ -647,7 +649,7 @@ def _adversarial_rates(r_dims, m_values, eps, trials, seed):
     """Checks the arguments and tabulates the family's energies now; then
     an iterator of the joint failure at each m in turn, cell k reading the
     rows of (seed, TAG_SAMPLES, axes, sum r_dims, k)."""
-    r_dims = tuple(int(r) for r in r_dims)
+    r_dims = tuple(_integer(r, "r_dims:", ConfigError) for r in r_dims)
     if any(r < 1 for r in r_dims):
         raise ConfigError("r_dims: per-axis exponents must be >= 1")
     _check_cells(m_values, (eps,), trials)
@@ -780,10 +782,14 @@ def lower_bound_sweep(bits, r, d_values, m_values, trials, seed, nu=0.1,
     independent evidence."""
     if not 0.0 < nu < 1.0:
         raise ConfigError("nu: must be in (0, 1)")
+    _integer(bits, "bits:", ConfigError)
+    _integer(r, "r:", ConfigError)
+    for d in d_values:
+        _integer(d, "d:", ConfigError)
     if r < 1 or r > bits:
         raise ConfigError("r: need 1 <= r <= bits")
     _distinct("d", d_values)
-    _distinct("m", m_values)
+    _check_cells(m_values, (), trials)
     s = 1 << r
     records = []
     for d in d_values:

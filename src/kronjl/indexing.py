@@ -24,6 +24,7 @@ imaginary part.
 """
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,7 +49,7 @@ class KronDims:
     dims: tuple
 
     def __post_init__(self):
-        dims = tuple(int(n) for n in self.dims)
+        dims = tuple(_integer(n, "axis size") for n in self.dims)
         if len(dims) == 0:
             raise ShapeError("need at least one axis")
         if any(n < 1 for n in dims):
@@ -68,6 +69,15 @@ class KronDims:
 
     def __len__(self):
         return len(self.dims)
+
+
+def _integer(n, what, error=ShapeError):
+    """`n` as a Python int, read through operator.index. `error`, naming
+    `what`, for a bool or a value with no exact integer reading, which
+    int() would take as 0 or 1 or truncate (4.7 to 4)."""
+    if isinstance(n, bool) or not hasattr(type(n), "__index__"):
+        raise error(f"{what} must be an integer, got {n!r}")
+    return operator.index(n)
 
 
 def _group_positions(shape, groups):

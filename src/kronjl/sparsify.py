@@ -23,10 +23,10 @@ lays them out): one per selection K(S), one per part for its fiber
 counts, one per fiber energy of x and one per max-sum row, in (S, T, kind)
 order. The plan puts their positions end to end, so a call makes a few
 array calls over all of them: for `split` one stable sort of -|x| per
-fiber length, for `check_fiber_sparsity` one count of nonzeros per fiber,
-and for every max-sum row one sum per fiber, then one maximum per run
-over T; a peak row sums over no axes, each sum one entry (0.0 + v = v
-exactly, squares are never -0.0). Each fiber is summed in the order numpy
+fiber length, for `check_fiber_sparsity` one sum of nonzeros per fiber,
+then one maximum per part, and for every max-sum row one sum per fiber,
+then one maximum per run over T; a peak row sums over no axes, each sum
+one entry (0.0 + v = v exactly, squares are never -0.0). Each fiber is summed in the order numpy
 sums a gathered fiber table: in sequence (`np.bincount`), or pairwise
 where the fiber is the whole array, so every report keeps its bytes.
 
@@ -40,7 +40,6 @@ in priority order (`choice`).
 
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from types import MappingProxyType
@@ -48,7 +47,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .errors import ShapeError
-from .indexing import _blocks, _group_positions, _real
+from .indexing import _blocks, _group_positions, _integer, _real
 
 __all__ = [
     "SparsifySplit",
@@ -68,9 +67,7 @@ _ENTRY_BYTES = 64
 
 def _level(s):
     """The sparsity level as a Python int >= 1."""
-    if isinstance(s, (bool, np.bool_)) or not hasattr(type(s), "__index__"):
-        raise ShapeError(f"sparsity level must be an integer, got {s!r}")
-    s = operator.index(s)
+    s = _integer(s, "sparsity level")
     if s < 1:
         raise ShapeError(f"sparsity level must be >= 1, got {s}")
     return s
@@ -124,8 +121,10 @@ class _Plan:
 
     - "sort": the selections K(S) that `split` sorts, for the subsets
       before `keeps_all`, the first whose selection keeps every entry;
-    - "count": every part, counted per fiber over its subset;
-    - "energy": the fiber energies of x over every nonempty subset;
+    - "count": every part's nonzeros, summed per fiber over its subset,
+      one sum table;
+    - "energy": the fiber energies of x over every nonempty subset, one
+      sum table;
     - "rows": the max-sum rows, in (S, T, kind) order, each a sum table
       and one maximum per run (a peak row sums over no axes).
     """
@@ -148,8 +147,9 @@ class _Plan:
         self.bounds = np.array(
             [min(s ** len(sub), self.n + 1) for sub, _ in self.subsets]
         )
-        # offset of each nonempty subset's fibers in the fiber-energy vector
-        self.energy_at = np.cumsum([0] + [self.n // k for k in self.lengths])
+        # offset of each subset's fibers in the fiber counts and, but for
+        # the empty subset (last), in the fiber energies
+        self.fiber_at = np.cumsum([0] + [self.n // k for k in self.lengths])
         count = sum(
             sum(1 for _ in self._comparisons(name)) for name in self.SECTIONS
         )
@@ -171,9 +171,10 @@ class _Plan:
         if name == "sort":
             return range(self.keeps_all)
         if name == "count":
-            return range(len(self.subsets))
-        if name == "energy":
-            return range(len(self.subsets) - 1)  # the empty subset is last
+            return [(p, (), axes) for p, (_, axes) in enumerate(self.subsets)]
+        if name == "energy":  # x is the last row, the empty subset last
+            x_row = len(self.subsets)
+            return [(x_row, (), axes) for _, axes in self.subsets[:-1]]
         return (
             (kind, ps, pt)
             for ps, (s_sub, _) in enumerate(self.subsets)
@@ -187,7 +188,8 @@ class _Plan:
 
     def _spans(self, name):
         comps = list(self._comparisons(name))
-        build = getattr(self, f"_{name}_table")
+        build = {"sort": self._sort_table, "rows": self._rows_table}.get(
+            name, self._sum_table)
         for lo, hi in _blocks(len(comps), self.n * _ENTRY_BYTES):
             yield build(comps[lo:hi])
 
@@ -218,19 +220,6 @@ class _Plan:
             groups.append((pos, tgt, slots, slots.nonzero()[0]))
         return groups
 
-    def _count_table(self, parts):
-        """Positions of the given parts, fiber after fiber over each part's
-        own subset; where each fiber starts, and each part's first fiber."""
-        tgt = _cat([
-            p * self.n + self._layout(self.subsets[p][1]) for p in parts
-        ])
-        starts = _cat([
-            i * self.n + np.arange(0, self.n, self.lengths[p])
-            for i, p in enumerate(parts)
-        ])
-        fibers = [self.n // self.lengths[p] for p in parts]
-        return tgt, starts, np.cumsum([0] + fibers[:-1])
-
     def _sum_table(self, specs):
         """Per-fiber sums of source rows: one spec (row, outer axes, summed
         axes) sums row `row` over the fibers along the summed axes, ordered
@@ -253,10 +242,6 @@ class _Plan:
         whole_at = np.array(whole_at, dtype=np.intp)
         return _cat(tgt), _cat(seg), out, whole, whole_at
 
-    def _energy_table(self, subs):
-        x_row = len(self.subsets)
-        return self._sum_table([(x_row, (), self.subsets[u][1]) for u in subs])
-
     def _rows_table(self, rows):
         """One sum table for some max-sum rows, in row order, with the
         starts of its runs over T and the right-hand sides: a row's `size`
@@ -273,7 +258,7 @@ class _Plan:
             specs.append((ps, t_axes, u_axes))
             starts.append(np.arange(sums, sums + size * length, length))
             sums += size * length
-            rhs_at.append(self.energy_at[fiber] + np.arange(size))
+            rhs_at.append(self.fiber_at[fiber] + np.arange(size))
             sizes.append(size)
             labels.append((kind, self.subsets[ps][0], t_sub))
         bound = np.repeat(
@@ -348,13 +333,13 @@ def check_fiber_sparsity(sp):
     """Every part must keep at most s^|S| entries per fiber over S."""
     rows = _part_rows(sp)
     plan = _plan(tuple(sp.shape), _level(sp.s))
-    nonzero = rows[:-1].reshape(-1) != 0
-    top = _cat([
-        np.maximum.reduceat(
-            np.add.reduceat(nonzero[tgt], starts, dtype=np.intp), part_starts
-        )
-        for tgt, starts, part_starts in plan.tables("count")
-    ])
+    nonzero = (rows[:-1] != 0).reshape(-1)
+    counts = _cat(
+        [_fiber_sums(nonzero, *table) for table in plan.tables("count")],
+        np.float64,
+    )
+    # the largest count of each part
+    top = np.maximum.reduceat(counts, plan.fiber_at[:-1])
     excess = top - plan.bounds
     p = int(excess.argmax())  # the first subset with the largest excess
     sub = plan.subsets[p][0]

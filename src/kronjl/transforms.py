@@ -13,26 +13,12 @@ the first axis varies fastest, so a rank-one array with factors
 
 The Kronecker structure lies only in D: for power-of-two axes,
 H_{n_d} (x) ... (x) H_{n_1} = H_N, so the batched dense path treats each
-row as one length-N vector (hadamard_rows), while apply_dense, its
-reference, composes per-axis transforms. P keeps only m rows, so where m
-is small against N (fwht.last_block) hadamard_rows transforms the high
-bits of a row in full and runs the last 32-wide Sylvester block only at
-the sampled rows; apply_dense likewise transforms its first axis only at
-the sampled fibres. hadamard_rows takes D as per-axis factors with a
-leading trials axis, so one call runs every point of a batch under every
-trial's D (apply_dense_mat passes its operator's as one trial, the
-harness a span of trials). It streams the rows through blocks of about
-1 MiB (indexing._blocks) and writes each block's signs into the buffer
-that then holds its rows: one trial's length-N vector is formed once per
-call, and under several trials kron_materialize forms a block's vectors
-in place, one a row. A call of one block runs in the caller; a call of
-two or more runs on two threads where the process may use two CPUs and
-BLAS runs one thread: the caller and one helper each take the next block
-as they come free, the same blocks either way, as each core has its own
-L2. Every block a thread runs reuses that thread's two buffers,
-allocated once for the largest block, so the temporaries stay in cache
-and do not grow with the batch; neither the block size nor the thread
-count changes a byte. A rank-one input needs no length-N work:
+row as one length-N vector (hadamard_rows, whose docstring describes its
+blocks, threads and buffers), while apply_dense, its reference, signs with
+the length-N sign vector and composes per-axis transforms. P keeps only m
+rows, so where m is small against N hadamard_rows runs its last 32-wide
+Sylvester block (fwht.last_block), and apply_dense its first axis, only at
+the sampled rows. A rank-one input needs no length-N work:
 H D (x_1 (x) ... (x) x_d) is the Kronecker product of the
 H_l (xi_l * x_l), and a sampled entry is a product of one entry per
 axis, found at the bit fields of its row (sampled_entries).
@@ -282,46 +268,29 @@ def kron_sign_patterns(dims):
 def apply_dense(op, x):
     """Apply the operator to a length-N vector via per-axis transforms.
 
-    It composes transforms, one fwht_axis call per axis, rather than the
-    split length-N transform of hadamard_rows, so that the two derivations
-    of H check each other (apply_dense_mat is tested against this
-    function). Where the m sampled fibres of the first (fastest) axis make
-    at most a quarter of the vector (d > 1 and 4 m n_1 <= N), it writes
-    H_N = H_{N/n_1} (x) H_{n_1} per axis: axes 2..d are transformed in
-    full, then axis 1 only at the m fibres holding the sampled entries.
-    Cost O(N log(N/n_1) + m n_1 log n_1) there, else O(N log N + m).
-
-    No length-N sign vector is built: the signs of axes 2..d (length
-    N/n_1) multiply x along its fibres of axis 1, and axis 1's signs
-    multiply the m gathered fibres where the path splits, else the whole
-    array. Where n_1 = 1 its one sign joins those of axes 2..d, which
-    then span x, so no flip follows a sum that cancelled to zero. A sign
-    flip commutes with rounding, so the bytes are those of signing with
-    op.signs.full_vector() first.
+    It signs x with op.signs.full_vector(), then composes transforms, one
+    fwht_axis call per axis, rather than the split length-N transform of
+    hadamard_rows, so that the two derivations of H check each other
+    (apply_dense_mat is tested against this function). Where the m sampled
+    fibres of the first (fastest) axis make at most a quarter of the
+    vector (d > 1 and 4 m n_1 <= N), it writes H_N = H_{N/n_1} (x) H_{n_1}
+    per axis: axes 2..d are transformed in full, then axis 1 only at the m
+    fibres holding the sampled entries. Cost O(N log(N/n_1) + m n_1 log n_1)
+    there, else O(N log N + m).
     """
     x = _real(x)
     if x.ndim != 1 or x.size != op.dims.total:
         raise ShapeError(f"expected a vector of length {op.dims.total}")
     n1, rows0 = op.dims.dims[0], op.samples.rows - 1
     split = op.dims.order > 1 and 4 * op.m * n1 <= op.dims.total
-    first, *rest = op.signs.factors
-    if n1 == 1:
-        first, rest = None, op.signs.factors
-    arr = x.reshape(-1, n1) * (
-        kron_materialize(rest)[:, None] if rest else first)
-    if first is not None and rest and not split:
-        arr *= first
     # C order over the reversed dims is the linearized order: axis l is
     # C axis d - l
-    arr = arr.reshape(op.dims.dims[::-1])
+    arr = (x * op.signs.full_vector()).reshape(op.dims.dims[::-1])
     for axis in range(op.dims.order - 1 - split, -1, -1):
         arr = fwht_axis(arr, axis)
     if not split:
         return op.scale * arr.reshape(-1)[rows0]
-    fibres = arr.reshape(-1, n1)[rows0 // n1]
-    if first is not None:
-        fibres *= first
-    fibres = fwht_axis(fibres, 1)
+    fibres = fwht_axis(arr.reshape(-1, n1)[rows0 // n1], 1)
     return op.scale * fibres[np.arange(op.m), rows0 % n1]
 
 
@@ -362,20 +331,20 @@ def hadamard_rows(xs, rows0, factors):
     buffer that then holds it: one trial's vector is formed once per call
     and multiplies each block; under several trials kron_materialize forms
     a block's vectors in the buffer, a row each, and they are multiplied
-    by their points, with no loop over rows. A call of one block runs in
-    the caller. A call of two or more runs on two threads where the
-    process may use two CPUs and BLAS runs one thread (_TWO_THREADS): the
-    caller and one helper, which the call starts and joins, take the
-    blocks of a one-thread call, each the next one as it comes free, and
-    write their rows of the result. Each thread allocates one pair of
-    buffers for the largest block (the signed rows, which the kernel then
-    alternates with the other; the one its high-bit transform leaves free
-    holds the row index and the gathered rows) and every block it runs
-    reuses them, so the temporaries stay in cache and do not grow with
-    the rows. Each row meets the same products whatever its block or
-    thread, and a sign flip is exact, so neither the block size nor the
-    thread count changes a byte, and the bytes are those of signing
-    every row up front.
+    by their points, with no loop over rows. The caller takes the blocks
+    one after another. Where there are two or more and the process may
+    use two CPUs while BLAS runs one thread (_TWO_THREADS, read at import
+    from the CPU affinity and OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS or
+    OMP_NUM_THREADS), a helper thread, which the call starts and joins,
+    takes blocks from the same sequence, each thread the next one as it
+    comes free. Each thread allocates one pair of buffers for the largest
+    block (the signed rows, which the kernel then alternates with the
+    other; the one its high-bit transform leaves free holds the row index
+    and the gathered rows) and every block it runs reuses them, so the
+    temporaries stay in cache and do not grow with the rows. Each row
+    meets the same products whatever its block or thread, and a sign flip
+    is exact, so neither the block size nor the thread count changes a
+    byte, and the bytes are those of signing every row up front.
     """
     xs = _real(xs)
     if xs.ndim != 2:
@@ -407,13 +376,9 @@ def hadamard_rows(xs, rows0, factors):
     # length-32 rows fit in its row, as 128 m <= N
     item = max(n, m * r)
     blocks = list(_blocks(count, 8 * item))
-    two = _TWO_THREADS and len(blocks) > 1
     # one trial: one sign vector
     signs = kron_materialize([f[0] for f in factors]) if lead[0] == 1 else factors
     size = item * max((hi - lo for lo, hi in blocks), default=0)
-    if not two:
-        _spans_rows(xs, rows0, signs, r, size, blocks, out)
-        return out.reshape(lead + (m,))
     # each thread takes the next block as it comes free, so a thread on a
     # slower CPU takes fewer of them
     lock, spans, errors = threading.Lock(), iter(blocks), []
@@ -428,12 +393,15 @@ def hadamard_rows(xs, rows0, factors):
         except BaseException as exc:  # raised again in the caller
             errors.append(exc)
 
-    thread = threading.Thread(target=helper)
-    thread.start()
+    thread = None
+    if _TWO_THREADS and len(blocks) > 1:
+        thread = threading.Thread(target=helper)
+        thread.start()
     try:
         _spans_rows(xs, rows0, signs, r, size, iter(take, None), out)
     finally:
-        thread.join()
+        if thread is not None:
+            thread.join()
     if errors:
         raise errors[0]
     return out.reshape(lead + (m,))
@@ -509,8 +477,7 @@ def _block_rows(xs, rows0, r, bufs, out):
 def apply_dense_mat(op, xs):
     """Apply one operator to the rows of a (count, N) matrix in a batch:
     hadamard_rows, given the operator's sign factors as one trial, flips
-    the signs and computes only the m sampled entries of each row, block
-    by block, on two threads where hadamard_rows uses them."""
+    the signs and computes only the m sampled entries of each row."""
     xs = _real(xs)
     if xs.ndim != 2 or xs.shape[1] != op.dims.total:
         raise ShapeError(f"expected shape (count, {op.dims.total})")

@@ -98,6 +98,13 @@ def test_empirical_validation():
         failure_probability_empirical((2,), 1, 4, 0, seed=0)
 
 
+def test_empirical_refuses_bit_dims_that_are_not_integers():
+    # int() would run 2.9 as 2 bits
+    for bad in ((2.9,), (True, 2)):
+        with pytest.raises(ShapeError, match="bit dims must be an integer"):
+            failure_probability_empirical(bad, 1, 2, 10, seed=0)
+
+
 def test_empirical_rejects_rows_past_int64():
     with pytest.raises(ShapeError, match="2\\^63"):
         failure_probability_empirical((21, 21, 21), 1, 4, 10, seed=0)

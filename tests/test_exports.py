@@ -294,7 +294,7 @@ _NO_COMMAND_YET = {
         "ROADMAP item 6: the orbit form of report --kind rip"),
     **dict.fromkeys(
         ["sparsify.MAX_SUM_REL_TOL", "sparsify.MaxSumReport",
-         "sparsify._fiber_sums", "sparsify.check_max_sum_inequalities"],
+         "sparsify.check_max_sum_inequalities"],
         _REFERENCE),
     **dict.fromkeys(["transforms.apply_dense_mat", "transforms.apply_factored"],
                     "ROADMAP item 5: kronjl embed"),

@@ -476,6 +476,31 @@ def test_library_sweeps_reject_repeated_cells(field, call):
         call()
 
 
+@pytest.mark.parametrize("field, call", [
+    ("trials", lambda: harness.jl_failure_sweep((4,), (2,), (0.5,), 2.5, 0)),
+    ("m", lambda: harness.jl_failure_sweep((4,), (2.5,), (0.5,), 2, 0)),
+    ("trials", lambda: harness.jl_failure_sweep((4,), (2,), (0.5,), True, 0)),
+    pytest.param("m", lambda: harness.pointset_preservation(
+        (4,), 3, (4, 8.0), (0.5,), 10, 0), id="pointset-m"),
+    ("trials", lambda: harness.lower_bound_sweep(3, 1, (1,), (4,), 10.0, 0)),
+    ("m", lambda: harness.lower_bound_sweep(3, 1, (1,), (4.5,), 10, 0)),
+    ("bits", lambda: harness.lower_bound_sweep(3.0, 1, (1,), (4,), 10, 0)),
+    ("r", lambda: harness.lower_bound_sweep(3, 1.5, (1,), (4,), 10, 0)),
+    ("d", lambda: harness.lower_bound_sweep(3, 1, (1, 1.5), (4,), 10, 0)),
+    pytest.param("points", lambda: harness.pointset_preservation(
+        (4,), 3.5, (4,), (0.5,), 10, 0), id="pointset-points"),
+    ("r_dims", lambda: harness.adversarial_joint_norm_failure(
+        (1.5,), 4, 0.5, 10, 0)),
+    ("r_dims", lambda: harness.required_rows_adversarial(
+        (True, 1), 0.5, 0.1, 10, 0)),
+])
+def test_library_sweeps_refuse_counts_that_are_not_integers(field, call):
+    # unchecked, a float count fails deep inside with a bare TypeError,
+    # and int() truncates an exponent
+    with pytest.raises(ConfigError, match=f"^{field}: must be an integer"):
+        call()
+
+
 def test_gaussian_baseline_comparable_on_dense_family():
     # the structured transform should not beat fully random projections
     # beyond noise on dense inputs; log the gap, assert the 3 sigma band

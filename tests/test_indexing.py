@@ -79,6 +79,14 @@ def test_krondims_validation():
     # any iterable of ints, another KronDims included, gives the same dims
     assert KronDims(KronDims((4, 8, 2))) == KronDims((4, 8, 2))
     assert KronDims([4, 8, 2]).dims == (4, 8, 2)
+    assert KronDims((np.int64(4), 2)).dims == (4, 2)
+
+
+@pytest.mark.parametrize("bad", [4.7, 4.0, True, np.float64(4), "4", None])
+def test_krondims_refuses_sizes_that_are_not_integers(bad):
+    # int() would read 4.7 as 4 and True as 1
+    with pytest.raises(ShapeError, match="axis size must be an integer"):
+        KronDims((bad, 2))
 
 
 def test_group_positions_linearize_each_group():

@@ -1,5 +1,6 @@
 """Operator construction, dense vs factored paths, materialization."""
 
+import hashlib
 import itertools
 import math
 import os
@@ -307,8 +308,8 @@ def _apply_dense_signed_in_full(op, x):
     return op.scale * fibres[np.arange(op.m), rows0 % n1]
 
 
-@pytest.mark.parametrize("dims, m", [
-    ((64,), 9),  # d = 1: no signs of axes 2..d
+_SIGN_CASES = [
+    ((64,), 9),  # d = 1
     ((64, 64), 9),  # split
     ((16, 16), 9),  # unsplit
     ((8, 32, 16), 9),  # split
@@ -316,18 +317,38 @@ def _apply_dense_signed_in_full(op, x):
     ((4, 2), 20),  # m > N
     ((1, 4), 1),  # n_1 = 1, split
     ((1, 4, 2), 3),  # n_1 = 1, unsplit
-])
-def test_apply_dense_signs_match_the_full_sign_vector(dims, m):
-    # each axis's signs multiply where apply_dense puts them; products of
-    # +-1 are exact, so the bytes are those of signing with the full vector
+]
+
+
+def _sign_case_inputs(dims, m):
+    """Three operators of each case and four inputs for each: random,
+    entries in {-1, 0, 1}, repeated pairs and constant."""
     rng = np.random.default_rng(m + len(dims))
     for seed in range(3):
         op = build_operator(dims, m, seed=seed)
         n = op.dims.total
         for x in (rng.standard_normal(n), rng.integers(-1, 2, n) * 1.0,
                   np.repeat(rng.standard_normal(n // 2), 2), np.ones(n)):
-            want = _apply_dense_signed_in_full(op, x)
-            assert apply_dense(op, x).tobytes() == want.tobytes()
+            yield op, x
+
+
+@pytest.mark.parametrize("dims, m", _SIGN_CASES)
+def test_apply_dense_signs_match_the_full_sign_vector(dims, m):
+    for op, x in _sign_case_inputs(dims, m):
+        want = _apply_dense_signed_in_full(op, x)
+        assert apply_dense(op, x).tobytes() == want.tobytes()
+
+
+def test_apply_dense_bytes_match_the_recorded_digest():
+    # sha256 of every output of the sign cases in order, recorded when
+    # apply_dense placed each axis's signs on its own: a sign flip is
+    # exact, so signing with the full vector first keeps those bytes
+    digest = hashlib.sha256()
+    for dims, m in _SIGN_CASES:
+        for op, x in _sign_case_inputs(dims, m):
+            digest.update(apply_dense(op, x).tobytes())
+    assert digest.hexdigest() == (
+        "9845001b696162d46fe8e1dd8960c40afd746eb72a8e068503b1d03bfa60564f")
 
 
 def test_materialize_matches_brute_matrix():
