@@ -101,6 +101,9 @@ def failure_probability_empirical(bit_dims, r, m, trials, seed):
     one (trials, m) draw would, so memory does not grow with `trials`.
     """
     bit_dims = tuple(_integer(n, "bit dims") for n in bit_dims)
+    r = _integer(r, "r")
+    m = _integer(m, "m")
+    trials = _integer(trials, "trials")
     if not bit_dims or any(n < 1 for n in bit_dims):
         raise ShapeError(f"bad bit dims {bit_dims}")
     if any(r > n for n in bit_dims):

@@ -330,11 +330,13 @@ def _check_moment_args(mode, p_values):
     return p_values
 
 
-def _lp_norms(absx, p_values):
-    """L_p means of |X| samples along the last axis, one column per p."""
-    out = np.empty(absx.shape[:-1] + (len(p_values),))
+def _lp_norms(power, p_values, rows=()):
+    """L_p means along the last axis, one column per p, where power(p)
+    gives the p-th powers of |X| samples as an array of shape rows +
+    (samples,); each is dropped before the next is asked for."""
+    out = np.empty(rows + (len(p_values),))
     for j, p in enumerate(p_values):
-        out[..., j] = np.mean(absx**p, axis=-1) ** (1.0 / p)
+        out[..., j] = np.mean(power(p), axis=-1) ** (1.0 / p)
     return out
 
 
@@ -349,17 +351,23 @@ def _profile(coeffs, mode, p_values, centered, xs, seed, boot_rng):
     absx = np.abs(xs, out=xs)
     n = absx.size
     stderrs = np.zeros(len(p_values))
-    if boot_rng is not None:
-        # resamples drawn a block at a time read the TAG_BOOTSTRAP stream
-        # as one draw does, so the blocks bound memory only; a resample
-        # holds its indices, their values and the values' powers
+    if boot_rng is None:
+        power = absx.__pow__  # one table-sized power at a time
+    else:
+        # each |X|^p once: a resample gathers its powers, the same floats
+        # its values' powers would be. Resamples drawn a block at a time
+        # read the TAG_BOOTSTRAP stream as one draw does, so the blocks
+        # bound memory only; a resample holds its indices and a gather
+        powers = {p: absx**p for p in p_values}
+        power = powers.__getitem__
         draws = (boot_rng.integers(0, n, size=(hi - lo, n))
                  for lo, hi in _blocks(BOOTSTRAP_RESAMPLES, 24 * n))
-        boot = np.concatenate([_lp_norms(absx[i], p_values) for i in draws])
+        boot = np.concatenate([_lp_norms(lambda p: powers[p][i], p_values,
+                                         i.shape[:1]) for i in draws])
         stderrs = boot.std(axis=0, ddof=1)
     return MomentProfile(
         mode=mode, p_values=p_values,
-        estimates=tuple(float(v) for v in _lp_norms(absx, p_values)),
+        estimates=tuple(float(v) for v in _lp_norms(power, p_values)),
         stderrs=tuple(float(s) for s in stderrs), trials=n, seed=seed,
         mean=mean, centered=centered,
     )

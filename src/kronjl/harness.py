@@ -44,7 +44,6 @@ from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
-import yaml
 
 from . import rand
 from .adversarial import (
@@ -138,7 +137,10 @@ SCALING_GRIDS = (("d1", ((1,), (2,), (3,))),
 
 
 def load_config(path):
-    """Read a YAML mapping of option overrides."""
+    """Read a YAML mapping of option overrides. PyYAML is imported here,
+    the one reader of it, so a run without a config does not load it."""
+    import yaml
+
     try:
         with open(path) as fh:
             data = yaml.safe_load(fh)

@@ -18,12 +18,14 @@ Both oracles are exact without decomposing every block. Each item (a
 support, or an ordered support pair) gets two upper bounds on the value
 its decomposition would give: a coarse one for every item, and a fine one
 for the items the coarse one cannot rule out. One search, `_pruned_max`,
-decomposes the _PAIR_CHUNK items with the largest coarse bounds for a
-first maximum. Of the other items, only those whose coarse bound reaches
-it get a fine bound, and only those whose fine bound reaches it too are
-decomposed, in descending order of fine bound, a chunk at a time,
-stopping before a chunk whose largest fine bound is below the largest
-value seen. So no skipped item could reach or tie that value. Among items
+decomposes the items that reach the largest coarse bound (the first
+_PAIR_CHUNK of them, where more tie) for a first maximum. Of the other
+items, only those whose coarse bound reaches it get a fine bound, and
+only those whose fine bound reaches it too are decomposed, in descending
+order of fine bound, a chunk at a time, stopping before a chunk whose
+largest fine bound is below the largest value seen. So no skipped item
+could reach or tie that value, and which items seed the search changes
+how many are decomposed, never the result. Among items
 whose value equals the maximum exactly, the one with the smallest index
 is reported, so the result is that of a visit of all items in order: the
 first support in lexicographic order, the first pair in row-major order
@@ -226,15 +228,17 @@ def _pruned_max(coarse, fine, measure, item_bytes):
     item index attaining it, where coarse[i] and fine(i) both bound the
     measure of item i from above.
 
-    fine and measure map an index array to its items' values. The
-    _PAIR_CHUNK items with the largest coarse bounds give a first value;
-    of the rest, the fine bound is computed only where the coarse bound
-    reaches it, and only items whose fine bound also reaches it are
-    measured, in descending order of fine bound, _PAIR_CHUNK at a time,
-    until no fine bound reaches the largest value so far. Fine bounds and
-    measures run in _blocks spans of item_bytes per item."""
-    lead = np.argpartition(coarse, max(coarse.size - _PAIR_CHUNK, 0))
-    lead = lead[-_PAIR_CHUNK:].copy()  # not a view that keeps every index
+    fine and measure map an index array to its items' values. The items
+    at the largest coarse bound, at most _PAIR_CHUNK of them, give a first
+    value (coarse holds no NaN, so its max is defined); of the rest, the
+    fine bound is computed only where the coarse bound reaches it, and
+    only items whose fine bound also reaches it are measured, in
+    descending order of fine bound, _PAIR_CHUNK at a time, until no fine
+    bound reaches the largest value so far. Every item whose bounds reach
+    the running maximum is measured, ties included, so the first value
+    only prunes. Fine bounds and measures run in _blocks spans of
+    item_bytes per item."""
+    lead = np.flatnonzero(coarse == coarse.max())[:_PAIR_CHUNK]
     best = _fold(lead, measure, item_bytes, (-1.0, 0))
     rest = coarse >= best[0]
     rest[lead] = False

@@ -39,7 +39,7 @@ import numpy as np
 from . import rand
 from .errors import ShapeError
 from .fwht import _digits, _transformed, fwht, fwht_axis, hadamard_matrix, last_block
-from .indexing import _TABLE_CAP, KronDims, _blocks, _check_bytes, _real
+from .indexing import _TABLE_CAP, KronDims, _blocks, _check_bytes, _integer, _real
 
 __all__ = [
     "RademacherFactors",
@@ -155,6 +155,7 @@ def build_operator(dims, m, seed):
     for n in dims:
         if n & (n - 1):
             raise ShapeError(f"axis sizes must be powers of two, got {dims.dims}")
+    m = _integer(m, "target dimension m")
     if m < 1:
         raise ShapeError(f"target dimension must be >= 1, got {m}")
     factors = tuple(

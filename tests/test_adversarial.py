@@ -105,6 +105,17 @@ def test_empirical_refuses_bit_dims_that_are_not_integers():
             failure_probability_empirical(bad, 1, 2, 10, seed=0)
 
 
+@pytest.mark.parametrize("name, args", [
+    ("r", (1.5, 2, 10)),
+    ("m", (1, 2.5, 10)),
+    ("trials", (1, 2, 10.5)),
+])
+def test_empirical_refuses_counts_that_are_not_integers(name, args):
+    # unchecked, each fails inside numpy or range with a bare TypeError
+    with pytest.raises(ShapeError, match=f"^{name} must be an integer"):
+        failure_probability_empirical((3,), *args, seed=0)
+
+
 def test_empirical_rejects_rows_past_int64():
     with pytest.raises(ShapeError, match="2\\^63"):
         failure_probability_empirical((21, 21, 21), 1, 4, 10, seed=0)

@@ -647,6 +647,19 @@ def test_jl_sweep_bytes_do_not_depend_on_blas_threads():
     assert outs[0] == outs[1]
 
 
+def test_importing_the_cli_leaves_yaml_unloaded():
+    # only a config file needs PyYAML; a fresh process shows what the
+    # import alone loads
+    src = str(Path(kronjl.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = "import sys, kronjl.cli; print('yaml' in sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True, timeout=120, check=True,
+    )
+    assert done.stdout == b"False\n"
+
+
 # sha256 of the stdout of each README command. Output is a pure function of
 # the arguments and seed, so a changed digest is a changed result.
 README_DIGESTS = {

@@ -849,6 +849,13 @@ def test_operator_validation():
         apply_factored(build_operator((4, 2), 2, seed=0), [np.ones(4)])
 
 
+def test_build_operator_refuses_a_target_dimension_that_is_not_an_integer():
+    # unchecked, each fails inside numpy with a bare TypeError
+    for m in (2.5, True):
+        with pytest.raises(ShapeError, match="^target dimension m must be an integer"):
+            build_operator((4, 4), m, 0)
+
+
 def test_unit_norm_preserved_in_expectation():
     # sanity: with the full sample (m = N, every row once) the operator is
     # orthonormal times sqrt(N/m) = 1, so norms are preserved exactly
