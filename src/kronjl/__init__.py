@@ -7,7 +7,7 @@ Subpackages by role:
 - transforms: the subsampled operator, factored/dense application paths
 - rip: exhaustive restricted-isometry constants and submatrix bounds
 - sparsify: fiber-wise top-k splitting of order-d arrays
-- chaos: partition norms, Rademacher chaos moments, tail conversion
+- chaos: Rademacher chaos moments, partition counting
 - gf2: F_2 subspace algebra; adversarial: sign-blind lower-bound experiment
 - harness: experiment sweeps, CSV/JSON reports; cli: command-line front end
 """

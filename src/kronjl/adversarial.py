@@ -108,6 +108,8 @@ def failure_probability_empirical(bit_dims, r, m, trials, seed):
         raise ShapeError(f"bad bit dims {bit_dims}")
     if any(r > n for n in bit_dims):
         raise ShapeError(f"subspace dimension {r} exceeds an axis in {bit_dims}")
+    if m < 0:
+        raise ShapeError(f"need m >= 0, got {m}")
     if trials < 1:
         raise ShapeError("need trials >= 1")
     if sum(bit_dims) > 62:

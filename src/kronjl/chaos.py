@@ -1,4 +1,4 @@
-"""Rademacher chaos machinery: partition norms, moments, tails.
+"""Rademacher chaos machinery: Monte Carlo moments and partition counting.
 
 The quadratic form of interest is X = sum over index pairs (i, i') of
 W[i +. i'] xi_i xi'_{i'}, where W is an order-2d coefficient array over
@@ -8,56 +8,38 @@ Taking W = (Phi* Phi - I) weighted entrywise by x_i x_{i'} makes the
 coupled form exactly the squared-norm distortion ||A vec x||^2 - ||x||^2
 of the subsampled operator with measurement matrix Phi.
 
-Partition norms generalize Frobenius (one block) and the spectral norm of
-a matricization (two blocks); for three or more blocks the supremum is
-approximated from below by multi-start alternating maximization and the
-returned value is a certified lower bound of the true norm (SUP_TOL,
-SUP_MAX_ITER and SUP_SEED fix the search). Exact moments (a sign
-table, or a decoupled value per pattern pair, inside the table cap of
-kronjl.indexing) and Monte Carlo moments (with BOOTSTRAP_RESAMPLES
-bootstrap resamples) share all but the signs.
+Monte Carlo moments carry BOOTSTRAP_RESAMPLES bootstrap resamples. Their
+tail, `_profile`, also serves the exact moments by sign enumeration in
+tests/theory_oracles.py, which holds the partition norms and the tail
+conversion too until a command runs them (ROADMAP item 12b).
 
 Set partitions come in one order, that of a recursion over rows of block
-labels (blocks numbered by their minima). enumerate_partitions streams
-the recursion's rows and maps them to SetPartitions one at a time. The
-partition-counting check builds the same rows as a label table per
-ground size, in numpy, level by level, and checks one array pass per
-class (|S|, |T|) of (S, T) cells, since a cell's sides depend only on the
-two sizes; no SetPartition is made unless a row violates the inequality.
+labels (blocks numbered by their minima). The partition-counting check
+builds those rows as a label table per ground size, in numpy, level by
+level, and checks one array pass per class (|S|, |T|) of (S, T) cells,
+since a cell's sides depend only on the two sizes; no SetPartition is
+made unless a row violates the inequality.
 """
 
 import itertools
 import math
 from dataclasses import dataclass
-from string import ascii_lowercase
 
 import numpy as np
 
 from . import rand
 from .errors import BudgetError, ShapeError
-from .indexing import (_ITEM_CAP, _TABLE_CAP, KronDims, _blocks, _check_bytes,
-                       _group_positions, _real)
-from .rip import rip_constant
-from .transforms import kron_materialize, kron_sign_patterns
+from .indexing import _ITEM_CAP, _TABLE_CAP, KronDims, _blocks, _check_bytes, _real
+from .transforms import kron_materialize
 
 __all__ = [
     "SetPartition",
     "ChaosCoefficients",
     "MomentProfile",
-    "enumerate_partitions",
-    "partition_norm",
-    "moment_bound_profile",
     "estimate_chaos_moments",
-    "exact_chaos_moments",
-    "moment_to_tail",
     "check_partition_counting",
-    "check_expectation_bound",
 ]
 
-PARTITION_GROUND_LIMIT = 12
-SUP_TOL = 1e-10
-SUP_MAX_ITER = 10_000
-SUP_SEED = 0
 BOOTSTRAP_RESAMPLES = 200
 
 
@@ -88,36 +70,14 @@ class SetPartition:
         return len(self.blocks)
 
 
-def _label_rows(g):
-    """Set partitions of range(g) as lists of block labels, blocks
-    numbered by their minima. The recursion adds each element, last
-    first, to every block of each partition of the later elements and
-    then as a new front block; that fixes the order of the rows."""
-
-    def rec(k):
-        if k == g:
-            yield []
-            return
-        for part in rec(k + 1):
-            for i in range(len(part)):
-                yield part[:i] + [part[i] + [k]] + part[i + 1 :]
-            yield [[k]] + part
-
-    for part in rec(0):
-        row = [0] * g
-        for label, block in enumerate(sorted(part, key=min)):
-            for e in block:
-                row[e] = label
-        yield row
-
-
 def _label_table(g):
     """(B(g), g) int64 array of block labels, one row per set partition
-    of range(g), in the order enumerate_partitions yields them.
+    of range(g), in the order of a recursion over the elements, the order
+    of the partition enumeration in tests/theory_oracles.py.
 
-    Built in numpy, level by level in the order of the recursion of
-    `_label_rows`: element k joins each block of every partition of
-    k + 1 .. g - 1 in turn, then opens a new front block. Blocks gain
+    Built in numpy, level by level in the order of that recursion:
+    element k joins each block of every partition of k + 1 .. g - 1 in
+    turn, then opens a new front block. Blocks gain
     elements largest first, so a block's position in the recursion's list
     is the rank of its largest element; the table holds these positions
     until the last level, and then numbers the blocks by their minima."""
@@ -154,109 +114,6 @@ def _partition_from_labels(items, row):
     return SetPartition(tuple(blocks))
 
 
-def enumerate_partitions(ground):
-    """All set partitions of `ground`. The empty ground has exactly one
-    partition (no blocks)."""
-    items = sorted(set(int(e) for e in ground))
-    if len(items) > PARTITION_GROUND_LIMIT:
-        raise BudgetError(
-            f"partition enumeration over {len(items)} elements exceeds "
-            f"the limit {PARTITION_GROUND_LIMIT}"
-        )
-    for row in _label_rows(len(items)):
-        yield _partition_from_labels(items, row)
-
-
-def _matricize(arr, blocks):
-    """Group the 1-based axes of `arr` by blocks (sorted within each block,
-    earliest axis fastest) into one super-axis per block."""
-    groups = tuple(tuple(sorted(a - 1 for a in b)) for b in blocks)
-    return arr.reshape(-1)[_group_positions(arr.shape, groups)]
-
-
-def partition_norm(arr, partition, restarts=32):
-    """Norm of an array against a partition of its axes.
-
-    One block: Euclidean (Frobenius) norm. Two blocks: spectral norm of
-    the matricization. Three or more: alternating maximization over unit
-    block factors with `restarts` (>= 1) seeded starts; the result is a
-    lower bound that is exact in the matrix cases.
-    """
-    arr = _real(arr)
-    if restarts < 1:
-        raise ShapeError(f"need at least one restart, got {restarts}")
-    if partition.ground != frozenset(range(1, arr.ndim + 1)):
-        raise ShapeError(
-            f"partition ground {sorted(partition.ground)} != axes 1..{arr.ndim}"
-        )
-    if partition.kappa == 0:
-        return float(abs(arr))
-    if partition.kappa == 1:
-        return float(np.linalg.norm(arr.ravel()))
-    mat = _matricize(arr, partition.blocks)
-    if partition.kappa == 2:
-        return float(np.linalg.norm(mat, 2))
-    return _alternating_sup(mat, restarts, SUP_TOL, SUP_MAX_ITER, SUP_SEED)
-
-
-def _alternating_sup(t, restarts, tol, max_iter, seed):
-    k = t.ndim
-    letters = ascii_lowercase[:k]
-    rng = rand.substream(seed, rand.TAG_EXPERIMENT, 7)
-    best = 0.0
-    for _ in range(restarts):
-        vs = []
-        for n in t.shape:
-            v = rng.standard_normal(n)
-            nv = np.linalg.norm(v)
-            vs.append(v / nv if nv > 0 else np.ones(n) / math.sqrt(n))
-        val = 0.0
-        prev = -np.inf
-        for _ in range(max_iter):
-            for l in range(k):
-                sub = (
-                    letters
-                    + ","
-                    + ",".join(letters[j] for j in range(k) if j != l)
-                    + "->"
-                    + letters[l]
-                )
-                w = np.einsum(sub, t, *[vs[j] for j in range(k) if j != l])
-                nw = float(np.linalg.norm(w))
-                if nw == 0.0:
-                    val = 0.0
-                    break
-                vs[l] = w / nw
-                val = nw
-            if val - prev <= tol * max(1.0, abs(val)):
-                break
-            prev = val
-        best = max(best, abs(val))
-    return best
-
-
-def moment_bound_profile(arr, p_values):
-    """For each p, the sum over block counts kappa of p^{kappa/2} times
-    the total partition norm over all partitions of the axes into kappa
-    blocks. Each partition norm is computed once for all p; returns one
-    float per p."""
-    arr = _real(arr)
-    p_values = tuple(float(p) for p in p_values)
-    if not all(0 < p < math.inf for p in p_values):
-        raise ShapeError("p must be positive and finite")
-    terms = [
-        (partition.kappa, partition_norm(arr, partition))
-        for partition in enumerate_partitions(range(1, arr.ndim + 1))
-    ]
-    totals = []
-    for p in p_values:
-        total = 0.0
-        for kappa, norm in terms:
-            total += p ** (kappa / 2.0) * norm
-        totals.append(total)
-    return tuple(totals)
-
-
 @dataclass(frozen=True)
 class ChaosCoefficients:
     """Order-2d coefficient array over doubled axes (dims + dims)."""
@@ -291,9 +148,12 @@ class ChaosCoefficients:
     @classmethod
     def distortion(cls, dims, phi, x):
         """Coefficients of ||Phi vec||^2 - ||.||^2 at the weighting x (a
-        length-N vector): hollow Gram entries times x_i x_j."""
+        length-N vector): hollow Gram entries times x_i x_j. The N x N
+        Gram is refused over the table cap before it is formed."""
         phi = _real(phi)
-        gram = phi.T @ phi - np.eye(phi.shape[1])
+        n = phi.shape[1]
+        _check_bytes(f"the {n} x {n} Gram matrix", 8 * n * n, _TABLE_CAP)
+        gram = phi.T @ phi - np.eye(n)
         return cls.from_gram(dims, gram, weights=x)
 
     @property
@@ -401,46 +261,6 @@ def estimate_chaos_moments(coeffs, mode, p_values, trials, seed,
     return _profile(coeffs, mode, p_values, centered, xs, seed, boot_rng)
 
 
-def exact_chaos_moments(coeffs, mode, p_values, centered=False):
-    """Exact L_p norms by enumerating every sign pattern (both sides for
-    the decoupled form). Intended as a desk-scale oracle."""
-    p_values = _check_moment_args(mode, p_values)
-    bits = sum(coeffs.dims.dims)
-    # a row of n entries per pattern: the coupled form's sign table, or the
-    # decoupled form's values, which cover its table (N <= 2^bits)
-    n = 1 << bits if mode == "decoupled" else coeffs.dims.total
-    what = f"exact moments: a table of 2^{bits} sign patterns x {n} entries"
-    _check_bytes(what, (8 * n) << bits, _TABLE_CAP)
-    signs = kron_sign_patterns(coeffs.dims)
-    m = coeffs.matrix
-    if mode == "coupled":
-        xs = np.einsum("ai,ij,aj->a", signs, m, signs)
-    else:
-        xs = (signs @ m @ signs.T).ravel()
-    return _profile(coeffs, mode, p_values, centered, xs, None, None)
-
-
-def moment_to_tail(gammas, exponents, p0, t):
-    """Tail bound from a two-parameter moment growth table.
-
-    gammas and exponents are (rows, cols) arrays: row k collects the
-    moment scales gamma_{k,l} with growth exponents e_{k,l}. The bound is
-    exp(p0) * exp(-min_k max_l (t / (e * rows * gamma_{k,l}))^{1/e_{k,l}}).
-    """
-    g = np.atleast_2d(_real(gammas))
-    e = np.atleast_2d(_real(exponents))
-    if g.shape != e.shape:
-        raise ShapeError("gammas and exponents must have matching shapes")
-    if np.any(g <= 0) or np.any(e <= 0):
-        raise ShapeError("gammas and exponents must be positive")
-    if t <= 0:
-        raise ShapeError("threshold t must be positive")
-    rows = g.shape[0]
-    inner = (t / (math.e * rows * g)) ** (1.0 / e)
-    exponent = np.min(np.max(inner, axis=1))
-    return float(math.exp(p0) * math.exp(-exponent))
-
-
 @dataclass(frozen=True)
 class PartitionCountingReport:
     ok: bool
@@ -508,35 +328,3 @@ def _counting_sides(table, ground, d):
     i_right = np.where(left == 0, sizes, 0).sum(axis=1)
     j_mixed = g - i_left - i_right
     return kappa, j_mixed / 4.0 + (i_left + i_right) / 2.0
-
-
-@dataclass(frozen=True)
-class ExpectationReport:
-    ok: bool
-    expectation: float
-    diag_bound: float
-    delta1: float
-
-
-def check_expectation_bound(phi, x):
-    """The mean distortion is a diagonal sum controlled by the order-1
-    isometry constant: |E X| <= max_j |diag_j| * ||x||^2 and the diagonal
-    deviation never exceeds delta_1."""
-    phi = _real(phi)
-    x = _real(x)
-    if x.ndim != 1 or x.size != phi.shape[1]:
-        raise ShapeError("x must be a vector matching the column count")
-    diag = np.sum(phi**2, axis=0) - 1.0
-    expectation = float(np.dot(diag, x**2))
-    diag_bound = float(np.max(np.abs(diag)))
-    delta1 = rip_constant(phi, 1).delta
-    norm2 = float(np.dot(x, x))
-    tol = 1e-12 * max(1.0, diag_bound * norm2)
-    ok = (
-        abs(expectation) <= diag_bound * norm2 + tol
-        and diag_bound <= delta1 + 1e-12 * max(1.0, delta1)
-    )
-    return ExpectationReport(
-        ok=bool(ok), expectation=expectation, diag_bound=diag_bound,
-        delta1=delta1,
-    )

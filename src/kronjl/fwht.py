@@ -82,7 +82,8 @@ def last_block(n, m):
 @functools.cache
 def _sylvester(r):
     """Unnormalized +-1 Sylvester-Hadamard matrix of order r (read-only),
-    whose products with integers are exact (harness._family_energies)."""
+    whose products with integers are exact (the adversarial family's
+    energies in tests/theory_oracles.py)."""
     h = np.ones((1, 1))
     while h.shape[0] < r:
         h = np.block([[h, h], [h, -h]])

@@ -26,13 +26,7 @@ __all__ = [
     "enumerate_subspaces",
     "orthogonal_complement",
     "indicator",
-    "dot",
 ]
-
-
-def dot(a, b):
-    """Inner product of two words over F_2."""
-    return bin(a & b).count("1") & 1
 
 
 def rref(rows, n):
@@ -81,14 +75,6 @@ class Gf2Subspace:
         for k, b in enumerate(self.basis):
             np.bitwise_xor(span[: 1 << k], b, out=span[1 << k : 2 << k])
         return span
-
-    def contains(self, word):
-        w = int(word)
-        for row in self.basis:
-            lead = row.bit_length() - 1
-            if (w >> lead) & 1:
-                w ^= row
-        return w == 0
 
 
 def random_subspace(n, r, rng):

@@ -20,8 +20,10 @@ squared norm or pair distance) per block of trials, scored by one rule
 (`_failures`): a trial fails where some ratio leaves 1 +- eps. Each
 jl-sweep baseline is one such source in `_BASELINES`. gaussian draws its
 normals whole trials at a time; a generator's stream reads the same in
-blocks as in one draw. The adversarial family scores trials as their row
-counts times the members' exact energies.
+blocks as in one draw. The row scan and the adversarial scaling family
+run their cells through `_pointset_cells`, `_check_cells` and `_failures`
+from tests/theory_oracles.py until `report --kind scaling` (ROADMAP item
+12c) brings them back.
 
 Each command option is one row of OPTIONS: its reader, which merge_options
 applies to a config or flag value, and its help line on the command line.
@@ -56,8 +58,8 @@ from .chaos import (
     check_partition_counting,
     estimate_chaos_moments,
 )
-from .errors import BudgetError, ConfigError
-from .fwht import _sylvester, fwht, fwht_axis, hadamard_matrix
+from .errors import ConfigError
+from .fwht import fwht, fwht_axis, hadamard_matrix
 from .gf2 import enumerate_subspaces, indicator, orthogonal_complement
 from .indexing import (
     _ITEM_CAP,
@@ -74,9 +76,7 @@ from .transforms import (
     apply_dense,
     build_operator,
     hadamard_rows,
-    kron_combinations,
     kron_materialize,
-    kron_sign_patterns,
     materialize,
     _gathered,
 )
@@ -92,7 +92,6 @@ __all__ = [
     "SweepRecord",
     "PointsetReport",
     "LowerBoundRecord",
-    "ScalingReport",
     "load_config",
     "merge_options",
     "jl_failure_sweep",
@@ -101,10 +100,6 @@ __all__ = [
     "pointset_to_csv",
     "lower_bound_sweep",
     "lower_bound_to_csv",
-    "required_embedding_rows",
-    "adversarial_joint_norm_failure",
-    "required_rows_adversarial",
-    "scaling_exponent_report",
     "run_report",
     "report_to_json",
     "run_command",
@@ -123,14 +118,6 @@ LOWER_BOUND_HEADER = (
 REPORT_SCHEMA = "kronjl.report.v1"
 
 FAMILIES = ("kron", "dense", "onehot")
-
-# the row counts a scan reads, doubling from 2 up to 4096
-_SCAN_ROWS = tuple(2 << k for k in range(12))
-ROW_SCAN_START, ROW_SCAN_CAP = _SCAN_ROWS[0], _SCAN_ROWS[-1]
-SCALING_EPS = 0.75
-SCALING_TARGET = 0.1
-SCALING_GRIDS = (("d1", ((1,), (2,), (3,))),
-                 ("d2", ((1, 1), (1, 2), (2, 2))))
 
 
 # ------------------------------------------------------------- configuration
@@ -298,9 +285,9 @@ def _sampled_trials(dims, pts, m, trials, rng):
     A rank-one point never becomes a length-N vector: H D_xi (x_1 (x) ...
     (x) x_d) is the Kronecker product of the H_l (xi_l * x_l), so each
     axis is transformed on its own and the entries are gathered at the
-    bit fields of the rows (transforms._gathered: sampled_entries without
-    its checks, as the rows are drawn in [0, N) and the transforms are
-    float64 of power-of-two lengths). Dense points, one length-N factor,
+    bit fields of the rows (transforms._gathered, unchecked, as the rows
+    are drawn in [0, N) and the transforms are float64 of power-of-two
+    lengths). Dense points, one length-N factor,
     go through one hadamard_rows call per span of trials, sized by its
     output or the tables a pointset scores it in.
     """
@@ -599,157 +586,6 @@ def pointset_preservation(dims, n_points, m_values, eps_values, trials, seed,
 
 def pointset_to_csv(reports):
     return _to_csv(POINTSET_HEADER, reports)
-
-
-def _scan_interpolate(rates, target, trials):
-    """Doubling scan of m over _SCAN_ROWS with log-log interpolation at the
-    target crossing. `rates` yields the measured failure at each m in turn
-    and is read no further than the first at or below `target`."""
-    if not 0.0 < target < 1.0:
-        raise ConfigError("target: must be in (0, 1)")
-    floor = 0.5 / trials
-    scan = []
-    prev = None
-    for m, eta_raw in zip(_SCAN_ROWS, rates):
-        eta = max(eta_raw, floor)
-        scan.append((m, eta_raw))
-        if eta_raw <= target:
-            if prev is None:
-                return float(m), scan
-            m_lo, eta_lo = prev
-            t = (math.log(eta_lo) - math.log(target)) / (
-                math.log(eta_lo) - math.log(eta)
-            )
-            log_m = math.log(m_lo) + t * (math.log(m) - math.log(m_lo))
-            return float(math.exp(log_m)), scan
-        prev = (m, eta)
-    raise BudgetError(
-        f"no row count <= {ROW_SCAN_CAP} reached joint failure {target}"
-    )
-
-
-def required_embedding_rows(dims, n_points, eps, target, trials, seed):
-    """Smallest embedding row count whose joint failure on a kron pointset
-    is at or below `target`, located by a scan of pointset_preservation's
-    cells over _SCAN_ROWS with log-log interpolation at the crossing.
-    Returns (m_star, scan), scan the (m, joint_eta) pairs examined."""
-    reports = _pointset_cells(
-        dims, n_points, _SCAN_ROWS, (eps,), trials, seed, "kron", False
-    )
-    return _scan_interpolate((r.joint_eta for r in reports), target, trials)
-
-
-def _family_energies(dims):
-    """Exact (H x)^2 for each unit member x of the flat Kronecker sign
-    family, one per row in kron_sign_patterns order: (2^{sum n_l}, N)."""
-    # a pattern times the +-1 Sylvester matrix is integer-valued, exact
-    return kron_combinations(
-        [(kron_sign_patterns((n,)) @ _sylvester(n) / n) ** 2 for n in dims])
-
-
-def _adversarial_rates(r_dims, m_values, eps, trials, seed):
-    """Checks the arguments and tabulates the family's energies now; then
-    an iterator of the joint failure at each m in turn, cell k reading the
-    rows of (seed, TAG_SAMPLES, axes, sum r_dims, k)."""
-    r_dims = tuple(_integer(r, "r_dims:", ConfigError) for r in r_dims)
-    if any(r < 1 for r in r_dims):
-        raise ConfigError("r_dims: per-axis exponents must be >= 1")
-    _check_cells(m_values, (eps,), trials)
-    member_bits = sum(1 << r for r in r_dims)
-    n = 1 << sum(r_dims)
-    what = f"adversarial family: a table of 2^{member_bits} members x {n} columns"
-    _check_bytes(what, (8 * n, member_bits), _TABLE_CAP)
-    energy = _family_energies(KronDims(tuple(1 << r for r in r_dims)))
-    path = (rand.TAG_SAMPLES, len(r_dims), sum(r_dims))
-
-    def ratios(k, m):
-        rng = rand.substream(seed, *path, k)
-        # a trial holds its rows, its row counts and its members' sampled
-        # energies; rows drawn in blocks read the stream as one draw does
-        for lo, hi in _blocks(trials, 8 * (m + n + energy.shape[0])):
-            at = rng.integers(0, n, size=(hi - lo, m))
-            at += n * np.arange(hi - lo)[:, None]
-            counts = np.bincount(at.ravel(), minlength=(hi - lo) * n)
-            yield n / m * (counts.reshape(hi - lo, n) @ energy.T)
-
-    return (_failures(ratios(k, m), eps)[0] / trials
-            for k, m in enumerate(m_values))
-
-
-def adversarial_joint_norm_failure(r_dims, m, eps, trials, seed):
-    """Joint norm-preservation failure over the sign-modulated flat
-    Kronecker family.
-
-    The family has one unit point per combination of per-axis sign
-    patterns on axes of length 2^{r_l}: 2^{sum 2^{r_l}} points. Whatever
-    signs the operator draws, one member aligns with them, and its
-    transform concentrates on a 2^{-sum r_l} fraction of coordinates, so
-    the scan of the sampled energy inherits the miss behavior. The
-    distribution of the family's norm profile is invariant to the sign
-    draw, so only the sample rows are random here.
-
-    Sampled energies are exact, because some members sit exactly on the
-    |distortion| = eps boundary and the strict inequality must not depend
-    on rounding. A member's energy is the product over axes of
-    (W_l / n_l)^2, W_l being its axis pattern times the +-1 Sylvester
-    matrix: an integer of size at most n_l, summed exactly. So every
-    energy is an integer numerator of at most N^2 over N^2. A trial's
-    sampled energy is its row counts, integers summing to m, times the
-    energies: every product and partial sum is a multiple of 1 / N^2 of
-    size at most m. Inside the table cap N^2 <= 2^16, so below
-    m = 2^37 each fits in 53 bits: the product is exact in any summation
-    order, as a gathered sum is.
-    """
-    return next(_adversarial_rates(r_dims, (m,), eps, trials, seed))
-
-
-def required_rows_adversarial(r_dims, eps, target, trials, seed):
-    """Smallest row count taming the adversarial family's joint failure;
-    scan cell k is adversarial_joint_norm_failure's stream at index k."""
-    rates = _adversarial_rates(r_dims, _SCAN_ROWS, eps, trials, seed)
-    return _scan_interpolate(rates, target, trials)
-
-
-@dataclass(frozen=True)
-class ScalingReport:
-    cells_d1: tuple  # (per-axis exponents, nominal point count, m*) rows
-    cells_d2: tuple
-    slope_d1: float
-    slope_d2: float
-
-    @property
-    def slope_ratio(self):
-        return self.slope_d2 / self.slope_d1
-
-
-def scaling_exponent_report(seed, trials=3000):
-    """Fit log m* against log log p on the adversarial families and
-    report the d=2 vs d=1 slope ratio (qualitative scaling check).
-
-    p is the family's nominal point count 2^{sum 2^{r_l}}; SCALING_GRIDS
-    realize p in {4, 16, 256} for one axis and {16, 64, 256} for two
-    axes, the point counts the construction can hit exactly. The coarse
-    distortion SCALING_EPS keeps each cell dominated by the sampling-miss
-    event rather than by binomial concentration noise, which is what the
-    growth exponent is about.
-    """
-    slopes = {}
-    cells = {}
-    for key, grid in SCALING_GRIDS:
-        rows = []
-        for r_dims in grid:
-            m_star, _ = required_rows_adversarial(
-                r_dims, SCALING_EPS, SCALING_TARGET, trials, seed
-            )
-            rows.append((tuple(r_dims), 1 << sum(1 << r for r in r_dims), m_star))
-        cells[key] = tuple(rows)
-        loglogp = [math.log(math.log(p)) for _, p, _ in rows]
-        logm = [math.log(m) for _, _, m in rows]
-        slopes[key] = float(np.polyfit(loglogp, logm, 1)[0])
-    return ScalingReport(
-        cells_d1=cells["d1"], cells_d2=cells["d2"],
-        slope_d1=slopes["d1"], slope_d2=slopes["d2"],
-    )
 
 
 # -------------------------------------------------------------- lower bound

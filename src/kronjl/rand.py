@@ -8,8 +8,8 @@ Consecutive integers and standard_normal draws read a stream as one draw
 does, so a draw split into blocks (indexing._blocks) gives the same
 numbers at any block size. Separate calls under one seed may share a path:
 (seed, TAG_EXPERIMENT, family, m_idx, eps_idx) by a jl-sweep cell and the
-pointset cell of the same family, m and eps, and a row scan's cell k
-(required_embedding_rows) reads the kron pointset path at m index k, eps
+pointset cell of the same family, m and eps, and cell k of the row scan
+in tests/theory_oracles.py reads the kron pointset path at m index k, eps
 index 0; (seed, TAG_SAMPLES) by build_operator and
 failure_probability_empirical, which every cell of a lower-bound sweep
 calls with the same seed.

@@ -4,7 +4,8 @@ delta_s is the smallest delta with (1-delta)|x|^2 <= |Phi x|^2 <=
 (1+delta)|x|^2 over all s-sparse x, computed exactly as the worst extreme
 eigenvalue deviation of the s x s Gram blocks over all C(N, s) supports.
 Enumeration cost is guarded by a budget on C(N, s), and the support table
-(8 s C(N, s) bytes) by the table cap of `indexing`.
+(8 s C(N, s) bytes) and the N x N Gram (8 N^2 bytes) by the table cap of
+`indexing`, all three checked before the Gram is formed.
 
 check_submatrix_bound verifies the polarization consequence of the
 (2s, delta)-property: every s x s off-Gram block (Phi* Phi - I)_{S,T} has
@@ -101,10 +102,13 @@ class SubmatrixReport:
     exhaustive: bool
 
 
-def _check_phi(phi, s):
-    """Return the Gram matrix phi* phi of a finite 2-D phi, for 1 <= s <=
-    its columns. Its squared entries must be finite too: the pruning sums
-    them, and an overflowed block would yield nan norms that no max sees."""
+def _gram_and_supports(phi, s, budget):
+    """The Gram matrix phi* phi of a finite 2-D phi, for 1 <= s <= its
+    columns, and its supports (`_support_array`). The support count and
+    the Gram's bytes need only the shape, so both are refused before the
+    Gram is formed. Its squared entries must be finite too: the pruning
+    sums them, and an overflowed block would yield nan norms that no max
+    sees."""
     phi = _real(phi)
     if phi.ndim != 2:
         raise ShapeError(f"need a 2-D measurement matrix, not {phi.ndim}-D")
@@ -113,11 +117,13 @@ def _check_phi(phi, s):
         raise ShapeError(f"need 1 <= s <= {n}, got {s}")
     if not np.isfinite(phi).all():
         raise ShapeError("measurement matrix has non-finite entries")
+    supports = _support_array(n, s, budget)
+    _check_bytes(f"the {n} x {n} Gram matrix", 8 * n * n, _TABLE_CAP)
     with np.errstate(over="ignore", invalid="ignore"):
         gram = phi.T @ phi
         if not np.isfinite(gram * gram).all():
             raise ShapeError("measurement matrix too large: Gram overflows")
-    return gram
+    return gram, supports
 
 
 def _support_array(n, s, budget):
@@ -150,9 +156,8 @@ def rip_constant(phi, s):
     Monotone in s; delta_1 is the largest column-norm deviation
     max_j | ||phi_j||^2 - 1 |.
     """
-    gram = _check_phi(phi, s)
+    gram, supports = _gram_and_supports(phi, s, DEFAULT_BUDGET)
     n = gram.shape[0]
-    supports = _support_array(n, s, DEFAULT_BUDGET)
     hollow = gram - np.eye(n)
     # the two bounds of the module docstring, on A, with rounding slack
     coarse = _widen(np.sqrt(_support_energies(hollow * hollow, supports))
@@ -277,12 +282,11 @@ def _fold(items, measure, item_bytes, best):
 
 def check_submatrix_bound(phi, s, delta, budget=DEFAULT_BUDGET, seed=0):
     """Check ||(Phi* Phi - I)_{S,T}||_2 <= delta over support pairs."""
-    gram = _check_phi(phi, s)
+    gram, supports = _gram_and_supports(phi, s, budget)
     delta = float(delta)
     if np.isnan(delta):
         raise ShapeError("delta must not be NaN")
     n = gram.shape[0]
-    supports = _support_array(n, s, budget)
     k = supports.shape[0]
     hollow = gram - np.eye(n)
 

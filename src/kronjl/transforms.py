@@ -21,7 +21,7 @@ Sylvester block (fwht.last_block), and apply_dense its first axis, only at
 the sampled rows. A rank-one input needs no length-N work:
 H D (x_1 (x) ... (x) x_d) is the Kronecker product of the
 H_l (xi_l * x_l), and a sampled entry is a product of one entry per
-axis, found at the bit fields of its row (sampled_entries).
+axis, found at the bit fields of its row (_gathered).
 apply_factored and the harness's kron and onehot trials take that path;
 only dense inputs go through hadamard_rows.
 
@@ -50,11 +50,8 @@ __all__ = [
     "apply_dense_mat",
     "apply_factored",
     "hadamard_rows",
-    "kron_combinations",
     "kron_materialize",
-    "kron_sign_patterns",
     "materialize",
-    "sampled_entries",
 ]
 
 # A hadamard_rows call of two or more blocks runs on two threads where this
@@ -205,34 +202,15 @@ def kron_materialize(factors, out=None):
     return out
 
 
-def sampled_entries(factors, rows0):
-    """kron_materialize(factors) at the 0-based positions rows0, bit for
-    bit, without forming it.
-
-    Factor l has shape (..., n_l), n_l a power of two, and rows0 shape
-    (..., m). A 1-D factor serves every row; otherwise factor and rows
-    have as many axes, and the leading ones broadcast as in
-    np.take_along_axis. A position's F-order coordinate on axis l is a bit
-    field of it, and the entries multiply in kron_materialize's order, so
-    the rows must be integers in [0, N) (ShapeError).
-    """
-    factors = [_real(f) for f in factors]
-    if not factors:
-        raise ShapeError("need at least one factor")
-    lengths = [f.shape[-1] for f in factors]
-    if any(n < 1 or n & (n - 1) for n in lengths):
-        raise ShapeError(f"factor lengths must be powers of two, got {lengths}")
-    rows0 = _check_rows(np.asarray(rows0))
-    total = math.prod(lengths)
-    if rows0.min() < 0 or rows0.max() >= total:
-        raise ShapeError(f"rows must lie in 0..{total - 1}")
-    return _gathered(factors, rows0)
-
-
 def _gathered(factors, rows0):
-    """sampled_entries without its checks, for callers whose float64
-    factors have power-of-two lengths and whose int64 rows are known to
-    lie in [0, N): an operator's own rows, or rows drawn there."""
+    """kron_materialize(factors) at the 0-based positions rows0, bit for
+    bit, without forming it: a position's F-order coordinate on axis l is
+    a bit field of it, and the entries multiply in kron_materialize's
+    order. Factor l has shape (..., n_l) and rows0 shape (..., m); a 1-D
+    factor serves every row, otherwise the leading axes broadcast as in
+    np.take_along_axis. Unchecked: its callers' float64 factors have
+    power-of-two lengths and their int64 rows are known to lie in
+    [0, N), an operator's own rows or rows drawn there."""
     out, shift = None, 0
     for f in factors:
         n = f.shape[-1]
@@ -241,29 +219,6 @@ def _gathered(factors, rows0):
         out = entry if out is None else entry * out
         shift += n.bit_length() - 1
     return out
-
-
-def kron_combinations(tables):
-    """kron_materialize of every combination of one row per (rows_l, n_l)
-    table: (prod rows_l, N), the first table's row varying slowest."""
-    d = len(tables)
-    # table l's rows on leading axis l, so the product broadcasts over
-    # every combination
-    shaped = [t.reshape((1,) * l + (-1,) + (1,) * (d - 1 - l) + t.shape[1:])
-              for l, t in enumerate(tables)]
-    n = math.prod(t.shape[1] for t in tables)
-    return kron_materialize(shaped).reshape(-1, n)
-
-
-def kron_sign_patterns(dims):
-    """Every Kronecker sign vector over the axes, one per row:
-    (2^{sum n_l}, N). The first axis's pattern varies slowest down the
-    rows; within a pattern k of axis l, entry j is +1 where bit j of k
-    is set."""
-    return kron_combinations([
-        ((np.arange(1 << n)[:, None] >> np.arange(n)) & 1) * 2.0 - 1.0
-        for n in dims
-    ])
 
 
 def apply_dense(op, x):

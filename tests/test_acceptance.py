@@ -17,11 +17,8 @@ from kronjl.adversarial import failure_probability_empirical, failure_probabilit
 from kronjl.chaos import (
     ChaosCoefficients,
     SetPartition,
-    check_expectation_bound,
     check_partition_counting,
     estimate_chaos_moments,
-    exact_chaos_moments,
-    partition_norm,
 )
 from kronjl.fwht import fwht, hadamard_matrix
 from kronjl.gf2 import enumerate_subspaces, indicator, orthogonal_complement
@@ -34,6 +31,13 @@ from kronjl.transforms import (
     build_operator,
     kron_materialize,
     materialize,
+)
+
+from theory_oracles import (
+    check_expectation_bound,
+    exact_chaos_moments,
+    partition_norm,
+    scaling_exponent_report,
 )
 
 
@@ -148,7 +152,7 @@ def test_criterion_05_jl_monotone_sweep():
 
 def test_criterion_06_scaling_exponent():
     t0 = time.monotonic()
-    rep = harness.scaling_exponent_report(seed=424242)
+    rep = scaling_exponent_report(seed=424242)
     wall = time.monotonic() - t0
     assert 1.5 <= rep.slope_ratio <= 3.0
     d1 = [(p, round(m, 1)) for _, p, m in rep.cells_d1]

@@ -15,7 +15,7 @@ from kronjl.adversarial import (
 from kronjl.errors import ShapeError
 from kronjl.fwht import fwht
 from kronjl.gf2 import indicator, orthogonal_complement, random_subspace
-from kronjl.transforms import kron_materialize, sampled_entries
+from kronjl.transforms import _gathered, kron_materialize
 
 # a transformed entry this small counts as zero; nonzero entries of the
 # references below are at least 2^(-31)
@@ -96,6 +96,9 @@ def test_empirical_validation():
         failure_probability_empirical((), 1, 4, 100, seed=0)
     with pytest.raises(ShapeError):
         failure_probability_empirical((2,), 1, 4, 0, seed=0)
+    # unchecked, numpy refuses the (trials, m) draw with a bare ValueError
+    with pytest.raises(ShapeError, match="need m >= 0, got -1"):
+        failure_probability_empirical((3,), 1, -1, 10, seed=0)
 
 
 def test_empirical_refuses_bit_dims_that_are_not_integers():
@@ -140,15 +143,15 @@ def _length_n_reference(bit_dims, r, m, trials, seed):
 
 
 @pytest.mark.parametrize("bit_dims,r", SHAPES)
-def test_sampled_entries_match_length_n_gather(bit_dims, r):
+def test_gathered_entries_match_length_n_gather(bit_dims, r):
     y_factors, y, rows0 = _length_n_reference(bit_dims, r, 7, 300, seed=2)
-    assert np.array_equal(sampled_entries(y_factors, rows0), y[rows0])
+    assert np.array_equal(_gathered(y_factors, rows0), y[rows0])
     # batched: a (5, 3, n_l) stack of factors per axis against (5, 1, 7)
     # rows, broadcast as np.take_along_axis broadcasts
     rng = np.random.default_rng(4)
     stacks = [rng.standard_normal((5, 3, f.size)) for f in y_factors]
     rows = rows0[:5, None, :]
-    got = sampled_entries(stacks, rows)
+    got = _gathered(stacks, rows)
     assert got.shape == (5, 3, 7)
     for i in range(5):
         for j in range(3):
@@ -181,7 +184,7 @@ def test_complement_indicator_keeps_transform_misses(bit_dims, r):
         wht.append(y)
     rows0 = rand.substream(seed, rand.TAG_SAMPLES).integers(
         0, 1 << sum(bit_dims), size=(trials, m))
-    gathered = sampled_entries(wht, rows0)
+    gathered = kron_materialize(wht)[rows0]
     want = int(np.all(np.abs(gathered) <= ZERO_TOL, axis=1).sum())
     out = failure_probability_empirical(bit_dims, r, m, trials, seed=seed)
     assert out.failures == want
@@ -191,11 +194,12 @@ def test_complement_indicator_keeps_transform_misses(bit_dims, r):
                                         ((20, 25), 1), ((20, 25), 3)])
 def test_empirical_failures_match_complement_membership(bit_dims, r):
     # axes far past any length a per-axis table could hold: a row misses
-    # the support iff some coordinate leaves its axis's complement
+    # the support iff some coordinate leaves its axis's complement, that
+    # is, has odd overlap with some member of the axis's subspace
     seed, m, trials = 9, 3, 6000  # two row blocks
-    comps = [
-        orthogonal_complement(random_subspace(n, r, rand.substream(
-            seed, rand.TAG_SUBSPACE, j)))
+    spaces = [
+        random_subspace(n, r, rand.substream(
+            seed, rand.TAG_SUBSPACE, j)).members().tolist()
         for j, n in enumerate(bit_dims, start=1)
     ]
     rows0 = rand.substream(seed, rand.TAG_SAMPLES).integers(
@@ -205,8 +209,10 @@ def test_empirical_failures_match_complement_membership(bit_dims, r):
         missed = True
         for row in trial:
             shift, hit = 0, True
-            for n, comp in zip(bit_dims, comps):
-                hit = hit and comp.contains((row >> shift) & ((1 << n) - 1))
+            for n, members in zip(bit_dims, spaces):
+                word = (row >> shift) & ((1 << n) - 1)
+                hit = hit and all((word & v).bit_count() % 2 == 0
+                                  for v in members)
                 shift += n
             missed = missed and not hit
         want += missed

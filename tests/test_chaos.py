@@ -13,16 +13,9 @@ import pytest
 from kronjl import chaos
 from kronjl.chaos import (
     ChaosCoefficients,
-    PARTITION_GROUND_LIMIT,
     SetPartition,
-    check_expectation_bound,
     check_partition_counting,
-    enumerate_partitions,
     estimate_chaos_moments,
-    exact_chaos_moments,
-    moment_bound_profile,
-    moment_to_tail,
-    partition_norm,
     _counting_sides,
     _label_table,
 )
@@ -30,6 +23,17 @@ from kronjl.errors import BudgetError, ShapeError
 from kronjl.indexing import KronDims
 from kronjl.rand import TAG_EXPERIMENT, substream
 from kronjl.transforms import build_operator, materialize
+
+from theory_oracles import (
+    PARTITION_GROUND_LIMIT,
+    check_expectation_bound,
+    enumerate_partitions,
+    exact_chaos_moments,
+    moment_bound_profile,
+    moment_to_tail,
+    partition_norm,
+    _matricize,
+)
 
 
 def P(*blocks):
@@ -179,7 +183,7 @@ def test_two_block_matches_explicit_svd():
 
 def test_alternating_recovers_spectral_norm():
     # on a matrix the alternating solver and the exact route must agree
-    from kronjl.chaos import _alternating_sup
+    from theory_oracles import _alternating_sup
 
     rng = substream(13, TAG_EXPERIMENT)
     for _ in range(10):
@@ -237,13 +241,13 @@ def test_matricize_keeps_no_layout():
     partitions = [part for part in enumerate_partitions(range(1, 7))
                   if part.kappa >= 2]
     assert len(partitions) == 202
-    chaos._matricize(arr, partitions[0].blocks)
+    _matricize(arr, partitions[0].blocks)
     gc.collect()
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
         for part in partitions:
-            chaos._matricize(arr, part.blocks)
+            _matricize(arr, part.blocks)
         gc.collect()
         left = tracemalloc.get_traced_memory()[0] - before
     finally:
@@ -312,6 +316,20 @@ def test_distortion_weights_scale_quadratically():
     a = ChaosCoefficients.distortion(dims, phi, x)
     b = ChaosCoefficients.distortion(dims, phi, 2.0 * x)
     assert np.allclose(b.array, 4.0 * a.array, atol=1e-12)
+
+
+def test_distortion_refuses_its_gram_before_forming_it():
+    # the 4097 x 4097 Gram is 134,283,272 bytes, over the 2^27-byte cap
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetError, match="4097 x 4097 Gram matrix needs "
+                           "134283272 bytes"):
+            ChaosCoefficients.distortion((4097,), np.zeros((1, 4097)),
+                                         np.ones(4097))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 # ------------------------------------------------------------------- moments

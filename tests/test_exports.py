@@ -221,9 +221,7 @@ def test_one_kronecker_builder_and_one_sign_form():
                       and isinstance(c.func, ast.Name)}
              for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)
              and "kron" in n.name}
-    assert set(krons) == {"kron_materialize", "kron_combinations", "kron_sign_patterns"}
-    assert "kron_materialize" in krons["kron_combinations"]
-    assert "kron_combinations" in krons["kron_sign_patterns"]
+    assert set(krons) == {"kron_materialize"}
     builder = inspect.signature(transforms.kron_materialize).parameters
     assert list(builder) == ["factors", "out"]
     rows = inspect.signature(transforms.hadamard_rows).parameters
@@ -249,8 +247,7 @@ def test_one_memory_refusal():
         getattr(c, "id", None) == "BudgetError" for c in ast.walk(n)))
     assert set(raises) == {
         ("indexing", "_check_bytes"), ("rip", "_support_array"),
-        ("chaos", "enumerate_partitions"), ("chaos", "check_partition_counting"),
-        ("harness", "_scan_interpolate")}
+        ("chaos", "check_partition_counting")}
 
 
 def test_one_failure_rule():
@@ -262,44 +259,24 @@ def test_one_failure_rule():
     assert compares == [("harness", "_failures")]
 
 
-_REFERENCE = "test/perfbench reference"
-_MOMENTS = "ROADMAP item 12b: report --kind moments"
-_SCALING = "ROADMAP item 12c: report --kind scaling"
+_PERFBENCH = "ROADMAP item 1: perfbench calls it"
 
 # the top-level definitions no command reaches yet: each names the ROADMAP
-# item that will give it a command, or is kept for tests and perfbench to
-# call. An entry leaves the list when a command reaches it or it moves out
-# of src, and a new definition no command reaches fails until it is listed
+# item that frees it, by giving it a command or by lifting the perfbench
+# call that keeps it in src. An entry leaves the list when a command
+# reaches it or it moves out of src, and a new definition no command
+# reaches fails until it is listed; a helper only tests call belongs in
+# tests/, not on this list
 _NO_COMMAND_YET = {
-    "adversarial._TRACED_BINDINGS": _REFERENCE,
-    **dict.fromkeys(
-        [f"chaos.{name}" for name in (
-            "ExpectationReport", "PARTITION_GROUND_LIMIT", "SUP_MAX_ITER",
-            "SUP_SEED", "SUP_TOL", "_alternating_sup", "_label_rows",
-            "_matricize", "check_expectation_bound", "enumerate_partitions",
-            "exact_chaos_moments", "moment_bound_profile", "moment_to_tail",
-            "partition_norm")], _MOMENTS),
-    "fwht.active_backend": _REFERENCE,
-    "gf2.dot": _REFERENCE,
-    # the checked gather for outside callers; the trial loop and
-    # apply_factored call its unchecked core, transforms._gathered
-    "transforms.sampled_entries": _REFERENCE,
-    **dict.fromkeys(
-        [f"harness.{name}" for name in (
-            "ROW_SCAN_CAP", "ROW_SCAN_START", "SCALING_EPS", "SCALING_GRIDS",
-            "SCALING_TARGET", "ScalingReport", "_SCAN_ROWS",
-            "_adversarial_rates", "_family_energies", "_scan_interpolate",
-            "adversarial_joint_norm_failure", "required_embedding_rows",
-            "required_rows_adversarial", "scaling_exponent_report")]
-        + ["transforms.kron_combinations", "transforms.kron_sign_patterns"],
-        _SCALING),
+    "adversarial._TRACED_BINDINGS": _PERFBENCH,
+    "fwht.active_backend": _PERFBENCH,
     **dict.fromkeys(
         ["rip.SubmatrixReport", "rip._block_norms", "rip.check_submatrix_bound"],
         "ROADMAP item 6: the orbit form of report --kind rip"),
     **dict.fromkeys(
         ["sparsify.MAX_SUM_REL_TOL", "sparsify.MaxSumReport",
          "sparsify.check_max_sum_inequalities"],
-        _REFERENCE),
+        _PERFBENCH),
     **dict.fromkeys(["transforms.apply_dense_mat", "transforms.apply_factored"],
                     "ROADMAP item 5: kronjl embed"),
 }
@@ -354,5 +331,5 @@ def test_every_definition_serves_a_command_or_is_listed():
     assert sorted(unreached - set(_NO_COMMAND_YET)) == []
     # the list only shrinks: a reached or deleted definition leaves it
     assert sorted(set(_NO_COMMAND_YET) - unreached) == []
-    assert all(why == _REFERENCE or re.match(r"ROADMAP item \d+[a-z]?: \S", why)
+    assert all(re.match(r"ROADMAP item \d+[a-z]?: \S", why)
                for why in _NO_COMMAND_YET.values())

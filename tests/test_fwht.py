@@ -166,8 +166,9 @@ def test_scale_on_the_last_digit_keeps_the_bytes_at_lengths_4k():
 
 
 def test_sylvester_tables_are_read_only():
-    # the +-1 matrix keeps exact integer sums (harness._family_energies);
-    # the scaled last digits are shared by every call, so neither is writable
+    # the +-1 matrix keeps exact integer sums (the adversarial family's
+    # energies in theory_oracles); the scaled last digits are shared by
+    # every call, so neither is writable
     for r in (1, 2, 4, 8, 16, 32):
         h = _sylvester(r)
         assert not h.flags.writeable

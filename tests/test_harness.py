@@ -17,10 +17,19 @@ from kronjl.errors import BudgetError, ConfigError
 from kronjl.fwht import fwht_axis, hadamard_matrix
 from kronjl.indexing import KronDims
 from kronjl import indexing, rand, transforms
-from kronjl.transforms import (
+from kronjl.transforms import kron_materialize
+
+from theory_oracles import (
+    ROW_SCAN_START,
+    adversarial_joint_norm_failure,
     kron_combinations,
-    kron_materialize,
     kron_sign_patterns,
+    required_embedding_rows,
+    required_rows_adversarial,
+    scaling_exponent_report,
+    _adversarial_rates,
+    _family_energies,
+    _scan_interpolate,
 )
 
 
@@ -489,9 +498,9 @@ def test_library_sweeps_reject_repeated_cells(field, call):
     ("d", lambda: harness.lower_bound_sweep(3, 1, (1, 1.5), (4,), 10, 0)),
     pytest.param("points", lambda: harness.pointset_preservation(
         (4,), 3.5, (4,), (0.5,), 10, 0), id="pointset-points"),
-    ("r_dims", lambda: harness.adversarial_joint_norm_failure(
+    ("r_dims", lambda: adversarial_joint_norm_failure(
         (1.5,), 4, 0.5, 10, 0)),
-    ("r_dims", lambda: harness.required_rows_adversarial(
+    ("r_dims", lambda: required_rows_adversarial(
         (True, 1), 0.5, 0.1, 10, 0)),
 ])
 def test_library_sweeps_refuse_counts_that_are_not_integers(field, call):
@@ -669,7 +678,7 @@ def test_pointset_validation():
 
 
 def test_required_rows_scan_brackets_target():
-    m_star, scan = harness.required_embedding_rows(
+    m_star, scan = required_embedding_rows(
         (16,), 4, eps=0.5, target=0.25, trials=400, seed=41
     )
     ms = [m for m, _ in scan]
@@ -685,12 +694,12 @@ def test_required_rows_scan_brackets_target():
 
 def test_required_rows_budget():
     with pytest.raises(BudgetError):
-        harness.required_embedding_rows(
+        required_embedding_rows(
             # no eps this small is ever met, up to ROW_SCAN_CAP rows
             (16,), 4, eps=1e-9, target=1e-9, trials=100, seed=1
         )
     with pytest.raises(ConfigError):
-        harness.required_embedding_rows(
+        required_embedding_rows(
             (16,), 4, eps=0.5, target=1.5, trials=100, seed=1
         )
     # checked as a pointset is, before the scan divides by the trials
@@ -698,18 +707,18 @@ def test_required_rows_budget():
                         ("eps", ((16,), 4, 0.0, 0.25, 100)),
                         ("points", ((16,), 1, 0.5, 0.25, 100))):
         with pytest.raises(ConfigError, match=f"^{field}: "):
-            harness.required_embedding_rows(*args, seed=1)
+            required_embedding_rows(*args, seed=1)
     for field, args in (("trials", ((1,), 0.5, 0.2, 0)),
                         ("eps", ((1,), -0.5, 0.2, 100))):
         with pytest.raises(ConfigError, match=f"^{field}: must be positive"):
-            harness.required_rows_adversarial(*args, seed=1)
+            required_rows_adversarial(*args, seed=1)
     with pytest.raises(ConfigError, match="^trials: must be positive"):
-        harness.scaling_exponent_report(seed=1, trials=0)
+        scaling_exponent_report(seed=1, trials=0)
 
 
 def test_row_scan_cells_are_pointset_cells():
     # scan cell k reads the stream of the pointset cell at m index k
-    _, scan = harness.required_embedding_rows(
+    _, scan = required_embedding_rows(
         (16,), 4, eps=0.5, target=0.25, trials=400, seed=41
     )
     assert scan == [(2, 1.0), (4, 0.9675), (8, 0.805), (16, 0.4675),
@@ -722,9 +731,9 @@ def test_row_scan_cells_are_pointset_cells():
 
 def test_row_scan_stops_at_its_first_row_count():
     rates = iter([0.05, 0.01])
-    m_star, scan = harness._scan_interpolate(rates, 0.1, 100)
-    assert m_star == float(harness.ROW_SCAN_START)
-    assert scan == [(harness.ROW_SCAN_START, 0.05)]
+    m_star, scan = _scan_interpolate(rates, 0.1, 100)
+    assert m_star == float(ROW_SCAN_START)
+    assert scan == [(ROW_SCAN_START, 0.05)]
     assert list(rates) == [0.01]
 
 
@@ -760,7 +769,7 @@ def test_family_energies_match_length_n_transform(r_dims):
     dims = KronDims(tuple(1 << r for r in r_dims))
     n = dims.total
     wht = kron_sign_patterns(dims) @ scipy.linalg.hadamard(n)
-    assert np.array_equal(harness._family_energies(dims), (wht / n) ** 2)
+    assert np.array_equal(_family_energies(dims), (wht / n) ** 2)
 
 
 def test_adversarial_failure_matches_binomial_closed_form():
@@ -771,7 +780,7 @@ def test_adversarial_failure_matches_binomial_closed_form():
     pmf = np.array([math.comb(m, int(i)) for i in k]) / 2.0**m
     exact = float(pmf[np.abs(2.0 * k / m - 1.0) > 0.5].sum())
     assert exact == 18 / 256
-    mc = harness.adversarial_joint_norm_failure((1,), m, 0.5, trials, seed=5)
+    mc = adversarial_joint_norm_failure((1,), m, 0.5, trials, seed=5)
     sigma = math.sqrt(exact * (1 - exact) / trials)
     assert abs(mc - exact) <= 3 * sigma
 
@@ -782,7 +791,7 @@ def test_adversarial_failure_matches_multinomial_closed_form():
     # probability that four uniform draws hit each coordinate once
     exact = 1.0 - math.factorial(4) / 4.0**4
     trials = 20000
-    mc = harness.adversarial_joint_norm_failure(
+    mc = adversarial_joint_norm_failure(
         (1, 1), 4, 0.5, trials, seed=9
     )
     sigma = math.sqrt(exact * (1 - exact) / trials)
@@ -795,7 +804,7 @@ def test_adversarial_failure_memory_does_not_grow_with_trials():
     # 300,000 trials of 32 rows would be 73 MiB of rows drawn at once
     tracemalloc.start()
     try:
-        harness.adversarial_joint_norm_failure((1,), 32, 0.5, 300_000, seed=1)
+        adversarial_joint_norm_failure((1,), 32, 0.5, 300_000, seed=1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -803,15 +812,15 @@ def test_adversarial_failure_memory_does_not_grow_with_trials():
 
 
 def test_adversarial_failure_determinism_and_validation():
-    a = harness.adversarial_joint_norm_failure((2,), 16, 0.5, 500, seed=3)
-    b = harness.adversarial_joint_norm_failure((2,), 16, 0.5, 500, seed=3)
+    a = adversarial_joint_norm_failure((2,), 16, 0.5, 500, seed=3)
+    b = adversarial_joint_norm_failure((2,), 16, 0.5, 500, seed=3)
     assert a == b
     with pytest.raises(ConfigError, match="r_dims"):
-        harness.adversarial_joint_norm_failure((0,), 8, 0.5, 100, seed=1)
+        adversarial_joint_norm_failure((0,), 8, 0.5, 100, seed=1)
     for field, cell in (("trials", (4, 0.5, 0)), ("m", (0, 0.5, 10)),
                         ("eps", (4, -1.0, 10))):
         with pytest.raises(ConfigError, match=f"^{field}: must be positive"):
-            harness.adversarial_joint_norm_failure((1,), *cell, seed=1)
+            adversarial_joint_norm_failure((1,), *cell, seed=1)
 
 
 def test_adversarial_family_budget():
@@ -820,7 +829,7 @@ def test_adversarial_family_budget():
     try:
         with pytest.raises(BudgetError, match="2\\^24 members x 128 columns "
                            "needs 1024 x 2\\^24 bytes"):
-            harness.adversarial_joint_norm_failure((4, 3), 64, 0.5, 10, seed=1)
+            adversarial_joint_norm_failure((4, 3), 64, 0.5, 10, seed=1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -830,20 +839,20 @@ def test_adversarial_family_budget():
     # one temporary of its size) and little else
     tracemalloc.start()
     try:
-        rate = harness.adversarial_joint_norm_failure((4,), 256, 0.5, 2, seed=1)
+        rate = adversarial_joint_norm_failure((4,), 256, 0.5, 2, seed=1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 17 * 2**20
     assert 0.0 <= rate <= 1.0
-    assert harness.adversarial_joint_norm_failure((4,), 240, 0.5, 1, seed=1) == 1.0
+    assert adversarial_joint_norm_failure((4,), 240, 0.5, 1, seed=1) == 1.0
 
 
 def _gathered_ratios(r_dims, m_values, trials, seed):
     """Reference for _adversarial_rates: per m in turn, every member's
     energies gathered at each trial's rows and summed, (members, trials),
     a few trials at a time."""
-    energy = harness._family_energies(KronDims(tuple(1 << r for r in r_dims)))
+    energy = _family_energies(KronDims(tuple(1 << r for r in r_dims)))
     n = energy.shape[1]
     for k, m in enumerate(m_values):
         rng = rand.substream(seed, rand.TAG_SAMPLES, len(r_dims), sum(r_dims), k)
@@ -862,13 +871,12 @@ def test_row_counts_score_as_the_gathered_sum(r_dims, seed):
     for eps in (0.25, 0.5, 0.75):
         want = [np.count_nonzero(np.any(np.abs(r - 1.0) > eps, axis=0)) / trials
                 for r in ratios]
-        got = list(harness._adversarial_rates(r_dims, m_values, eps, trials,
-                                              seed))
+        got = list(_adversarial_rates(r_dims, m_values, eps, trials, seed))
         assert got == want
 
 
 def test_required_rows_adversarial_scan():
-    m_star, scan = harness.required_rows_adversarial(
+    m_star, scan = required_rows_adversarial(
         (1,), eps=0.5, target=0.2, trials=600, seed=11
     )
     etas = [e for _, e in scan]
@@ -880,7 +888,7 @@ def test_required_rows_adversarial_scan():
 
 
 def test_scaling_report_structure():
-    rep = harness.scaling_exponent_report(seed=17, trials=400)
+    rep = scaling_exponent_report(seed=17, trials=400)
     assert [p for _, p, _ in rep.cells_d1] == [4, 16, 256]
     assert [p for _, p, _ in rep.cells_d2] == [16, 64, 256]
     stars_d1 = [m for _, _, m in rep.cells_d1]
@@ -888,7 +896,7 @@ def test_scaling_report_structure():
     assert stars_d1 == sorted(stars_d1)
     assert stars_d2 == sorted(stars_d2)
     assert rep.slope_d2 > rep.slope_d1 > 0
-    assert rep == harness.scaling_exponent_report(seed=17, trials=400)
+    assert rep == scaling_exponent_report(seed=17, trials=400)
 
 
 # -------------------------------------------------------------- lower bound

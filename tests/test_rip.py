@@ -369,6 +369,38 @@ def test_support_table_is_refused_before_it_is_allocated():
     assert peak < 1 << 20
 
 
+def test_support_count_is_refused_before_the_gram_is_formed():
+    # C(3000, 6) supports are over the count budget; the 3000 x 3000 Gram
+    # and its squares, formed first, would peak near 146 MiB
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetError, match=r"C\(3000,6\) = \d+ supports exceed"):
+            rip_constant(np.zeros((1, 3000)), 6)
+        with pytest.raises(BudgetError, match=r"C\(3000,6\) = \d+ supports exceed"):
+            check_submatrix_bound(np.zeros((1, 3000)), 6, delta=1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_gram_is_refused_over_the_table_cap():
+    # N = 4097 passes every support check at s = 1, but its N x N Gram is
+    # 8 * 4097^2 = 134,283,272 bytes, over the 2^27-byte table cap
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetError, match="4097 x 4097 Gram matrix needs "
+                           "134283272 bytes"):
+            rip_constant(np.zeros((1, 4097)), 1)
+        with pytest.raises(BudgetError, match="4097 x 4097 Gram matrix needs "
+                           "134283272 bytes"):
+            check_submatrix_bound(np.zeros((1, 4097)), 1, delta=1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 def test_support_array_matches_combinations():
     for n, s in ((1, 1), (5, 2), (8, 3), (9, 9), (12, 5)):
         expected = np.array(list(itertools.combinations(range(n), s)))

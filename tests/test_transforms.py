@@ -15,14 +15,7 @@ import pytest
 
 import kronjl
 from kronjl import indexing, transforms
-from kronjl.chaos import (
-    ChaosCoefficients,
-    SetPartition,
-    check_expectation_bound,
-    moment_bound_profile,
-    moment_to_tail,
-    partition_norm,
-)
+from kronjl.chaos import ChaosCoefficients, SetPartition
 from kronjl.errors import BudgetError, ShapeError
 from kronjl.fwht import fwht, fwht_axis, hadamard_matrix, last_block
 from kronjl.indexing import KronDims
@@ -37,11 +30,17 @@ from kronjl.transforms import (
     apply_factored,
     build_operator,
     hadamard_rows,
-    kron_combinations,
     kron_materialize,
-    kron_sign_patterns,
     materialize,
-    sampled_entries,
+)
+
+from theory_oracles import (
+    check_expectation_bound,
+    kron_combinations,
+    kron_sign_patterns,
+    moment_bound_profile,
+    moment_to_tail,
+    partition_norm,
 )
 
 
@@ -171,22 +170,11 @@ def test_kron_sign_patterns_needs_an_axis():
         kron_sign_patterns(())
 
 
-def test_sampled_entries_needs_a_factor():
-    with pytest.raises(ShapeError, match="at least one factor"):
-        sampled_entries([], np.arange(3))
-    # N = 16: rows 0 and 15 read 1 * 10 and 4 * 40; a row outside [0, 16)
-    # would wrap onto another row's bit fields, a float row would not
-    # index, and a length-3 axis has no bit field
+def test_gathered_reads_the_bit_fields_of_a_row():
+    # N = 16: rows 0 and 15 read 1 * 10 and 4 * 40
     factors = [np.array([1.0, 2.0, 3.0, 4.0]), np.array([10.0, 20.0, 30.0, 40.0])]
-    assert sampled_entries(factors, [0, 15]).tolist() == [10.0, 160.0]
-    for rows in ([16], [-1], [[0, 16], [1, 2]], np.array([2**63], dtype=np.uint64)):
-        with pytest.raises(ShapeError, match=r"rows must lie in 0\.\.15"):
-            sampled_entries(factors, rows)
-    for rows in ([0.0], [True], 3, np.zeros((2, 0), dtype=int)):
-        with pytest.raises(ShapeError, match="rows must be a non-empty integer"):
-            sampled_entries(factors, rows)
-    with pytest.raises(ShapeError, match="powers of two, got \\[4, 3\\]"):
-        sampled_entries([factors[0], np.ones(3)], [0])
+    rows0 = np.array([0, 15])
+    assert transforms._gathered(factors, rows0).tolist() == [10.0, 160.0]
 
 
 def test_build_operator_determinism():
@@ -391,7 +379,7 @@ def test_factored_one_transform_gives_the_per_axis_bytes(dims):
     op = build_operator(dims, 40, seed=4)
     factors = [rng.standard_normal(n) for n in dims]
     per_axis = [fwht(f * s) for f, s in zip(factors, op.signs.factors)]
-    want = op.scale * sampled_entries(per_axis, op.samples.rows - 1)
+    want = op.scale * kron_materialize(per_axis)[op.samples.rows - 1]
     got = apply_factored(op, factors)
     assert np.array_equal(got, want)
     assert np.allclose(got, apply_dense(op, kron_materialize(factors)), atol=1e-12)
@@ -781,7 +769,6 @@ def test_hadamard_rows_validation():
     (lambda op, z: fwht_axis(z.real.reshape(8, 8), True), "axis must be an integer"),
     (lambda op, z: fwht_axis(z.real.reshape(8, 8), 1.0), "axis must be an integer"),
     (lambda op, z: kron_materialize([z[:8], z.real[:8]]), "complex128"),
-    (lambda op, z: sampled_entries([z.real[:8], z[:8]], [0, 9]), "complex128"),
     (lambda op, z: RademacherFactors((np.ones(8) + 0j,)), "complex128"),
     (lambda op, z: rip_constant(z.reshape(8, 8), 1), "complex128"),
     (lambda op, z: check_submatrix_bound(z.reshape(8, 8), 1, 0.5), "complex128"),
